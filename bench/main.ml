@@ -15,6 +15,7 @@
    grids used and compares shapes against the paper. *)
 
 module Experiment = Ncg.Experiment
+module Sweep_spec = Ncg.Sweep_spec
 module Dynamics = Ncg.Dynamics
 module Strategy = Ncg.Strategy
 module Game = Ncg.Game
@@ -26,25 +27,20 @@ module Metrics = Ncg_graph.Metrics
 module Torus_grid = Ncg_gen.Torus_grid
 
 let base_seed = 2014
-let node_budget = 50_000
 
-let config ?(variant = Game.Max) ~alpha ~k () =
-  {
-    (Dynamics.default_config ~alpha ~k) with
-    Dynamics.variant;
-    solver = `Budgeted node_budget;
-    collect_features = false;
-  }
+(* Every section runs the dynamics with ncg_experiment's settings. *)
+let spec = { Sweep_spec.default with seed = base_seed }
+let config ~alpha ~k = Sweep_spec.make_config spec { Experiment.alpha; k }
 
 let tree_cell ~n ~alpha ~k ~trials =
   Experiment.trials
     ~make_initial:(fun ~seed -> Experiment.initial_tree ~seed ~n)
-    ~config:(config ~alpha ~k ()) ~trials ~seed:base_seed
+    ~config:(config ~alpha ~k) ~trials ~seed:base_seed
 
 let gnp_cell ~n ~p ~alpha ~k ~trials =
   Experiment.trials
     ~make_initial:(fun ~seed -> Experiment.initial_gnp ~seed ~n ~p)
-    ~config:(config ~alpha ~k ()) ~trials ~seed:base_seed
+    ~config:(config ~alpha ~k) ~trials ~seed:base_seed
 
 let summary_str f runs = Summary.to_string (Experiment.summarize f runs)
 let summary_mean f runs = (Experiment.summarize f runs).Summary.mean
@@ -424,7 +420,7 @@ let robustness () =
       List.iter
         (fun k ->
           let runs =
-            Experiment.trials ~make_initial ~config:(config ~alpha:2.0 ~k ()) ~trials
+            Experiment.trials ~make_initial ~config:(config ~alpha:2.0 ~k) ~trials
               ~seed:base_seed
           in
           if k = 3 then rounds3 := summary_str (fun r -> fi r.Experiment.rounds) runs;
@@ -474,7 +470,7 @@ let modes () =
   Printf.printf "%-28s %14s %14s %14s\n" "mode" "quality" "rounds" "moves";
   List.iter
     (fun (name, tweak) ->
-      let cfg = tweak (config ~alpha ~k ()) in
+      let cfg = tweak (config ~alpha ~k) in
       let runs =
         Experiment.trials
           ~make_initial:(fun ~seed -> Experiment.initial_tree ~seed ~n)
@@ -508,8 +504,9 @@ let sumdyn () =
     (fun (n, k, alpha) ->
       let cfg =
         {
-          (config ~variant:Game.Sum ~alpha ~k ()) with
-          Dynamics.sum_mode = `Branch_and_bound 34;
+          (config ~alpha ~k) with
+          Dynamics.variant = Game.Sum;
+          sum_mode = `Branch_and_bound 34;
           max_rounds = 60;
         }
       in
@@ -598,15 +595,21 @@ let experiment () =
     Option.value (Sys.getenv_opt "NCG_BENCH_TRACE")
       ~default:"BENCH_experiment_trace.json"
   in
-  let n = if smoke then 20 else 50 in
-  let trials = if smoke then 2 else 5 in
-  let alphas = if smoke then [ 0.5; 2.0 ] else [ 0.5; 1.0; 2.0; 5.0 ] in
-  let ks = if smoke then [ 2; 1000 ] else [ 2; 3; 5; 1000 ] in
-  let cells = Experiment.grid ~alphas ~ks in
-  let make_initial ~seed = Experiment.initial_tree ~seed ~n in
-  let make_config (c : Experiment.cell) =
-    config ~alpha:c.Experiment.alpha ~k:c.Experiment.k ()
+  let spec =
+    if smoke then { spec with n = 20; trials = 2; alphas = [ 0.5; 2.0 ]; ks = [ 2; 1000 ] }
+    else
+      {
+        spec with
+        n = 50;
+        trials = 5;
+        alphas = [ 0.5; 1.0; 2.0; 5.0 ];
+        ks = [ 2; 3; 5; 1000 ];
+      }
   in
+  let n = spec.Sweep_spec.n and trials = spec.Sweep_spec.trials in
+  let cells = Sweep_spec.cells spec in
+  let make_initial = Sweep_spec.make_initial spec in
+  let make_config = Sweep_spec.make_config spec in
   let timed domains =
     let t0 = Ncg_obs.Clock.now_ns () in
     let results =
@@ -656,7 +659,7 @@ let experiment () =
       let p = Filename.concat store_dir f in
       if Sys.file_exists p then Sys.remove p)
     [ "records.log"; "MANIFEST.json" ];
-  let store_context = [ ("bench", Ncg_obs.Json.String "experiment") ] in
+  let store_context = Sweep_spec.context spec in
   let store_pass () =
     Ncg_store.Store.with_dir store_dir (fun store ->
         let t0 = Ncg_obs.Clock.now_ns () in
@@ -671,30 +674,16 @@ let experiment () =
   let populated, populate_wall, populate_stats = store_pass () in
   let cached, cached_wall, cached_stats = store_pass () in
   (* Supervised-executor overhead: the same grid through a bare
-     Parallel.init of run_cell (no work queue, no retry machinery, no
+     Parallel.map of run_cell (no work queue, no retry machinery, no
      arming) vs Experiment.sweep (now routed through the supervised
      executor). Informational — recorded against a 5% target, not
      gated, because a smoke grid's wall time is noise-dominated. *)
-  let cell_seeds =
-    Experiment.derive_seeds ~seed:base_seed ~count:(List.length cells)
-  in
-  let cell_arr = Array.of_list cells in
-  let timed_thunk f =
-    let t0 = Ncg_obs.Clock.now_ns () in
-    let r = f () in
-    (r, Ncg_obs.Clock.ns_to_s (Ncg_obs.Clock.elapsed_ns ~since:t0))
-  in
   let baseline, baseline_wall =
-    timed_thunk (fun () ->
-        Ncg_util.Parallel.init ~domains:fan_domains (Array.length cell_arr)
-          (fun i ->
-            Experiment.run_cell ~make_initial ~make_config ~trials
-              ~cell_seed:cell_seeds.(i) cell_arr.(i))
-        [@lint.allow
-          "P2"
-            "cell_arr and cell_seeds are fully built before the fan-out and \
-             only read by the workers, each at its own index; no domain \
-             writes them"])
+    let t0 = Ncg_obs.Clock.now_ns () in
+    let r =
+      Ncg_util.Parallel.map ~domains:fan_domains (Sweep_spec.run_cell spec) cells
+    in
+    (r, Ncg_obs.Clock.ns_to_s (Ncg_obs.Clock.elapsed_ns ~since:t0))
   in
   let supervised, supervised_wall = timed fan_domains in
   (* GC words are excluded here: under the executor a cancellation
@@ -734,7 +723,7 @@ let experiment () =
   if not identical then failwith "experiment: parallel sweep diverged from sequential";
   if not store_ok then failwith "experiment: store round-trip diverged";
   if not supervised_ok then
-    failwith "experiment: supervised sweep diverged from bare Parallel.init";
+    failwith "experiment: supervised sweep diverged from bare Parallel.map";
   let module Json = Ncg_obs.Json in
   Json.to_file out
     (Json.Obj
@@ -823,18 +812,22 @@ let fullgrid () =
     Option.value (Sys.getenv_opt "NCG_BENCH_FULLGRID_OUT")
       ~default:"BENCH_fullgrid.json"
   in
-  let n = getenv_int "NCG_BENCH_FULLGRID_N" 100 in
-  let trials = getenv_int "NCG_BENCH_FULLGRID_TRIALS" 20 in
-  let cells = Experiment.grid ~alphas:Experiment.paper_alphas ~ks:Experiment.paper_ks in
-  let make_initial ~seed = Experiment.initial_tree ~seed ~n in
-  let make_config (c : Experiment.cell) =
-    config ~alpha:c.Experiment.alpha ~k:c.Experiment.k ()
+  let spec =
+    {
+      spec with
+      n = getenv_int "NCG_BENCH_FULLGRID_N" 100;
+      trials = getenv_int "NCG_BENCH_FULLGRID_TRIALS" 20;
+      alphas = Experiment.paper_alphas;
+      ks = Experiment.paper_ks;
+    }
   in
+  let n = spec.Sweep_spec.n and trials = spec.Sweep_spec.trials in
+  let cells = Sweep_spec.cells spec in
   let domains = max 2 (Domain.recommended_domain_count ()) in
   let t0 = Ncg_obs.Clock.now_ns () in
   let results =
-    Experiment.sweep ~domains ~make_initial ~make_config ~cells ~trials
-      ~seed:base_seed ()
+    Experiment.sweep ~domains ~make_initial:(Sweep_spec.make_initial spec)
+      ~make_config:(Sweep_spec.make_config spec) ~cells ~trials ~seed:base_seed ()
   in
   let wall = Ncg_obs.Clock.ns_to_s (Ncg_obs.Clock.elapsed_ns ~since:t0) in
   let gc = Experiment.sweep_gc results in

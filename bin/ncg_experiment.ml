@@ -17,8 +17,9 @@
    are appended (fsync'd) the moment they finish, so a killed sweep
    resumes from where it died. --resume is --store plus a guard that DIR
    already exists; --no-cache recomputes everything but still refreshes
-   the store. --only-cell ALPHA:K runs one cell of the grid with exactly
-   the seeds the full sweep would give it.
+   the store. A cell's seeds and fault scope depend on (--seed, alpha,
+   k) alone, so --only-cell ALPHA:K runs that one cell and prints the
+   row (or the quarantine) any sweep containing it would.
 
    Sweeps run under a supervised executor (see docs/ROBUSTNESS.md): a
    failing cell is retried up to --max-retries times (backing off
@@ -165,7 +166,7 @@ let install_signal_handlers () =
 let run graph_class n p alphas ks trials seed budget domains store_dir resume
     no_cache only_cell telemetry trace_out events quiet no_progress no_probes
     fault_plan_spec fault_seed max_retries retry_backoff_ms cell_deadline_ms
-    move_budget by_cell_seeds =
+    move_budget =
   if quiet || no_progress then Ncg_obs.Events.set_progress false;
   let probes = not no_probes in
   let fault_plan =
@@ -186,8 +187,15 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
     else Some (Int64.of_float (cell_deadline_ms *. 1e6))
   in
   install_signal_handlers ();
-  let alphas = if alphas = [] then default_alphas else alphas in
-  let ks = if ks = [] then default_ks else ks in
+  let alphas, ks =
+    match only_cell with
+    | Some s ->
+        let c = parse_only_cell s in
+        ([ c.Experiment.alpha ], [ c.Experiment.k ])
+    | None ->
+        ( (if alphas = [] then default_alphas else alphas),
+          if ks = [] then default_ks else ks )
+  in
   (* One spec record drives everything downstream — the same compiler
      the sweep service uses, so a served cell and a one-shot cell are
      built from identical constructors. *)
@@ -210,20 +218,6 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
   | Error msg ->
       Printf.eprintf "ncg_experiment: %s\n%!" msg;
       exit 2);
-  let make_initial = Ncg.Sweep_spec.make_initial spec in
-  let make_config = Ncg.Sweep_spec.make_config spec in
-  let cells = Ncg.Sweep_spec.cells spec in
-  let total = List.length cells in
-  let cell_seeds =
-    if by_cell_seeds then
-      Array.of_list (List.map (Ncg.Sweep_spec.cell_seed spec) cells)
-    else Experiment.derive_seeds ~seed ~count:total
-  in
-  let context = Ncg.Sweep_spec.context spec in
-  let key_of idx cell =
-    Experiment.cell_cache_key ~probes ~context ~seed ~trials
-      ~cell_seed:cell_seeds.(idx) cell
-  in
   (if resume && store_dir = None then begin
      Printf.eprintf "ncg_experiment: --resume requires --store DIR\n%!";
      exit 2
@@ -248,140 +242,15 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
                dir pid;
              exit 1)
   in
-  (* Index of --only-cell in the full grid: the cell must be looked up in
-     the grid (not run standalone) so its derived seed — and therefore its
-     results and cache key — match the full sweep's. *)
-  let only_idx =
-    match only_cell with
-    | None -> None
-    | Some spec ->
-        let wanted = parse_only_cell spec in
-        let found = ref None in
-        List.iteri
-          (fun i (c : Experiment.cell) ->
-            if !found = None && c = wanted then found := Some i)
-          cells;
-        (match !found with
-        | Some _ -> ()
-        | None ->
-            Printf.eprintf
-              "ncg_experiment: --only-cell %s is not in the grid (alphas: %s; \
-               ks: %s)\n%!"
-              spec
-              (String.concat "," (List.map (Printf.sprintf "%g") alphas))
-              (String.concat "," (List.map string_of_int ks));
-            exit 1);
-        !found
-  in
   let started = Ncg_obs.Clock.now_ns () in
   let run_sweep () =
-    match only_idx with
-    | Some idx -> (
-        let cell = List.nth cells idx in
-        let cached =
-          if no_cache then None
-          else
-            Option.bind store (fun s ->
-                Experiment.store_lookup s (key_of idx cell))
-        in
-        match cached with
-        | Some r -> [ Ok r ]
-        | None ->
-            (* Reproduce the supervised path in isolation: arm the
-               installed fault plan with the cell's full-grid index as
-               scope — the same scope Executor.map would use — so
-               `--only-cell X --fault-plan P` replays exactly the faults
-               cell X saw inside the full sweep. Hit counters persist
-               across retries (no re-arm), the store insert is part of
-               the attempt, and --cell-deadline-ms is honoured
-               cooperatively through Cancel checkpoints (no watchdog
-               domain for a single cell). *)
-            let attempts_allowed = 1 + max_retries in
-            Ncg_fault.Inject.arm ~scope:idx;
-            let outcome =
-              Fun.protect ~finally:Ncg_fault.Inject.disarm (fun () ->
-                  let rec attempt a =
-                    match
-                      Ncg_fault.Cancel.with_control
-                        ?timeout_ns:cell_deadline_ns (fun () ->
-                          Ncg_fault.Inject.(hit sweep_cell);
-                          let r =
-                            Experiment.run_cell ~probes ~make_initial
-                              ~make_config ~trials ~cell_seed:cell_seeds.(idx)
-                              cell
-                          in
-                          (match store with
-                          | Some s when not no_cache ->
-                              Experiment.store_insert s (key_of idx cell) r
-                          | _ -> ());
-                          r)
-                    with
-                    | r -> Ok r
-                    | exception e ->
-                        let kind = Ncg_fault.Executor.classify e in
-                        let will_retry =
-                          kind <> Ncg_fault.Executor.Interrupted
-                          && a < attempts_allowed
-                        in
-                        if Ncg_obs.Events.active () then
-                          Ncg_obs.Events.emit ~severity:Ncg_obs.Events.Warn
-                            "sweep.cell.attempt_failed"
-                            [
-                              ("index", Json.Int idx);
-                              ("alpha", Json.Float cell.Experiment.alpha);
-                              ("k", Json.Int cell.Experiment.k);
-                              ("attempt", Json.Int a);
-                              ( "kind",
-                                Json.String
-                                  (Ncg_fault.Executor.kind_to_string kind) );
-                              ("error", Json.String (Printexc.to_string e));
-                              ("will_retry", Json.Bool will_retry);
-                            ];
-                        if will_retry then begin
-                          if retry_backoff_ns > 0L then
-                            Unix.sleepf
-                              (Int64.to_float retry_backoff_ns
-                              *. 1e-9 *. float_of_int a);
-                          attempt (a + 1)
-                        end
-                        else begin
-                          if Ncg_obs.Events.active () then
-                            Ncg_obs.Events.emit
-                              ~severity:Ncg_obs.Events.Error
-                              "sweep.cell.quarantined"
-                              [
-                                ("index", Json.Int idx);
-                                ("alpha", Json.Float cell.Experiment.alpha);
-                                ("k", Json.Int cell.Experiment.k);
-                                ("cell_seed", Json.Int cell_seeds.(idx));
-                                ("attempts", Json.Int a);
-                                ( "kind",
-                                  Json.String
-                                    (Ncg_fault.Executor.kind_to_string kind)
-                                );
-                                ("error", Json.String (Printexc.to_string e));
-                              ];
-                          Error
-                            {
-                              Experiment.index = idx;
-                              cell;
-                              cell_seed = cell_seeds.(idx);
-                              attempts = a;
-                              kind;
-                              exn_text = Printexc.to_string e;
-                              exn = e;
-                            }
-                        end
-                  in
-                  attempt 1)
-            in
-            [ outcome ])
-    | None ->
-        Experiment.sweep_supervised ~domains ~max_retries ~retry_backoff_ns
-          ?cell_deadline_ns
-          ?store:(if no_cache then None else store)
-          ~store_context:context ~probes ~cell_seeds ~make_initial ~make_config
-          ~cells ~trials ~seed ()
+    Experiment.sweep_supervised ~domains ~max_retries ~retry_backoff_ns
+      ?cell_deadline_ns
+      ?store:(if no_cache then None else store)
+      ~store_context:(Ncg.Sweep_spec.context spec) ~probes
+      ~make_initial:(Ncg.Sweep_spec.make_initial spec)
+      ~make_config:(Ncg.Sweep_spec.make_config spec)
+      ~cells:(Ncg.Sweep_spec.cells spec) ~trials ~seed ()
   in
   let outcomes =
     match events with
@@ -400,14 +269,12 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
   (if no_cache then
      match store with
      | Some s ->
-         List.iteri
-           (fun j outcome ->
-             match outcome with
-             | Error (_ : Experiment.cell_failure) -> ()
-             | Ok (r : Experiment.cell_result) ->
-                 let idx = match only_idx with Some i -> i | None -> j in
-                 Experiment.store_insert s (key_of idx r.Experiment.cell) r)
-           outcomes
+         List.iter
+           (fun (r : Experiment.cell_result) ->
+             Experiment.store_insert s
+               (Ncg.Sweep_spec.cache_key spec r.Experiment.cell)
+               r)
+           results
      | None -> ());
   let sweep_wall = Ncg_obs.Clock.elapsed_ns ~since:started in
   (match trace_out with
@@ -539,7 +406,7 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
   | None ->
       if failures <> [] then begin
         Printf.eprintf "ncg_experiment: %d of %d cells quarantined\n%!"
-          (List.length failures) total;
+          (List.length failures) (List.length outcomes);
         exit 3
       end
 
@@ -582,8 +449,10 @@ let no_cache =
 
 let only_cell =
   Arg.(value & opt (some string) None & info [ "only-cell" ] ~docv:"ALPHA:K"
-         ~doc:"Run a single cell of the grid, with exactly the seeds the full \
-               sweep would derive for it (the cell must be on the grid).")
+         ~doc:"Run the single cell (ALPHA, K) in place of the grid. Its \
+               seeds depend on --seed, ALPHA and K only, so the row (or \
+               quarantine) is the one any sweep containing the cell \
+               prints.")
 
 let telemetry =
   Arg.(value & opt (some string) None & info [ "telemetry" ] ~docv:"FILE"
@@ -643,14 +512,6 @@ let move_budget =
                (0 = unlimited); an exhausted budget fails the move's \
                cell with a timeout.")
 
-let by_cell_seeds =
-  Arg.(value & flag & info [ "by-cell-seeds" ]
-         ~doc:"Derive each cell's seed from (seed, alpha, k) instead of \
-               its grid position, matching the sweep service's \
-               derivation: overlapping grids then agree on every shared \
-               cell, at the cost of different results from the default \
-               (position-keyed) derivation.")
-
 let cmd =
   let doc = "grid experiments over (alpha, k) printing CSV series" in
   Cmd.v
@@ -659,6 +520,6 @@ let cmd =
           $ domains $ store_dir $ resume $ no_cache $ only_cell $ telemetry
           $ trace_out $ events $ quiet $ no_progress $ no_probes
           $ fault_plan_spec $ fault_seed $ max_retries $ retry_backoff_ms
-          $ cell_deadline_ms $ move_budget $ by_cell_seeds)
+          $ cell_deadline_ms $ move_budget)
 
 let () = exit (Cmd.eval cmd)

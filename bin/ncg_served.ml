@@ -174,28 +174,15 @@ let worker_main connect name poll_ms heartbeat_ms fault_plan fault_seed =
                   Printf.eprintf "ncg_served: lease reply without cell\n%!";
                   exit 1
             in
-            (* Same fault discipline as in-process workers: arm with
-               the task id as scope, fire sweep.cell, report failures
-               as failed attempts. The cancellation flag is published
-               for the heartbeat thread, which sets it if the daemon
-               revokes this lease mid-cell. *)
-            Ncg_fault.Inject.arm ~scope:task_id;
+            (* The same attempt in-process workers make. The
+               cancellation flag is published for the heartbeat thread,
+               which sets it if the daemon revokes this lease mid-cell. *)
             let cancel_flag = Atomic.make false in
             Atomic.set current_task (Some (task_id, cancel_flag));
             let outcome =
               Fun.protect
-                ~finally:(fun () ->
-                  Atomic.set current_task None;
-                  Ncg_fault.Inject.disarm ())
-                (fun () ->
-                  try
-                    Ncg_fault.Inject.(hit sweep_cell);
-                    Ncg_fault.Cancel.with_control ~cancel:cancel_flag
-                      (fun () ->
-                        Ok
-                          (Ncg.Experiment.cell_result_to_json
-                             (Ncg.Sweep_spec.run_cell spec cell)))
-                  with e -> Error (Printexc.to_string e))
+                ~finally:(fun () -> Atomic.set current_task None)
+                (fun () -> Server.compute_cell ~cancel:cancel_flag spec cell)
             in
             let report =
               match outcome with

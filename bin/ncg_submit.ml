@@ -2,9 +2,9 @@
 
    Builds a Sweep_spec from the same flags ncg_experiment takes, submits
    it over the wire, polls until the job completes, and prints the CSV —
-   byte-identical rows to `ncg_experiment --by-cell-seeds` over the same
-   grid, whatever mix of cache hits, dedup and worker crashes produced
-   them. Exit codes: 0 clean, 1 connection/protocol trouble, 2 usage,
+   byte-identical rows to `ncg_experiment` over the same grid, whatever
+   mix of cache hits, dedup and worker crashes produced them. Exit
+   codes: 0 clean, 1 connection/protocol trouble, 2 usage,
    3 completed with quarantined cells, 4 timed out (--timeout-ms, the
    job is cancelled daemon-side), 130 interrupted (Ctrl-C sends cancel
    for the unfinished cells before closing the socket). *)

@@ -112,26 +112,19 @@ let run_one (config : Dynamics.config) strategy0 =
     social_cost;
   }
 
-(* Per-trial (and per-cell) seeds come from a SplitMix64 stream keyed on
-   the root seed: child [i] gets the stream's [i]-th output. The whole
-   array is derived up front, before any fan-out, so the seed a trial
-   sees depends only on [(seed, i)] — never on which domain ran it or in
-   what order. *)
+(* Per-trial seeds come from a SplitMix64 stream keyed on the root
+   seed: child [i] gets the stream's [i]-th output. The whole array is
+   derived up front, before any fan-out, so the seed a trial sees
+   depends only on [(seed, i)] — never on which domain ran it or in what
+   order. *)
 let derive_seeds ~seed ~count =
   let sm = Ncg_prng.Splitmix64.create (Int64.of_int seed) in
   Array.init count (fun _ -> Int64.to_int (Ncg_prng.Splitmix64.next sm))
 
-let trials_parallel ~domains ~make_initial ~config ~trials:count ~seed =
-  let seeds = derive_seeds ~seed ~count in
-  (Ncg_util.Parallel.init ~domains count (fun i ->
-       run_one config (make_initial ~seed:seeds.(i)))
-   [@lint.allow
-     "P2"
-       "seeds is fully derived before the fan-out and only read by the \
-        workers, each at its own index; no domain writes it"])
-
 let trials ~make_initial ~config ~trials:count ~seed =
-  trials_parallel ~domains:1 ~make_initial ~config ~trials:count ~seed
+  List.map
+    (fun seed -> run_one config (make_initial ~seed))
+    (Array.to_list (derive_seeds ~seed ~count))
 
 (* --- Instrumented parallel sweeps --------------------------------------- *)
 
@@ -153,12 +146,11 @@ type cell_result = {
 let grid ~alphas ~ks =
   List.concat_map (fun alpha -> List.map (fun k -> { alpha; k }) ks) alphas
 
-(* Position-independent cell seeds: a pure function of (seed, alpha, k),
-   chained through SplitMix64 so nearby cells get unrelated streams. Two
-   sweeps that share a cell agree on its seed whatever the rest of their
-   grids look like — the property the sweep service's cross-client dedup
-   relies on (derive_seeds keys on grid *position*, so overlapping grids
-   would disagree on shared cells). *)
+(* A cell's seed is a pure function of (seed, alpha, k), chained
+   through SplitMix64 so nearby cells get unrelated streams. Two sweeps
+   that share a cell agree on its seed whatever the rest of their grids
+   look like — what lets one-shot sweeps, --only-cell and the sweep
+   service's cross-client dedup all hand out the same row for a cell. *)
 let cell_seed_of_cell ~seed (cell : cell) =
   let step state salt =
     Ncg_prng.Splitmix64.next (Ncg_prng.Splitmix64.create (Int64.logxor state salt))
@@ -451,7 +443,7 @@ let sweep_supervised ?(domains = 1) ?(max_retries = 0) ?(retry_backoff_ns = 0L)
         if Array.length a <> total then
           invalid_arg "sweep_supervised: cell_seeds length mismatch";
         a
-    | None -> derive_seeds ~seed ~count:total
+    | None -> Array.map (cell_seed_of_cell ~seed) cells
   in
   let keys =
     match store with
@@ -556,7 +548,14 @@ let sweep_supervised ?(domains = 1) ?(max_retries = 0) ?(retry_backoff_ns = 0L)
   in
   let outcomes =
     Ncg_fault.Executor.map ~domains ~max_retries ~backoff_ns:retry_backoff_ns
-      ?deadline_ns:cell_deadline_ns ~on_event task total
+      ?deadline_ns:cell_deadline_ns
+      ~scope:
+        ((fun i -> cell_seeds.(i))
+        [@lint.allow
+          "P2"
+            "cell_seeds is fully built before the fan-out and only read by \
+             the workers; no domain writes it"])
+      ~on_event task total
   in
   Ncg_obs.Events.progress_done ();
   Array.to_list outcomes

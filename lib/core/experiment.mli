@@ -58,25 +58,15 @@ type run_stats = {
 val run_one : Dynamics.config -> Strategy.t -> run_stats
 
 (** [derive_seeds ~seed ~count] is the array of child seeds used for
-    trials (and sweep cells): element [i] is the [i]-th output of a
-    SplitMix64 stream keyed on [seed]. Exposed so tools can re-run any
-    single trial of a sweep in isolation. *)
+    trials: element [i] is the [i]-th output of a SplitMix64 stream
+    keyed on [seed]. A sweep cell's trials use
+    [derive_seeds ~seed:cell_seed ~count:trials]. Exposed so tools can
+    re-run any single trial of a sweep in isolation. *)
 val derive_seeds : seed:int -> count:int -> int array
 
 (** [trials ~make_initial ~config ~trials ~seed] runs several seeds
     sequentially. *)
 val trials :
-  make_initial:(seed:int -> Strategy.t) ->
-  config:Dynamics.config ->
-  trials:int ->
-  seed:int ->
-  run_stats list
-
-(** [trials_parallel ~domains …] fans the trials out over OCaml domains.
-    Trials are independent and individually seeded, so the result list is
-    identical to {!trials} regardless of [domains]. *)
-val trials_parallel :
-  domains:int ->
   make_initial:(seed:int -> Strategy.t) ->
   config:Dynamics.config ->
   trials:int ->
@@ -91,9 +81,11 @@ val trials_parallel :
     [seed], [runs], [counters], the histogram {e sample counts}
     ({!Ncg_obs.Histogram.counts_only} of [histograms]) and the GC
     {e allocated words} ({!Ncg_obs.Gc_stats.allocated_words} of [gc])
-    of every cell are identical whatever [domains] is — cells draw
-    their RNG streams from {!derive_seeds} before the fan-out, and all
-    collectors are installed domain-locally inside the cell. Only
+    of every cell are identical whatever [domains] is — a cell's RNG
+    streams come from its {!cell_seed_of_cell}, a pure function of
+    [(seed, alpha, k)], and all collectors are installed domain-locally
+    inside the cell. A cell's results therefore do not depend on the
+    rest of the grid either. Only
     [wall_ns], [started_ns], [domain], span durations, histogram bucket
     placement and GC collection counts vary between runs.
 
@@ -128,10 +120,10 @@ type cell_result = {
 val grid : alphas:float list -> ks:int list -> cell list
 
 (** [run_cell ~make_initial ~make_config ~trials ~cell_seed cell] runs a
-    single instrumented cell exactly as {!sweep} would: [cell_seed] must
-    be the cell's entry in [derive_seeds ~seed ~count:(List.length
-    cells)] for the sweep being reproduced. This is the engine behind
-    [ncg_experiment --only-cell].
+    single instrumented cell exactly as {!sweep} would when [cell_seed]
+    is [cell_seed_of_cell ~seed cell]: trial [j] starts from the [j]-th
+    entry of [derive_seeds ~seed:cell_seed ~count:trials]. The sweep
+    service's workers compute cells through it.
 
     [probes] (default true) installs an {!Ncg_obs.Probe} collector
     around trial 0, recording the round-level convergence series of the
@@ -154,7 +146,9 @@ val run_cell :
 type cell_failure = {
   index : int;  (** position in the sweep's cell list *)
   cell : cell;
-  cell_seed : int;  (** the cell's {!derive_seeds} entry *)
+  cell_seed : int;
+      (** the seed the cell ran with ({!cell_seed_of_cell} unless the
+          caller passed [cell_seeds]); also its fault-injection scope *)
   attempts : int;
   kind : Ncg_fault.Executor.kind;
   exn_text : string;
@@ -178,8 +172,9 @@ val cell_failure_to_json : cell_failure -> Ncg_obs.Json.t
     cooperative {!Ncg_fault.Cancel.checkpoint} polls in the dynamics
     loop); retries back off [retry_backoff_ns * attempt] (a
     deterministic schedule). Each cell's task is armed for fault
-    injection with [scope = index] (see {!Ncg_fault.Inject}), and passes
-    through the ["sweep.cell"] fault site. Failed attempts emit
+    injection with its cell seed as scope (see {!Ncg_fault.Inject}), and
+    passes through the ["sweep.cell"] fault site — so a cell meets the
+    same faults in a one-cell sweep as in any grid that contains it. Failed attempts emit
     ["sweep.cell.attempt_failed"] (warn) and quarantines
     ["sweep.cell.quarantined"] (error) structured events.
 
@@ -200,13 +195,13 @@ val cell_failure_to_json : cell_failure -> Ncg_obs.Json.t
     Determinism under failure: successful cells are identical (same
     contract as {!sweep}) to a sequential no-fault run, for any
     [domains], retry budget or fault plan; and for a fixed plan (and
-    deterministic faults — raises, not wall-clock deadlines) the failure
-    vector is identical too.
+    deterministic faults — raises, not wall-clock deadlines) each cell's
+    outcome is identical too, whatever grid it is swept in.
 
+    By default cell [c] runs with seed [cell_seed_of_cell ~seed c].
     [cell_seeds] overrides the per-cell seed array (one entry per cell,
-    raising [Invalid_argument] on a length mismatch) in place of
-    {!derive_seeds}; pass {!cell_seed_of_cell}-derived seeds to make the
-    sweep agree with the service's position-independent derivation. *)
+    raising [Invalid_argument] on a length mismatch); the seeds are also
+    the cells' fault scopes. *)
 val sweep_supervised :
   ?domains:int ->
   ?max_retries:int ->
@@ -303,15 +298,12 @@ val summarize : (run_stats -> float) -> run_stats list -> Ncg_stats.Summary.t
 (** Fraction of runs satisfying a predicate. *)
 val fraction : (run_stats -> bool) -> run_stats list -> float
 
-(** [cell_seed_of_cell ~seed cell] is a {e position-independent} cell
-    seed: a pure function of [(seed, cell.alpha, cell.k)], unlike
-    {!derive_seeds} which keys on the cell's index in the grid. Two
-    sweeps over {e overlapping} grids agree on every shared cell's seed
-    under this derivation, which is what lets the sweep service dedup
-    cells across clients and still hand every client byte-identical
-    rows. [ncg_experiment --by-cell-seeds] uses the same derivation so a
-    one-shot run of the union grid reproduces the served results
-    exactly. *)
+(** [cell_seed_of_cell ~seed cell] is the cell's seed: a pure function
+    of [(seed, cell.alpha, cell.k)], independent of the grid around the
+    cell. Two sweeps over {e overlapping} grids agree on every shared
+    cell's seed, which is what lets [ncg_experiment], [--only-cell] and
+    the sweep service (dedup across clients included) all produce
+    byte-identical rows for a cell. *)
 val cell_seed_of_cell : seed:int -> cell -> int
 
 (** The CSV header row shared by [ncg_experiment] and the sweep

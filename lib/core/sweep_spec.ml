@@ -59,14 +59,9 @@ let make_config spec (cell : Experiment.cell) =
   }
 
 let context spec =
-  let probe =
-    {
-      (Dynamics.default_config ~alpha:1.0 ~k:2) with
-      Dynamics.solver = `Budgeted spec.budget;
-      collect_features = false;
-      move_budget = spec.move_budget;
-    }
-  in
+  (* alpha and k are in the key already; the probe cell only reads off
+     the dynamics settings every cell of the spec shares. *)
+  let probe = make_config spec { Experiment.alpha = 1.; k = 2 } in
   let solver =
     match probe.Dynamics.solver with
     | `Exact -> "exact"

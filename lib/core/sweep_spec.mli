@@ -9,11 +9,11 @@
     contract is then structural, not a matter of keeping two
     definitions in sync.
 
-    Cell seeds come from {!Experiment.cell_seed_of_cell} — the
-    position-{e independent} derivation — so two specs whose grids
-    overlap agree on every shared cell, which is what makes cross-client
-    dedup sound. A one-shot [ncg_experiment] run reproduces a served
-    result with [--by-cell-seeds]. *)
+    Cell seeds come from {!Experiment.cell_seed_of_cell}, a pure
+    function of [(seed, alpha, k)], so two specs whose grids overlap
+    agree on every shared cell, which is what makes cross-client dedup
+    sound; a plain one-shot [ncg_experiment] run over the same grid
+    reproduces a served result byte for byte. *)
 
 type t = {
   graph_class : string;  (** ["tree"], ["gnp"], ["ba"] or ["ws"] *)
@@ -46,14 +46,17 @@ val make_initial : t -> seed:int -> Strategy.t
 
 val make_config : t -> Experiment.cell -> Dynamics.config
 
-(** The store-context fingerprint (class, n, p, dynamics settings) —
-    field-for-field what [ncg_experiment] writes into its cache keys. *)
+(** The store-context fingerprint (class, n, p, dynamics settings),
+    read off {!make_config} — field-for-field what [ncg_experiment]
+    writes into its cache keys. *)
 val context : t -> (string * Ncg_obs.Json.t) list
 
 (** The [(alpha, k)] grid, in {!Experiment.grid} order. *)
 val cells : t -> Experiment.cell list
 
-(** Position-independent per-cell seed ({!Experiment.cell_seed_of_cell}). *)
+(** The cell's seed ({!Experiment.cell_seed_of_cell}): what
+    {!Experiment.sweep_supervised} runs the cell with by default, and
+    the scope every sweep path arms fault injection with. *)
 val cell_seed : t -> Experiment.cell -> int
 
 (** Full content-addressed key for one cell of this spec. *)

@@ -71,6 +71,5 @@ let rec with_step_budget n f =
         Fun.protect ~finally:(fun () -> c.steps_left <- saved) f
     | None ->
         (* No enclosing task control: install a bare one so the budget
-           has somewhere to live (e.g. --only-cell, direct Dynamics
-           runs). *)
+           has somewhere to live (e.g. direct Dynamics runs). *)
         with_control (fun () -> with_step_budget n f)

@@ -32,7 +32,7 @@ let classify = function
   | _ -> Crashed
 
 let map ?(domains = 1) ?(max_retries = 0) ?(backoff_ns = 0L) ?deadline_ns
-    ?(on_event = fun (_ : event) -> ()) f n =
+    ?(on_event = fun (_ : event) -> ()) ~scope f n =
   if n = 0 then [||]
   else begin
     let domains = max 1 (min domains n) in
@@ -66,7 +66,7 @@ let map ?(domains = 1) ?(max_retries = 0) ?(backoff_ns = 0L) ?deadline_ns
                  done))
     in
     let run_task w i =
-      Inject.arm ~scope:i;
+      Inject.arm ~scope:(scope i);
       let rec go attempt =
         on_event (Attempt_started { index = i; attempt });
         Atomic.set cancels.(w) false;

@@ -17,9 +17,9 @@
     Retries use a deterministic linear backoff ([backoff_ns * attempt])
     — a schedule, not jitter — and {!Cancel.Interrupted} (shutdown) is
     never retried. Fault injection composes: each task is armed with
-    [Inject.arm ~scope:index] before its first attempt and disarmed
-    after its last, with hit counters persisting across retries (see
-    {!Inject}).
+    [Inject.arm ~scope:(scope index)] before its first attempt and
+    disarmed after its last, with hit counters persisting across
+    retries (see {!Inject}).
 
     Results are written into a per-index array, so the output order —
     and, given a deterministic task function and fault plan, the full
@@ -32,12 +32,6 @@ type kind =
   | Crashed  (** any other exception, including {!Inject.Fault} *)
 
 val kind_to_string : kind -> string
-
-(** The {!kind} an exception would be reported as: {!Cancel.Timed_out}
-    is [Timeout], {!Cancel.Interrupted} is [Interrupted], anything else
-    [Crashed]. Exposed so ad-hoc retry loops (e.g. [--only-cell]
-    reproduction) classify failures exactly like {!map}. *)
-val classify : exn -> kind
 
 type failure = {
   index : int;
@@ -58,7 +52,7 @@ type event =
     }
   | Quarantined of failure
 
-(** [map ~domains f n] runs [f ~index ~attempt] for every
+(** [map ~domains ~scope f n] runs [f ~index ~attempt] for every
     [index < n] over [domains] worker domains (the calling domain is
     worker 0, as in {!Ncg_util.Parallel}) and returns the outcome
     vector in index order.
@@ -69,6 +63,9 @@ type event =
       retry number [attempt + 1].
     - [deadline_ns]: per-attempt budget; enables the watchdog domain
       and the task-local {!Cancel} deadline.
+    - [scope index]: the fault-injection scope task [index] is armed
+      with. A sweep passes each cell's seed, so a cell's faults do not
+      depend on its position in this particular map.
     - [on_event]: called from worker domains as attempts start, fail,
       and quarantine (the caller must be thread-safe; {!Ncg_obs.Events}
       is).
@@ -82,6 +79,7 @@ val map :
   ?backoff_ns:int64 ->
   ?deadline_ns:int64 ->
   ?on_event:(event -> unit) ->
+  scope:(int -> int) ->
   (index:int -> attempt:int -> 'a) ->
   int ->
   ('a, failure) result array

@@ -14,8 +14,9 @@
     only acts once it has been {e armed} in the current domain with
     {!arm}[ ~scope]; arming (re)creates every rule's hit counters and its
     SplitMix64 stream from [(plan.seed, site, rule index, scope)] alone.
-    The supervised executor ({!Executor}) arms with [scope = task index]
-    before a task's first attempt and does not re-arm on retries, so
+    The supervised executor ({!Executor}) arms with the caller's scope
+    for the task (a sweep passes the cell's seed) before its first
+    attempt and does not re-arm on retries, so
     - the same plan, seed and scope always fire at the same hits, on any
       domain, for any [--domains];
     - hit counters persist across a task's retries, which is how

@@ -204,7 +204,8 @@ let mean_ns (h : hist) =
 
 (* The smallest bucket upper bound such that at least [ceil (q * total)]
    samples fall at or below it — a conservative (over-)estimate, exact to
-   within one sqrt(2) bucket. The overflow bucket reports the observed max. *)
+   within one sqrt(2) bucket — clamped to the observed max, which no
+   sample exceeds (the overflow bucket has no upper bound of its own). *)
 let percentile_ns (h : hist) q =
   if h.total = 0 then nan
   else begin
@@ -216,7 +217,7 @@ let percentile_ns (h : hist) q =
       if !seen < rank then incr b
     done;
     if !b >= boundary_count then Int64.to_float h.max_ns
-    else Int64.to_float (bucket_upper_ns !b)
+    else Int64.to_float (Int64.min (bucket_upper_ns !b) h.max_ns)
   end
 
 let p50_ns h = percentile_ns h 0.5

@@ -96,9 +96,10 @@ val max_ns : hist -> int64
 val mean_ns : hist -> float
 
 (** [percentile_ns h q] for [q] in [0,1]: the upper boundary of the
-    bucket holding the [ceil (q * count)]-th smallest sample — exact to
-    within one sqrt(2) bucket, conservative (never under-reports). The
-    overflow bucket reports the observed max. [nan] when empty. *)
+    bucket holding the [ceil (q * count)]-th smallest sample, clamped to
+    the observed max — exact to within one sqrt(2) bucket, conservative
+    (never under-reports), and never above {!max_ns}. [nan] when
+    empty. *)
 val percentile_ns : hist -> float -> float
 
 val p50_ns : hist -> float

@@ -6,8 +6,8 @@
     preference:
 
     + {b store hit} — the cell was computed by an earlier job (or an
-      earlier daemon, or a one-shot [ncg_experiment --by-cell-seeds]
-      sweep over the same store): the cached result is attached
+      earlier daemon, or a one-shot [ncg_experiment] sweep over the
+      same store): the cached result is attached
       immediately, no work is queued;
     + {b in-flight hit} — another job already queued the same cell
       (keys are content-addressed, so overlapping grids from different

@@ -148,22 +148,15 @@ let close_subscribers pump =
 
 (* --- In-process workers -------------------------------------------------- *)
 
-let compute_task (task : Scheduler.task) =
-  (* Mirror the supervised executor's fault discipline: arm with the
-     task id as scope, fire the sweep.cell site, then run — under a
-     cancellation control wired to the task's revocation flag, so a
-     client cancel trips the next cooperative checkpoint mid-cell. Any
-     exception — injected, revoked or real — reports as a failed
-     attempt. *)
-  Ncg_fault.Inject.arm ~scope:task.Scheduler.task_id;
+let compute_cell ~cancel spec cell =
+  Ncg_fault.Inject.arm ~scope:(Ncg.Sweep_spec.cell_seed spec cell);
   Fun.protect ~finally:Ncg_fault.Inject.disarm (fun () ->
       try
         Ncg_fault.Inject.(hit sweep_cell);
-        Ncg_fault.Cancel.with_control ~cancel:task.Scheduler.revoked (fun () ->
+        Ncg_fault.Cancel.with_control ~cancel (fun () ->
             Ok
               (Ncg.Experiment.cell_result_to_json
-                 (Ncg.Sweep_spec.run_cell task.Scheduler.spec
-                    task.Scheduler.cell)))
+                 (Ncg.Sweep_spec.run_cell spec cell)))
       with e -> Error (Printexc.to_string e))
 
 let worker_loop ~name ~poll_ms scheduler =
@@ -179,7 +172,10 @@ let worker_loop ~name ~poll_ms scheduler =
           Unix.sleepf (float_of_int poll_ms /. 1000.);
           loop ()
       | Scheduler.Granted task ->
-          (match compute_task task with
+          (match
+             compute_cell ~cancel:task.Scheduler.revoked task.Scheduler.spec
+               task.Scheduler.cell
+           with
           | Ok result ->
               ignore
                 (Scheduler.complete scheduler ~worker:name

@@ -35,6 +35,21 @@ type config = {
           terminal and the queue is empty — CI smoke mode *)
 }
 
+(** [compute_cell ~cancel spec cell] is one attempt at a leased cell,
+    shared by in-process worker domains and external worker processes:
+    arm the installed fault plan with the cell's seed
+    ({!Ncg.Sweep_spec.cell_seed}) as scope — the scope a one-shot sweep
+    arms the same cell with — pass the ["sweep.cell"] fault site, then
+    run the cell under a cancellation control wired to [cancel], so a
+    revoked lease trips the next cooperative checkpoint. Returns the
+    encoded cell payload, or the text of whatever exception (injected,
+    revoked or real) failed the attempt. *)
+val compute_cell :
+  cancel:bool Atomic.t ->
+  Ncg.Sweep_spec.t ->
+  Ncg.Experiment.cell ->
+  (Ncg_obs.Json.t, string) result
+
 (** [listen addr] binds and listens. For a Unix address, a leftover
     socket file from a dead daemon is detected (probe connect) and
     replaced; a live one raises [Unix.Unix_error (EADDRINUSE, _, _)]. *)

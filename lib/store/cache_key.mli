@@ -4,8 +4,9 @@
     the store schema version (bumped whenever the serialized record
     format changes, invalidating every old record at once), plus the
     caller's fields — graph class, [n], [p], the cell's alpha and [k],
-    trial count, dynamics configuration, and the cell seed derived via
-    [Experiment.derive_seeds]. Two keys are equal exactly when their
+    trial count, dynamics configuration, and the cell seed
+    ([Experiment.cell_seed_of_cell], a function of the sweep seed and
+    the cell's alpha and [k]). Two keys are equal exactly when their
     canonical forms are byte-equal, so lookup is exact-match — no hash
     collisions can alias two different configurations.
 

@@ -1,6 +1,7 @@
 (* Tests for the experiment harness. *)
 
 module Experiment = Ncg.Experiment
+module Sweep_spec = Ncg.Sweep_spec
 module Strategy = Ncg.Strategy
 module Dynamics = Ncg.Dynamics
 module Game = Ncg.Game
@@ -81,22 +82,6 @@ let test_trials_deterministic () =
   let b = List.map (fun r -> r.Experiment.social_cost) (run ()) in
   Alcotest.(check (list (float 1e-12))) "reproducible" a b
 
-let test_parallel_trials_match_sequential () =
-  let cfg = Dynamics.default_config ~alpha:2.0 ~k:3 in
-  let make_initial ~seed = Experiment.initial_tree ~seed ~n:12 in
-  let seq = Experiment.trials ~make_initial ~config:cfg ~trials:6 ~seed:77 in
-  List.iter
-    (fun domains ->
-      let par =
-        Experiment.trials_parallel ~domains ~make_initial ~config:cfg ~trials:6
-          ~seed:77
-      in
-      Alcotest.(check (list (float 1e-12)))
-        (Printf.sprintf "identical at %d domains" domains)
-        (List.map (fun r -> r.Experiment.social_cost) seq)
-        (List.map (fun r -> r.Experiment.social_cost) par))
-    [ 1; 2; 4 ]
-
 let test_derive_seeds () =
   let a = Experiment.derive_seeds ~seed:42 ~count:8 in
   let b = Experiment.derive_seeds ~seed:42 ~count:8 in
@@ -111,9 +96,9 @@ let test_derive_seeds () =
 
 let test_derive_seeds_golden () =
   (* Frozen snapshot of the SplitMix64 stream. These values are load-
-     bearing: every published sweep, every store cache key and every
-     --only-cell reproduction assumes seed derivation never changes. If
-     this test fails, the change breaks all existing result stores. *)
+     bearing: every published sweep and every store cache key assumes
+     the per-trial seed derivation never changes. If this test fails,
+     the change breaks all existing result stores. *)
   let golden_2014 =
     [|
       -4192831650131979260;
@@ -268,6 +253,57 @@ let test_sweep_counters_isolated_per_cell () =
        outer);
   check_bool "totals positive" true (List.assoc "bfs.calls" totals > 0)
 
+(* Every cell of a spec's default supervised sweep, as (cell, CSV row). *)
+let spec_rows spec =
+  Experiment.sweep_supervised ~store_context:(Sweep_spec.context spec)
+    ~probes:spec.Sweep_spec.probes
+    ~make_initial:(Sweep_spec.make_initial spec)
+    ~make_config:(Sweep_spec.make_config spec) ~cells:(Sweep_spec.cells spec)
+    ~trials:spec.Sweep_spec.trials ~seed:spec.Sweep_spec.seed ()
+  |> List.map (function
+       | Ok (r : Experiment.cell_result) ->
+           (r.Experiment.cell, Sweep_spec.csv_row spec r)
+       | Error (f : Experiment.cell_failure) ->
+           Alcotest.failf "cell %d quarantined" f.Experiment.index)
+
+let test_overlapping_grids_agree () =
+  (* A cell's row is a function of (seed, alpha, k): two sweeps over
+     overlapping grids, listed in different orders, print byte-identical
+     rows for every shared cell — and so does a lone Sweep_spec.run_cell,
+     the path the sweep service's workers take. *)
+  let small = { Sweep_spec.default with n = 12; trials = 2 } in
+  let a = { small with alphas = [ 0.5; 1.0 ]; ks = [ 2; 1000 ] } in
+  let b = { small with alphas = [ 2.0; 1.0 ]; ks = [ 3; 1000; 2 ] } in
+  let rows_a = spec_rows a and rows_b = spec_rows b in
+  let shared =
+    List.filter_map
+      (fun (cell, row) ->
+        Option.map (fun row' -> (cell, row, row')) (List.assoc_opt cell rows_b))
+      rows_a
+  in
+  check_int "two shared cells" 2 (List.length shared);
+  List.iter
+    (fun ((cell : Experiment.cell), row, row') ->
+      let label what =
+        Printf.sprintf "cell (%g,%d) %s" cell.Experiment.alpha cell.Experiment.k
+          what
+      in
+      Alcotest.(check string) (label "same row in both grids") row row';
+      Alcotest.(check string)
+        (label "same row from run_cell")
+        row
+        (Sweep_spec.csv_row a (Sweep_spec.run_cell a cell)))
+    shared
+
+let test_cache_key_golden () =
+  (* Frozen key bytes of the default spec's first cell. Records already
+     in a store are found only while these bytes stay exactly put. *)
+  Alcotest.(check string)
+    "default spec, cell (0.5, 2)"
+    "{\"store_schema\":1,\"class\":\"tree\",\"n\":50,\"p\":0.1,\"variant\":\"max\",\"solver\":\"budgeted:50000\",\"response\":\"best\",\"sum_mode\":\"local_search\",\"order\":\"round_robin\",\"max_rounds\":200,\"epsilon\":1e-09,\"move_budget\":1000000,\"payload_schema\":\"ncg.store.cell/5\",\"probes\":true,\"seed\":2014,\"alpha\":0.5,\"k\":2,\"trials\":5,\"cell_seed\":-1661576433619697885}"
+    (Ncg_store.Cache_key.to_string
+       (Sweep_spec.cache_key Sweep_spec.default { Experiment.alpha = 0.5; k = 2 }))
+
 let test_initial_ba_ws () =
   let ba = Experiment.initial_ba ~seed:4 ~n:30 ~m:2 in
   check_bool "ba connected" true (Ncg_graph.Bfs.is_connected (Strategy.graph ba));
@@ -299,8 +335,6 @@ let () =
           Alcotest.test_case "run_one" `Quick test_run_one;
           Alcotest.test_case "trials + summaries" `Quick test_trials_and_summaries;
           Alcotest.test_case "determinism" `Quick test_trials_deterministic;
-          Alcotest.test_case "parallel = sequential" `Quick
-            test_parallel_trials_match_sequential;
           Alcotest.test_case "ba/ws initials" `Quick test_initial_ba_ws;
           Alcotest.test_case "full knowledge views" `Quick test_full_knowledge_view_sizes;
         ] );
@@ -316,5 +350,9 @@ let () =
             test_sweep_counters_isolated_per_cell;
           Alcotest.test_case "probes toggle + exemplar series" `Quick
             test_probes_toggle_and_series;
+          Alcotest.test_case "overlapping grids agree on shared cells" `Quick
+            test_overlapping_grids_agree;
+          Alcotest.test_case "cache key golden bytes" `Quick
+            test_cache_key_golden;
         ] );
     ]

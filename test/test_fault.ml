@@ -229,7 +229,9 @@ let test_executor_clean () =
       List.iter
         (fun domains ->
           let out =
-            Executor.map ~domains (fun ~index ~attempt:_ -> index * index) 10
+            Executor.map ~scope:Fun.id ~domains
+              (fun ~index ~attempt:_ -> index * index)
+              10
           in
           check_int "length" 10 (Array.length out);
           Array.iteri
@@ -252,7 +254,7 @@ let test_executor_retry_and_quarantine () =
             events := (index, attempt, will_retry) :: !events
         | _ -> ()
       in
-      let out = Executor.map ~max_retries:2 ~on_event:record f 10 in
+      let out = Executor.map ~scope:Fun.id ~max_retries:2 ~on_event:record f 10 in
       check_int "task 3 recovered" 3 (ok_exn out.(3));
       (match out.(7) with
       | Ok _ -> Alcotest.fail "task 7 should be quarantined"
@@ -280,7 +282,7 @@ let test_executor_no_retry_on_zero_budget () =
         Atomic.incr attempts;
         failwith "boom"
       in
-      let out = Executor.map f 1 in
+      let out = Executor.map ~scope:Fun.id f 1 in
       (match out.(0) with
       | Ok _ -> Alcotest.fail "should fail"
       | Error f -> check_int "attempts" 1 f.Executor.attempts);
@@ -297,7 +299,7 @@ let test_executor_deadline () =
           spin ());
         index
       in
-      let out = Executor.map ~deadline_ns:5_000_000L ~domains:2 f 4 in
+      let out = Executor.map ~scope:Fun.id ~deadline_ns:5_000_000L ~domains:2 f 4 in
       (match out.(1) with
       | Ok _ -> Alcotest.fail "spinner should time out"
       | Error f -> check_bool "kind" true (f.Executor.kind = Executor.Timeout));
@@ -314,7 +316,7 @@ let test_executor_shutdown_marks_unstarted () =
         Cancel.checkpoint ();
         index
       in
-      let out = Executor.map f 6 in
+      let out = Executor.map ~scope:Fun.id f 6 in
       check_int "task 0 done" 0 (ok_exn out.(0));
       check_int "task 1 done" 1 (ok_exn out.(1));
       (match out.(2) with
@@ -339,13 +341,14 @@ let test_executor_fault_plan_deterministic () =
         ()
       in
       let failures domains =
-        let out = Executor.map ~domains f 32 in
+        let out = Executor.map ~scope:Fun.id ~domains f 32 in
         Array.to_list out
         |> List.filteri (fun _ o -> Result.is_error o)
         |> List.length
       in
       let outcome domains =
-        Executor.map ~domains f 32 |> Array.map Result.is_ok |> Array.to_list
+        Executor.map ~scope:Fun.id ~domains f 32
+        |> Array.map Result.is_ok |> Array.to_list
       in
       let base = outcome 1 in
       check_bool "some quarantined" true (failures 1 > 0);
@@ -354,7 +357,7 @@ let test_executor_fault_plan_deterministic () =
       check_bool "domains=4 identical" true (outcome 4 = base);
       (* nth:1 under one retry: every task fails once, then recovers. *)
       install "sweep.cell=raise@nth:1";
-      let out = Executor.map ~max_retries:1 ~domains:2 f 8 in
+      let out = Executor.map ~scope:Fun.id ~max_retries:1 ~domains:2 f 8 in
       Array.iter (fun o -> ignore (ok_exn o)) out)
 
 (* --- Supervised sweep ----------------------------------------------------- *)
@@ -372,7 +375,8 @@ let make_config (c : Experiment.cell) =
     collect_features = false;
   }
 
-let run_supervised ?max_retries ?store ?store_context ~domains () =
+let run_supervised ?max_retries ?store ?store_context ?(cells = cells) ~domains
+    () =
   Experiment.sweep_supervised ~domains ?max_retries ?store ?store_context
     ~make_initial ~make_config ~cells ~trials ~seed:sweep_seed ()
 
@@ -476,6 +480,37 @@ let test_sweep_quarantine_then_resume () =
                         f.Experiment.index)
                 clean out)))
 
+let test_one_cell_sweep_reproduces_full_sweep () =
+  hermetic (fun () ->
+      (* Seeds and fault scopes are keyed on the cell, so a cell's outcome
+         under a plan does not depend on the grid it is swept in: a
+         one-cell sweep (what ncg_experiment --only-cell runs) either
+         prints the full sweep's row or quarantines after the same
+         number of attempts. *)
+      let grid = Experiment.grid ~alphas:[ 0.5; 1.0; 2.0 ] ~ks:[ 2; 3; 1000 ] in
+      install "sweep.cell=raise@p:0.5";
+      let outcome = function
+        | Ok r ->
+            Ok (Experiment.csv_row ~graph_class:"tree" ~n:n_nodes ~p:0. ~trials r)
+        | Error (f : Experiment.cell_failure) -> Error f.Experiment.attempts
+      in
+      let full =
+        List.map outcome (run_supervised ~max_retries:1 ~cells:grid ~domains:2 ())
+      in
+      check_bool "some quarantined" true (List.exists Result.is_error full);
+      check_bool "some survived" true (List.exists Result.is_ok full);
+      List.iter2
+        (fun (cell : Experiment.cell) expected ->
+          match run_supervised ~max_retries:1 ~cells:[ cell ] ~domains:1 () with
+          | [ one ] ->
+              check_bool
+                (Printf.sprintf "cell (%g,%d) reproduces" cell.Experiment.alpha
+                   cell.Experiment.k)
+                true
+                (outcome one = expected)
+          | _ -> Alcotest.fail "one-cell sweep returned a different length")
+        grid full)
+
 (* --- Per-site fault budgets ------------------------------------------------ *)
 
 let test_budget_parse () =
@@ -565,7 +600,7 @@ let test_executor_budget_transient () =
          without knowing which hit number the attempt lands on. *)
       install "sweep.cell=raise@budget:1";
       let out =
-        Executor.map ~domains:2 ~max_retries:1
+        Executor.map ~scope:Fun.id ~domains:2 ~max_retries:1
           (fun ~index ~attempt:_ ->
             Inject.(hit sweep_cell);
             index * 10)
@@ -670,5 +705,7 @@ let () =
             test_sweep_quarantine_is_deterministic;
           Alcotest.test_case "quarantine then resume" `Quick
             test_sweep_quarantine_then_resume;
+          Alcotest.test_case "one-cell sweep reproduces full sweep" `Quick
+            test_one_cell_sweep_reproduces_full_sweep;
         ] );
     ]

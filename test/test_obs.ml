@@ -368,6 +368,25 @@ let test_hist_collect_and_percentiles () =
   check_bool "mean between the modes" true
     (Histogram.mean_ns h > 1_000. && Histogram.mean_ns h < 1_000_000.)
 
+let prop_hist_percentiles_ordered =
+  (* Log-uniform durations from 1ns to ~1s, so samples land in every
+     bucket regime, including the underflow and near-boundary ones. *)
+  let sample = QCheck.Gen.(int_range 0 30 >>= fun e -> int_bound (1 lsl e)) in
+  QCheck.Test.make ~name:"p50 <= p90 <= p99 <= max" ~count:500
+    QCheck.(make Gen.(list_size (int_range 1 60) sample))
+    (fun samples ->
+      let (), snap =
+        Histogram.collect (fun () ->
+            List.iter
+              (fun ns -> Histogram.record_ns Histogram.best_response (Int64.of_int ns))
+              samples)
+      in
+      let h = List.assoc (Histogram.name Histogram.best_response) snap in
+      let p50 = Histogram.p50_ns h
+      and p90 = Histogram.p90_ns h
+      and p99 = Histogram.p99_ns h in
+      p50 <= p90 && p90 <= p99 && p99 <= Int64.to_float (Histogram.max_ns h))
+
 let test_hist_time_and_nesting () =
   let ((), inner), outer =
     Histogram.collect (fun () ->
@@ -866,6 +885,7 @@ let () =
           Alcotest.test_case "bucket scheme" `Quick test_hist_buckets;
           Alcotest.test_case "collect and percentiles" `Quick
             test_hist_collect_and_percentiles;
+          QCheck_alcotest.to_alcotest prop_hist_percentiles_ordered;
           Alcotest.test_case "time and nesting" `Quick test_hist_time_and_nesting;
           Alcotest.test_case "merge/total" `Quick test_hist_merge_total;
           Alcotest.test_case "exception safety" `Quick test_hist_exception_safety;

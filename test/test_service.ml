@@ -788,6 +788,49 @@ let test_scheduler_worker_count_independence () =
   check_bool "4 workers: same outcome vector as 1" true
     (v4 = (rows1, quarantined1))
 
+(* --- Worker attempts -------------------------------------------------------- *)
+
+let test_worker_attempt_matches_one_shot () =
+  (* Both daemon worker kinds make each attempt through
+     Server.compute_cell, which arms with the cell seed: the scope a
+     one-shot sweep arms the same cell with. Under one plan an attempt
+     therefore fails exactly when the sweep's (single) attempt does,
+     and otherwise returns the sweep's row. *)
+  let spec = { tiny_spec with alphas = [ 0.5; 1.0; 2.0; 3.0 ]; ks = [ 1; 2 ] } in
+  (match Ncg_fault.Inject.parse_plan ~seed:5 "sweep.cell=raise@p:0.5" with
+  | Ok plan -> Ncg_fault.Inject.install plan
+  | Error e -> Alcotest.fail e);
+  Fun.protect ~finally:Ncg_fault.Inject.clear (fun () ->
+      let row_of = function
+        | Ok r -> Some (Sweep_spec.csv_row spec r)
+        | Error (_ : Experiment.cell_failure) -> None
+      in
+      let one_shot =
+        Experiment.sweep_supervised ~probes:spec.Sweep_spec.probes
+          ~make_initial:(Sweep_spec.make_initial spec)
+          ~make_config:(Sweep_spec.make_config spec) ~cells:(Sweep_spec.cells spec)
+          ~trials:spec.Sweep_spec.trials ~seed:spec.Sweep_spec.seed ()
+        |> List.map row_of
+      in
+      check_bool "some cells fail" true (List.mem None one_shot);
+      check_bool "some cells pass" true (List.exists Option.is_some one_shot);
+      List.iter2
+        (fun (cell : Experiment.cell) expected ->
+          let got =
+            match
+              Ncg_service.Server.compute_cell ~cancel:(Atomic.make false) spec cell
+            with
+            | Ok json -> (
+                match Experiment.cell_result_of_json json with
+                | Ok r -> Some (Sweep_spec.csv_row spec r)
+                | Error e -> Alcotest.fail e)
+            | Error _ -> None
+          in
+          Alcotest.(check (option string))
+            (Printf.sprintf "cell (%g,%d)" cell.Experiment.alpha cell.Experiment.k)
+            expected got)
+        (Sweep_spec.cells spec) one_shot)
+
 let () =
   Alcotest.run "service"
     [
@@ -837,5 +880,10 @@ let () =
             test_scheduler_restart_readopts_queue;
           Alcotest.test_case "outcome vector independent of worker count" `Quick
             test_scheduler_worker_count_independence;
+        ] );
+      ( "worker",
+        [
+          Alcotest.test_case "attempt faults like a one-shot sweep" `Quick
+            test_worker_attempt_matches_one_shot;
         ] );
     ]
