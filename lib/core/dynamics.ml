@@ -134,6 +134,26 @@ let run_untraced config strategy0 =
   Hashtbl.replace seen (Strategy.to_key strategy0) 0;
   let strategy = ref strategy0 in
   let g = ref g0 in
+  (* The awake set: players whose k-view may have changed since their
+     last best response. A move by [v] changes only edges at [v], so it
+     can change only the views of players within distance k + 1 of [v],
+     in the graph before or after the move. When k + 1 >= n - 1 that is
+     everyone, and no search is needed. *)
+  let awake = Array.make n true in
+  let wake_within g v =
+    let reached = Bfs.run ws.Workspace.bfs g v ~radius:(config.k + 1) in
+    let order = Bfs.visit_order ws.Workspace.bfs in
+    for i = 0 to reached - 1 do
+      awake.(order.(i)) <- true
+    done
+  in
+  let wake ~before ~after v =
+    if config.k >= n - 2 then Array.fill awake 0 n true
+    else begin
+      wake_within before v;
+      wake_within after v
+    end
+  in
   let features = ref [] in
   let total_moves = ref 0 in
   let moves = ref [] in
@@ -193,44 +213,51 @@ let run_untraced config strategy0 =
           else 0
         in
         let changes = ref 0 in
+        let solved = ref 0 in
         Array.iter
           (fun u ->
-            match
-              Ncg_fault.Cancel.with_step_budget config.move_budget (fun () ->
-                  best_response_step_stats ~ws config !strategy !g u)
-            with
-            | Some (strategy', old_cost, new_cost, stats) ->
-                let before = Strategy.owned !strategy u in
-                let after = Strategy.owned strategy' u in
-                moves :=
-                  { Trace.round = !round; player = u; before; after } :: !moves;
-                if probing then begin
-                  let gap = old_cost -. new_cost in
-                  if gap > !gap_max then gap_max := gap;
-                  gap_total := !gap_total +. gap;
-                  edits := !edits + stats.edit_distance;
-                  if stats.radius > !reach then reach := stats.radius
-                end;
-                if Ncg_obs.Events.active () then
-                  Ncg_obs.Events.emit "dynamics.move"
-                    [
-                      ("round", Ncg_obs.Json.Int !round);
-                      ("player", Ncg_obs.Json.Int u);
-                      ("kind", Ncg_obs.Json.String (move_kind ~before ~after));
-                      ("old_cost", Ncg_obs.Json.Float old_cost);
-                      ("new_cost", Ncg_obs.Json.Float new_cost);
-                    ];
-                strategy := strategy';
-                g := Strategy.graph strategy';
-                incr changes;
-                incr total_moves
-            | None -> ())
+            if awake.(u) then begin
+              awake.(u) <- false;
+              incr solved;
+              match
+                Ncg_fault.Cancel.with_step_budget config.move_budget (fun () ->
+                    best_response_step_stats ~ws config !strategy !g u)
+              with
+              | Some (strategy', old_cost, new_cost, stats) ->
+                  let before = Strategy.owned !strategy u in
+                  let after = Strategy.owned strategy' u in
+                  moves :=
+                    { Trace.round = !round; player = u; before; after } :: !moves;
+                  if probing then begin
+                    let gap = old_cost -. new_cost in
+                    if gap > !gap_max then gap_max := gap;
+                    gap_total := !gap_total +. gap;
+                    edits := !edits + stats.edit_distance;
+                    if stats.radius > !reach then reach := stats.radius
+                  end;
+                  if Ncg_obs.Events.active () then
+                    Ncg_obs.Events.emit "dynamics.move"
+                      [
+                        ("round", Ncg_obs.Json.Int !round);
+                        ("player", Ncg_obs.Json.Int u);
+                        ("kind", Ncg_obs.Json.String (move_kind ~before ~after));
+                        ("old_cost", Ncg_obs.Json.Float old_cost);
+                        ("new_cost", Ncg_obs.Json.Float new_cost);
+                      ];
+                  let g' = Strategy.update_graph strategy' !g u in
+                  wake ~before:!g ~after:g' u;
+                  strategy := strategy';
+                  g := g';
+                  incr changes;
+                  incr total_moves
+              | None -> ()
+            end)
           player_order;
         if probing then begin
           let x = float_of_int !round in
           let sc = social_cost_now () in
           Ncg_obs.Probe.(sample social_cost) ~x sc;
-          Ncg_obs.Probe.(sample awake_players) ~x (float_of_int !changes);
+          Ncg_obs.Probe.(sample awake_players) ~x (float_of_int !solved);
           Ncg_obs.Probe.(sample br_gap_max) ~x !gap_max;
           Ncg_obs.Probe.(sample br_gap_total) ~x !gap_total;
           Ncg_obs.Probe.(sample move_edit_distance) ~x (float_of_int !edits);
@@ -247,7 +274,7 @@ let run_untraced config strategy0 =
                 ("round", Ncg_obs.Json.Int !round);
                 ("alpha", Ncg_obs.Json.Float config.alpha);
                 ("k", Ncg_obs.Json.Int config.k);
-                ("awake", Ncg_obs.Json.Int !changes);
+                ("awake", Ncg_obs.Json.Int !solved);
                 ("moves", Ncg_obs.Json.Int !total_moves);
                 ("social_cost", Ncg_obs.Json.Float sc);
               ]

@@ -59,9 +59,25 @@ type result = {
 
 (** [run config strategy] executes the dynamics from the initial profile.
 
+    The run is incremental. It keeps the host graph as state and carries
+    it across each accepted move with {!Strategy.update_graph}, and it
+    solves only {e awake} players. Every player starts awake; computing
+    a player's best response puts her to sleep; an accepted move by [v]
+    wakes every player within distance k + 1 of [v] in the graph before
+    or after the move, [v] herself included (everyone at once, without a
+    search, when k + 1 ≥ n − 1). A best response is a pure function of
+    the player's k-view, and a move by [v] changes only the views within
+    that radius, so a sleeping player would again find no improving
+    move. Skipping her draws no randomness and leaves rounds and cycle
+    keys alone: the outcome, round count, trace, features and final
+    profile — hence every sweep CSV — are byte-identical to solving every
+    player in every round. Only the oracle counters ([best_response.calls],
+    [view.extracts], [bfs.calls], …) fall.
+
     When an {!Ncg_obs.Probe} collector is installed in the calling
     domain, every round samples the built-in probes (social cost, awake
-    players, best-response gaps, move edit distance and locality radius,
+    players — the best responses computed that round — best-response
+    gaps, move edit distance and locality radius,
     solver effort deltas) with [x = round], and — when an
     {!Ncg_obs.Events} sink is also active — emits one ["dynamics.round"]
     structured event per round. Probing reuses the trajectory's BFS

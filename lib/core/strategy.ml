@@ -45,13 +45,12 @@ let with_owned t u targets =
   owned.(u) <- normalize t.n u targets;
   { t with owned }
 
-let in_buyers t u =
+let in_buyers t g u =
   check_player t.n u;
-  let acc = ref [] in
-  for v = t.n - 1 downto 0 do
-    if v <> u && List.mem u t.owned.(v) then acc := v :: !acc
-  done;
-  !acc
+  List.rev
+    (Graph.fold_neighbors
+       (fun v acc -> if List.mem u t.owned.(v) then v :: acc else acc)
+       g u [])
 
 let graph t =
   let edges = ref [] in
@@ -59,6 +58,10 @@ let graph t =
     (fun u targets -> List.iter (fun v -> edges := (u, v) :: !edges) targets)
     t.owned;
   Graph.of_edges ~n:t.n !edges
+
+let update_graph t g u =
+  let star = List.sort_uniq compare (List.rev_append (owned t u) (in_buyers t g u)) in
+  Graph.with_star g u (Array.of_list star)
 
 let random_orientation rng g =
   let buys =

@@ -6,8 +6,9 @@
     if both bought, the edge collapses in the graph but both still pay α.
 
     Profiles are immutable; {!with_owned} copies. The profile — not the
-    graph — is the source of truth in a game: the graph is always derived
-    from it with {!graph}. *)
+    graph — is the source of truth in a game: the graph is derived from
+    it with {!graph}, or carried across a one-player change with
+    {!update_graph}. *)
 
 type t
 
@@ -38,11 +39,21 @@ val total_bought : t -> int
     @raise Invalid_argument on self purchase or out-of-range target. *)
 val with_owned : t -> int -> int list -> t
 
-(** Players [v] with [u ∈ σ_v] (they bought an edge towards [u]). *)
-val in_buyers : t -> int -> int list
+(** [in_buyers t g u] is the sorted list of players [v] with [u ∈ σ_v]
+    (they bought an edge towards [u]). [g] must be {!graph}[ t], or the
+    network of a profile that differs from [t] only in [u]'s strategy:
+    every in-buyer of [u] is her neighbour there, so only [u]'s
+    neighbourhood is searched, in O(deg(u) · max bought). *)
+val in_buyers : t -> Ncg_graph.Graph.t -> int -> int list
 
 (** The network G(σ). *)
 val graph : t -> Ncg_graph.Graph.t
+
+(** [update_graph t g u] is [graph t], given that [g] is the network of a
+    profile that differs from [t] at most in [u]'s strategy. One
+    {!Ncg_graph.Graph.with_star} pass re-centres [u]'s star, in place of a
+    rebuild from every edge. *)
+val update_graph : t -> Ncg_graph.Graph.t -> int -> Ncg_graph.Graph.t
 
 (** [random_orientation rng g] gives each edge of [g] to a uniformly random
     endpoint — the paper's protocol for initial trees and G(n,p) graphs. *)

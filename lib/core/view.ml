@@ -20,7 +20,7 @@ let extract ?scratch strategy g ~k u =
   let map_host v = mapping.Subgraph.to_sub.(v) in
   (* Neighbours of u are at distance 1, hence always inside the ball. *)
   let owned = List.map map_host (Strategy.owned strategy u) in
-  let in_buyers = List.map map_host (Strategy.in_buyers strategy u) in
+  let in_buyers = List.map map_host (Strategy.in_buyers strategy g u) in
   let dist =
     match scratch with
     | None -> Bfs.distances graph player

@@ -8,8 +8,9 @@
     array comparison. Self loops are rejected and parallel edges collapse.
 
     Mutation is not supported on purpose: in the network creation game the
-    source of truth is the strategy profile and the graph is re-derived from
-    it after a move (see {!Ncg.Strategy}). *)
+    source of truth is the strategy profile, and after a move the graph is
+    re-derived from it or re-centred with {!with_star} (see
+    {!Ncg.Strategy}). *)
 
 type t
 

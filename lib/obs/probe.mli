@@ -43,7 +43,8 @@ val social_cost : probe
     disconnected) *)
 
 val awake_players : probe
-(** players that made an improving move this round (the "awake set") *)
+(** players whose best response was computed this round (the "awake
+    set"); at least the round's movers *)
 
 val br_gap_max : probe
 (** largest view-local cost improvement accepted this round *)

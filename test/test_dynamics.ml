@@ -5,6 +5,9 @@ module Dynamics = Ncg.Dynamics
 module Lke = Ncg.Lke
 module Game = Ncg.Game
 module Features = Ncg.Features
+module Trace = Ncg.Trace
+module Experiment = Ncg.Experiment
+module Graph = Ncg_graph.Graph
 module Rng = Ncg_prng.Rng
 
 let check_int = Alcotest.(check int)
@@ -256,6 +259,121 @@ let prop_social_cost_finite_throughout =
         (fun f -> f.Features.diameter >= 0 && not (Float.is_nan f.Features.social_cost))
         r.Dynamics.features)
 
+(* --- Shadow equivalence: the awake-set engine vs a full rescan ----------- *)
+
+(* The loop [Dynamics.run] replaced, as the reference: every player is
+   solved in every round and the host graph is rebuilt from the profile
+   for every step. [on_move g s' u] sees each accepted move's old graph,
+   new profile and mover. *)
+let full_rescan ~on_move (config : Dynamics.config) s0 =
+  let n = Strategy.n_players s0 in
+  let rng =
+    match config.Dynamics.order with
+    | `Round_robin -> None
+    | `Random_sweep seed -> Some (Rng.create seed)
+  in
+  let order = Array.init n Fun.id in
+  let seen = Hashtbl.create 16 in
+  Hashtbl.replace seen (Strategy.to_key s0) ();
+  let s = ref s0 and moves = ref [] and features = ref [] in
+  let rec loop round =
+    if round >= config.Dynamics.max_rounds then (Dynamics.Max_rounds_exceeded, round)
+    else begin
+      let round = round + 1 in
+      Option.iter (fun rng -> Rng.shuffle rng order) rng;
+      let changes = ref 0 in
+      Array.iter
+        (fun u ->
+          let g = Strategy.graph !s in
+          match Dynamics.best_response_step config !s g u with
+          | Some (s', _, _) ->
+              let before = Strategy.owned !s u and after = Strategy.owned s' u in
+              moves := { Trace.round; player = u; before; after } :: !moves;
+              on_move g s' u;
+              s := s';
+              incr changes
+          | None -> ())
+        order;
+      if config.Dynamics.collect_features then
+        features :=
+          Features.collect config.Dynamics.variant ~alpha:config.Dynamics.alpha
+            ~k:config.Dynamics.k ~round ~changes:!changes !s (Strategy.graph !s)
+          :: !features;
+      let key = Strategy.to_key !s in
+      if !changes = 0 then (Dynamics.Converged round, round)
+      else if Option.is_none rng && Hashtbl.mem seen key then
+        (Dynamics.Cycle_detected round, round)
+      else begin
+        Hashtbl.replace seen key ();
+        loop round
+      end
+    end
+  in
+  let outcome, rounds = loop 0 in
+  (outcome, rounds, !s, List.rev !moves, List.rev !features)
+
+let print_case (variant, sweep, gnp, n, k, alpha, seed) =
+  Printf.sprintf "%s %s %s n=%d k=%d alpha=%g seed=%d"
+    (Game.variant_to_string variant)
+    (if sweep then "random-sweep" else "round-robin")
+    (if gnp then "gnp" else "tree")
+    n k alpha seed
+
+let shadow_case =
+  QCheck.make ~print:print_case
+    QCheck.Gen.(
+      oneofl [ Game.Max; Game.Sum ] >>= fun variant ->
+      bool >>= fun sweep ->
+      bool >>= fun gnp ->
+      int_range 4 20 >>= fun n ->
+      oneofl [ 1; 2; 3; 1000 ] >>= fun k ->
+      oneofl [ 0.1; 0.4; 1.0; 2.5 ] >>= fun alpha ->
+      int_bound 100_000 >>= fun seed -> return (variant, sweep, gnp, n, k, alpha, seed))
+
+(* The fence behind the awake set and the maintained host graph: same
+   outcome, rounds, trace, final profile and features as the full
+   rescan, and [Strategy.update_graph] equal to a rebuild after every
+   move of the trajectory. *)
+let shadow_agrees (variant, sweep, gnp, n, k, alpha, seed) =
+  let s0 =
+    if gnp then Experiment.initial_gnp ~seed ~n ~p:0.3
+    else Experiment.initial_tree ~seed ~n
+  in
+  let cfg =
+    {
+      (config ~variant ~max_rounds:40 ~alpha ~k ()) with
+      Dynamics.order = (if sweep then `Random_sweep seed else `Round_robin);
+    }
+  in
+  let graphs_ok = ref true in
+  let outcome, rounds, final, moves, features =
+    full_rescan cfg s0 ~on_move:(fun g s' u ->
+        if not (Graph.equal (Strategy.update_graph s' g u) (Strategy.graph s')) then
+          graphs_ok := false)
+  in
+  let r = Dynamics.run cfg s0 in
+  !graphs_ok
+  && r.Dynamics.outcome = outcome
+  && r.Dynamics.rounds = rounds
+  && r.Dynamics.trace.Trace.moves = moves
+  && Strategy.equal r.Dynamics.final final
+  && compare r.Dynamics.features features = 0
+
+let prop_shadow_full_rescan =
+  QCheck.Test.make ~name:"awake-set dynamics = full-rescan reference" ~count:500
+    shadow_case shadow_agrees
+
+(* Counterexamples the property found against a wake radius of k - 1 and
+   against a mover who stays asleep, kept so those mutations fail on
+   every run. *)
+let test_shadow_pinned () =
+  List.iter
+    (fun case -> check_bool (print_case case) true (shadow_agrees case))
+    [
+      (Game.Max, false, true, 14, 2, 0.4, 68544);
+      (Game.Max, true, false, 18, 2, 0.4, 58567);
+    ]
+
 let () =
   Alcotest.run "dynamics"
     [
@@ -286,6 +404,7 @@ let () =
           Alcotest.test_case "exact vs local both converge" `Quick
             test_local_moves_never_below_best_quality;
           Alcotest.test_case "random sweep order" `Quick test_random_sweep_order;
+          Alcotest.test_case "shadow: pinned cases" `Quick test_shadow_pinned;
         ] );
       ( "properties",
         [
@@ -293,5 +412,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_equilibria_satisfy_girth_invariant;
           QCheck_alcotest.to_alcotest prop_equilibria_satisfy_ball_growth;
           QCheck_alcotest.to_alcotest prop_social_cost_finite_throughout;
+          QCheck_alcotest.to_alcotest prop_shadow_full_rescan;
         ] );
     ]

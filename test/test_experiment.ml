@@ -234,6 +234,44 @@ let test_probes_toggle_and_series () =
         (Ncg_obs.Probe.equal_snapshot rt.Experiment.probes first.Experiment.probes)
   | Error e -> Alcotest.failf "cell payload did not round-trip: %s" e
 
+let test_awake_probe_counts_solved_players () =
+  (* The awake-players probe counts the best responses computed in a
+     round: all n in round 1, never fewer than the round's movers, and
+     below n once moves only wake the players near them. *)
+  let n = 40 in
+  List.iter
+    (fun k ->
+      let s = Experiment.initial_tree ~seed:2014 ~n in
+      let r, probes =
+        Ncg_obs.Probe.collect (fun () ->
+            Dynamics.run (Dynamics.default_config ~alpha:0.5 ~k) s)
+      in
+      let awake =
+        Ncg_obs.Timeseries.to_list
+          (List.assoc (Ncg_obs.Probe.name Ncg_obs.Probe.awake_players) probes)
+      in
+      check_int (Printf.sprintf "k=%d: one sample per round" k) r.Dynamics.rounds
+        (List.length awake);
+      List.iter2
+        (fun (x, y) (f : Ncg.Features.t) ->
+          check_bool
+            (Printf.sprintf "k=%d round %d: %g awake >= %d movers, <= n" k
+               f.Ncg.Features.round y f.Ncg.Features.changes)
+            true
+            (int_of_float x = f.Ncg.Features.round
+            && y >= float_of_int f.Ncg.Features.changes
+            && y <= float_of_int n))
+        awake r.Dynamics.features;
+      (match awake with
+      | (_, first) :: _ ->
+          check_bool (Printf.sprintf "k=%d: round 1 solves everyone" k) true
+            (first = float_of_int n)
+      | [] -> ());
+      if k = 2 then
+        check_bool "k=2: some round solves fewer than n players" true
+          (List.exists (fun (_, y) -> y < float_of_int n) awake))
+    [ 2; 3; 1000 ]
+
 let test_sweep_counters_isolated_per_cell () =
   (* Counts recorded inside a sweep must not leak into an enclosing
      collector beyond the totals, and totals equal the cell sum. *)
@@ -350,6 +388,8 @@ let () =
             test_sweep_counters_isolated_per_cell;
           Alcotest.test_case "probes toggle + exemplar series" `Quick
             test_probes_toggle_and_series;
+          Alcotest.test_case "awake probe counts solved players" `Quick
+            test_awake_probe_counts_solved_players;
           Alcotest.test_case "overlapping grids agree on shared cells" `Quick
             test_overlapping_grids_agree;
           Alcotest.test_case "cache key golden bytes" `Quick

@@ -44,8 +44,9 @@ let test_with_owned () =
     (Strategy.owned (Strategy.with_owned path3 0 [ 2; 2 ]) 0)
 
 let test_in_buyers () =
-  Alcotest.(check (list int)) "buyers of 1" [ 0 ] (Strategy.in_buyers path3 1);
-  Alcotest.(check (list int)) "buyers of 0" [] (Strategy.in_buyers path3 0)
+  let g = Strategy.graph path3 in
+  Alcotest.(check (list int)) "buyers of 1" [ 0 ] (Strategy.in_buyers path3 g 1);
+  Alcotest.(check (list int)) "buyers of 0" [] (Strategy.in_buyers path3 g 0)
 
 let test_strategy_validation () =
   Alcotest.check_raises "self edge"
@@ -102,6 +103,46 @@ let prop_serialization_roundtrip =
       let g = Ncg_gen.Random_tree.generate rng n in
       let s = Strategy.random_orientation rng g in
       Strategy.equal s (Strategy.of_string (Strategy.to_string s)))
+
+(* The neighbourhood search against a scan of every player, over random
+   [with_owned] sequences, on the new network and — for the mover — on
+   the network before her move. *)
+let prop_in_buyers_scan =
+  QCheck.Test.make ~name:"in_buyers = scan over random with_owned sequences"
+    ~count:200
+    QCheck.(triple (int_range 2 15) (int_range 0 10_000) (int_range 1 30))
+    (fun (n, seed, steps) ->
+      let rng = Rng.create seed in
+      let s0 = Strategy.random_orientation rng (Ncg_gen.Random_tree.generate rng n) in
+      let players = List.init n Fun.id in
+      let scan s u = List.filter (fun v -> Strategy.owns s v u) players in
+      let rec walk s i =
+        i = 0
+        || begin
+             let u = Rng.int rng n in
+             let targets = List.filter (fun v -> v <> u && Rng.bool rng) players in
+             let s' = Strategy.with_owned s u targets in
+             let g' = Strategy.graph s' in
+             List.for_all (fun v -> Strategy.in_buyers s' g' v = scan s' v) players
+             && Strategy.in_buyers s' (Strategy.graph s) u = scan s' u
+             && walk s' (i - 1)
+           end
+      in
+      walk s0 steps)
+
+(* [update_graph] carries the old network across a one-player change. *)
+let prop_update_graph =
+  QCheck.Test.make ~name:"update_graph = graph after a one-player change" ~count:200
+    QCheck.(pair (int_range 2 20) (int_range 0 10_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let s = Strategy.random_orientation rng (Ncg_gen.Random_tree.generate rng n) in
+      let u = Rng.int rng n in
+      let targets =
+        List.filter (fun v -> v <> u && Rng.bernoulli rng 0.3) (List.init n Fun.id)
+      in
+      let s' = Strategy.with_owned s u targets in
+      Graph.equal (Strategy.update_graph s' (Strategy.graph s) u) (Strategy.graph s'))
 
 let test_key_and_equal () =
   let a = Strategy.of_buys ~n:3 [ (0, 1); (1, 2) ] in
@@ -228,6 +269,8 @@ let () =
           Alcotest.test_case "serialization roundtrip" `Quick test_serialization_roundtrip;
           Alcotest.test_case "serialization errors" `Quick test_serialization_errors;
           QCheck_alcotest.to_alcotest prop_serialization_roundtrip;
+          QCheck_alcotest.to_alcotest prop_in_buyers_scan;
+          QCheck_alcotest.to_alcotest prop_update_graph;
         ] );
       ( "costs",
         [

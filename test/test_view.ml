@@ -144,7 +144,7 @@ let prop_owned_always_visible =
       let u = seed mod n in
       let v = View.extract s g ~k u in
       List.length v.View.owned = List.length (Strategy.owned s u)
-      && List.length v.View.in_buyers = List.length (Strategy.in_buyers s u)
+      && List.length v.View.in_buyers = List.length (Strategy.in_buyers s g u)
       && List.for_all (fun x -> v.View.dist.(x) = 1) v.View.owned)
 
 let () =
