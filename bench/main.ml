@@ -530,13 +530,7 @@ let ablation () =
   Printf.printf "%-16s %10s %10s %10s %10s\n" "solver" "time(s)" "rounds" "moves" "quality";
   List.iter
     (fun (name, solver) ->
-      let cfg =
-        {
-          (Dynamics.default_config ~alpha:0.1 ~k:1000) with
-          Dynamics.solver;
-          collect_features = false;
-        }
-      in
+      let cfg = { (config ~alpha:0.1 ~k:1000) with Dynamics.solver } in
       let t0 = Ncg_obs.Clock.now_ns () in
       let r = Experiment.run_one cfg (make ()) in
       Printf.printf "%-16s %10.2f %10d %10d %10.3f\n%!" name

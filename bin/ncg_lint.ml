@@ -1,13 +1,15 @@
-(* ncg_lint: AST-level invariant checker for the repo's determinism,
+(* ncg_lint: typed invariant checker for the repo's determinism,
    domain-safety and atomicity contracts (rule catalogue and suppression
    policy in docs/LINTING.md).
 
-   Scans every .ml under lib/, bin/ and bench/ relative to --root, prints
+   Checks the .cmt of every .ml under lib/, bin/, bench/, test/ and
+   examples/ relative to --root (run `dune build @check` first), prints
    one line per violation (file:line:col, rule id, fix hint) and exits 1
    on any violation or parse error. --json FILE additionally writes the
-   machine-readable ncg.lint.report/1 document (atomically).
+   machine-readable ncg.lint.report/3 document (atomically).
 
    Example:
+     dune build @check
      dune exec bin/ncg_lint.exe -- --root . --json lint-report.json
 
    This unit is a trampoline: its module name (Ncg_lint) shadows the

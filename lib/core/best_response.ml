@@ -124,8 +124,6 @@ let evaluate_targets ~alpha (v : View.t) targets =
     (Ncg_graph.Bfs.eccentricity h' v.View.player)
 
 let local_search ~alpha (v : View.t) =
-  let nv = Graph.order v.View.graph in
-  let all = List.filter (fun x -> x <> v.View.player) (List.init nv Fun.id) in
   let current =
     {
       targets = v.View.owned;
@@ -135,22 +133,6 @@ let local_search ~alpha (v : View.t) =
   in
   let rec descend best =
     Ncg_fault.Cancel.checkpoint ();
-    let adds =
-      List.filter_map
-        (fun t -> if List.mem t best.targets then None else Some (t :: best.targets))
-        all
-    in
-    let drops = List.map (fun t -> List.filter (( <> ) t) best.targets) best.targets in
-    let swaps =
-      List.concat_map
-        (fun out ->
-          let without = List.filter (( <> ) out) best.targets in
-          List.filter_map
-            (fun inn ->
-              if List.mem inn best.targets then None else Some (inn :: without))
-            all)
-        best.targets
-    in
     let improved =
       List.fold_left
         (fun acc targets ->
@@ -158,7 +140,7 @@ let local_search ~alpha (v : View.t) =
           | Some o when o.cost < acc.cost -. 1e-12 -> o
           | Some _ | None -> acc)
         best
-        (List.concat [ adds; drops; swaps ])
+        (View.single_edge_moves v best.targets)
     in
     if improved.cost < best.cost -. 1e-12 then descend improved else best
   in

@@ -79,37 +79,15 @@ let exact ?(max_view = 16) ~alpha (v : View.t) =
   !best
 
 let local_search ~alpha (v : View.t) =
-  let nv = View.size v in
-  let all = List.filter (fun x -> x <> v.View.player) (List.init nv Fun.id) in
   let rec descend best =
-    let candidates =
-      (* Single additions, deletions and swaps around [best.targets]. *)
-      let adds =
-        List.filter_map
-          (fun t ->
-            if List.mem t best.targets then None else Some (t :: best.targets))
-          all
-      in
-      let drops = List.map (fun t -> List.filter (( <> ) t) best.targets) best.targets in
-      let swaps =
-        List.concat_map
-          (fun out ->
-            let without = List.filter (( <> ) out) best.targets in
-            List.filter_map
-              (fun inn ->
-                if List.mem inn best.targets then None else Some (inn :: without))
-              all)
-          best.targets
-      in
-      List.concat [ adds; drops; swaps ]
-    in
     let improved =
       List.fold_left
         (fun acc targets ->
           match evaluate ~alpha v targets with
           | Some o when o.cost < acc.cost -. 1e-12 -> o
           | Some _ | None -> acc)
-        best candidates
+        best
+        (View.single_edge_moves v best.targets)
     in
     if improved.cost < best.cost -. 1e-12 then descend improved else best
   in

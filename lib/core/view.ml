@@ -55,6 +55,25 @@ let with_strategy v targets =
   in
   Graph.with_star v.graph u star
 
+let single_edge_moves v targets =
+  let others = List.filter (fun x -> x <> v.player) (List.init (size v) Fun.id) in
+  let adds =
+    List.filter_map
+      (fun t -> if List.mem t targets then None else Some (t :: targets))
+      others
+  in
+  let drops = List.map (fun t -> List.filter (( <> ) t) targets) targets in
+  let swaps =
+    List.concat_map
+      (fun out ->
+        let without = List.filter (( <> ) out) targets in
+        List.filter_map
+          (fun inn -> if List.mem inn targets then None else Some (inn :: without))
+          others)
+      targets
+  in
+  List.concat [ adds; drops; swaps ]
+
 let to_host v ids =
   List.map (fun i -> v.mapping.Subgraph.to_host.(i)) ids
 

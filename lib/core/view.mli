@@ -37,6 +37,12 @@ val frontier : t -> int list
     @raise Invalid_argument on a self target or out-of-range target. *)
 val with_strategy : t -> int list -> Ncg_graph.Graph.t
 
+(** [single_edge_moves v targets] is every strategy one edge away from
+    [targets] (view coordinates): each single addition, then each
+    deletion, then each swap of one target for one non-target, in that
+    order. The neighbourhood both local searches descend over. *)
+val single_edge_moves : t -> int list -> int list list
+
 (** Translate view vertex ids to host graph ids. *)
 val to_host : t -> int list -> int list
 

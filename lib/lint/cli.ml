@@ -5,7 +5,7 @@
 
 open Cmdliner
 
-let run root typed cmt_root json_out =
+let run root cmt_root json_out =
   let files =
     Ncg_lint.Lint.ml_files_under ~root
       ~dirs:[ "lib"; "bin"; "bench"; "test"; "examples" ]
@@ -26,44 +26,22 @@ let run root typed cmt_root json_out =
   let ctx_of rel =
     Ncg_lint.Lint.ctx_for_path ~known_sites ~known_probes ~known_schemas rel
   in
-  let syntactic =
-    List.map
-      (fun rel ->
-        Ncg_lint.Lint.check_file ~ctx:(ctx_of rel) ~display:rel
-          (Filename.concat root rel))
-      files
+  let report =
+    Ncg_lint.Report.merge ~root
+      (Ncg_lint.Typed_lint.check_tree ~ctx_of ~root
+         ~cmt_root:(Filename.concat root cmt_root)
+         files)
   in
-  let typed_reports =
-    if typed then
-      Some
-        (Ncg_lint.Typed_lint.check_tree ~ctx_of ~root
-           ~cmt_root:(Filename.concat root cmt_root)
-           files)
-    else None
-  in
-  let merged =
-    Ncg_lint.Report.merge ~root ~syntactic ?typed:typed_reports ()
-  in
-  print_string (Ncg_lint.Report.to_human merged);
+  print_string (Ncg_lint.Report.to_human report);
   (match json_out with
-  | Some path -> Ncg_obs.Json.to_file path (Ncg_lint.Report.to_json merged)
+  | Some path -> Ncg_obs.Json.to_file path (Ncg_lint.Report.to_json report)
   | None -> ());
-  if not (Ncg_lint.Report.clean merged) then exit 1
+  if not (Ncg_lint.Report.clean report) then exit 1
 
 let root =
   Arg.(
     value & opt string "."
     & info [ "root" ] ~docv:"DIR" ~doc:"Repository root to scan.")
-
-let typed =
-  Arg.(
-    value & flag
-    & info [ "typed" ]
-        ~doc:
-          "Also run the typed (alias-aware) pass over the .cmt files and \
-           merge both passes' findings. Requires a prior $(b,dune build \
-           \\@check); a file with no up-to-date .cmt is reported as a parse \
-           error. Enables S1/P2/R1 and stale-suppression (L2) detection.")
 
 let cmt_root =
   Arg.(
@@ -71,18 +49,19 @@ let cmt_root =
     & opt string "_build/default"
     & info [ "cmt-root" ] ~docv:"DIR"
         ~doc:
-          "Directory (relative to $(b,--root)) searched recursively for .cmt \
-           files when $(b,--typed) is given.")
+          "Directory (relative to $(b,--root)) searched recursively for the \
+           .cmt files of a prior $(b,dune build @check). A file with no \
+           up-to-date .cmt is reported as a parse error.")
 
 let json_out =
   Arg.(
     value
     & opt (some string) None
     & info [ "json" ] ~docv:"FILE"
-        ~doc:"Also write the ncg.lint.report/2 JSON document here.")
+        ~doc:"Also write the ncg.lint.report/3 JSON document here.")
 
 let cmd =
   let doc = "check the determinism/domain-safety/atomicity lint rules" in
-  Cmd.v (Cmd.info "ncg_lint" ~doc) Term.(const run $ root $ typed $ cmt_root $ json_out)
+  Cmd.v (Cmd.info "ncg_lint" ~doc) Term.(const run $ root $ cmt_root $ json_out)
 
 let main () = exit (Cmd.eval cmd)

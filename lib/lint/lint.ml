@@ -1,15 +1,13 @@
-(* AST-level invariant checker. Parses each .ml with the host compiler's
-   parser (compiler-libs) and walks the Parsetree with Ast_iterator — no
-   typing, no ppx: every rule is a syntactic pattern plus a path-based
-   zone (lib/prng may use randomness, lib/obs may read clocks, ...), so
-   the checker runs on any tree state, even one that does not build. *)
+(* What every ncg_lint check shares: the path-based zones (lib/prng may
+   use randomness, lib/obs may read clocks, ...), the per-file report
+   types, the [@lint.allow] / [@lint.domain_local] suppression plumbing
+   and the tree scan. The checks themselves live in Typed_lint. *)
 
 open Parsetree
 
 type ctx = {
   prng_exempt : bool;  (* D1 off: the blessed randomness source *)
   clock_exempt : bool;  (* D2 off: the blessed clock *)
-  fault_registry : bool;  (* F1 also watches bare [site] calls here *)
   global_state : bool;  (* P1 on: library code reachable from the executor *)
   parallel_impl : bool;  (* P2 off: the fan-out machinery itself *)
   scratch_lender : bool;  (* S1 off: the module that owns the scratch *)
@@ -32,7 +30,6 @@ let ctx_for_path ~known_sites ~known_probes ~known_schemas path =
   {
     prng_exempt = in_dir "lib/prng";
     clock_exempt = in_dir "lib/obs";
-    fault_registry = in_dir "lib/fault";
     global_state = in_dir "lib";
     parallel_impl = is_file "lib/util/parallel.ml" || is_file "lib/fault/executor.ml";
     scratch_lender = is_file "lib/graph/bfs.ml" || is_file "lib/core/workspace.ml";
@@ -65,17 +62,20 @@ type file_report = {
   parse_error : string option;
 }
 
-(* --- Syntactic helpers ----------------------------------------------------- *)
+(* A conversion that prints a float with no explicit precision: '%f' not
+   preceded by an escaping '%'. *)
+let has_bare_percent_f s =
+  let n = String.length s in
+  let rec go i =
+    if i + 1 >= n then false
+    else if s.[i] <> '%' then go (i + 1)
+    else if s.[i + 1] = '%' then go (i + 2)
+    else if s.[i + 1] = 'f' then true
+    else go (i + 1)
+  in
+  go 0
 
-let flatten_ident txt =
-  match Longident.flatten txt with
-  | parts -> ( match parts with "Stdlib" :: rest -> rest | l -> l)
-  | exception _ -> []
-
-let expr_ident e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> flatten_ident txt
-  | _ -> []
+(* --- Suppression plumbing ---------------------------------------------------- *)
 
 let rec payload_strings e =
   match e.pexp_desc with
@@ -90,75 +90,6 @@ let attr_strings (attr : attribute) =
   | PStr [ { pstr_desc = Pstr_eval (e, _); _ } ] -> payload_strings e
   | _ -> []
 
-(* A conversion that prints a float with no explicit precision: '%f' not
-   preceded by an escaping '%'. *)
-let has_bare_percent_f s =
-  let n = String.length s in
-  let rec go i =
-    if i + 1 >= n then false
-    else if s.[i] <> '%' then go (i + 1)
-    else if s.[i + 1] = '%' then go (i + 2)
-    else if s.[i + 1] = 'f' then true
-    else go (i + 1)
-  in
-  go 0
-
-let printf_family parts =
-  match parts with
-  | ("Printf" | "Format") :: _ -> true
-  | _ -> (
-      match List.rev parts with
-      | f :: _ ->
-          List.mem f
-            [
-              "printf";
-              "sprintf";
-              "eprintf";
-              "fprintf";
-              "bprintf";
-              "ksprintf";
-              "asprintf";
-              "kasprintf";
-              "kfprintf";
-            ]
-      | [] -> false)
-
-(* The P1 shapes: a top-level binding whose right-hand side builds plain
-   mutable state. Safe constructors (Atomic.make, Mutex.create,
-   Domain.DLS.new_key) simply do not match. *)
-let rec mutable_shape ?(env = []) e =
-  match e.pexp_desc with
-  | Pexp_constraint (e, _) -> mutable_shape ~env e
-  (* An initializer block ([let t = Bytes.create n in ...fill...; t]) is
-     judged by what it ultimately evaluates to, threading the shapes of
-     its local bindings. *)
-  | Pexp_let (_, vbs, body) ->
-      let env =
-        List.fold_left
-          (fun env vb ->
-            match (vb.pvb_pat.ppat_desc, mutable_shape ~env vb.pvb_expr) with
-            | Ppat_var { txt; _ }, Some what -> (txt, what) :: env
-            | _ -> env)
-          env vbs
-      in
-      mutable_shape ~env body
-  | Pexp_sequence (_, e) -> mutable_shape ~env e
-  | Pexp_ident { txt = Longident.Lident x; _ } -> List.assoc_opt x env
-  | Pexp_apply (f, _) -> (
-      match expr_ident f with
-      | [ "ref" ] -> Some "ref cell"
-      | [ "Array"; ("make" | "init" | "create_float" | "make_matrix") ] ->
-          Some "array"
-      | [ "Bytes"; ("create" | "make") ] -> Some "bytes buffer"
-      | [ "Hashtbl"; "create" ] -> Some "hash table"
-      | [ "Buffer"; "create" ] -> Some "buffer"
-      | [ "Queue"; "create" ] -> Some "queue"
-      | [ "Stack"; "create" ] -> Some "stack"
-      | _ -> None)
-  | _ -> None
-
-(* --- Suppression plumbing (shared with Typed_lint) ------------------------- *)
-
 type raw_suppression = {
   rs_rule : Rules.id;
   rs_from : int;  (* cnum range the suppression covers *)
@@ -168,8 +99,8 @@ type raw_suppression = {
 }
 
 (* [@lint.allow "RULE"... "why"] / [@lint.domain_local "why"], scoped to
-   the host node's character range. Attribute payloads are Parsetree in
-   both the Parsetree and the Typedtree, so both passes parse them here. *)
+   the host node's character range. Attribute payloads stay Parsetree in
+   the Typedtree, so they are parsed here. *)
 let scan_attr ~add_viol ~add_supp ~from_cnum ~to_cnum (attr : attribute) =
   let line = attr.attr_loc.Location.loc_start.Lexing.pos_lnum in
   let supp rule justification =
@@ -210,7 +141,7 @@ let scan_attr ~add_viol ~add_supp ~from_cnum ~to_cnum (attr : attribute) =
 (* Apply collected suppressions to collected raw violations: a violation
    is dropped when any suppression of its rule spans its cnum; each
    suppression records how many raw violations it absorbed (the L2
-   staleness signal, judged at report-merge time). *)
+   staleness signal, judged in Report.merge). *)
 let finish ~filename raw_supps raw_viols =
   let covers s ((v : violation), cnum) =
     s.rs_rule = v.rule && cnum >= s.rs_from && cnum <= s.rs_to
@@ -234,208 +165,6 @@ let finish ~filename raw_supps raw_viols =
            })
   in
   { path = filename; violations; suppressions; parse_error = None }
-
-(* --- The walker ------------------------------------------------------------ *)
-
-let run_checks ~ctx ~filename str =
-  let viols = ref [] in
-  let supps = ref [] in
-  let add_viol loc rule message =
-    let p = loc.Location.loc_start in
-    viols :=
-      ( {
-          file = filename;
-          line = p.Lexing.pos_lnum;
-          col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-          rule;
-          message;
-        },
-        p.Lexing.pos_cnum )
-      :: !viols
-  in
-  let add_supp s = supps := s :: !supps in
-  let handle_attr ~from_cnum ~to_cnum attr =
-    scan_attr ~add_viol ~add_supp ~from_cnum ~to_cnum attr
-  in
-  let handle_attrs loc attrs =
-    let from_cnum = loc.Location.loc_start.Lexing.pos_cnum in
-    let to_cnum = loc.Location.loc_end.Lexing.pos_cnum in
-    List.iter (handle_attr ~from_cnum ~to_cnum) attrs
-  in
-  let check_ident loc parts =
-    (match parts with
-    | "Random" :: _ when not ctx.prng_exempt ->
-        add_viol loc Rules.D1
-          (String.concat "." parts ^ ": stdlib randomness (process-global state)")
-    | [ "Unix"; ("gettimeofday" | "time") ] | [ "Sys"; "time" ] ->
-        if not ctx.clock_exempt then
-          add_viol loc Rules.D2
-            (String.concat "." parts ^ ": wall-clock read outside the Clock module")
-    | [ "string_of_float" ] | [ "Float"; "to_string" ] ->
-        add_viol loc Rules.D4
-          (String.concat "." parts
-         ^ ": lossy float formatting (12 significant digits, no NaN round-trip)")
-    | [ ("open_out" | "open_out_bin" | "open_out_gen") ]
-    | [
-        "Out_channel";
-        ( "open_text" | "open_bin" | "open_gen" | "with_open_text" | "with_open_bin"
-        | "with_open_gen" );
-      ] ->
-        add_viol loc Rules.A1
-          (String.concat "." parts
-          ^ ": bare output channel (a crash here leaves a torn artifact)")
-    | _ -> ());
-    match List.rev parts with
-    | ("iter" | "fold") :: rest when List.mem "Hashtbl" rest ->
-        add_viol loc Rules.D3
-          (String.concat "." parts ^ ": iteration order is hash-bucket order")
-    | _ -> ()
-  in
-  let check_apply loc f args =
-    let parts = expr_ident f in
-    (* D4: bare %f in a printf-family format string. *)
-    if printf_family parts then
-      List.iter
-        (fun (_, arg) ->
-          match arg.pexp_desc with
-          | Pexp_constant (Pconst_string (s, _, _)) when has_bare_percent_f s ->
-              add_viol arg.pexp_loc Rules.D4
-                "format string uses a bare %f conversion (6-digit truncation)"
-          | _ -> ())
-        args;
-    (* F1: a site literal handed to Inject.site (or a bare [site] call
-       inside the registry library itself) must be a registered name. *)
-    let is_site_call =
-      match List.rev parts with
-      | "site" :: rest -> rest <> [] && List.mem "Inject" parts || (rest = [] && ctx.fault_registry)
-      | _ -> false
-    in
-    if is_site_call then
-      (match args with
-      | (Asttypes.Nolabel, { pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ })
-        :: _ ->
-          if not (List.mem s ctx.known_sites) then
-            add_viol loc Rules.F1
-              (Printf.sprintf "fault site %S is not in the registered site list" s)
-      | _ -> ());
-    (* O1: a probe name literal handed to Probe.find or Probe.register
-       must already be in the live registry — the namespace is closed,
-       like fault sites. (Registrations in lib/obs/probe.ml itself ran at
-       lint-process init, so the built-ins are always "known".) *)
-    let is_probe_call =
-      match List.rev parts with
-      | ("find" | "register") :: rest -> rest <> [] && List.mem "Probe" parts
-      | _ -> false
-    in
-    if is_probe_call then
-      match args with
-      | (Asttypes.Nolabel, { pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ })
-        :: _ ->
-          if not (List.mem s ctx.known_probes) then
-            add_viol loc Rules.O1
-              (Printf.sprintf "probe name %S is not in the registered probe list" s)
-      | _ -> ()
-  in
-  let default = Ast_iterator.default_iterator in
-  let iter =
-    {
-      default with
-      Ast_iterator.expr =
-        (fun it e ->
-          handle_attrs e.pexp_loc e.pexp_attributes;
-          (match e.pexp_desc with
-          | Pexp_ident { txt; loc } -> check_ident loc (flatten_ident txt)
-          | Pexp_apply (f, args) -> check_apply e.pexp_loc f args
-          | _ -> ());
-          default.Ast_iterator.expr it e);
-      Ast_iterator.value_binding =
-        (fun it vb ->
-          handle_attrs vb.pvb_loc vb.pvb_attributes;
-          default.Ast_iterator.value_binding it vb);
-      Ast_iterator.open_declaration =
-        (fun it od ->
-          (match od.popen_expr.pmod_desc with
-          | Pmod_ident { txt; _ } -> (
-              match flatten_ident txt with
-              | "Random" :: _ when not ctx.prng_exempt ->
-                  add_viol od.popen_loc Rules.D1
-                    "open Random: stdlib randomness (process-global state)"
-              | _ -> ())
-          | _ -> ());
-          default.Ast_iterator.open_declaration it od);
-      Ast_iterator.structure_item =
-        (fun it item ->
-          (match item.pstr_desc with
-          (* [@@@lint.allow ...]: file-wide suppression. *)
-          | Pstr_attribute attr -> handle_attr ~from_cnum:0 ~to_cnum:max_int attr
-          | _ -> ());
-          default.Ast_iterator.structure_item it item);
-    }
-  in
-  iter.Ast_iterator.structure iter str;
-  (* P1 runs on a dedicated top-level scan, not the iterator: only
-     structure-level bindings (including those inside top-level modules)
-     are global state; a ref inside a function body is not. *)
-  if ctx.global_state then begin
-    let scan_vb vb =
-      match mutable_shape vb.pvb_expr with
-      | Some what ->
-          add_viol vb.pvb_loc Rules.P1
-            (Printf.sprintf
-               "top-level %s is plain shared mutable state (not Atomic, \
-                Domain.DLS or Mutex)"
-               what)
-      | None -> ()
-    in
-    let rec scan_items items =
-      List.iter
-        (fun item ->
-          match item.pstr_desc with
-          | Pstr_value (_, vbs) -> List.iter scan_vb vbs
-          | Pstr_module mb -> scan_mod mb
-          | Pstr_recmodule mbs -> List.iter scan_mod mbs
-          | Pstr_include
-              { pincl_mod = { pmod_desc = Pmod_structure s; _ }; _ } ->
-              scan_items s
-          | _ -> ())
-        items
-    and scan_mod mb =
-      match mb.pmb_expr.pmod_desc with
-      | Pmod_structure s -> scan_items s
-      | _ -> ()
-    in
-    scan_items str
-  end;
-  finish ~filename (List.rev !supps) !viols
-
-let check_source ~ctx ~filename source =
-  let lexbuf = Lexing.from_string source in
-  Location.init lexbuf filename;
-  match Parse.implementation lexbuf with
-  | str -> run_checks ~ctx ~filename str
-  | exception e ->
-      let msg =
-        match e with
-        | Syntaxerr.Error err ->
-            let loc = Syntaxerr.location_of_error err in
-            Printf.sprintf "syntax error at line %d"
-              loc.Location.loc_start.Lexing.pos_lnum
-        | e -> Printexc.to_string e
-      in
-      { path = filename; violations = []; suppressions = []; parse_error = Some msg }
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let check_file ~ctx ?display path =
-  let filename = Option.value display ~default:path in
-  match read_file path with
-  | source -> check_source ~ctx ~filename source
-  | exception Sys_error msg ->
-      { path = filename; violations = []; suppressions = []; parse_error = Some msg }
 
 (* --- Tree scanning --------------------------------------------------------- *)
 

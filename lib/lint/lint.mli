@@ -1,23 +1,11 @@
-(** Parsetree walker behind [ncg_lint] — the {e syntactic} pass.
-
-    Purely syntactic: each source file is parsed with the host compiler's
-    parser (compiler-libs) and checked against the {!Rules} catalogue, so
-    the checker works on any tree state — even one that does not build —
-    and needs no ppx or type information. Which rules apply where is
-    decided by a path-based {!ctx} (lib/prng may use randomness, lib/obs
-    may read clocks, ...).
-
-    The price of staying syntactic is that aliases are invisible:
-    [module H = Hashtbl], [include Hashtbl], [let f = Hashtbl.iter] and
-    functor plumbing all smuggle a forbidden identifier past this pass.
-    {!Typed_lint} closes that hole by resolving identifiers on the
-    Typedtree; this module additionally hosts the suppression plumbing
-    ({!scan_attr}, {!finish}) both passes share. *)
+(** What every [ncg_lint] check shares: the path-based zones ({!ctx}),
+    the per-file report types, the suppression plumbing ({!scan_attr},
+    {!finish}) and the tree scan ({!ml_files_under}). The checks
+    themselves live in {!Typed_lint}. *)
 
 type ctx = {
   prng_exempt : bool;  (** D1 off: the blessed randomness source *)
   clock_exempt : bool;  (** D2 off: the blessed clock *)
-  fault_registry : bool;  (** F1 also watches bare [site] calls here *)
   global_state : bool;  (** P1 on: library code reachable from the executor *)
   parallel_impl : bool;  (** P2 off: the fan-out machinery itself *)
   scratch_lender : bool;  (** S1 off: the module that owns the scratch *)
@@ -28,9 +16,8 @@ type ctx = {
 }
 
 (** Zone assignment for a root-relative path: [lib/prng/*] is
-    [prng_exempt], [lib/obs/*] is [clock_exempt], [lib/fault/*] is
-    [fault_registry], anything under [lib/] has [global_state];
-    [lib/util/parallel.ml] and [lib/fault/executor.ml] are
+    [prng_exempt], [lib/obs/*] is [clock_exempt], anything under [lib/]
+    has [global_state]; [lib/util/parallel.ml] and [lib/fault/executor.ml] are
     [parallel_impl], [lib/graph/bfs.ml] and [lib/core/workspace.ml] are
     [scratch_lender], [lib/obs/schema.ml] is [schema_registry]. *)
 val ctx_for_path :
@@ -54,18 +41,20 @@ type suppression = {
   sup_rule : Rules.id;
   sup_justification : string;
   sup_matched : int;
-      (** raw violations this suppression absorbed in the pass that
-          produced this report — the L2 staleness signal *)
+      (** raw violations this suppression absorbed — the L2 staleness
+          signal *)
 }
 
 type file_report = {
   path : string;
   violations : violation list;  (** sorted by position; suppressed ones removed *)
   suppressions : suppression list;  (** every well-formed allow in the file *)
-  parse_error : string option;  (** set iff the file failed to parse *)
+  parse_error : string option;
+      (** set iff the file could not be checked (no or stale [.cmt],
+          parse or type error) *)
 }
 
-(** {2 Suppression plumbing shared by both passes} *)
+(** {2 Suppression plumbing} *)
 
 type raw_suppression = {
   rs_rule : Rules.id;
@@ -79,8 +68,7 @@ type raw_suppression = {
     {!raw_suppression} per named rule over [[from_cnum, to_cnum]];
     [[\@lint.domain_local "why"]] registers a P1 suppression; malformed
     annotations are reported as L1 through [add_viol]. Attribute
-    payloads are Parsetree in both trees, so {!Typed_lint} reuses this
-    verbatim. *)
+    payloads stay Parsetree in the Typedtree. *)
 val scan_attr :
   add_viol:(Location.t -> Rules.id -> string -> unit) ->
   add_supp:(raw_suppression -> unit) ->
@@ -99,19 +87,10 @@ val finish :
   file_report
 
 (** True when a format string contains a bare [%f] conversion (not
-    [%%f]) — the D4 trigger, shared with the typed pass. *)
+    [%%f]) — the D4 trigger. *)
 val has_bare_percent_f : string -> bool
 
-(** {2 Checking} *)
-
-(** Check in-memory source (fixture tests use this directly).
-    [filename] is used for locations and the report only. *)
-val check_source : ctx:ctx -> filename:string -> string -> file_report
-
-(** Read and check one file. [display] overrides the reported path
-    (the driver passes root-relative paths). A read failure is reported
-    as [parse_error]. *)
-val check_file : ctx:ctx -> ?display:string -> string -> file_report
+(** {2 Tree scanning} *)
 
 (** Root-relative paths of every [.ml] under [dirs] (relative to
     [root]), sorted; skips [_build] and dot-directories. *)

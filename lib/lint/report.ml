@@ -1,256 +1,115 @@
-(* Rendering and merging of lint results.
+(* Rendering of lint results.
 
-   Since report/2 a run may combine two passes (syntactic + typed) over
-   the same file list. [merge] is the single entry point: it dedupes
-   violations on (file, line, col, rule) keeping per-pass provenance,
-   folds the two passes' views of each suppression together, and — when
-   the typed pass ran — judges L2 staleness: a suppression that absorbed
-   zero raw violations under every pass that checked its rule is dead
-   weight, reported both in [stale_suppressions] and as a synthesized L2
-   violation (pass "merge"). Single-pass runs are the degenerate merge:
-   L2 is never judged without the typed pass, because only it checks the
-   full rule catalogue. *)
+   [merge] folds the per-file reports of one run into one document and
+   judges L2 staleness: a suppression that absorbed zero raw violations
+   is dead weight, reported both in [stale_suppressions] and as a
+   synthesized L2 violation. A file that could not be checked carries
+   no suppressions, so it is never judged stale. *)
 
 let schema = Ncg_obs.Schema.lint_report
 
 module J = Ncg_obs.Json
 
-let syntactic_pass = "syntactic"
-let merge_pass = "merge"
-
-type merged_violation = {
-  mv_file : string;
-  mv_line : int;
-  mv_col : int;
-  mv_rule : Rules.id;
-  mv_message : string;
-  mv_passes : string list;
+type t = {
+  root : string;
+  files_checked : int;
+  violations : Lint.violation list;
+  suppressions : Lint.suppression list;
+  parse_errors : (string * string) list;
 }
 
-type merged_suppression = {
-  ms_file : string;
-  ms_line : int;
-  ms_rule : Rules.id;
-  ms_justification : string;
-  ms_matched : (string * int) list;  (* pass name -> absorbed violations *)
-  ms_stale : bool;
-}
+let is_stale (s : Lint.suppression) = s.sup_matched = 0
 
-type merged = {
-  m_root : string;
-  m_passes : string list;
-  m_files_checked : int;
-  m_violations : merged_violation list;
-  m_suppressions : merged_suppression list;
-  m_parse_errors : (string * string * string) list;  (* pass, file, message *)
-}
-
-let merge ~root ~syntactic ?typed () =
-  let passes =
-    (syntactic_pass, syntactic)
-    :: (match typed with Some t -> [ (Typed_lint.pass_name, t) ] | None -> [])
-  in
-  let files_checked =
-    List.length
-      (List.sort_uniq compare
-         (List.concat_map
-            (fun (_, rs) -> List.map (fun (r : Lint.file_report) -> r.path) rs)
-            passes))
-  in
-  let parse_errors =
-    List.concat_map
-      (fun (name, rs) ->
-        List.filter_map
-          (fun (r : Lint.file_report) ->
-            Option.map (fun msg -> (name, r.path, msg)) r.parse_error)
-          rs)
-      passes
-  in
-  let erroring_files =
-    List.map (fun (_, file, _) -> file) parse_errors |> List.sort_uniq compare
-  in
-  (* Violations: dedupe on (file, line, col, rule); a direct Hashtbl.iter
-     fires in both passes and becomes one entry with two provenances. *)
-  let vtbl = Hashtbl.create 64 in
-  let vorder = ref [] in
-  List.iter
-    (fun (name, rs) ->
-      List.iter
-        (fun (r : Lint.file_report) ->
-          List.iter
-            (fun (v : Lint.violation) ->
-              let key = (v.file, v.line, v.col, Rules.to_string v.rule) in
-              match Hashtbl.find_opt vtbl key with
-              | Some mv ->
-                  (* Same key twice within one pass (two captures at one
-                     lambda, say) stays one entry with one provenance. *)
-                  if not (List.mem name mv.mv_passes) then
-                    Hashtbl.replace vtbl key
-                      { mv with mv_passes = mv.mv_passes @ [ name ] }
-              | None ->
-                  vorder := key :: !vorder;
-                  Hashtbl.replace vtbl key
-                    {
-                      mv_file = v.file;
-                      mv_line = v.line;
-                      mv_col = v.col;
-                      mv_rule = v.rule;
-                      mv_message = v.message;
-                      mv_passes = [ name ];
-                    })
-            r.violations)
-        rs)
-    passes;
-  (* Suppressions: fold the passes' views of each annotation together. *)
-  let stbl = Hashtbl.create 64 in
-  let sorder = ref [] in
-  List.iter
-    (fun (name, rs) ->
-      List.iter
-        (fun (r : Lint.file_report) ->
-          List.iter
-            (fun (s : Lint.suppression) ->
-              let key = (s.sup_file, s.sup_line, Rules.to_string s.sup_rule) in
-              match Hashtbl.find_opt stbl key with
-              | Some ms ->
-                  let ms_matched =
-                    if List.mem_assoc name ms.ms_matched then
-                      List.map
-                        (fun (p, n) ->
-                          if p = name then (p, n + s.sup_matched) else (p, n))
-                        ms.ms_matched
-                    else ms.ms_matched @ [ (name, s.sup_matched) ]
-                  in
-                  Hashtbl.replace stbl key { ms with ms_matched }
-              | None ->
-                  sorder := key :: !sorder;
-                  Hashtbl.replace stbl key
-                    {
-                      ms_file = s.sup_file;
-                      ms_line = s.sup_line;
-                      ms_rule = s.sup_rule;
-                      ms_justification = s.sup_justification;
-                      ms_matched = [ (name, s.sup_matched) ];
-                      ms_stale = false;
-                    })
-            r.suppressions)
-        rs)
-    passes;
-  (* L2: judged only when the typed pass ran (it checks every rule, so
-     "no pass matched" really means the excused code is gone), and never
-     for files where a pass failed (absence of evidence there is just a
-     broken build). *)
-  let judge_stale = typed <> None in
+let merge ~root (reports : Lint.file_report list) =
   let suppressions =
-    List.rev_map
-      (fun key ->
-        let ms = Hashtbl.find stbl key in
-        let total = List.fold_left (fun n (_, m) -> n + m) 0 ms.ms_matched in
-        let stale =
-          judge_stale && total = 0 && not (List.mem ms.ms_file erroring_files)
-        in
-        { ms with ms_stale = stale })
-      !sorder
+    List.concat_map (fun (r : Lint.file_report) -> r.suppressions) reports
+    |> List.sort (fun (a : Lint.suppression) (b : Lint.suppression) ->
+           compare
+             (a.sup_file, a.sup_line, Rules.to_string a.sup_rule)
+             (b.sup_file, b.sup_line, Rules.to_string b.sup_rule))
   in
   let stale_violations =
     List.filter_map
-      (fun ms ->
-        if ms.ms_stale then
+      (fun (s : Lint.suppression) ->
+        if is_stale s then
           Some
             {
-              mv_file = ms.ms_file;
-              mv_line = ms.ms_line;
-              mv_col = 0;
-              mv_rule = Rules.L2;
-              mv_message =
+              Lint.file = s.sup_file;
+              line = s.sup_line;
+              col = 0;
+              rule = Rules.L2;
+              message =
                 Printf.sprintf
-                  "stale suppression: rule %s no longer fires under any pass \
-                   at this site (justification: %s)"
-                  (Rules.to_string ms.ms_rule) ms.ms_justification;
-              mv_passes = [ merge_pass ];
+                  "stale suppression: rule %s no longer fires at this site \
+                   (justification: %s)"
+                  (Rules.to_string s.sup_rule) s.sup_justification;
             }
         else None)
       suppressions
   in
   let violations =
-    List.rev_map (Hashtbl.find vtbl) !vorder @ stale_violations
-    |> List.sort (fun a b ->
+    List.concat_map (fun (r : Lint.file_report) -> r.violations) reports
+    @ stale_violations
+    |> List.stable_sort (fun (a : Lint.violation) (b : Lint.violation) ->
            compare
-             (a.mv_file, a.mv_line, a.mv_col, Rules.to_string a.mv_rule)
-             (b.mv_file, b.mv_line, b.mv_col, Rules.to_string b.mv_rule))
+             (a.file, a.line, a.col, Rules.to_string a.rule)
+             (b.file, b.line, b.col, Rules.to_string b.rule))
   in
   {
-    m_root = root;
-    m_passes = List.map fst passes;
-    m_files_checked = files_checked;
-    m_violations = violations;
-    m_suppressions =
-      List.sort
-        (fun a b ->
-          compare
-            (a.ms_file, a.ms_line, Rules.to_string a.ms_rule)
-            (b.ms_file, b.ms_line, Rules.to_string b.ms_rule))
-        suppressions;
-    m_parse_errors = parse_errors;
+    root;
+    files_checked = List.length reports;
+    violations;
+    suppressions;
+    parse_errors =
+      List.filter_map
+        (fun (r : Lint.file_report) ->
+          Option.map (fun msg -> (r.path, msg)) r.parse_error)
+        reports;
   }
 
-let stale_suppressions m = List.filter (fun ms -> ms.ms_stale) m.m_suppressions
-let clean m = m.m_violations = [] && m.m_parse_errors = []
+let stale_suppressions m = List.filter is_stale m.suppressions
+let clean m = m.violations = [] && m.parse_errors = []
 
-let to_json (m : merged) =
+let to_json m =
   let violations =
     List.map
-      (fun v ->
+      (fun (v : Lint.violation) ->
         J.Obj
           [
-            ("file", J.String v.mv_file);
-            ("line", J.Int v.mv_line);
-            ("col", J.Int v.mv_col);
-            ("rule", J.String (Rules.to_string v.mv_rule));
-            ("title", J.String (Rules.title v.mv_rule));
-            ("message", J.String v.mv_message);
-            ("hint", J.String (Rules.hint v.mv_rule));
-            ("passes", J.List (List.map (fun p -> J.String p) v.mv_passes));
+            ("file", J.String v.file);
+            ("line", J.Int v.line);
+            ("col", J.Int v.col);
+            ("rule", J.String (Rules.to_string v.rule));
+            ("title", J.String (Rules.title v.rule));
+            ("message", J.String v.message);
+            ("hint", J.String (Rules.hint v.rule));
           ])
-      m.m_violations
+      m.violations
+  in
+  let suppression_fields (s : Lint.suppression) =
+    [
+      ("file", J.String s.sup_file);
+      ("line", J.Int s.sup_line);
+      ("rule", J.String (Rules.to_string s.sup_rule));
+      ("justification", J.String s.sup_justification);
+    ]
   in
   let suppressions =
     List.map
-      (fun s ->
+      (fun (s : Lint.suppression) ->
         J.Obj
-          [
-            ("file", J.String s.ms_file);
-            ("line", J.Int s.ms_line);
-            ("rule", J.String (Rules.to_string s.ms_rule));
-            ("justification", J.String s.ms_justification);
-            ( "matched",
-              J.Obj (List.map (fun (p, n) -> (p, J.Int n)) s.ms_matched) );
-            ("stale", J.Bool s.ms_stale);
-          ])
-      m.m_suppressions
-  in
-  let stale =
-    List.map
-      (fun s ->
-        J.Obj
-          [
-            ("file", J.String s.ms_file);
-            ("line", J.Int s.ms_line);
-            ("rule", J.String (Rules.to_string s.ms_rule));
-            ("justification", J.String s.ms_justification);
-          ])
-      (stale_suppressions m)
+          (suppression_fields s
+          @ [
+              ("matched", J.Int s.sup_matched);
+              ("stale", J.Bool (is_stale s));
+            ]))
+      m.suppressions
   in
   let parse_errors =
     List.map
-      (fun (pass, path, msg) ->
-        J.Obj
-          [
-            ("pass", J.String pass);
-            ("file", J.String path);
-            ("message", J.String msg);
-          ])
-      m.m_parse_errors
+      (fun (path, msg) ->
+        J.Obj [ ("file", J.String path); ("message", J.String msg) ])
+      m.parse_errors
   in
   let rules =
     List.map
@@ -263,55 +122,45 @@ let to_json (m : merged) =
           ])
       Rules.all
   in
+  let stale = stale_suppressions m in
   J.Obj
     [
       ("schema", J.String schema);
-      ("root", J.String m.m_root);
-      ("passes", J.List (List.map (fun p -> J.String p) m.m_passes));
-      ("files_checked", J.Int m.m_files_checked);
-      ("violation_count", J.Int (List.length m.m_violations));
-      ("suppression_count", J.Int (List.length m.m_suppressions));
-      ("stale_count", J.Int (List.length (stale_suppressions m)));
-      ("parse_error_count", J.Int (List.length m.m_parse_errors));
+      ("root", J.String m.root);
+      ("files_checked", J.Int m.files_checked);
+      ("violation_count", J.Int (List.length m.violations));
+      ("suppression_count", J.Int (List.length m.suppressions));
+      ("stale_count", J.Int (List.length stale));
+      ("parse_error_count", J.Int (List.length m.parse_errors));
       ("rules", J.List rules);
       ("violations", J.List violations);
       ("suppressions", J.List suppressions);
-      ("stale_suppressions", J.List stale);
+      ( "stale_suppressions",
+        J.List (List.map (fun s -> J.Obj (suppression_fields s)) stale) );
       ("parse_errors", J.List parse_errors);
     ]
 
-let to_human (m : merged) =
+let to_human m =
   let buf = Buffer.create 1024 in
   List.iter
-    (fun (pass, path, msg) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s: PARSE ERROR (%s pass): %s\n" path pass msg))
-    m.m_parse_errors;
+    (fun (path, msg) ->
+      Buffer.add_string buf (Printf.sprintf "%s: PARSE ERROR: %s\n" path msg))
+    m.parse_errors;
   List.iter
-    (fun v ->
+    (fun (v : Lint.violation) ->
       Buffer.add_string buf
-        (Printf.sprintf "%s:%d:%d: [%s] %s (%s)\n    hint: %s\n" v.mv_file
-           v.mv_line v.mv_col
-           (Rules.to_string v.mv_rule)
-           v.mv_message
-           (String.concat "+" v.mv_passes)
-           (Rules.hint v.mv_rule)))
-    m.m_violations;
-  let nv = List.length m.m_violations in
-  let ns = List.length m.m_suppressions in
-  let nstale = List.length (stale_suppressions m) in
-  let np = List.length m.m_parse_errors in
+        (Printf.sprintf "%s:%d:%d: [%s] %s\n    hint: %s\n" v.file v.line v.col
+           (Rules.to_string v.rule) v.message (Rules.hint v.rule)))
+    m.violations;
+  let plural n = if n = 1 then "" else "s" in
+  let nv = List.length m.violations in
+  let ns = List.length m.suppressions in
+  let np = List.length m.parse_errors in
   Buffer.add_string buf
     (Printf.sprintf
-       "%d file%s checked (%s): %d violation%s, %d suppression%s (%d stale), \
-        %d parse error%s\n"
-       m.m_files_checked
-       (if m.m_files_checked = 1 then "" else "s")
-       (String.concat "+" m.m_passes)
-       nv
-       (if nv = 1 then "" else "s")
-       ns
-       (if ns = 1 then "" else "s")
-       nstale np
-       (if np = 1 then "" else "s"));
+       "%d file%s checked: %d violation%s, %d suppression%s (%d stale), %d \
+        parse error%s\n"
+       m.files_checked (plural m.files_checked) nv (plural nv) ns (plural ns)
+       (List.length (stale_suppressions m))
+       np (plural np));
   Buffer.contents buf

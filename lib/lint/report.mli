@@ -1,73 +1,37 @@
-(** Merging and rendering of lint results: the [ncg.lint.report/2] JSON
-    document and its human-readable rendering (see docs/LINTING.md).
+(** Rendering of lint results: the [ncg.lint.report/3] JSON document and
+    its human-readable rendering (see docs/LINTING.md).
 
-    A report/2 run merges one or two passes over the same file list.
-    {!merge} dedupes violations on (file, line, col, rule) with per-pass
-    provenance, folds each suppression's per-pass absorption counts
-    together, and judges L2 staleness when the typed pass ran. *)
+    {!merge} folds one run's per-file reports into one document and
+    judges L2 staleness. *)
 
-(** ["ncg.lint.report/2"] (= [Ncg_obs.Schema.lint_report]). *)
+(** ["ncg.lint.report/3"] (= [Ncg_obs.Schema.lint_report]). *)
 val schema : string
 
-(** ["syntactic"] — the {!Lint} pass's name in merged reports. *)
-val syntactic_pass : string
-
-(** ["merge"] — the provenance of synthesized L2 violations. *)
-val merge_pass : string
-
-type merged_violation = {
-  mv_file : string;
-  mv_line : int;
-  mv_col : int;
-  mv_rule : Rules.id;
-  mv_message : string;
-  mv_passes : string list;  (** which passes found it, in run order *)
-}
-
-type merged_suppression = {
-  ms_file : string;
-  ms_line : int;
-  ms_rule : Rules.id;
-  ms_justification : string;
-  ms_matched : (string * int) list;
-      (** per pass: raw violations this suppression absorbed *)
-  ms_stale : bool;  (** true iff judged stale (typed pass ran, zero total) *)
-}
-
-type merged = {
-  m_root : string;
-  m_passes : string list;
-  m_files_checked : int;
-  m_violations : merged_violation list;
+type t = {
+  root : string;
+  files_checked : int;
+  violations : Lint.violation list;
       (** sorted by position; includes synthesized L2 entries *)
-  m_suppressions : merged_suppression list;  (** sorted by position *)
-  m_parse_errors : (string * string * string) list;
-      (** (pass, file, message) *)
+  suppressions : Lint.suppression list;  (** sorted by position *)
+  parse_errors : (string * string) list;  (** (file, message) *)
 }
 
-(** Merge one or two passes' per-file reports. L2 staleness is judged
-    only when [typed] is given (only the typed pass checks the full rule
-    catalogue, so only then does "nothing matched" mean the excused code
-    is gone), and never for files with a parse error in either pass.
-    Each stale suppression is also synthesized as an L2 violation with
-    provenance [merge_pass]. *)
-val merge :
-  root:string ->
-  syntactic:Lint.file_report list ->
-  ?typed:Lint.file_report list ->
-  unit ->
-  merged
+(** Fold per-file reports into one document. A suppression that
+    absorbed no raw violation is stale and is also synthesized as an L2
+    violation at its line. A file that could not be checked carries no
+    suppressions, so it is never judged stale. *)
+val merge : root:string -> Lint.file_report list -> t
 
 (** The suppressions judged stale, in report order. *)
-val stale_suppressions : merged -> merged_suppression list
+val stale_suppressions : t -> Lint.suppression list
 
 (** No violations (including synthesized L2) and no parse errors. *)
-val clean : merged -> bool
+val clean : t -> bool
 
-(** The full [ncg.lint.report/2] document. *)
-val to_json : merged -> Ncg_obs.Json.t
+(** The full [ncg.lint.report/3] document. *)
+val to_json : t -> Ncg_obs.Json.t
 
 (** Parse errors, then one entry per violation
-    ([file:line:col: [RULE] message (passes)] plus a hint line), then a
-    trailing summary line. *)
-val to_human : merged -> string
+    ([file:line:col: [RULE] message] plus a hint line), then a trailing
+    summary line. *)
+val to_human : t -> string

@@ -106,9 +106,8 @@ let contract = function
        non-empty justification; [@lint.domain_local \"why\"] likewise — \
        suppressions are part of the audit trail."
   | L2 ->
-      "A suppression whose rule no longer fires anywhere in its scope, under \
-       any pass that checks that rule, is dead weight that hides future \
-       violations at the same site; the audit trail stays honest only if \
+      "A suppression whose rule no longer fires anywhere in its scope is \
+       dead weight that hides future violations at the same site; the audit trail stays honest only if \
        suppressions are removed when the code they excused is gone."
 
 let hint = function

@@ -7,10 +7,9 @@
     polices the suppression annotations themselves; L2 polices their
     staleness.
 
-    D1–D4, P1, A1, F1, O1 and L1 are checked by both the syntactic pass
-    ({!Lint}) and the typed pass ({!Typed_lint}); S1, P2 and R1 need
-    type information and are typed-only; L2 is computed at report-merge
-    time ({!Report.merge}). *)
+    Every rule but L2 is checked on the Typedtree by {!Typed_lint}; L2 is
+    judged when the per-file reports are folded together
+    ({!Report.merge}). *)
 
 type id =
   | D1  (** no [Random.*] outside lib/prng *)
@@ -19,14 +18,12 @@ type id =
   | D4  (** no [string_of_float]/bare [%f] (lossy float formatting) *)
   | P1  (** top-level mutable state must be synchronized or annotated *)
   | P2  (** closures crossing a domain boundary must not capture plain
-            mutable state (typed pass only) *)
+            mutable state *)
   | A1  (** no bare [open_out]; artifact writes go through atomic helpers *)
   | F1  (** fault-site literals must be registered in {!Ncg_fault.Inject} *)
   | O1  (** probe-name literals must be registered in [Ncg_obs.Probe] *)
-  | S1  (** borrowed scratch views must not escape their lender
-            (typed pass only) *)
-  | R1  (** [ncg.*/N] schema literals live only in the registry
-            (typed pass only) *)
+  | S1  (** borrowed scratch views must not escape their lender *)
+  | R1  (** [ncg.*/N] schema literals live only in the registry *)
   | L1  (** lint annotations must name a rule and justify themselves *)
   | L2  (** a suppression whose rule no longer fires is stale
             (report-merge only) *)

@@ -1,23 +1,20 @@
-(* Typedtree-level, alias-aware lint pass.
+(* The ncg_lint pass: Typedtree-level and alias-aware.
 
-   The syntactic pass (Lint) matches spellings, so [module H = Hashtbl],
-   [include Hashtbl], [let f = Hashtbl.iter] and functor plumbing all
-   smuggle forbidden identifiers past it. This pass works on the
-   compiler's own output instead: dune's default [-bin-annot] leaves a
-   .cmt per module under _build, whose Typedtree carries a resolved
-   [Types.value_description] on every [Texp_ident] — and its
-   [val_uid : Shape.Uid.t] names the *defining* compilation unit, no
-   matter how many aliases, includes, first-class rebindings or functor
-   arguments the reference travelled through. Matching on
-   (defining unit, value name) therefore catches every route to
-   [Hashtbl.iter] with no environment rehydration at all.
+   Dune's default [-bin-annot] leaves a .cmt per module under _build,
+   whose Typedtree carries a resolved [Types.value_description] on every
+   [Texp_ident] — and its [val_uid : Shape.Uid.t] names the *defining*
+   compilation unit, no matter how many aliases, includes, first-class
+   rebindings or functor arguments the reference travelled through.
+   Matching on (defining unit, value name) therefore catches every route
+   to [Hashtbl.iter] — [module H = Hashtbl], [include Hashtbl],
+   [let f = Hashtbl.iter], functor plumbing — with no environment
+   rehydration at all.
 
    On top of the resolved tree live the three rules only semantics can
    express: S1 (borrowed scratch views must not escape), P2 (closures
    crossing a domain boundary must not capture plain mutable state) and
-   R1 (ncg.*/N schema literals live only in the registry). Suppression
-   parsing is shared with the syntactic pass — attribute payloads are
-   Parsetree in both trees. *)
+   R1 (ncg.*/N schema literals live only in the registry). Suppressions
+   are parsed by Lint.scan_attr — attribute payloads stay Parsetree. *)
 
 open Typedtree
 
@@ -141,8 +138,6 @@ let free_ident_uses e0 =
     (List.rev !uses)
 
 (* --- The walker ------------------------------------------------------------ *)
-
-let pass_name = "typed"
 
 let printf_unit = function
   | "Stdlib__Printf" | "Stdlib__Format" -> true
@@ -495,6 +490,19 @@ let run_checks ~(ctx : Lint.ctx) ~filename (str : structure) =
               | Some what -> local_shapes := (id, what) :: !local_shapes
               | None -> ())
           | _ -> ());
+      open_declaration =
+        (fun it od ->
+          (match od.open_expr.mod_desc with
+          | Tmod_ident (p, _) when not ctx.Lint.prng_exempt -> (
+              match path_parts p with
+              | ("Stdlib__Random" | "Random") :: _
+              | "Stdlib" :: "Random" :: _ ->
+                  add_viol od.open_loc Rules.D1
+                    ("open " ^ Path.name p
+                   ^ ": stdlib randomness (process-global state)")
+              | _ -> ())
+          | _ -> ());
+          default.Tast_iterator.open_declaration it od);
       structure_item =
         (fun it item ->
           (match item.str_desc with
@@ -508,8 +516,9 @@ let run_checks ~(ctx : Lint.ctx) ~filename (str : structure) =
     }
   in
   iter.Tast_iterator.structure iter str;
-  (* P1 and module-level S1 run on a dedicated top-level scan, mirroring
-     the syntactic pass: only structure-level bindings are global state. *)
+  (* P1 and module-level S1 run on a dedicated top-level scan: only
+     structure-level bindings are global state; a ref inside a function
+     body is not. *)
   let scan_vb vb =
     (if ctx.Lint.global_state then
        match typed_mutable_shape ~local:local_shape vb.vb_expr with
@@ -546,8 +555,6 @@ let run_checks ~(ctx : Lint.ctx) ~filename (str : structure) =
   in
   scan_items str.str_items;
   Lint.finish ~filename (List.rev !supps) !viols
-
-let check_structure ~ctx ~filename str = run_checks ~ctx ~filename str
 
 (* --- cmt discovery and checking -------------------------------------------- *)
 

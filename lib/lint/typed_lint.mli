@@ -1,45 +1,22 @@
-(** Typedtree walker behind [ncg_lint --typed] — the {e typed} pass.
+(** The [ncg_lint] pass: a Typedtree walker over the compiler's [.cmt]
+    output (dune's default [-bin-annot]).
 
-    Where {!Lint} matches spellings, this pass loads the compiler's
-    [.cmt] output (dune's default [-bin-annot]) and resolves every
-    identifier to its {e defining} compilation unit through the
-    [Shape.Uid.t] carried on [Texp_ident] — so [module H = Hashtbl],
-    [include Hashtbl], [let f = Hashtbl.iter] and functor arguments all
-    fire the same rules as the idiomatic spelling. It additionally
-    checks the three semantic-only rules: S1 (scratch-view escape), P2
+    Every identifier is resolved to its {e defining} compilation unit
+    through the [Shape.Uid.t] carried on [Texp_ident], so
+    [module H = Hashtbl], [include Hashtbl], [let f = Hashtbl.iter] and
+    functor arguments all fire the same rules as the idiomatic spelling.
+    Besides the identifier rules (D1–D4, A1, F1, O1, P1, L1) it checks
+    the three semantic-only rules: S1 (scratch-view escape), P2
     (cross-domain mutable capture) and R1 (schema-literal registry).
 
     The price is needing a build: a file with no up-to-date [.cmt] is
-    reported as a [parse_error], never silently skipped. Reports use the
-    same {!Lint.file_report} shape as the syntactic pass; {!Report.merge}
-    combines the two with per-pass provenance. *)
-
-(** ["typed"] — this pass's name in merged reports. *)
-val pass_name : string
-
-(** Check one already-typed structure (the shared core of the cmt and
-    in-process entry points). *)
-val check_structure :
-  ctx:Lint.ctx -> filename:string -> Typedtree.structure -> Lint.file_report
-
-(** Map root-relative source path → [.cmt] path by reading each cmt's
-    recorded sourcefile under [cmt_root] (e.g. [_build/default]).
-    Sorted traversal, so duplicates resolve deterministically. *)
-val index_cmts : cmt_root:string -> (string, string) Hashtbl.t
-
-(** Check the typedtree stored in [cmt_path]. Reports a [parse_error]
-    when the cmt is unreadable, carries no implementation, or records a
-    source digest that no longer matches [source_path] (stale build).
-    [display] is the reported path. *)
-val check_cmt :
-  ctx:Lint.ctx ->
-  display:string ->
-  source_path:string ->
-  string ->
-  Lint.file_report
+    reported as a [parse_error], never silently skipped. *)
 
 (** Check every root-relative file in [files], resolving cmts under
-    [cmt_root]; a file with no cmt yields a [parse_error] report. *)
+    [cmt_root] (e.g. [_build/default]) by each cmt's recorded source
+    file. A file gets a [parse_error] report when it has no cmt, or its
+    cmt is unreadable, carries no implementation, or records a source
+    digest that no longer matches the file (stale build). *)
 val check_tree :
   ctx_of:(string -> Lint.ctx) ->
   root:string ->
@@ -49,8 +26,8 @@ val check_tree :
 
 (** Type [source] in-process (fixture tests): parse, then run the host
     compiler's typechecker with [include_dirs] prepended to the load
-    path, and check the resulting typedtree. Typing failures are
-    reported as [parse_error]. Mutates global compiler state
+    path, and check the resulting typedtree. Parse and typing failures
+    are reported as [parse_error]. Mutates global compiler state
     (Clflags/Load_path/Env), so not reentrant — fine for tests. *)
 val check_source_typed :
   ctx:Lint.ctx ->

@@ -29,7 +29,7 @@ let service_response = "ncg.service.response/1"
 let service_task = "ncg.service.task/1"
 
 (* lib/lint *)
-let lint_report = "ncg.lint.report/2"
+let lint_report = "ncg.lint.report/3"
 
 (* bench + bin/ncg_bench_diff *)
 let bench_experiment = "ncg.bench.experiment/4"

@@ -1,9 +1,9 @@
 (* Tests for ncg_lint: per-rule accepting and rejecting fixture
-   snippets for the syntactic pass, a smuggling-vector matrix proving
-   the typed pass catches what the syntactic pass provably misses,
-   fixtures for the semantic-only rules (S1, P2, R1), merge/staleness
-   (L2) semantics, a golden JSON snapshot of ncg.lint.report/2, and the
-   assertion that the live codebase lints clean under both passes. *)
+   snippets typed in-process, a smuggling-vector matrix proving aliases
+   cannot hide a forbidden identifier, fixtures for the semantic-only
+   rules (S1, P2, R1), staleness (L2) semantics, a golden JSON snapshot
+   of ncg.lint.report/3, and the assertion that the live codebase lints
+   clean. *)
 
 module Lint = Ncg_lint.Lint
 module Typed = Ncg_lint.Typed_lint
@@ -30,19 +30,7 @@ let obs_ctx = ctx_for "lib/obs/fixture.ml"
 let fault_ctx = ctx_for "lib/fault/fixture.ml"
 let schema_ctx = ctx_for "lib/obs/schema.ml"
 
-let rules_of ?(ctx = lib_ctx) source =
-  let r = Lint.check_source ~ctx ~filename:"fixture.ml" source in
-  (match r.Lint.parse_error with
-  | Some msg -> Alcotest.failf "fixture failed to parse: %s" msg
-  | None -> ());
-  List.map (fun (v : Lint.violation) -> v.Lint.rule) r.Lint.violations
-
-let accepts ?ctx source = check_bool source true (rules_of ?ctx source = [])
-
-let rejects ?ctx rule source =
-  check_bool source true (List.mem rule (rules_of ?ctx source))
-
-(* --- Typed-pass fixture plumbing ------------------------------------------- *)
+(* --- Fixture plumbing -------------------------------------------------------- *)
 
 (* Under [dune runtest] the cwd is _build/default/test and the sources
    live in its parent (dune copies them into the build tree); under
@@ -114,7 +102,6 @@ let test_zones () =
   check_bool "lib has the global-state rule" true lib_ctx.Lint.global_state;
   check_bool "prng" true prng_ctx.Lint.prng_exempt;
   check_bool "obs" true obs_ctx.Lint.clock_exempt;
-  check_bool "fault" true fault_ctx.Lint.fault_registry;
   check_bool "bin has no global-state rule" false bin_ctx.Lint.global_state;
   check_bool "bin not exempt" false bin_ctx.Lint.prng_exempt;
   check_bool "parallel impl zone" true
@@ -137,129 +124,134 @@ let test_rule_catalogue () =
       | None -> Alcotest.failf "%s does not round-trip" (Rules.to_string id))
     Rules.all
 
-(* --- Syntactic rules ------------------------------------------------------- *)
+(* --- Identifier rules ------------------------------------------------------ *)
 
 let test_d1 () =
-  rejects Rules.D1 "let x = Random.int 5";
-  rejects Rules.D1 "let () = Random.self_init ()";
-  rejects Rules.D1 "open Random";
-  rejects Rules.D1 "let x = Stdlib.Random.bool ()";
-  rejects ~ctx:bin_ctx Rules.D1 "let x = Random.int 5";
-  accepts ~ctx:prng_ctx "let x = Random.int 5";
-  accepts "let x = Ncg_prng.Rng.int rng 5";
-  accepts "let random_walk = 3 (* mentions Random only in a comment *)"
+  typed_rejects Rules.D1 "let x = Random.int 5";
+  typed_rejects Rules.D1 "let () = Random.self_init ()";
+  typed_rejects Rules.D1 "let roll () = Random.int 6";
+  typed_rejects Rules.D1 "open Random";
+  typed_rejects Rules.D1 "let x = Stdlib.Random.bool ()";
+  typed_rejects ~ctx:bin_ctx Rules.D1 "let x = Random.int 5";
+  typed_accepts ~ctx:prng_ctx "let x = Random.int 5";
+  typed_accepts ~ctx:prng_ctx "open Random";
+  typed_accepts ~with_ncg:true "let x rng = Ncg_prng.Rng.int rng 5";
+  typed_accepts "let random_walk = 3 (* mentions Random only in a comment *)"
 
 let test_d2 () =
-  rejects Rules.D2 "let t = Unix.gettimeofday ()";
-  rejects Rules.D2 "let t = Unix.time ()";
-  rejects Rules.D2 "let t = Sys.time ()";
-  accepts ~ctx:obs_ctx "let t = Unix.gettimeofday ()";
-  accepts "let pid = Unix.getpid ()";
-  accepts "let t = Ncg_obs.Clock.now_ns ()"
+  typed_rejects ~with_unix:true Rules.D2 "let t = Unix.gettimeofday ()";
+  typed_rejects ~with_unix:true Rules.D2 "let t = Unix.time ()";
+  typed_rejects Rules.D2 "let t = Sys.time ()";
+  typed_accepts ~with_unix:true ~ctx:obs_ctx "let t = Unix.gettimeofday ()";
+  typed_accepts ~with_unix:true "let pid = Unix.getpid ()";
+  typed_accepts ~with_ncg:true "let t = Ncg_obs.Clock.now_ns ()"
 
 let test_d3 () =
-  rejects Rules.D3 "let () = Hashtbl.iter f t";
-  rejects Rules.D3 "let x = Hashtbl.fold f t []";
-  rejects Rules.D3 "let x = Stdlib.Hashtbl.fold f t []";
+  typed_rejects Rules.D3 "let g f t = Hashtbl.iter f t";
+  typed_rejects Rules.D3 "let g f t = Hashtbl.fold f t []";
+  typed_rejects Rules.D3 "let g f t = Stdlib.Hashtbl.fold f t []";
   (* The rule holds in every zone, including lib/obs and bin. *)
-  rejects ~ctx:obs_ctx Rules.D3 "let () = Hashtbl.iter f t";
-  rejects ~ctx:bin_ctx Rules.D3 "let () = Hashtbl.iter f t";
-  accepts "let x = Hashtbl.find_opt t k";
-  accepts "let () = List.iter f xs";
-  accepts "let n = Hashtbl.length t"
+  typed_rejects ~ctx:obs_ctx Rules.D3 "let g f t = Hashtbl.iter f t";
+  typed_rejects ~ctx:bin_ctx Rules.D3 "let g f t = Hashtbl.iter f t";
+  typed_accepts "let g t k = Hashtbl.find_opt t k";
+  typed_accepts "let g f xs = List.iter f xs";
+  typed_accepts "let n t = Hashtbl.length t"
 
 let test_d4 () =
-  rejects Rules.D4 "let s = string_of_float x";
-  rejects Rules.D4 "let s = Float.to_string x";
-  rejects Rules.D4 {|let () = Printf.printf "%f" x|};
-  rejects Rules.D4 {|let s = Printf.sprintf "x=%f" x|};
-  rejects Rules.D4 {|let () = Format.printf "%f" x|};
-  accepts {|let s = Printf.sprintf "%.17g" x|};
-  accepts {|let s = Printf.sprintf "%g" x|};
-  accepts {|let s = Printf.sprintf "100%%fun"|};
-  accepts {|let s = Printf.sprintf "%d" 3|};
+  typed_rejects Rules.D4 "let s x = string_of_float x";
+  typed_rejects Rules.D4 "let s x = Float.to_string x";
+  typed_rejects Rules.D4 {|let p x = Printf.printf "%f" x|};
+  typed_rejects Rules.D4 {|let s x = Printf.sprintf "x=%f" x|};
+  typed_rejects Rules.D4 {|let p x = Format.printf "%f" x|};
+  typed_accepts {|let s x = Printf.sprintf "%.17g" x|};
+  typed_accepts {|let s x = Printf.sprintf "%g" x|};
+  typed_accepts {|let s = Printf.sprintf "100%%fun"|};
+  typed_accepts {|let s = Printf.sprintf "%d" 3|};
   (* A bare %f outside a printf-family call is just a string. *)
-  accepts {|let s = "%f"|}
+  typed_accepts {|let s = "%f"|}
 
 let test_p1 () =
-  rejects Rules.P1 "let count = ref 0";
-  rejects Rules.P1 "let cache = Hashtbl.create 16";
-  rejects Rules.P1 "let buf = Array.make 4 0";
-  rejects Rules.P1 "let b = Buffer.create 64";
-  rejects Rules.P1 "let q : int Queue.t = Queue.create ()";
-  rejects Rules.P1 "module M = struct let inner = ref 0 end";
+  typed_rejects Rules.P1 "let count = ref 0";
+  typed_rejects Rules.P1 "let cache : (int, int) Hashtbl.t = Hashtbl.create 16";
+  typed_rejects Rules.P1 "let buf = Array.make 4 0";
+  typed_rejects Rules.P1 "let b = Buffer.create 64";
+  typed_rejects Rules.P1 "let q : int Queue.t = Queue.create ()";
+  typed_rejects Rules.P1 "module M = struct let inner = ref 0 end";
   (* The shape check sees through an initializer block (bitset.ml's
      pop16 table is exactly this shape). *)
-  rejects Rules.P1
-    "let table = let t = Bytes.create 16 in Bytes.fill t 0 16 'x'; t";
-  accepts "let x = Atomic.make 0";
-  accepts "let k = Domain.DLS.new_key (fun () -> ref 0)";
-  accepts "let m = Mutex.create ()";
-  accepts "let f () = ref 0 (* local state is fine *)";
-  accepts "let xs = [ 1; 2; 3 ]";
-  (* P1 is a library rule: executables are single-entry. *)
-  accepts ~ctx:bin_ctx "let count = ref 0"
-
-let test_a1 () =
-  rejects Rules.A1 {|let oc = open_out "x.json"|};
-  rejects Rules.A1 {|let oc = open_out_bin "x.bin"|};
-  rejects Rules.A1 {|let oc = Out_channel.open_text "x.txt"|};
-  rejects ~ctx:obs_ctx Rules.A1 {|let oc = open_out "x.json"|};
-  accepts {|let ic = open_in "x.json"|};
-  accepts {|let () = Ncg_obs.Atomic_file.write "x.md" body|}
-
-let test_f1 () =
-  rejects Rules.F1 {|let s = Inject.site "no.such.site"|};
-  rejects Rules.F1 {|let s = Ncg_fault.Inject.site "no.such.site"|};
-  (* Inside lib/fault, a bare [site] call is the registry itself. *)
-  rejects ~ctx:fault_ctx Rules.F1 {|let s = site "no.such.site"|};
-  accepts {|let s = Inject.site "sweep.cell"|};
-  accepts ~ctx:fault_ctx {|let s = site "bfs.traverse"|};
-  (* A bare [site] call outside lib/fault is some other function. *)
-  accepts {|let s = site "no.such.site"|};
-  (* Non-literal arguments cannot be checked syntactically. *)
-  accepts {|let s = Inject.site name|}
-
-let test_o1 () =
-  rejects Rules.O1 {|let p = Ncg_obs.Probe.find "no.such.probe"|};
-  rejects Rules.O1 {|let p = Probe.find "no.such.probe"|};
-  rejects Rules.O1 {|let p = Probe.register "no.such.probe"|};
-  accepts {|let p = Ncg_obs.Probe.find "dynamics.social_cost"|};
-  accepts {|let p = Probe.register "solver.bb_cutoffs"|};
-  (* A bare [find] is some other function (Hashtbl.find, List.find...). *)
-  accepts {|let p = find "no.such.probe"|};
-  accepts {|let x = Hashtbl.find table "no.such.probe"|};
-  (* Non-literal arguments cannot be checked syntactically. *)
-  accepts {|let p = Ncg_obs.Probe.find name|}
-
-let test_l1 () =
-  rejects Rules.L1 {|let x = (Hashtbl.fold [@lint.allow "D3"]) f t []|};
-  rejects Rules.L1 {|let x = 1 [@@lint.allow "Z9" "unknown rule"]|};
-  rejects Rules.L1 "let cache = Hashtbl.create 16 [@@lint.domain_local]";
-  accepts
-    {|let x = (Hashtbl.fold [@lint.allow "D3" "sorted before escaping"]) f t []|};
-  accepts {|let cache = Hashtbl.create 16 [@@lint.domain_local "init only"]|}
-
-(* --- The typed pass: parity on the idiomatic spelling ---------------------- *)
-
-let test_typed_parity () =
-  typed_rejects Rules.D3 "let f tbl = Hashtbl.iter (fun _ _ -> ()) tbl";
-  typed_rejects Rules.D1 "let roll () = Random.int 6";
-  typed_rejects ~with_unix:true Rules.D2 "let now () = Unix.gettimeofday ()";
-  typed_rejects Rules.D4 "let show (x : float) = Float.to_string x";
-  typed_rejects Rules.D4 {|let p (x : float) = Printf.printf "%f" x|};
-  typed_rejects Rules.A1 {|let f p = Out_channel.open_text p|};
-  typed_rejects Rules.P1 "let count = ref 0";
   typed_rejects Rules.P1
     "let table = let t = Bytes.create 16 in Bytes.fill t 0 16 'x'; t";
-  typed_accepts "let f tbl = Hashtbl.find_opt tbl 0";
-  typed_accepts ~ctx:prng_ctx "let roll () = Random.int 6";
-  typed_accepts {|let s = Printf.sprintf "%.17g" 1.0|};
-  (* Suppressions work identically on the typedtree. *)
-  typed_accepts
-    {|let f tbl = (Hashtbl.iter [@lint.allow "D3" "fixture"]) (fun _ _ -> ()) tbl|}
+  typed_accepts "let x = Atomic.make 0";
+  typed_accepts "let k = Domain.DLS.new_key (fun () -> ref 0)";
+  typed_accepts "let m = Mutex.create ()";
+  typed_accepts "let f () = ref 0 (* local state is fine *)";
+  typed_accepts "let xs = [ 1; 2; 3 ]";
+  (* P1 is a library rule: executables are single-entry. *)
+  typed_accepts ~ctx:bin_ctx "let count = ref 0"
 
-(* --- The smuggling matrix: syntactic provably misses, typed catches -------- *)
+let test_a1 () =
+  typed_rejects Rules.A1 {|let oc = open_out "x.json"|};
+  typed_rejects Rules.A1 {|let oc = open_out_bin "x.bin"|};
+  typed_rejects Rules.A1 {|let oc = Out_channel.open_text "x.txt"|};
+  typed_rejects ~ctx:obs_ctx Rules.A1 {|let oc = open_out "x.json"|};
+  typed_accepts {|let ic = open_in "x.json"|};
+  typed_accepts ~with_ncg:true
+    {|let w body = Ncg_obs.Atomic_file.write "x.md" body|}
+
+let test_f1 () =
+  typed_rejects ~with_ncg:true Rules.F1
+    {|open Ncg_fault
+let s = Inject.site "no.such.site"|};
+  typed_rejects ~with_ncg:true Rules.F1
+    {|let s = Ncg_fault.Inject.site "no.such.site"|};
+  (* A bare [site] call, as inside the registry itself, is checked too. *)
+  typed_rejects ~with_ncg:true ~ctx:fault_ctx Rules.F1
+    {|open Ncg_fault.Inject
+let s = site "no.such.site"|};
+  typed_accepts ~with_ncg:true {|let s = Ncg_fault.Inject.site "sweep.cell"|};
+  typed_accepts ~with_ncg:true ~ctx:fault_ctx
+    {|open Ncg_fault.Inject
+let s = site "bfs.traverse"|};
+  (* A [site] defined anywhere else is some other function. *)
+  typed_accepts
+    {|let site (name : string) = name
+let s = site "no.such.site"|};
+  (* Non-literal arguments cannot be checked. *)
+  typed_accepts ~with_ncg:true "let s name = Ncg_fault.Inject.site name"
+
+let test_o1 () =
+  typed_rejects ~with_ncg:true Rules.O1
+    {|let p = Ncg_obs.Probe.find "no.such.probe"|};
+  typed_rejects ~with_ncg:true Rules.O1
+    {|open Ncg_obs
+let p = Probe.find "no.such.probe"|};
+  typed_rejects ~with_ncg:true Rules.O1
+    {|open Ncg_obs
+let p = Probe.register "no.such.probe"|};
+  typed_accepts ~with_ncg:true
+    {|let p = Ncg_obs.Probe.find "dynamics.social_cost"|};
+  typed_accepts ~with_ncg:true
+    {|open Ncg_obs
+let p = Probe.register "solver.bb_cutoffs"|};
+  (* A [find] that is not Probe's is some other function. *)
+  typed_accepts
+    {|let find (name : string) = name
+let p = find "no.such.probe"|};
+  typed_accepts {|let x table = Hashtbl.find table "no.such.probe"|};
+  (* Non-literal arguments cannot be checked. *)
+  typed_accepts ~with_ncg:true "let p name = Ncg_obs.Probe.find name"
+
+let test_l1 () =
+  typed_rejects Rules.L1 {|let x f t = (Hashtbl.fold [@lint.allow "D3"]) f t []|};
+  typed_rejects Rules.L1 {|let x = 1 [@@lint.allow "Z9" "unknown rule"]|};
+  typed_rejects Rules.L1
+    "let cache : (int, int) Hashtbl.t = Hashtbl.create 16 [@@lint.domain_local]";
+  typed_accepts
+    {|let x f t = (Hashtbl.fold [@lint.allow "D3" "sorted before escaping"]) f t []|};
+  typed_accepts
+    {|let cache : (int, int) Hashtbl.t = Hashtbl.create 16 [@@lint.domain_local "init only"]|}
+
+(* --- The smuggling matrix: aliases cannot hide an identifier --------------- *)
 
 let smuggling_vectors =
   [
@@ -307,8 +299,6 @@ let smuggling_vectors =
 let test_smuggling_matrix () =
   List.iter
     (fun (label, rule, src, with_unix) ->
-      check_bool (label ^ ": syntactic pass misses it") true
-        (not (List.mem rule (rules_of src)));
       check_bool (label ^ ": typed pass catches it") true
         (List.mem rule (typed_rules_of ~with_unix src)))
     smuggling_vectors
@@ -340,11 +330,7 @@ let test_s1 () =
     "let ok2 s v = (Ncg_graph.Bfs.dist_array s).(v)";
   (* Threading a pool through a call is in-run plumbing, not an escape. *)
   typed_accepts ~with_ncg:true
-    "let ok3 (w : Ncg.Workspace.t) f = f w.Ncg.Workspace.bfs";
-  (* The syntactic pass cannot see any of this. *)
-  check_bool "S1 is typed-only" true
-    (not
-       (List.mem Rules.S1 (rules_of "let leak s = Ncg_graph.Bfs.dist_array s")))
+    "let ok3 (w : Ncg.Workspace.t) f = f w.Ncg.Workspace.bfs"
 
 (* --- P2: no cross-domain capture of unsynchronized mutable state ----------- *)
 
@@ -368,12 +354,7 @@ let test_p2 () =
   typed_accepts ~with_ncg:true
     "let ok3 (a : int array) xs =\n\
     \  (Ncg_util.Parallel.map (fun i -> a.(i)) xs\n\
-    \  [@lint.allow \"P2\" \"read-only in this fixture\"])";
-  check_bool "P2 is typed-only" true
-    (not
-       (List.mem Rules.P2
-          (rules_of
-             "let bad3 (r : int ref) = Domain.spawn (fun () -> r := 1)")))
+    \  [@lint.allow \"P2\" \"read-only in this fixture\"])"
 
 (* --- R1: schema literals live in the registry ------------------------------ *)
 
@@ -389,19 +370,17 @@ let test_r1 () =
   typed_accepts ~ctx:schema_ctx {|let tag = "ncg.test.alpha/1"|};
   (* An explicit allow (e.g. a deliberately-unknown tag in a test). *)
   typed_accepts
-    {|let tag = ("ncg.rogue.thing/9" [@lint.allow "R1" "fixture: unknown tag"])|};
-  check_bool "R1 is typed-only" true
-    (not (List.mem Rules.R1 (rules_of {|let tag = "ncg.rogue.thing/9"|})))
+    {|let tag = ("ncg.rogue.thing/9" [@lint.allow "R1" "fixture: unknown tag"])|}
 
 (* --- Suppressions, positions, parse errors --------------------------------- *)
 
 let test_suppressions () =
   (* An allow on the enclosing binding covers violations inside it. *)
   let src =
-    {|let s = Printf.sprintf "%f" x [@@lint.allow "D4" "legacy format kept for diffability"]|}
+    {|let s x = Printf.sprintf "%f" x [@@lint.allow "D4" "legacy format kept for diffability"]|}
   in
-  check_bool "binding-scope allow" true (rules_of src = []);
-  let r = Lint.check_source ~ctx:lib_ctx ~filename:"f.ml" src in
+  check_bool "binding-scope allow" true (typed_rules_of src = []);
+  let r = typed_report ~filename:"f.ml" src in
   check_int "recorded" 1 (List.length r.Lint.suppressions);
   let s = List.hd r.Lint.suppressions in
   check_string "rule" "D4" (Rules.to_string s.Lint.sup_rule);
@@ -412,36 +391,39 @@ let test_suppressions () =
   let src2 =
     src ^ "\n\nlet t = Unix.gettimeofday ()\nlet u = string_of_float 1.0"
   in
-  check_bool "scoped" true (rules_of src2 = [ Rules.D2; Rules.D4 ]);
+  check_bool "scoped" true
+    (typed_rules_of ~with_unix:true src2 = [ Rules.D2; Rules.D4 ]);
   (* A floating [@@@lint.allow] covers the whole file. *)
   let src3 =
     {|[@@@lint.allow "D2" "fixture: timing scratch file"]
 let t = Unix.gettimeofday ()
 let u = Sys.time ()|}
   in
-  check_bool "file-wide" true (rules_of src3 = []);
-  let r3 = Lint.check_source ~ctx:lib_ctx ~filename:"f.ml" src3 in
+  check_bool "file-wide" true (typed_rules_of ~with_unix:true src3 = []);
+  let r3 = typed_report ~with_unix:true ~filename:"f.ml" src3 in
   check_int "file-wide absorbed both" 2
     (List.fold_left
        (fun n (s : Lint.suppression) -> n + s.Lint.sup_matched)
        0 r3.Lint.suppressions);
   (* One allow can name several rules before the justification. *)
   let src4 =
-    {|let f () =
+    {|let f t =
   (Hashtbl.iter [@lint.allow "D3" "D1" "fixture: both rules at once"])
     (fun _ () -> ignore (Random.int 2))
     t|}
   in
   check_bool "multi-rule allow" true
-    (match rules_of src4 with [] -> true | [ Rules.D1 ] -> true | _ -> false)
+    (match typed_rules_of src4 with
+    | [] -> true
+    | [ Rules.D1 ] -> true
+    | _ -> false)
 
 let test_parse_error () =
-  let r = Lint.check_source ~ctx:lib_ctx ~filename:"broken.ml" "let let = in" in
+  let r = typed_report ~filename:"broken.ml" "let let = in" in
   check_bool "parse error recorded" true (r.Lint.parse_error <> None);
   check_int "no violations" 0 (List.length r.Lint.violations);
-  check_bool "not clean" false
-    (Report.clean (Report.merge ~root:"." ~syntactic:[ r ] ()));
-  (* A file that parses but does not type is a typed-pass error. *)
+  check_bool "not clean" false (Report.clean (Report.merge ~root:"." [ r ]));
+  (* A file that parses but does not type is an error too. *)
   let t =
     typed_report ~filename:"broken2.ml" "let x = no_such_identifier 42"
   in
@@ -449,7 +431,7 @@ let test_parse_error () =
 
 let test_positions () =
   let r =
-    Lint.check_source ~ctx:lib_ctx ~filename:"pos.ml"
+    typed_report ~with_unix:true ~filename:"pos.ml"
       "let a = 1\nlet t = Unix.gettimeofday ()\n"
   in
   match r.Lint.violations with
@@ -459,86 +441,55 @@ let test_positions () =
       check_int "col" 8 v.Lint.col
   | vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs)
 
-(* --- Merge semantics: provenance and L2 staleness -------------------------- *)
-
-let test_merge_provenance () =
-  let file = "lib/core/fix.ml" in
-  let src = "let f tbl = Hashtbl.iter (fun _ _ -> ()) tbl" in
-  let s = Lint.check_source ~ctx:lib_ctx ~filename:file src in
-  let t = typed_report ~filename:file src in
-  let m = Report.merge ~root:"." ~syntactic:[ s ] ~typed:[ t ] () in
-  check_bool "passes" true (m.Report.m_passes = [ "syntactic"; "typed" ]);
-  match m.Report.m_violations with
-  | [ v ] ->
-      check_string "rule" "D3" (Rules.to_string v.Report.mv_rule);
-      check_bool "found by both passes" true
-        (v.Report.mv_passes = [ "syntactic"; "typed" ])
-  | vs -> Alcotest.failf "expected 1 merged violation, got %d" (List.length vs)
+(* --- L2 staleness ---------------------------------------------------------- *)
 
 let test_stale_suppression () =
   let file = "lib/core/fix.ml" in
   (* The excused code is gone: nothing left for the allow to absorb. *)
   let src = {|let x = 1 [@@lint.allow "D3" "nothing to excuse anymore"]|} in
-  let s = Lint.check_source ~ctx:lib_ctx ~filename:file src in
-  let t = typed_report ~filename:file src in
-  let m = Report.merge ~root:"." ~syntactic:[ s ] ~typed:[ t ] () in
+  let m = Report.merge ~root:"." [ typed_report ~filename:file src ] in
   check_int "judged stale" 1 (List.length (Report.stale_suppressions m));
   check_bool "synthesized as L2" true
     (List.exists
-       (fun v -> v.Report.mv_rule = Rules.L2 && v.Report.mv_passes = [ "merge" ])
-       m.Report.m_violations);
+       (fun (v : Lint.violation) -> v.Lint.rule = Rules.L2)
+       m.Report.violations);
   check_bool "stale report is not clean" false (Report.clean m);
-  (* Without the typed pass L2 is never judged: the syntactic pass does
-     not check the full catalogue, so absence proves nothing. *)
-  let m1 = Report.merge ~root:"." ~syntactic:[ s ] () in
-  check_int "single-pass: not judged" 0
-    (List.length (Report.stale_suppressions m1));
-  check_bool "single-pass report is clean" true (Report.clean m1);
-  (* A live suppression is not stale, and its per-pass absorption counts
-     are folded together. *)
+  (* A live suppression is not stale. *)
   let live =
     {|let f tbl = Hashtbl.iter (fun _ _ -> ()) tbl [@@lint.allow "D3" "fixture"]|}
   in
-  let s2 = Lint.check_source ~ctx:lib_ctx ~filename:file live in
-  let t2 = typed_report ~filename:file live in
-  let m2 = Report.merge ~root:"." ~syntactic:[ s2 ] ~typed:[ t2 ] () in
+  let m2 = Report.merge ~root:"." [ typed_report ~filename:file live ] in
   check_int "live: no stale" 0 (List.length (Report.stale_suppressions m2));
   check_bool "live report clean" true (Report.clean m2);
-  (match m2.Report.m_suppressions with
-  | [ sup ] ->
-      check_bool "matched in both passes" true
-        (sup.Report.ms_matched = [ ("syntactic", 1); ("typed", 1) ])
+  (match m2.Report.suppressions with
+  | [ sup ] -> check_int "matched once" 1 sup.Lint.sup_matched
   | sups -> Alcotest.failf "expected 1 suppression, got %d" (List.length sups));
-  (* A file the typed pass could not check is never judged: absence of
+  (* A file that could not be checked is never judged: absence of
      evidence from a broken build is not staleness. *)
   let half = {|let x = no_such_identifier 42 [@@lint.allow "D3" "pending"]|} in
-  let s3 = Lint.check_source ~ctx:lib_ctx ~filename:file half in
   let t3 = typed_report ~filename:file half in
-  check_bool "typed pass errored" true (t3.Lint.parse_error <> None);
-  let m3 = Report.merge ~root:"." ~syntactic:[ s3 ] ~typed:[ t3 ] () in
+  check_bool "typing errored" true (t3.Lint.parse_error <> None);
+  let m3 = Report.merge ~root:"." [ t3 ] in
   check_int "erroring file: not judged" 0
     (List.length (Report.stale_suppressions m3))
 
 (* --- JSON report ----------------------------------------------------------- *)
 
-let fixture_merged () =
-  let syntactic =
-    [
-      Lint.check_source ~ctx:lib_ctx ~filename:"lib/core/a.ml"
-        "let t = Unix.gettimeofday ()\n";
-      Lint.check_source ~ctx:lib_ctx ~filename:"lib/core/b.ml"
-        {|let cache = Hashtbl.create 16 [@@lint.domain_local "init-time only"]|};
-      Lint.check_source ~ctx:lib_ctx ~filename:"lib/core/broken.ml" "let let";
-    ]
-  in
-  Report.merge ~root:"." ~syntactic ()
+let fixture_reports () =
+  [
+    typed_report ~with_unix:true ~filename:"lib/core/a.ml"
+      "let t = Unix.gettimeofday ()\n";
+    typed_report ~filename:"lib/core/b.ml"
+      {|let cache : (int, int) Hashtbl.t = Hashtbl.create 16 [@@lint.domain_local "init-time only"]|};
+    typed_report ~filename:"lib/core/broken.ml" "let let";
+  ]
 
 let test_report_counts () =
-  let m = fixture_merged () in
-  check_int "files" 3 m.Report.m_files_checked;
-  check_int "violations" 1 (List.length m.Report.m_violations);
-  check_int "suppressions" 1 (List.length m.Report.m_suppressions);
-  check_int "parse errors" 1 (List.length m.Report.m_parse_errors);
+  let m = Report.merge ~root:"." (fixture_reports ()) in
+  check_int "files" 3 m.Report.files_checked;
+  check_int "violations" 1 (List.length m.Report.violations);
+  check_int "suppressions" 1 (List.length m.Report.suppressions);
+  check_int "parse errors" 1 (List.length m.Report.parse_errors);
   check_bool "not clean" false (Report.clean m);
   check_bool "human output mentions rule" true
     (let human = Report.to_human m in
@@ -547,19 +498,20 @@ let test_report_counts () =
        let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
        go 0
      in
-     contains human "[D2]" && contains human "PARSE ERROR"
-     && contains human "(syntactic)")
+     contains human "[D2]" && contains human "PARSE ERROR")
 
 (* Golden snapshot of the machine-readable document: the schema is a
    published artifact (CI uploads it), so its exact shape is pinned. *)
 let test_report_golden () =
-  let syntactic =
-    [
-      Lint.check_source ~ctx:lib_ctx ~filename:"lib/core/a.ml"
-        "let t = Unix.gettimeofday ()\n";
-    ]
+  let reports =
+    match fixture_reports () with a :: b :: _ -> [ a; b ] | _ -> assert false
   in
-  let doc = Report.to_json (Report.merge ~root:"." ~syntactic ()) in
+  let doc = Report.to_json (Report.merge ~root:"." reports) in
+  let field name =
+    match doc with
+    | Json.Obj fields -> List.assoc name fields
+    | _ -> Alcotest.fail "report is not an object"
+  in
   (* Structure: every top-level field present, in order. *)
   (match doc with
   | Json.Obj fields ->
@@ -568,7 +520,6 @@ let test_report_golden () =
         = [
             "schema";
             "root";
-            "passes";
             "files_checked";
             "violation_count";
             "suppression_count";
@@ -579,38 +530,38 @@ let test_report_golden () =
             "suppressions";
             "stale_suppressions";
             "parse_errors";
-          ]);
-      check_bool "schema tag" true
-        (List.assoc "schema" fields
-        = Json.String
-            ("ncg.lint.report/2"
-            [@lint.allow "R1" "the golden test pins the published spelling"]))
+          ])
   | _ -> Alcotest.fail "report is not an object");
-  (* Byte-exact golden for the violation entry. *)
-  let violations =
-    match doc with
-    | Json.Obj fields -> List.assoc "violations" fields
-    | _ -> assert false
-  in
+  check_bool "schema tag" true
+    (field "schema"
+    = Json.String
+        ("ncg.lint.report/3"
+        [@lint.allow "R1" "the golden test pins the published spelling"]));
+  (* Byte-exact goldens for a violation and a suppression entry. *)
   check_string "violation json"
     ("[{\"file\":\"lib/core/a.ml\",\"line\":1,\"col\":8,\"rule\":\"D2\","
    ^ "\"title\":\"wall-clock read outside lib/obs\","
    ^ "\"message\":\"Unix.gettimeofday: wall-clock read outside the Clock \
       module\","
-   ^ "\"hint\":\"use Ncg_obs.Clock.now_ns / Clock.elapsed_ns\","
-   ^ "\"passes\":[\"syntactic\"]}]")
-    (Json.to_string violations);
+   ^ "\"hint\":\"use Ncg_obs.Clock.now_ns / Clock.elapsed_ns\"}]")
+    (Json.to_string (field "violations"));
+  check_string "suppression json"
+    ("[{\"file\":\"lib/core/b.ml\",\"line\":1,\"rule\":\"P1\","
+   ^ "\"justification\":\"init-time only\",\"matched\":1,\"stale\":false}]")
+    (Json.to_string (field "suppressions"));
   (* The whole document round-trips through the in-house parser. *)
   match Json.of_string (Json.to_string doc) with
   | Ok v -> check_bool "round-trip" true (v = doc)
   | Error e -> Alcotest.failf "report does not reparse: %s" e
 
-(* --- The live codebase lints clean under both passes ------------------------ *)
+(* --- The live codebase lints clean ----------------------------------------- *)
 
 let starts_with prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
+(* The test stanza depends on the check alias, so every file has an
+   up-to-date .cmt here: a missing or stale one fails like a violation. *)
 let test_live_tree_clean () =
   let root = Lazy.force root in
   let files =
@@ -629,41 +580,13 @@ let test_live_tree_clean () =
   let ctx_of rel =
     Lint.ctx_for_path ~known_sites ~known_probes ~known_schemas rel
   in
-  let syntactic =
-    List.map
-      (fun rel ->
-        Lint.check_file ~ctx:(ctx_of rel) ~display:rel
-          (Filename.concat root rel))
-      files
-  in
   let cmt_root =
     let cand = Filename.concat root "_build/default" in
     if Sys.file_exists cand then cand else root
   in
-  let typed = Typed.check_tree ~ctx_of ~root ~cmt_root files in
-  (* Dune refreshes a .cmt only when the bytecode compilation rule runs,
-     so after an incremental native build some cmts may be missing or
-     digest-stale; those files are skipped here and only the CI gate —
-     which runs ncg_lint --typed after a full `dune build @check` — is
-     strict about them. Violations, stale suppressions and unreadable
-     cmts fail either way. *)
-  let covered =
-    List.filter (fun (r : Lint.file_report) -> r.Lint.parse_error = None) typed
-  in
-  check_bool "typed pass covered the bulk of the tree" true
-    (List.length covered >= 40);
-  let m = Report.merge ~root ~syntactic ~typed () in
-  let tolerable = function
-    | _, _, msg ->
-        starts_with "no .cmt found" msg || starts_with "stale .cmt" msg
-  in
-  let hard_errors =
-    List.filter (fun e -> not (tolerable e)) m.Report.m_parse_errors
-  in
-  if m.Report.m_violations <> [] || hard_errors <> [] then
-    Alcotest.failf "the tree does not lint clean under both passes:\n%s"
-      (Report.to_human
-         { m with Report.m_parse_errors = hard_errors });
+  let m = Report.merge ~root (Typed.check_tree ~ctx_of ~root ~cmt_root files) in
+  if not (Report.clean m) then
+    Alcotest.failf "the tree does not lint clean:\n%s" (Report.to_human m);
   check_int "no stale suppressions" 0
     (List.length (Report.stale_suppressions m))
 
@@ -686,8 +609,6 @@ let () =
         ] );
       ( "typed",
         [
-          Alcotest.test_case "parity on idiomatic spellings" `Quick
-            test_typed_parity;
           Alcotest.test_case "smuggling matrix" `Quick test_smuggling_matrix;
           Alcotest.test_case "S1 scratch escape" `Quick test_s1;
           Alcotest.test_case "P2 cross-domain capture" `Quick test_p2;
@@ -703,7 +624,6 @@ let () =
         [
           Alcotest.test_case "counts + human" `Quick test_report_counts;
           Alcotest.test_case "golden json" `Quick test_report_golden;
-          Alcotest.test_case "merge provenance" `Quick test_merge_provenance;
           Alcotest.test_case "L2 staleness" `Quick test_stale_suppression;
         ] );
       ( "live",
