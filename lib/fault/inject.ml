@@ -1,49 +1,13 @@
 module Splitmix64 = Ncg_prng.Splitmix64
-
-(* Site registry — same init-time-only discipline as Ncg_obs.Metrics:
-   plain unsynchronized state, written only from the main domain before
-   fan-out, read-only afterwards. *)
-
-let capacity = 64
+module Registry = Ncg_obs.Registry
 
 type site = int
 
-let names =
-  Array.make capacity ""
-[@@lint.domain_local "written only on the main domain at init time, read-only after fan-out"]
-
-let registered =
-  ref 0
-[@@lint.domain_local "written only on the main domain at init time, read-only after fan-out"]
-
-let site name =
-  if not (Domain.is_main_domain ()) then
-    invalid_arg
-      (Printf.sprintf
-         "Inject.site %S: sites must be registered from the main domain at \
-          init time"
-         name);
-  let n = !registered in
-  let rec find i = if i >= n then None else if String.equal names.(i) name then Some i else find (i + 1) in
-  match find 0 with
-  | Some id -> id
-  | None ->
-      if n >= capacity then
-        invalid_arg
-          (Printf.sprintf "Inject.site %S: registry full (%d sites)" name
-             capacity);
-      names.(n) <- name;
-      registered := n + 1;
-      n
-
-let site_name id = names.(id)
-let sites () = List.init !registered (fun i -> names.(i))
-let find_site name =
-  let n = !registered in
-  let rec go i =
-    if i >= n then None else if String.equal names.(i) name then Some i else go (i + 1)
-  in
-  go 0
+let registry = Registry.create "Inject.site" ~capacity:64
+let site name = Registry.register registry name
+let site_name id = Registry.name registry id
+let sites () = Registry.names registry
+let find_site name = Registry.find registry name
 
 let bfs = site "bfs.traverse"
 let best_response = site "best_response.compute"
@@ -255,7 +219,7 @@ let arm ~scope =
   match Atomic.get current with
   | None -> disarm ()
   | Some plan ->
-      let per_site = Array.make capacity [] in
+      let per_site = Array.make (Registry.capacity registry) [] in
       List.iteri
         (fun rule_ix r ->
           match find_site r.site with
@@ -304,7 +268,7 @@ let fires st =
     f
   end
 
-let fault id action = Fault { site = names.(id); action }
+let fault id action = Fault { site = site_name id; action }
 
 let hit id =
   match Domain.DLS.get armed_key with

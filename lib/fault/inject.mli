@@ -31,9 +31,9 @@
 type site
 
 (** [site name] declares (or looks up) the fault site named [name].
-    Same init-time-only contract as {!Ncg_obs.Metrics.register}: main
-    domain, before fan-out. Raises [Invalid_argument] when called from a
-    spawned domain or when the registry (64 slots) is full. *)
+    Sites are an {!Ncg_obs.Registry} (64 slots), with its init-time,
+    main-domain-only contract. Raises [Invalid_argument] for an empty
+    name, from a spawned domain, or when the registry is full. *)
 val site : string -> site
 
 val site_name : site -> string

@@ -33,39 +33,13 @@ let bucket_of_ns ns =
 let bucket_upper_ns b =
   if b >= boundary_count then Int64.max_int else boundaries.(b)
 
-(* --- Registry (same init-time-only contract as Metrics) ------------------- *)
+(* --- Registry ------------------------------------------------------------- *)
 
 type histogram = int
 
-let capacity = 32
-
-let names =
-  Array.make capacity ""
-[@@lint.domain_local "written only on the main domain at init time, read-only after fan-out"]
-
-let by_name : (string, int) Hashtbl.t =
-  Hashtbl.create capacity
-[@@lint.domain_local "written only on the main domain at init time, read-only after fan-out"]
-
-let registered =
-  ref 0
-[@@lint.domain_local "written only on the main domain at init time, read-only after fan-out"]
-
-let register name =
-  if name = "" then invalid_arg "Histogram.register: empty name";
-  if not (Domain.is_main_domain ()) then
-    invalid_arg "Histogram.register: register at init time from the main domain only";
-  match Hashtbl.find_opt by_name name with
-  | Some h -> h
-  | None ->
-      if !registered >= capacity then invalid_arg "Histogram.register: registry full";
-      let h = !registered in
-      names.(h) <- name;
-      Hashtbl.replace by_name name h;
-      incr registered;
-      h
-
-let name h = names.(h)
+let registry = Registry.create "Histogram.register" ~capacity:32
+let register name = Registry.register registry name
+let name h = Registry.name registry h
 
 let best_response = register "best_response.latency"
 let sum_best_response = register "sum_best_response.latency"
@@ -83,6 +57,7 @@ type collector = {
 }
 
 let fresh_collector () =
+  let capacity = Registry.capacity registry in
   {
     counts = Array.init capacity (fun _ -> Array.make bucket_count 0);
     totals = Array.make capacity 0;
@@ -122,8 +97,8 @@ let empty_hist =
   { counts = Array.make bucket_count 0; total = 0; sum_ns = 0L; max_ns = 0L }
 
 let snapshot_of (col : collector) =
-  List.init !registered (fun h ->
-      ( names.(h),
+  List.init (Registry.count registry) (fun h ->
+      ( name h,
         {
           counts = Array.copy col.counts.(h);
           total = col.totals.(h);
@@ -134,7 +109,7 @@ let snapshot_of (col : collector) =
 let fold_into (col : collector) (snap : snapshot) =
   List.iter
     (fun (name, (hist : hist)) ->
-      match Hashtbl.find_opt by_name name with
+      match Registry.find registry name with
       | None -> ()
       | Some h ->
           Array.iteri
@@ -167,29 +142,7 @@ let merge_hist (a : hist) (b : hist) =
     max_ns = Int64.max a.max_ns b.max_ns;
   }
 
-let merge (a : snapshot) (b : snapshot) =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) a;
-  List.iter
-    (fun (k, v) ->
-      match Hashtbl.find_opt tbl k with
-      | Some prev -> Hashtbl.replace tbl k (merge_hist prev v)
-      | None -> Hashtbl.replace tbl k v)
-    b;
-  let ordered = ref [] in
-  let emit k =
-    match Hashtbl.find_opt tbl k with
-    | Some v ->
-        ordered := (k, v) :: !ordered;
-        Hashtbl.remove tbl k
-    | None -> ()
-  in
-  for h = 0 to !registered - 1 do
-    emit names.(h)
-  done;
-  List.iter (fun (k, _) -> emit k) a;
-  List.iter (fun (k, _) -> emit k) b;
-  List.rev !ordered
+let merge (a : snapshot) (b : snapshot) = Registry.merge registry ~combine:merge_hist a b
 
 let total snaps = List.fold_left merge [] snaps
 

@@ -21,10 +21,9 @@
 type histogram
 
 (** [register name] returns the histogram named [name], creating it on
-    first use. Same contract as {!Metrics.register}: call at module
-    initialization time from the main domain only. Raises
-    [Invalid_argument] from a spawned domain or when the registry
-    (32 slots) is full. *)
+    first use. Histograms are a {!Registry} (32 slots), with its
+    init-time, main-domain-only contract. Raises [Invalid_argument] for
+    an empty name, from a spawned domain, or when the registry is full. *)
 val register : string -> histogram
 
 val name : histogram -> string

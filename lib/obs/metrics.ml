@@ -1,38 +1,8 @@
 type counter = int
 
-let capacity = 128
-
-let names =
-  Array.make capacity ""
-[@@lint.domain_local "written only on the main domain at init time, read-only after fan-out"]
-
-let by_name : (string, int) Hashtbl.t =
-  Hashtbl.create capacity
-[@@lint.domain_local "written only on the main domain at init time, read-only after fan-out"]
-
-let registered =
-  ref 0
-[@@lint.domain_local "written only on the main domain at init time, read-only after fan-out"]
-
-(* Registration is init-time-only: the names array and hashtable are
-   plain unsynchronized state, safe exactly because every [register]
-   call happens in the main domain before any fan-out. Spawned domains
-   only read [names], which is frozen by then. *)
-let register name =
-  if name = "" then invalid_arg "Metrics.register: empty name";
-  if not (Domain.is_main_domain ()) then
-    invalid_arg "Metrics.register: register at init time from the main domain only";
-  match Hashtbl.find_opt by_name name with
-  | Some c -> c
-  | None ->
-      if !registered >= capacity then invalid_arg "Metrics.register: registry full";
-      let c = !registered in
-      names.(c) <- name;
-      Hashtbl.replace by_name name c;
-      incr registered;
-      c
-
-let name c = names.(c)
+let registry = Registry.create "Metrics.register" ~capacity:128
+let register name = Registry.register registry name
+let name c = Registry.name registry c
 
 let bfs_calls = register "bfs.calls"
 let view_extracts = register "view.extracts"
@@ -83,10 +53,10 @@ let read c =
 type snapshot = (string * int) list
 
 let snapshot_of col =
-  List.init !registered (fun i -> (names.(i), col.counts.(i)))
+  List.init (Registry.count registry) (fun i -> (name i, col.counts.(i)))
 
 let collect f =
-  let col = { counts = Array.make capacity 0 } in
+  let col = { counts = Array.make (Registry.capacity registry) 0 } in
   let prev = Domain.DLS.get current in
   Domain.DLS.set current (Some col);
   Fun.protect
@@ -102,29 +72,7 @@ let collect f =
       let result = f () in
       (result, snapshot_of col))
 
-let merge a b =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) a;
-  List.iter
-    (fun (k, v) ->
-      Hashtbl.replace tbl k (v + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-    b;
-  (* Registration order for registered counters, then any stragglers in
-     input order, so merged snapshots keep a stable shape. *)
-  let ordered = ref [] in
-  let emit k =
-    match Hashtbl.find_opt tbl k with
-    | Some v ->
-        ordered := (k, v) :: !ordered;
-        Hashtbl.remove tbl k
-    | None -> ()
-  in
-  for i = 0 to !registered - 1 do
-    emit names.(i)
-  done;
-  List.iter (fun (k, _) -> emit k) a;
-  List.iter (fun (k, _) -> emit k) b;
-  List.rev !ordered
+let merge a b = Registry.merge registry ~combine:( + ) a b
 
 let total snaps = List.fold_left merge [] snaps
 
@@ -133,33 +81,21 @@ let nonzero snap = List.filter (fun (_, v) -> v <> 0) snap
 let to_json snap =
   Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (nonzero snap))
 
-(* Inverse of to_json: re-expands the dropped zeros over the registered
-   counters (registration order), then appends unknown names in input
-   order — so decode (encode snap) = snap for any snapshot produced by
-   [collect] in the same binary. *)
+(* Inverse of to_json within one binary: decode (encode snap) = snap for
+   any snapshot produced by [collect]. *)
 let of_json = function
   | Json.Obj fields -> (
       let exception Bad of string in
       try
-        let tbl = Hashtbl.create 16 in
-        List.iter
-          (fun (k, v) ->
-            match v with
-            | Json.Int n -> Hashtbl.replace tbl k n
-            | _ -> raise (Bad (Printf.sprintf "counter %S: expected an int" k)))
-          fields;
-        let base =
-          List.init !registered (fun i ->
-              (names.(i), Option.value ~default:0 (Hashtbl.find_opt tbl names.(i))))
-        in
-        let extras =
-          List.filter_map
+        let counts =
+          List.map
             (fun (k, v) ->
-              if Hashtbl.mem by_name k then None
-              else match v with Json.Int n -> Some (k, n) | _ -> None)
+              match v with
+              | Json.Int n -> (k, n)
+              | _ -> raise (Bad (Printf.sprintf "counter %S: expected an int" k)))
             fields
         in
-        Ok (base @ extras)
+        Ok (Registry.expand registry ~default:(fun () -> 0) counts)
       with Bad msg -> Error ("Metrics.of_json: " ^ msg))
   | _ -> Error "Metrics.of_json: expected an object"
 

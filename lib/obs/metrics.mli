@@ -15,19 +15,10 @@
 type counter
 
 (** [register name] returns the counter named [name], creating it on
-    first use.
-
-    {b Init-time-only contract.} The registry is plain unsynchronized
-    state: registering concurrently from two domains races, and a
-    registration that runs after domains were spawned could be observed
-    torn by them. So registration must happen at module initialization
-    time, from the main domain, before any fan-out — as all built-ins
-    below do. This is asserted: [register] raises [Invalid_argument]
-    when called from a spawned domain ([Domain.is_main_domain] is
-    false). Lookup of an already-registered name is O(1).
-
-    Raises [Invalid_argument] when the fixed-size registry (128 slots)
-    is full. *)
+    first use. Counters are a {!Registry} (128 slots): call at module
+    initialization time from the main domain, as all built-ins below do.
+    Raises [Invalid_argument] for an empty name, from a spawned domain,
+    or when the registry is full. *)
 val register : string -> counter
 
 (** The counter's registered name. *)

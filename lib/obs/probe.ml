@@ -1,41 +1,11 @@
 type probe = int
 
-let registry_capacity = 32
 let default_series_capacity = 64
-
-let name_table =
-  Array.make registry_capacity ""
-[@@lint.domain_local "written only on the main domain at init time, read-only after fan-out"]
-
-let by_name : (string, int) Hashtbl.t =
-  Hashtbl.create registry_capacity
-[@@lint.domain_local "written only on the main domain at init time, read-only after fan-out"]
-
-let registered =
-  ref 0
-[@@lint.domain_local "written only on the main domain at init time, read-only after fan-out"]
-
-(* Same init-time-only discipline as Metrics.register: the registry is
-   plain unsynchronized state, safe exactly because every [register]
-   call happens in the main domain before any fan-out. *)
-let register name =
-  if name = "" then invalid_arg "Probe.register: empty name";
-  if not (Domain.is_main_domain ()) then
-    invalid_arg "Probe.register: register at init time from the main domain only";
-  match Hashtbl.find_opt by_name name with
-  | Some p -> p
-  | None ->
-      if !registered >= registry_capacity then
-        invalid_arg "Probe.register: registry full";
-      let p = !registered in
-      name_table.(p) <- name;
-      Hashtbl.replace by_name name p;
-      incr registered;
-      p
-
-let name p = name_table.(p)
-let names () = List.init !registered (fun i -> name_table.(i))
-let find n = Hashtbl.find_opt by_name n
+let registry = Registry.create "Probe.register" ~capacity:32
+let register name = Registry.register registry name
+let name p = Registry.name registry p
+let names () = Registry.names registry
+let find n = Registry.find registry n
 
 let social_cost = register "dynamics.social_cost"
 let awake_players = register "dynamics.awake_players"
@@ -76,18 +46,17 @@ let sample_lazy p ~x f =
 type snapshot = (string * Timeseries.t) list
 
 let snapshot_of col =
-  List.init !registered (fun i ->
-      ( name_table.(i),
+  List.init (Registry.count registry) (fun i ->
+      ( name i,
         match col.series.(i) with
         | Some s -> s
         | None -> Timeseries.create ~capacity:col.capacity () ))
 
 let empty_snapshot ?(capacity = default_series_capacity) () =
-  List.init !registered (fun i ->
-      (name_table.(i), Timeseries.create ~capacity ()))
+  List.map (fun n -> (n, Timeseries.create ~capacity ())) (names ())
 
 let collect ?(capacity = default_series_capacity) f =
-  let col = { capacity; series = Array.make registry_capacity None } in
+  let col = { capacity; series = Array.make (Registry.capacity registry) None } in
   let prev = Domain.DLS.get current in
   Domain.DLS.set current (Some col);
   Fun.protect
@@ -147,23 +116,9 @@ let of_json = function
           | Ok s -> s
           | Error msg -> raise (Bad (Printf.sprintf "probe %S: %s" n msg))
         in
-        let tbl = Hashtbl.create 16 in
-        List.iter (fun (n, j) -> Hashtbl.replace tbl n (decode n j)) series;
-        let base =
-          List.init !registered (fun i ->
-              let n = name_table.(i) in
-              ( n,
-                match Hashtbl.find_opt tbl n with
-                | Some s -> s
-                | None -> Timeseries.create ~capacity () ))
-        in
-        let extras =
-          List.filter_map
-            (fun (n, _) ->
-              if Hashtbl.mem by_name n then None
-              else Option.map (fun s -> (n, s)) (Hashtbl.find_opt tbl n))
-            series
-        in
-        Ok (base @ extras)
+        Ok
+          (Registry.expand registry
+             ~default:(fun () -> Timeseries.create ~capacity ())
+             (List.map (fun (n, j) -> (n, decode n j)) series))
       with Bad msg -> Error ("Probe.of_json: " ^ msg))
   | _ -> Error "Probe.of_json: expected an object"

@@ -1,9 +1,9 @@
 (** Named round-level probes: registered signals that record into
     {!Timeseries} while a probe collector is installed.
 
-    The registry mirrors {!Metrics}: probes are registered once, at
-    module-initialization time on the main domain, and the namespace is
-    closed — [ncg_lint] checks every probe name literal in the tree
+    Probes are a {!Registry}, like {!Metrics} counters: registered
+    once, at module-initialization time on the main domain, and the
+    namespace is closed — [ncg_lint] checks every probe name literal in the tree
     against {!names} (rule O1), exactly like fault-site literals.
 
     Collectors are domain-local: {!sample} is a single domain-local-storage
@@ -19,9 +19,9 @@
 
 type probe
 
-(** [register name] — init-time-only, main domain only, like
-    {!Metrics.register}. Raises [Invalid_argument] off the main domain or
-    when the fixed-size registry (32 slots) is full. *)
+(** [register name] — {!Registry.register} on the probe registry
+    (32 slots). Raises [Invalid_argument] for an empty name, off the main
+    domain, or when the registry is full. *)
 val register : string -> probe
 
 (** The probe's registered name. *)

@@ -19,95 +19,79 @@ let () =
   Printexc.register_printer (function
     | Locked { dir; pid } ->
         Some
-          (Printf.sprintf
-             "Ncg_store.Store.Locked(store %S is in use by pid %d; remove %s \
-              if that process is gone)"
-             dir pid
-             (Filename.concat dir lock_name))
+          (Printf.sprintf "Ncg_store.Store.Locked(store %S is in use by pid %d)"
+             dir pid)
     | _ -> None)
 
-(* Advisory lock: DIR/LOCK is created with O_EXCL and holds the owning
-   PID. Stale locks (owner no longer running) are detected with a
-   kill-0 probe and swept; EPERM means the owner exists but belongs to
-   someone else, which still counts as held. *)
+(* Advisory lock: a kernel (fcntl) lock on DIR/LOCK, taken with
+   [Unix.lockf F_TLOCK] through an fd that [t] keeps open until [close].
+   The kernel elects exactly one holder among racing openers and drops
+   the lock when its holder exits or is killed, so there is no stale
+   lock to sweep. The file also holds the holder's PID, read only to
+   fill in [Locked].
 
-let read_lock_pid path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
+   fcntl locks never conflict within one process, and closing any fd on
+   the file drops the process's lock. So this process also tracks the
+   directories it holds, by (device, inode), and refuses a second open
+   before touching the file. *)
+let held : (int * int) list Atomic.t = Atomic.make []
+
+let rec hold key =
+  let cur = Atomic.get held in
+  (not (List.mem key cur))
+  && (Atomic.compare_and_set held cur (key :: cur) || hold key)
+
+let rec unhold key =
+  let cur = Atomic.get held in
+  if not (Atomic.compare_and_set held cur (List.filter (( <> ) key) cur)) then
+    unhold key
+
+let release_lock (fd, key) =
+  Unix.close fd;
+  unhold key
+
+let acquire_lock dir =
+  let st = Unix.stat dir in
+  let key = (st.Unix.st_dev, st.Unix.st_ino) in
+  if not (hold key) then raise (Locked { dir; pid = Unix.getpid () });
+  let fd =
+    try
+      Unix.openfile (Filename.concat dir lock_name)
+        [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644
+    with e ->
+      unhold key;
+      raise e
+  in
+  match Unix.lockf fd Unix.F_TLOCK 0 with
+  | () -> (
+      let pid = string_of_int (Unix.getpid ()) ^ "\n" in
+      try
+        Unix.ftruncate fd 0;
+        ignore (Unix.write_substring fd pid 0 (String.length pid));
+        (fd, key)
+      with e ->
+        release_lock (fd, key);
+        raise e)
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EACCES), _, _) ->
       let contents =
         Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (min 64 (in_channel_length ic)))
+          ~finally:(fun () -> release_lock (fd, key))
+          (fun () ->
+            let buf = Bytes.create 64 in
+            Bytes.sub_string buf 0 (Unix.read fd buf 0 64))
       in
-      int_of_string_opt (String.trim contents)
-
-let pid_alive pid =
-  match Unix.kill pid 0 with
-  | () -> true
-  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
-  | exception Unix.Unix_error (_, _, _) -> true
-
-let stale_pid = function
-  | None -> true (* unreadable/torn lock file *)
-  | Some pid -> pid <> Unix.getpid () && not (pid_alive pid)
-
-(* Stale-lock takeover must be atomic: the naive check-then-remove lets
-   two simultaneous openers both sweep, with the second remove deleting
-   the first opener's *fresh* lock — two handles on one log. Instead a
-   contender claims the observed-stale lock file with rename(2) (exactly
-   one rename of a given file succeeds; losers see ENOENT and re-race
-   the O_EXCL create), then re-checks the claimed file's contents: if it
-   turns out live — the file was replaced by a fresh lock between the
-   staleness probe and the rename — it is restored with link(2) (atomic,
-   fails EEXIST rather than clobbering) and the opener reports Locked. *)
-let rec acquire_lock ?(sweep_stale = true) dir =
-  let path = Filename.concat dir lock_name in
-  match Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644 with
-  | fd ->
-      let line = Bytes.of_string (string_of_int (Unix.getpid ()) ^ "\n") in
-      let rec w off =
-        if off < Bytes.length line then
-          w (off + Unix.write fd line off (Bytes.length line - off))
+      let pid =
+        Option.value ~default:(-1) (int_of_string_opt (String.trim contents))
       in
-      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> w 0)
-  | exception Unix.Unix_error (Unix.EEXIST, _, _) ->
-      let holder = read_lock_pid path in
-      let stale = stale_pid holder in
-      if stale && sweep_stale then begin
-        let claim = path ^ ".claim." ^ string_of_int (Unix.getpid ()) in
-        (match Unix.rename path claim with
-        | () ->
-            let claimed = read_lock_pid claim in
-            if stale_pid claimed then
-              (* Confirmed stale; we own the claim file exclusively, so
-                 this remove can never hit a live lock. *)
-              try Sys.remove claim with Sys_error _ -> ()
-            else begin
-              (* We raced a fresh acquisition: restore the live lock
-                 (unless yet another opener already created a new one)
-                 and report the holder. *)
-              (try Unix.link claim path
-               with Unix.Unix_error ((Unix.EEXIST | Unix.EPERM), _, _) -> ());
-              (try Sys.remove claim with Sys_error _ -> ());
-              raise (Locked { dir; pid = Option.value claimed ~default:(-1) })
-            end
-        | exception Unix.Unix_error (Unix.ENOENT, _, _) ->
-            (* Another contender claimed it first; fall through and
-               re-race the create below. *)
-            ());
-        (* One retry: if we lose the O_EXCL race after the sweep, the
-           new owner is alive and we report it. *)
-        acquire_lock ~sweep_stale:false dir
-      end
-      else raise (Locked { dir; pid = Option.value holder ~default:(-1) })
-
-let release_lock dir =
-  try Sys.remove (Filename.concat dir lock_name) with Sys_error _ -> ()
+      raise (Locked { dir; pid })
+  | exception e ->
+      release_lock (fd, key);
+      raise e
 
 type t = {
   dir : string;
   sync : bool;
+  lock : Unix.file_descr * (int * int); (* held LOCK fd, directory key *)
   mutable log : Record_log.t;
   index : (string, string) Hashtbl.t; (* canonical key -> latest payload *)
   mutable order : string list; (* reverse first-insertion order of live keys *)
@@ -201,7 +185,7 @@ let read_manifest_compactions dir =
 
 let open_dir ?(sync = true) dir =
   mkdir_p dir;
-  acquire_lock dir;
+  let lock = acquire_lock dir in
   match
   let index = Hashtbl.create 64 in
   let order = ref [] in
@@ -221,6 +205,7 @@ let open_dir ?(sync = true) dir =
     {
       dir;
       sync;
+      lock;
       log;
       index;
       order = !order;
@@ -241,7 +226,7 @@ let open_dir ?(sync = true) dir =
   with
   | t -> t
   | exception e ->
-      release_lock dir;
+      release_lock lock;
       raise e
 
 let check_open t = if t.closed then invalid_arg "Ncg_store.Store: closed"
@@ -351,7 +336,7 @@ let close t =
       if not t.closed then begin
         write_manifest t;
         Record_log.close t.log;
-        release_lock t.dir;
+        release_lock t.lock;
         t.closed <- true
       end)
 

@@ -29,9 +29,10 @@
 
 type t
 
-(** Raised by {!open_dir} when [dir/LOCK] is held by a live process:
-    two concurrent sweeps must not interleave appends into one log.
-    [pid] is the holder ([-1] when the lock file was unreadable). *)
+(** Raised by {!open_dir} when [dir/LOCK] is held by another open
+    handle: two concurrent sweeps must not interleave appends into one
+    log. [pid] is the holder ([-1] when it had not written its PID
+    yet). *)
 exception Locked of { dir : string; pid : int }
 
 (** Lifetime-of-this-handle operation counts plus recovery facts. *)
@@ -52,11 +53,11 @@ type stats = {
     rewrites the manifest. [sync] (default [true]) is passed to
     {!Record_log.openfile}.
 
-    At most one handle per directory, process-wide: [open_dir] takes an
-    advisory lock ([dir/LOCK], containing the owner's PID) released by
-    {!close}. A lock whose owner is no longer running — the sweep was
-    SIGKILLed — is detected with a PID probe and swept automatically, so
-    crashes never wedge a store.
+    At most one handle per directory, in this process or any other:
+    [open_dir] takes a kernel lock on [dir/LOCK] ([Unix.lockf]), held
+    until {!close}. The kernel drops it when the holder dies — a SIGKILLed
+    sweep never wedges the store — so there is no stale lock to sweep.
+    The file itself outlives the lock and holds the last holder's PID.
 
     @raise Locked when another live process (or this one) already holds
     the store open.

@@ -835,6 +835,52 @@ let test_progress_auto_suppression () =
     check_bool "auto-suppressed when stderr is not a TTY" false
       (Events.progress_enabled ())
 
+(* --- Registry ------------------------------------------------------------- *)
+
+module Registry = Ncg_obs.Registry
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_register_main_domain_only () =
+  (* Registered names, so only the domain check can make these raise. *)
+  let off_main f = Domain.join (Domain.spawn (fun () -> raises_invalid f)) in
+  check_bool "Metrics.register" true (off_main (fun () -> Metrics.register "bfs.calls"));
+  check_bool "Histogram.register" true
+    (off_main (fun () -> Histogram.register "set_cover.solve.latency"));
+  check_bool "Probe.register" true
+    (off_main (fun () -> Probe.register "dynamics.social_cost"));
+  check_bool "Inject.site" true
+    (off_main (fun () -> Ncg_fault.Inject.site "bfs.traverse"))
+
+let test_registry_slots () =
+  let r = Registry.create "test" ~capacity:2 in
+  let a = Registry.register r "a" in
+  let b = Registry.register r "b" in
+  check_bool "dense slots in registration order" true (a = 0 && b = 1);
+  check_int "idempotent" a (Registry.register r "a");
+  check_bool "full registry raises" true
+    (raises_invalid (fun () -> Registry.register r "c"));
+  check_bool "empty name raises" true (raises_invalid (fun () -> Registry.register r ""));
+  check_bool "names" true (Registry.names r = [ "a"; "b" ]);
+  check_string "name" "b" (Registry.name r b);
+  check_bool "find" true (Registry.find r "b" = Some b && Registry.find r "c" = None);
+  check_int "count" 2 (Registry.count r);
+  check_int "capacity" 2 (Registry.capacity r)
+
+let test_registry_snapshot_order () =
+  let r = Registry.create "test" ~capacity:4 in
+  List.iter (fun n -> ignore (Registry.register r n)) [ "a"; "b"; "c" ];
+  let check_snap = Alcotest.(check (list (pair string int))) in
+  check_snap "merge: registered first, then unknown names in input order"
+    [ ("a", 4); ("b", 7); ("y", 7); ("x", 3) ]
+    (Registry.merge r ~combine:( + )
+       [ ("y", 1); ("b", 2) ]
+       [ ("x", 3); ("a", 4); ("b", 5); ("y", 6) ]);
+  check_snap "expand: registered with defaults, then unknown names in input order"
+    [ ("a", 0); ("b", 0); ("c", 2); ("y", 1); ("x", 3) ]
+    (Registry.expand r ~default:(fun () -> 0) [ ("y", 1); ("c", 2); ("x", 3) ])
+
 let () =
   Alcotest.run "obs"
     [
@@ -920,5 +966,12 @@ let () =
           Alcotest.test_case "collect + codec" `Quick test_probe_collect;
           Alcotest.test_case "nesting shadows" `Quick test_probe_nesting_shadows;
           Alcotest.test_case "lazy sampling" `Quick test_probe_lazy;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "register is main-domain only" `Quick
+            test_register_main_domain_only;
+          Alcotest.test_case "slots, idempotence, capacity" `Quick test_registry_slots;
+          Alcotest.test_case "merge/expand order" `Quick test_registry_snapshot_order;
         ] );
     ]

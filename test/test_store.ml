@@ -516,8 +516,8 @@ let test_store_lock_excludes_second_open () =
 
 let test_store_lock_stale_is_swept () =
   with_temp_dir (fun dir ->
-      (* A lock held by a dead process (a reaped child) is stale and must
-         be swept; garbage contents count as stale too. *)
+      (* A LOCK file left by a dead process (a reaped child) must not
+         block an open, whatever it contains. *)
       let dead_pid =
         match Unix.fork () with
         | 0 -> Unix._exit 0
@@ -532,65 +532,66 @@ let test_store_lock_stale_is_swept () =
         [ Printf.sprintf "%d\n" dead_pid; "not a pid\n"; "" ])
 
 let test_store_lock_takeover_race () =
-  with_temp_dir (fun dir ->
-      (* N processes race Store.open_dir against the same stale lock.
-         The rename(2)-claim takeover must elect exactly one winner; the
-         rest report Locked (never a second acquisition, never a crash).
-         The winner holds its lock until every contender has decided, so
-         no loser can retry against a released lock. *)
-      let n = 6 in
-      let dead_pid =
-        match Unix.fork () with
-        | 0 -> Unix._exit 0
-        | pid ->
-            ignore (Unix.waitpid [] pid);
-            pid
-      in
-      write_file (Filename.concat dir "LOCK") (Printf.sprintf "%d\n" dead_pid);
-      let go = Filename.concat dir "go" in
-      let results = Filename.concat dir "results" in
-      Unix.mkdir results 0o755;
-      let child () =
-        while not (Sys.file_exists go) do
-          Unix.sleepf 0.001
-        done;
-        let outcome, cleanup =
-          match Store.open_dir dir with
-          | store -> ("won", fun () -> Store.close store)
-          | exception Store.Locked _ -> ("locked", fun () -> ())
-          | exception _ -> ("crashed", fun () -> ())
+  (* N processes race Store.open_dir against the same stale lock file.
+     The kernel lock must elect exactly one winner; the rest report
+     Locked (never a second acquisition, never a crash). The winner
+     holds its lock until every contender has decided, so no loser can
+     retry against a released lock. A lost race is rare per round, so
+     run many rounds, each in a fresh directory. *)
+  let n = 6 in
+  let round () =
+    with_temp_dir (fun dir ->
+        let dead_pid =
+          match Unix.fork () with
+          | 0 -> Unix._exit 0
+          | pid ->
+              ignore (Unix.waitpid [] pid);
+              pid
         in
-        write_file
-          (Filename.concat results (string_of_int (Unix.getpid ())))
-          outcome;
-        while Array.length (Sys.readdir results) < n do
-          Unix.sleepf 0.001
-        done;
-        cleanup ();
-        Unix._exit 0
-      in
-      let pids =
-        List.init n (fun _ ->
-            match Unix.fork () with 0 -> child () | pid -> pid)
-      in
-      write_file go "";
-      List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
-      let outcomes =
-        List.map
-          (fun f -> read_file (Filename.concat results f))
-          (Array.to_list (Sys.readdir results))
-      in
-      let count o = List.length (List.filter (String.equal o) outcomes) in
-      check_int "every contender reported" n (List.length outcomes);
-      check_int "exactly one winner" 1 (count "won");
-      check_int "everyone else saw Locked" (n - 1) (count "locked");
-      (* The winner released on exit; no claim debris left behind. *)
-      Store.with_dir dir (fun _ -> ());
-      Array.iter
-        (fun f ->
-          check_bool "no leftover claim file" false
-            (String.length f >= 10 && String.sub f 0 10 = "LOCK.claim"))
-        (Sys.readdir dir))
+        write_file (Filename.concat dir "LOCK") (Printf.sprintf "%d\n" dead_pid);
+        let go = Filename.concat dir "go" in
+        let results = Filename.concat dir "results" in
+        Unix.mkdir results 0o755;
+        let child () =
+          while not (Sys.file_exists go) do
+            Unix.sleepf 0.001
+          done;
+          let outcome, cleanup =
+            match Store.open_dir dir with
+            | store -> ("won", fun () -> Store.close store)
+            | exception Store.Locked _ -> ("locked", fun () -> ())
+            | exception _ -> ("crashed", fun () -> ())
+          in
+          write_file
+            (Filename.concat results (string_of_int (Unix.getpid ())))
+            outcome;
+          while Array.length (Sys.readdir results) < n do
+            Unix.sleepf 0.001
+          done;
+          cleanup ();
+          Unix._exit 0
+        in
+        let pids =
+          List.init n (fun _ ->
+              match Unix.fork () with 0 -> child () | pid -> pid)
+        in
+        write_file go "";
+        List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
+        let outcomes =
+          List.map
+            (fun f -> read_file (Filename.concat results f))
+            (Array.to_list (Sys.readdir results))
+        in
+        let count o = List.length (List.filter (String.equal o) outcomes) in
+        check_int "every contender reported" n (List.length outcomes);
+        check_int "exactly one winner" 1 (count "won");
+        check_int "everyone else saw Locked" (n - 1) (count "locked");
+        (* The winner released on exit. *)
+        Store.with_dir dir (fun _ -> ()))
+  in
+  for _ = 1 to 20 do
+    round ()
+  done
 
 let () =
   Alcotest.run "store"
