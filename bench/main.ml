@@ -946,12 +946,39 @@ let kernels () =
 
 (* One line per bench invocation, appended to BENCH_history.jsonl
    (override the path with NCG_BENCH_HISTORY): which sections ran and
-   their wall seconds. `ncg_bench_diff --history FILE` prints the trend.
+   their wall seconds, plus lines of code per source directory.
+   `ncg_bench_diff --history FILE` prints the trend.
    Durations only — no wall-clock timestamps, so two runs of the same
    tree on the same machine produce comparable (not machine-unique)
    lines. *)
 
 let history_schema = Ncg_obs.Schema.bench_history
+
+(* Lines of .ml/.mli source per directory: each lib/* library, then bin,
+   bench and test, relative to the working directory (the repo root under
+   `dune exec`). [None] when no source tree is there. *)
+let lines_of_code () =
+  let is_dir d = Sys.file_exists d && Sys.is_directory d in
+  let entries d = List.sort compare (Array.to_list (Sys.readdir d)) in
+  let lines path =
+    String.fold_left
+      (fun n c -> if c = '\n' then n + 1 else n)
+      0
+      (In_channel.with_open_bin path In_channel.input_all)
+  in
+  let source f = Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli" in
+  let dir_lines d =
+    List.fold_left
+      (fun acc f -> if source f then acc + lines (Filename.concat d f) else acc)
+      0 (entries d)
+  in
+  if not (is_dir "lib") then None
+  else
+    let libs = List.map (Filename.concat "lib") (entries "lib") in
+    Some
+      (List.map
+         (fun d -> (d, dir_lines d))
+         (List.filter is_dir (libs @ [ "bin"; "bench"; "test" ])))
 
 let append_history entries =
   let path =
@@ -959,15 +986,21 @@ let append_history entries =
   in
   let module Json = Ncg_obs.Json in
   let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 entries in
+  let loc =
+    match lines_of_code () with
+    | None -> []
+    | Some loc -> [ ("loc", Json.Obj (List.map (fun (d, n) -> (d, Json.Int n)) loc)) ]
+  in
   let line =
     Json.Obj
-      [
-        ("schema", Json.String history_schema);
-        ("smoke", Json.Bool (Sys.getenv_opt "NCG_BENCH_SMOKE" <> None));
-        ( "sections",
-          Json.Obj (List.map (fun (name, wall) -> (name, Json.Float wall)) entries) );
-        ("total_seconds", Json.Float total);
-      ]
+      ([
+         ("schema", Json.String history_schema);
+         ("smoke", Json.Bool (Sys.getenv_opt "NCG_BENCH_SMOKE" <> None));
+         ( "sections",
+           Json.Obj (List.map (fun (name, wall) -> (name, Json.Float wall)) entries) );
+         ("total_seconds", Json.Float total);
+       ]
+      @ loc)
   in
   Ncg_obs.Atomic_file.append_line path (Json.to_string line);
   Printf.printf "appended run summary to %s\n%!" path

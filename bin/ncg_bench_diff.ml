@@ -26,31 +26,9 @@ module Json = Ncg_obs.Json
 
 let baseline_schema = Ncg_obs.Schema.bench_baseline
 
-exception Bad_input of string
-
-let failf fmt = Printf.ksprintf (fun s -> raise (Bad_input s)) fmt
-
-let read_json path =
-  let contents =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with Sys_error e -> failf "%s: %s" path e
-  in
-  match Json.of_string contents with
-  | Ok j -> j
-  | Error e -> failf "%s: %s" path e
-
-let member name = function
-  | Json.Obj fields -> List.assoc_opt name fields
-  | _ -> None
-
-let number path = function
-  | Some (Json.Int i) -> float_of_int i
-  | Some (Json.Float f) -> f
-  | _ -> failf "%s: expected a number" path
+(* [read path decode] parses the file at [path] and decodes it; errors
+   name the file. *)
+let read path decode = Result.bind (Json.of_file path) (Json.decode ~what:path decode)
 
 (* One bench cell reduced to what the gate compares. *)
 type cell = {
@@ -61,40 +39,28 @@ type cell = {
   counters : (string * float) list;
 }
 
-let cell_of_json file j =
-  let ctx = Printf.sprintf "%s: cell" file in
-  let counters =
-    match member "counters" j with
-    | Some (Json.Obj fields) ->
-        List.map (fun (name, v) -> (name, number (ctx ^ "." ^ name) (Some v))) fields
-    | _ -> failf "%s: missing counters" ctx
-  in
+let cell_of_json j =
+  let num name = Json.field name Json.number j in
   {
-    alpha = number (ctx ^ ".alpha") (member "alpha" j);
-    k = int_of_float (number (ctx ^ ".k") (member "k" j));
+    alpha = num "alpha";
+    k = int_of_float (num "k");
     allocated_words =
       (* Bench outputs nest it under "gc"; the baseline stores it flat. *)
-      (match member "allocated_words" j with
-      | Some _ as flat -> number (ctx ^ ".allocated_words") flat
-      | None ->
-          number (ctx ^ ".gc.allocated_words")
-            (Option.bind (member "gc" j) (member "allocated_words")));
-    wall_seconds = number (ctx ^ ".wall_seconds") (member "wall_seconds" j);
-    counters;
+      (match Json.field_opt "allocated_words" Json.number j with
+      | Some words -> words
+      | None -> Json.field "gc" (Json.field "allocated_words" Json.number) j);
+    wall_seconds = num "wall_seconds";
+    counters = Json.field "counters" (Json.assoc Json.number) j;
   }
 
-let cells_of_bench file j =
-  match member "cells" j with
-  | Some (Json.List cells) -> List.map (cell_of_json file) cells
-  | _ -> failf "%s: missing cells list" file
+let cells = Json.field "cells" (Json.list cell_of_json)
 
 (* SECTION=FILE positional arguments. *)
 let parse_spec spec =
   match String.index_opt spec '=' with
   | Some i when i > 0 ->
-      ( String.sub spec 0 i,
-        String.sub spec (i + 1) (String.length spec - i - 1) )
-  | _ -> failf "bad section spec %S (expected SECTION=FILE)" spec
+      Ok (String.sub spec 0 i, String.sub spec (i + 1) (String.length spec - i - 1))
+  | _ -> Error (Printf.sprintf "bad section spec %S (expected SECTION=FILE)" spec)
 
 let cell_key c = Printf.sprintf "alpha=%g k=%d" c.alpha c.k
 
@@ -159,153 +125,155 @@ let cell_to_baseline_json (c : cell) =
         Json.Obj (List.map (fun (name, v) -> (name, Json.Float v)) c.counters) );
     ]
 
-let baseline_cells file section j =
-  match Option.bind (member "sections" j) (member section) with
-  | Some sec -> (
-      match member "cells" sec with
-      | Some (Json.List cells) -> List.map (cell_of_json file) cells
-      | _ -> failf "%s: section %s has no cells" file section)
-  | None -> failf "%s: no baseline for section %s (re-baseline?)" file section
-
 (* --- Run-history trend (bench/main.exe appends BENCH_history.jsonl) ------- *)
 
 let history_schema = Ncg_obs.Schema.bench_history
 
-let read_lines path =
-  let ic = try open_in path with Sys_error e -> failf "%s" e in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
+(* One history line: wall seconds per section, and lines of code per
+   directory when the line records them. *)
+let history_run j =
+  Json.schema history_schema j;
+  let walls =
+    List.filter_map
+      (fun (name, v) -> Option.map (fun w -> (name, w)) (Json.opt Json.number v))
+      (Json.field "sections" (Json.assoc Fun.id) j)
+  in
+  (walls, Json.opt (Json.field "loc" (Json.assoc Json.int)) j)
 
 (* Unparseable lines (torn tails from a crashed appender) are skipped, not
    fatal; only a history with zero valid lines is an error. *)
 let history_runs path =
-  List.filter_map
-    (fun line ->
-      if String.trim line = "" then None
-      else
-        match Json.of_string line with
-        | Error _ -> None
-        | Ok j -> (
-            match (member "schema" j, member "sections" j) with
-            | Some (Json.String s), Some (Json.Obj fields) when s = history_schema
-              ->
-                Some
-                  (List.filter_map
-                     (fun (name, v) ->
-                       match v with
-                       | Json.Float f -> Some (name, f)
-                       | Json.Int i -> Some (name, float_of_int i)
-                       | _ -> None)
-                     fields)
-            | _ -> None))
-    (read_lines path)
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | contents ->
+      Ok
+        (List.filter_map
+           (fun line ->
+             match Json.of_string line with
+             | Ok j -> Json.opt history_run j
+             | Error _ -> None)
+           (String.split_on_char '\n' contents))
+
+(* Ordered union of the names across [rows]. *)
+let names rows =
+  List.fold_left
+    (List.fold_left (fun acc (name, _) ->
+         if List.mem name acc then acc else acc @ [ name ]))
+    [] rows
+
+let print_loc locs =
+  match locs with
+  | [] -> ()
+  | first :: _ ->
+      let latest = List.nth locs (List.length locs - 1) in
+      Printf.printf "lines of code, first -> latest of %d run(s) recording them\n"
+        (List.length locs);
+      List.iter
+        (fun name ->
+          match (List.assoc_opt name first, List.assoc_opt name latest) with
+          | Some a, Some b -> Printf.printf "  %-14s %6d -> %6d  (%+d)\n" name a b (b - a)
+          | Some a, None -> Printf.printf "  %-14s %6d -> %6s\n" name a "-"
+          | None, Some b -> Printf.printf "  %-14s %6s -> %6d\n" name "-" b
+          | None, None -> ())
+        (names [ first; latest ])
 
 let print_history path =
-  let runs = history_runs path in
-  if runs = [] then failf "%s: no valid %s lines" path history_schema;
-  (* Ordered union of section names across all runs. *)
-  let sections =
-    List.fold_left
-      (fun acc run ->
-        List.fold_left
-          (fun acc (name, _) -> if List.mem name acc then acc else acc @ [ name ])
-          acc run)
-      [] runs
+  match history_runs path with
+  | Error _ as e -> e
+  | Ok [] -> Error (Printf.sprintf "%s: no valid %s lines" path history_schema)
+  | Ok runs ->
+      let walls = List.map fst runs in
+      Printf.printf "%d run(s) in %s (oldest first, wall seconds)\n" (List.length runs)
+        path;
+      List.iter
+        (fun name ->
+          match List.filter_map (List.assoc_opt name) walls with
+          | [] -> ()
+          | first :: _ as walls ->
+              let last = List.nth walls (List.length walls - 1) in
+              let trend =
+                if List.length walls < 2 || first = 0.0 then ""
+                else
+                  Printf.sprintf "  (%+.1f%% vs first)" (100. *. ((last /. first) -. 1.))
+              in
+              Printf.printf "  %-14s %s%s\n" name
+                (String.concat " " (List.map (Printf.sprintf "%.2f") walls))
+                trend)
+        (names walls);
+      print_loc (List.filter_map snd runs);
+      Ok 0
+
+let write_baseline path sections =
+  Json.to_file path
+    (Json.Obj
+       [
+         ("schema", Json.String baseline_schema);
+         ( "sections",
+           Json.Obj
+             (List.map
+                (fun (name, cells) ->
+                  let cells = Json.List (List.map cell_to_baseline_json cells) in
+                  (name, Json.Obj [ ("cells", cells) ]))
+                sections) );
+       ]);
+  Printf.printf "wrote %s (%s)\n" path
+    (String.concat ", "
+       (List.map
+          (fun (name, cells) -> Printf.sprintf "%s: %d cells" name (List.length cells))
+          sections));
+  0
+
+let gate ~tolerance ~wall_tolerance baseline_path sections =
+  let ( let* ) = Result.bind in
+  let* baseline =
+    read baseline_path (fun j ->
+        Json.schema baseline_schema j;
+        List.map
+          (fun (name, _) -> (name, Json.field "sections" (Json.field name cells) j))
+          sections)
   in
-  Printf.printf "%d run(s) in %s (oldest first, wall seconds)\n" (List.length runs)
-    path;
+  let fails = ref 0 and warns = ref 0 in
   List.iter
-    (fun name ->
-      let walls = List.filter_map (List.assoc_opt name) runs in
-      match walls with
-      | [] -> ()
-      | first :: _ ->
-          let last = List.nth walls (List.length walls - 1) in
-          let trend =
-            if List.length walls < 2 || first = 0.0 then ""
-            else Printf.sprintf "  (%+.1f%% vs first)" (100. *. ((last /. first) -. 1.))
-          in
-          Printf.printf "  %-14s %s%s\n" name
-            (String.concat " " (List.map (Printf.sprintf "%.2f") walls))
-            trend)
-    sections
+    (fun (name, fresh) ->
+      let base = List.assoc name baseline in
+      diff_section ~tolerance ~wall_tolerance ~fails ~warns name base fresh;
+      Printf.printf "section %s: %d baseline cells checked\n" name (List.length base))
+    sections;
+  if !fails > 0 then begin
+    Printf.printf "bench gate: %d regression(s), %d warning(s)\n" !fails !warns;
+    Ok 1
+  end
+  else begin
+    Printf.printf "bench gate: clean (%d warning(s))\n" !warns;
+    Ok 0
+  end
 
 let run baseline_path write_path history_path tolerance wall_tolerance specs =
-  try
+  let ( let* ) = Result.bind in
+  let result =
     match history_path with
-    | Some path ->
-        print_history path;
-        0
-    | None ->
-    let sections =
-      List.map
-        (fun spec ->
-          let name, file = parse_spec spec in
-          (name, cells_of_bench file (read_json file)))
-        specs
-    in
-    if sections = [] then failf "no SECTION=FILE arguments given";
-    match write_path with
-    | Some baseline_path ->
-      Json.to_file baseline_path
-        (Json.Obj
-           [
-             ("schema", Json.String baseline_schema);
-             ( "sections",
-               Json.Obj
-                 (List.map
-                    (fun (name, cells) ->
-                      ( name,
-                        Json.Obj
-                          [
-                            ("cells", Json.List (List.map cell_to_baseline_json cells));
-                          ] ))
-                    sections) );
-           ]);
-      Printf.printf "wrote %s (%s)\n" baseline_path
-        (String.concat ", "
-           (List.map
-              (fun (name, cells) ->
-                Printf.sprintf "%s: %d cells" name (List.length cells))
-              sections));
-      0
-    | None ->
-      let baseline_path =
-        match baseline_path with
-        | Some p -> p
-        | None -> failf "one of --baseline or --write-baseline is required"
-      in
-      let bj = read_json baseline_path in
-      (match member "schema" bj with
-      | Some (Json.String s) when s = baseline_schema -> ()
-      | Some (Json.String s) -> failf "%s: unknown schema %S" baseline_path s
-      | _ -> failf "%s: missing schema" baseline_path);
-      let fails = ref 0 and warns = ref 0 in
-      List.iter
-        (fun (name, fresh) ->
-          let base = baseline_cells baseline_path name bj in
-          diff_section ~tolerance ~wall_tolerance ~fails ~warns name base fresh;
-          Printf.printf "section %s: %d baseline cells checked\n" name
-            (List.length base))
-        sections;
-      if !fails > 0 then begin
-        Printf.printf "bench gate: %d regression(s), %d warning(s)\n" !fails !warns;
-        1
-      end
-      else begin
-        Printf.printf "bench gate: clean (%d warning(s))\n" !warns;
-        0
-      end
-  with Bad_input msg ->
-    prerr_endline ("ncg_bench_diff: " ^ msg);
-    2
+    | Some path -> print_history path
+    | None -> (
+        let* sections =
+          List.fold_left
+            (fun acc spec ->
+              let* acc = acc in
+              let* name, file = parse_spec spec in
+              let* cells = read file cells in
+              Ok (acc @ [ (name, cells) ]))
+            (Ok []) specs
+        in
+        match (sections, write_path, baseline_path) with
+        | [], _, _ -> Error "no SECTION=FILE arguments given"
+        | _, Some path, _ -> Ok (write_baseline path sections)
+        | _, None, Some path -> gate ~tolerance ~wall_tolerance path sections
+        | _, None, None -> Error "one of --baseline or --write-baseline is required")
+  in
+  match result with
+  | Ok code -> code
+  | Error msg ->
+      prerr_endline ("ncg_bench_diff: " ^ msg);
+      2
 
 open Cmdliner
 

@@ -20,34 +20,14 @@ let pretty_ns ns =
 
 let latency_report path out =
   let module Json = Ncg_obs.Json in
-  let contents =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let doc =
-    match Json.of_string contents with
-    | Ok j -> j
-    | Error e -> failwith (Printf.sprintf "%s: %s" path e)
-  in
-  let member name = function
-    | Json.Obj fields -> List.assoc_opt name fields
-    | _ -> None
-  in
-  let num name j =
-    match member name j with
-    | Some (Json.Int i) -> float_of_int i
-    | Some (Json.Float f) -> f
-    | _ -> nan
-  in
+  let num name h = Option.value (Json.opt (Json.field name Json.number) h) ~default:nan in
   let hists =
-    match member "histograms_total" doc with
-    | Some (Json.Obj fields) -> fields
-    | _ ->
-        failwith
-          (Printf.sprintf "%s: no \"histograms_total\" object (is this sweep \
-                           telemetry?)" path)
+    let decode =
+      Json.decode ~what:path (Json.field "histograms_total" (Json.assoc Fun.id))
+    in
+    match Result.bind (Json.of_file path) decode with
+    | Ok hists -> hists
+    | Error e -> failwith (e ^ " (is this sweep telemetry?)")
   in
   let md = Ncg_reporting.Markdown.create () in
   Ncg_reporting.Markdown.heading md 1 "Sweep latency profile";

@@ -70,17 +70,12 @@ let heartbeat_loop addr name heartbeat_ms stop =
             | Ok (Some j) ->
                 (match Protocol.response_of_json j with
                 | Ok (Protocol.Resp_ok fields) ->
-                    (match List.assoc_opt "revoked" fields with
-                    | Some (Json.List ids) -> (
-                        let ids =
-                          List.filter_map
-                            (function Json.Int i -> Some i | _ -> None)
-                            ids
-                        in
-                        match Atomic.get current_task with
-                        | Some (task_id, flag) when List.mem task_id ids ->
-                            Atomic.set flag true
-                        | _ -> ())
+                    let revoked = Json.field "revoked" (Json.list (Json.opt Json.int)) in
+                    (match
+                       (Atomic.get current_task, Json.opt revoked (Json.Obj fields))
+                     with
+                    | Some (task_id, flag), Some ids when List.mem (Some task_id) ids ->
+                        Atomic.set flag true
                     | _ -> ())
                 | Ok (Protocol.Resp_error _) | Error _ ->
                     (* dropped beat (e.g. injected heartbeat fault):
@@ -92,6 +87,13 @@ let heartbeat_loop addr name heartbeat_ms stop =
       in
       loop ();
       (try close_out oc with Sys_error _ -> ())
+
+(* The task of a lease reply: its queue id and the cell to compute. *)
+let lease_task j =
+  let spec = Json.field "spec" (Json.nested Ncg.Sweep_spec.of_json) j in
+  let alpha = Json.field "alpha" Json.number j in
+  let cell = { Ncg.Experiment.alpha; k = Json.field "k" Json.int j } in
+  (Json.field "id" Json.int j, spec, cell)
 
 let worker_main connect name poll_ms heartbeat_ms fault_plan fault_seed =
   install_fault_plan fault_plan fault_seed;
@@ -132,10 +134,6 @@ let worker_main connect name poll_ms heartbeat_ms fault_plan fault_seed =
       Some (Thread.create (fun () -> heartbeat_loop addr name heartbeat_ms hb_stop) ())
     else None
   in
-  let member n = function
-    | Json.Obj fields -> List.assoc_opt n fields
-    | _ -> None
-  in
   let rec loop () =
     match rpc (Protocol.Lease { worker = name }) with
     | None -> () (* daemon gone *)
@@ -145,33 +143,11 @@ let worker_main connect name poll_ms heartbeat_ms fault_plan fault_seed =
     | Some (Protocol.Resp_ok fields) -> (
         match List.assoc_opt "task" fields with
         | Some (Json.Obj _ as task_json) -> (
-            let task_id =
-              match member "id" task_json with
-              | Some (Json.Int id) -> id
-              | _ ->
-                  Printf.eprintf "ncg_served: lease reply without task id\n%!";
-                  exit 1
-            in
-            let spec =
-              match member "spec" task_json with
-              | Some spec_json -> (
-                  match Ncg.Sweep_spec.of_json spec_json with
-                  | Ok spec -> spec
-                  | Error msg ->
-                      Printf.eprintf "ncg_served: bad task spec: %s\n%!" msg;
-                      exit 1)
-              | None ->
-                  Printf.eprintf "ncg_served: lease reply without spec\n%!";
-                  exit 1
-            in
-            let cell =
-              match (member "alpha" task_json, member "k" task_json) with
-              | Some (Json.Float alpha), Some (Json.Int k) ->
-                  { Ncg.Experiment.alpha; k }
-              | Some (Json.Int alpha), Some (Json.Int k) ->
-                  { Ncg.Experiment.alpha = float_of_int alpha; k }
-              | _ ->
-                  Printf.eprintf "ncg_served: lease reply without cell\n%!";
+            let task_id, spec, cell =
+              match Json.decode ~what:"lease reply task" lease_task task_json with
+              | Ok task -> task
+              | Error msg ->
+                  Printf.eprintf "ncg_served: %s\n%!" msg;
                   exit 1
             in
             (* The same attempt in-process workers make. The
@@ -198,12 +174,8 @@ let worker_main connect name poll_ms heartbeat_ms fault_plan fault_seed =
                 loop ()
             | None -> ())
         | _ ->
-            let draining =
-              match List.assoc_opt "draining" fields with
-              | Some (Json.Bool b) -> b
-              | _ -> false
-            in
-            if draining then ()
+            let draining = Json.opt (Json.field "draining" Json.bool) (Json.Obj fields) in
+            if draining = Some true then ()
             else begin
               Unix.sleepf (float_of_int poll_ms /. 1000.);
               loop ()

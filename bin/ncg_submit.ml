@@ -38,12 +38,11 @@ let rpc ic oc req =
   | Ok None -> die "daemon hung up"
   | Error msg -> die "%s" msg
 
-let int_field name fields =
-  match List.assoc_opt name fields with
-  | Some (Json.Int i) -> i
-  | _ -> die "response missing integer field %S" name
-
-let str_of = function Json.String s -> s | _ -> die "expected a string"
+(* Decodes the fields of an ok reply; a malformed reply exits 1. *)
+let reply fields decode =
+  match Json.decode ~what:"response" decode (Json.Obj fields) with
+  | Ok v -> v
+  | Error msg -> die "bad response: %s" msg
 
 (* --- subscribe mode: stream raw event lines to stdout ------------------- *)
 
@@ -105,13 +104,12 @@ let submit_main ic oc spec deadline_ms timeout_ms poll_ms quiet =
     match rpc ic oc (Protocol.Submit { spec; deadline_ms }) with
     | Protocol.Resp_error msg -> die "submit rejected: %s" msg
     | Protocol.Resp_ok fields ->
+        let int name = reply fields (Json.field name Json.int) in
         if not quiet then
           Printf.eprintf
             "ncg_submit: job %d accepted (%d cells: %d cached, %d deduped, %d queued)\n%!"
-            (int_field "job" fields) (int_field "total" fields)
-            (int_field "cached" fields) (int_field "deduped" fields)
-            (int_field "queued" fields);
-        (int_field "job" fields, int_field "total" fields)
+            (int "job") (int "total") (int "cached") (int "deduped") (int "queued");
+        (int "job", int "total")
   in
   (try
      ignore
@@ -149,19 +147,20 @@ let submit_main ic oc spec deadline_ms timeout_ms poll_ms quiet =
     | `Interrupted -> cancel_and_exit 130 "interrupt"
     | `Reply (Protocol.Resp_error msg) -> die "%s" msg
     | `Reply (Protocol.Resp_ok fields) -> (
-        match List.assoc_opt "state" fields with
-        | Some (Json.String "running") ->
+        match Json.opt (Json.field "state" Json.string) (Json.Obj fields) with
+        | Some "running" ->
             if not quiet then
               Ncg_obs.Events.progress
                 (Printf.sprintf "job %d: %d/%d cells" job
-                   (int_field "done" fields) total);
+                   (reply fields (Json.field "done" Json.int))
+                   total);
             Unix.sleepf (float_of_int poll_ms /. 1000.);
             wait ()
-        | Some (Json.String "done") -> Ncg_obs.Events.progress_done ()
-        | Some (Json.String "expired") ->
+        | Some "done" -> Ncg_obs.Events.progress_done ()
+        | Some "expired" ->
             Ncg_obs.Events.progress_done ();
             die "job %d expired before completing" job
-        | Some (Json.String "cancelled") ->
+        | Some "cancelled" ->
             Ncg_obs.Events.progress_done ();
             die "job %d was cancelled" job
         | _ -> die "unrecognized job state")
@@ -170,20 +169,12 @@ let submit_main ic oc spec deadline_ms timeout_ms poll_ms quiet =
   match rpc ic oc (Protocol.Results { job }) with
   | Protocol.Resp_error msg -> die "%s" msg
   | Protocol.Resp_ok fields ->
-      let header =
-        match List.assoc_opt "header" fields with
-        | Some (Json.String h) -> h
-        | _ -> die "results missing header"
-      in
-      let rows =
-        match List.assoc_opt "rows" fields with
-        | Some (Json.List rows) -> List.map str_of rows
-        | _ -> die "results missing rows"
-      in
-      let quarantined =
-        match List.assoc_opt "quarantined" fields with
-        | Some (Json.List q) -> q
-        | _ -> []
+      let header, rows, quarantined =
+        reply fields (fun j ->
+            ( Json.field "header" Json.string j,
+              Json.field "rows" (Json.list Json.string) j,
+              Option.value ~default:[]
+                (Json.opt (Json.field "quarantined" (Json.list Fun.id)) j) ))
       in
       print_endline header;
       List.iter print_endline rows;

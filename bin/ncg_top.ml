@@ -34,19 +34,6 @@ module Json = Ncg_obs.Json
 module Markdown = Ncg_reporting.Markdown
 module Timeseries = Ncg_obs.Timeseries
 
-let member name = function
-  | Json.Obj fields -> List.assoc_opt name fields
-  | _ -> None
-
-let num_opt = function
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | Some (Json.Float f) -> Some f
-  | _ -> None
-
-let int_opt = function Some (Json.Int i) -> Some i | _ -> None
-
-let str_opt = function Some (Json.String s) -> Some s | _ -> None
-
 (* --- Live mode ------------------------------------------------------------- *)
 
 (* Cell key: (alpha, k). Floats compare exactly here because both sides
@@ -99,10 +86,8 @@ let wstat_of st name =
 let alert st line =
   st.alerts <- (line :: st.alerts) |> List.filteri (fun i _ -> i < 6)
 
-let key_of_event j =
-  match (num_opt (member "alpha" j), int_opt (member "k" j)) with
-  | Some alpha, Some k -> Some (alpha, k)
-  | _ -> None
+let key_of_event =
+  Json.opt (fun j -> (Json.field "alpha" Json.number j, Json.field "k" Json.int j))
 
 let process_line st line =
   if String.trim line = "" then ()
@@ -111,23 +96,26 @@ let process_line st line =
     | Error _ -> st.skipped <- st.skipped + 1
     | Ok j -> (
         st.events <- st.events + 1;
-        match str_opt (member "event" j) with
+        (* Live lines are read leniently: a missing or mistyped field
+           reads as absent, shown as "?". *)
+        let get name decode = Json.opt (Json.field name decode) j in
+        let shown name = Option.fold ~none:"?" ~some:string_of_int (get name Json.int) in
+        let text name = Option.value (get name Json.string) ~default:"?" in
+        match get "event" Json.string with
         | Some "sweep.cell" -> (
-            (match int_opt (member "total" j) with
+            (match get "total" Json.int with
             | Some t -> st.total <- max st.total t
             | None -> ());
-            (match int_opt (member "done" j) with
+            (match get "done" Json.int with
             | Some d -> st.finished <- max st.finished d
             | None -> ());
             match key_of_event j with
             | None -> ()
             | Some key ->
-                let cached =
-                  match member "cached" j with Some (Json.Bool b) -> b | _ -> false
-                in
+                let cached = get "cached" Json.bool = Some true in
                 Hashtbl.replace st.cells key (if cached then Cached else Done))
         | Some "sweep.cell.quarantined" -> (
-            (match int_opt (member "done" j) with
+            (match get "done" Json.int with
             | Some d -> st.finished <- max st.finished d
             | None -> ());
             match key_of_event j with
@@ -136,11 +124,7 @@ let process_line st line =
                 Hashtbl.replace st.cells key Quarantined;
                 alert st
                   (Printf.sprintf "QUARANTINED alpha=%g k=%d after %s attempt(s): %s"
-                     alpha k
-                     (match int_opt (member "attempts" j) with
-                     | Some a -> string_of_int a
-                     | None -> "?")
-                     (Option.value (str_opt (member "error" j)) ~default:"?")))
+                     alpha k (shown "attempts") (text "error")))
         | Some "sweep.cell.attempt_failed" -> (
             match key_of_event j with
             | None -> ()
@@ -149,32 +133,28 @@ let process_line st line =
                 Hashtbl.replace st.retries key (prev + 1);
                 alert st
                   (Printf.sprintf "retry alpha=%g k=%d attempt %s (%s)%s" alpha k
-                     (match int_opt (member "attempt" j) with
-                     | Some a -> string_of_int a
-                     | None -> "?")
-                     (Option.value (str_opt (member "error" j)) ~default:"?")
-                     (match member "will_retry" j with
-                     | Some (Json.Bool false) -> " — giving up"
-                     | _ -> "")))
+                     (shown "attempt") (text "error")
+                     (if get "will_retry" Json.bool = Some false then " — giving up"
+                      else "")))
         (* The ncg_served daemon speaks its own event vocabulary; map it
            onto the same grid so one dashboard serves both sources. A
            subscriber can watch several jobs at once, so totals are the
            running sum of distinct queued work (cached cells resolve
            instantly and are marked directly). *)
         | Some "service.submit" ->
-            (match int_opt (member "total" j) with
+            (match get "total" Json.int with
             | Some t -> st.total <- st.total + t
             | None -> ());
-            (match int_opt (member "cached" j) with
+            (match get "cached" Json.int with
             | Some c -> st.finished <- st.finished + c
             | None -> ())
         | Some "service.lease" ->
-            (match str_opt (member "worker" j) with
+            (match get "worker" Json.string with
             | Some name -> (wstat_of st name).wleases <- (wstat_of st name).wleases + 1
             | None -> ())
         | Some "service.complete" -> (
             st.finished <- st.finished + 1;
-            (match str_opt (member "worker" j) with
+            (match get "worker" Json.string with
             | Some name -> (wstat_of st name).wdone <- (wstat_of st name).wdone + 1
             | None -> ());
             match key_of_event j with
@@ -187,8 +167,7 @@ let process_line st line =
                 let prev = Option.value (Hashtbl.find_opt st.retries key) ~default:0 in
                 Hashtbl.replace st.retries key (prev + 1);
                 alert st
-                  (Printf.sprintf "requeue alpha=%g k=%d (%s)" alpha k
-                     (Option.value (str_opt (member "reason" j)) ~default:"?")))
+                  (Printf.sprintf "requeue alpha=%g k=%d (%s)" alpha k (text "reason")))
         | Some "service.quarantine" -> (
             st.finished <- st.finished + 1;
             match key_of_event j with
@@ -196,19 +175,15 @@ let process_line st line =
             | Some ((alpha, k) as key) ->
                 Hashtbl.replace st.cells key Quarantined;
                 alert st
-                  (Printf.sprintf "QUARANTINED alpha=%g k=%d: %s" alpha k
-                     (Option.value (str_opt (member "error" j)) ~default:"?")))
+                  (Printf.sprintf "QUARANTINED alpha=%g k=%d: %s" alpha k (text "error")))
         | Some "service.job_expired" ->
             alert st
-              (Printf.sprintf "job %s EXPIRED before completing"
-                 (match int_opt (member "job" j) with
-                 | Some id -> string_of_int id
-                 | None -> "?"))
+              (Printf.sprintf "job %s EXPIRED before completing" (shown "job"))
         | Some
             (( "service.worker_registered" | "service.worker_suspect"
              | "service.worker_quarantined" | "service.worker_readmitted"
              | "service.worker_recovered" | "service.worker_lost" ) as ev) -> (
-            match str_opt (member "worker" j) with
+            match get "worker" Json.string with
             | None -> ()
             | Some name ->
                 let w = wstat_of st name in
@@ -228,35 +203,24 @@ let process_line st line =
                     alert st (Printf.sprintf "worker %s readmitted on probation" name)
                 | _ -> ())
         | Some "service.lease_expired" -> (
-            match str_opt (member "worker" j) with
+            match get "worker" Json.string with
             | None -> ()
             | Some name ->
                 let w = wstat_of st name in
                 w.wexpired <- w.wexpired + 1;
                 alert st
-                  (Printf.sprintf "lease %s EXPIRED on silent worker %s"
-                     (match int_opt (member "task" j) with
-                     | Some id -> string_of_int id
-                     | None -> "?")
+                  (Printf.sprintf "lease %s EXPIRED on silent worker %s" (shown "task")
                      name))
         | Some "service.cancel" ->
             alert st
-              (Printf.sprintf "job %s cancelled (released %s, revoked %s)"
-                 (match int_opt (member "job" j) with
-                 | Some id -> string_of_int id
-                 | None -> "?")
-                 (match int_opt (member "released" j) with
-                 | Some n -> string_of_int n
-                 | None -> "?")
-                 (match int_opt (member "revoked" j) with
-                 | Some n -> string_of_int n
-                 | None -> "?"))
+              (Printf.sprintf "job %s cancelled (released %s, revoked %s)" (shown "job")
+                 (shown "released") (shown "revoked"))
         | Some "dynamics.round" -> (
             match
               ( key_of_event j,
-                int_opt (member "round" j),
-                num_opt (member "social_cost" j),
-                int_opt (member "awake" j) )
+                get "round" Json.int,
+                get "social_cost" Json.number,
+                get "awake" Json.int )
             with
             | Some key, Some round, Some sc, Some awake ->
                 let cell =
@@ -561,10 +525,6 @@ let live path once interval =
 
 (* --- Post-hoc mode --------------------------------------------------------- *)
 
-exception Bad_input of string
-
-let failf fmt = Printf.ksprintf (fun s -> raise (Bad_input s)) fmt
-
 type ph_cell = {
   ph_alpha : float;
   ph_k : int;
@@ -575,54 +535,32 @@ type ph_cell = {
   ph_probes : Ncg_obs.Probe.snapshot;
 }
 
-let read_doc path =
-  let contents =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with Sys_error e -> failf "%s: %s" path e
-  in
-  match Json.of_string contents with
-  | Ok j -> j
-  | Error e -> failf "%s: %s" path e
+let cell_of_json c =
+  let num name = Json.field name Json.number c in
+  let optional name = Json.opt (Json.field name Json.number) c in
+  {
+    ph_alpha = num "alpha";
+    ph_k = int_of_float (num "k");
+    ph_wall = optional "wall_seconds";
+    ph_rounds = optional "rounds_mean";
+    ph_quality = optional "quality_mean";
+    ph_converged = optional "converged_frac";
+    ph_probes =
+      Option.value ~default:[]
+        (Json.field_opt "probes" (Json.nested Ncg_obs.Probe.of_json) c);
+  }
 
 (* Any document with a "cells" list is accepted — the experiment
    telemetry and both bench outputs share the per-cell shape this report
    needs. *)
 let load_cells path =
-  let j = read_doc path in
-  let schema = Option.value (str_opt (member "schema" j)) ~default:"(no schema)" in
-  let cells =
-    match member "cells" j with
-    | Some (Json.List cells) -> cells
-    | _ -> failf "%s: no \"cells\" list (schema %s)" path schema
-  in
-  let parse i c =
-    let ctx = Printf.sprintf "%s: cells[%d]" path i in
-    let req name =
-      match num_opt (member name c) with
-      | Some v -> v
-      | None -> failf "%s: missing %s" ctx name
-    in
-    {
-      ph_alpha = req "alpha";
-      ph_k = int_of_float (req "k");
-      ph_wall = num_opt (member "wall_seconds" c);
-      ph_rounds = num_opt (member "rounds_mean" c);
-      ph_quality = num_opt (member "quality_mean" c);
-      ph_converged = num_opt (member "converged_frac" c);
-      ph_probes =
-        (match member "probes" c with
-        | None -> []
-        | Some pj -> (
-            match Ncg_obs.Probe.of_json pj with
-            | Ok snap -> snap
-            | Error e -> failf "%s: probes: %s" ctx e));
-    }
-  in
-  (schema, List.mapi parse cells)
+  Result.bind (Json.of_file path)
+    (Json.decode ~what:path (fun j ->
+         let schema = Json.opt (Json.field "schema" Json.string) j in
+         let schema = Option.value schema ~default:"(no schema)" in
+         match Json.field_opt "cells" (Json.list cell_of_json) j with
+         | Some cells -> (schema, cells)
+         | None -> Json.fail "no \"cells\" list (schema %s)" schema))
 
 let probe_samples cell name =
   match List.assoc_opt name cell.ph_probes with
@@ -734,47 +672,58 @@ let comparison_section md ~path_a ~path_b cells_a cells_b =
          (List.length unmatched)
          (String.concat ", " (List.map cell_label unmatched)))
 
+let report telemetry (schema, cells) compared out =
+  let md = Markdown.create () in
+  Markdown.heading md 1 "Convergence report";
+  Markdown.paragraph md
+    (Printf.sprintf "Source: `%s` (schema `%s`), %d cells." telemetry schema
+       (List.length cells));
+  summary_table md cells;
+  let with_series =
+    List.sort
+      (fun a b ->
+        compare
+          (List.length (probe_samples b (Ncg_obs.Probe.name Ncg_obs.Probe.social_cost)))
+          (List.length (probe_samples a (Ncg_obs.Probe.name Ncg_obs.Probe.social_cost))))
+      (List.filter
+         (fun c -> probe_samples c (Ncg_obs.Probe.name Ncg_obs.Probe.social_cost) <> [])
+         cells)
+  in
+  (match with_series with
+  | [] ->
+      Markdown.paragraph md
+        "No probe series in this document — run the sweep with probes enabled \
+         (they are on by default; check for --no-probes)."
+  | _ ->
+      List.iter (convergence_section md) (List.filteri (fun i _ -> i < 3) with_series));
+  (match compared with
+  | None -> ()
+  | Some (other, cells_b) ->
+      comparison_section md ~path_a:telemetry ~path_b:other cells cells_b);
+  let rendered = Markdown.to_string md in
+  match out with
+  | Some path ->
+      Ncg_obs.Atomic_file.write path rendered;
+      Printf.printf "wrote %s\n" path
+  | None -> print_string rendered
+
 let post_hoc telemetry compare_with out =
-  try
-    let schema, cells = load_cells telemetry in
-    let md = Markdown.create () in
-    Markdown.heading md 1 "Convergence report";
-    Markdown.paragraph md
-      (Printf.sprintf "Source: `%s` (schema `%s`), %d cells." telemetry schema
-         (List.length cells));
-    summary_table md cells;
-    let with_series =
-      List.sort
-        (fun a b ->
-          compare
-            (List.length (probe_samples b (Ncg_obs.Probe.name Ncg_obs.Probe.social_cost)))
-            (List.length (probe_samples a (Ncg_obs.Probe.name Ncg_obs.Probe.social_cost))))
-        (List.filter
-           (fun c ->
-             probe_samples c (Ncg_obs.Probe.name Ncg_obs.Probe.social_cost) <> [])
-           cells)
-    in
-    (match with_series with
-    | [] ->
-        Markdown.paragraph md
-          "No probe series in this document — run the sweep with probes enabled \
-           (they are on by default; check for --no-probes)."
-    | _ -> List.iter (convergence_section md) (List.filteri (fun i _ -> i < 3) with_series));
-    (match compare_with with
-    | None -> ()
+  let ( let* ) = Result.bind in
+  let loaded =
+    let* doc = load_cells telemetry in
+    match compare_with with
+    | None -> Ok (doc, None)
     | Some other ->
-        let _, cells_b = load_cells other in
-        comparison_section md ~path_a:telemetry ~path_b:other cells cells_b);
-    let rendered = Markdown.to_string md in
-    (match out with
-    | Some path ->
-        Ncg_obs.Atomic_file.write path rendered;
-        Printf.printf "wrote %s\n" path
-    | None -> print_string rendered);
-    0
-  with Bad_input msg ->
-    Printf.eprintf "ncg_top: %s\n" msg;
-    1
+        let* _, cells_b = load_cells other in
+        Ok (doc, Some (other, cells_b))
+  in
+  match loaded with
+  | Ok (doc, compared) ->
+      report telemetry doc compared out;
+      0
+  | Error msg ->
+      Printf.eprintf "ncg_top: %s\n" msg;
+      1
 
 (* --- CLI ------------------------------------------------------------------- *)
 

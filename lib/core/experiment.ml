@@ -271,25 +271,6 @@ module Json = Ncg_obs.Json
    three. *)
 let cell_payload_schema = Ncg_obs.Schema.store_cell
 
-let bool_of_json name = function
-  | Json.Bool b -> b
-  | _ -> failwith (Printf.sprintf "field %S: expected a bool" name)
-
-let int_of_json name = function
-  | Json.Int i -> i
-  | _ -> failwith (Printf.sprintf "field %S: expected an int" name)
-
-let float_of_json name = function
-  | Json.Float f -> f
-  | Json.Int i -> float_of_int i
-  | Json.Null -> nan (* NaN serializes as null; restore it *)
-  | _ -> failwith (Printf.sprintf "field %S: expected a number" name)
-
-let field fields name =
-  match List.assoc_opt name fields with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "missing field %S" name)
-
 let run_stats_to_json (r : run_stats) =
   Json.Obj
     [
@@ -307,24 +288,26 @@ let run_stats_to_json (r : run_stats) =
       ("social_cost", Json.Float r.social_cost);
     ]
 
-let run_stats_of_json = function
-  | Json.Obj fields ->
-      let f = field fields in
-      {
-        converged = bool_of_json "converged" (f "converged");
-        cycled = bool_of_json "cycled" (f "cycled");
-        rounds = int_of_json "rounds" (f "rounds");
-        total_moves = int_of_json "total_moves" (f "total_moves");
-        quality = float_of_json "quality" (f "quality");
-        unfairness = float_of_json "unfairness" (f "unfairness");
-        diameter = int_of_json "diameter" (f "diameter");
-        max_degree = int_of_json "max_degree" (f "max_degree");
-        max_bought = int_of_json "max_bought" (f "max_bought");
-        min_view = int_of_json "min_view" (f "min_view");
-        avg_view = float_of_json "avg_view" (f "avg_view");
-        social_cost = float_of_json "social_cost" (f "social_cost");
-      }
-  | _ -> failwith "run_stats: expected an object"
+(* Non-finite floats serialize as null (Json.float_repr), so [null]
+   reads back as NaN in the stats. *)
+let run_stats_of_json j =
+  let bool name = Json.field name Json.bool j in
+  let int name = Json.field name Json.int j in
+  let float name = Json.field name Json.number_or_null j in
+  {
+    converged = bool "converged";
+    cycled = bool "cycled";
+    rounds = int "rounds";
+    total_moves = int "total_moves";
+    quality = float "quality";
+    unfairness = float "unfairness";
+    diameter = int "diameter";
+    max_degree = int "max_degree";
+    max_bought = int "max_bought";
+    min_view = int "min_view";
+    avg_view = float "avg_view";
+    social_cost = float "social_cost";
+  }
 
 let cell_result_to_json (r : cell_result) =
   Json.Obj
@@ -343,43 +326,24 @@ let cell_result_to_json (r : cell_result) =
       ("domain", Json.Int r.domain);
     ]
 
-let cell_result_of_json = function
-  | Json.Obj fields -> (
-      let f = field fields in
-      let sub name decode =
-        match decode (f name) with
-        | Ok v -> v
-        | Error msg -> failwith (Printf.sprintf "field %S: %s" name msg)
-      in
-      try
-        (match f "schema" with
-        | Json.String s when s = cell_payload_schema -> ()
-        | Json.String s -> failwith (Printf.sprintf "unknown schema %S" s)
-        | _ -> failwith "missing schema");
-        let runs =
-          match f "runs" with
-          | Json.List items -> List.map run_stats_of_json items
-          | _ -> failwith "field \"runs\": expected a list"
-        in
-        Ok
-          {
-            cell =
-              {
-                alpha = float_of_json "alpha" (f "alpha");
-                k = int_of_json "k" (f "k");
-              };
-            runs;
-            counters = sub "counters" Ncg_obs.Metrics.of_json;
-            histograms = sub "histograms" Ncg_obs.Histogram.of_json_exact;
-            probes = sub "probes" Ncg_obs.Probe.of_json;
-            gc = sub "gc" Ncg_obs.Gc_stats.of_json;
-            spans = sub "spans" Ncg_obs.Span.of_json_exact;
-            wall_ns = Int64.of_int (int_of_json "wall_ns" (f "wall_ns"));
-            started_ns = Int64.of_int (int_of_json "started_ns" (f "started_ns"));
-            domain = int_of_json "domain" (f "domain");
-          }
-      with Failure msg -> Error ("cell_result_of_json: " ^ msg))
-  | _ -> Error "cell_result_of_json: expected an object"
+let cell_result_of_json =
+  Json.decode ~what:"cell_result_of_json" (fun j ->
+      let sub name of_json = Json.field name (Json.nested of_json) j in
+      let int name = Json.field name Json.int j in
+      Json.schema cell_payload_schema j;
+      {
+        cell =
+          { alpha = Json.field "alpha" Json.number_or_null j; k = int "k" };
+        runs = Json.field "runs" (Json.list run_stats_of_json) j;
+        counters = sub "counters" Ncg_obs.Metrics.of_json;
+        histograms = sub "histograms" Ncg_obs.Histogram.of_json_exact;
+        probes = sub "probes" Ncg_obs.Probe.of_json;
+        gc = sub "gc" Ncg_obs.Gc_stats.of_json;
+        spans = sub "spans" Ncg_obs.Span.of_json_exact;
+        wall_ns = Int64.of_int (int "wall_ns");
+        started_ns = Int64.of_int (int "started_ns");
+        domain = int "domain";
+      })
 
 let cell_cache_key ?(probes = true) ~context ~seed ~trials ~cell_seed
     (cell : cell) =
@@ -401,11 +365,8 @@ let cell_cache_key ?(probes = true) ~context ~seed ~trials ~cell_seed
 let store_lookup store key =
   match Ncg_store.Store.lookup store key with
   | None -> None
-  | Some payload -> (
-      match Json.of_string payload with
-      | Error _ -> None
-      | Ok json -> (
-          match cell_result_of_json json with Ok r -> Some r | Error _ -> None))
+  | Some payload ->
+      Result.to_option (Result.bind (Json.of_string payload) cell_result_of_json)
 
 let store_insert store key r =
   Ncg_store.Store.insert store key (Json.to_string (cell_result_to_json r))

@@ -132,89 +132,22 @@ let to_json spec =
       ("probes", Json.Bool spec.probes);
     ]
 
+let decode j =
+  let int name = Json.field name Json.int j in
+  Json.schema schema j;
+  {
+    graph_class = Json.field "class" Json.string j;
+    n = int "n";
+    p = Json.field "p" Json.number j;
+    alphas = Json.field "alphas" (Json.list Json.number) j;
+    ks = Json.field "ks" (Json.list Json.int) j;
+    trials = int "trials";
+    seed = int "seed";
+    budget = int "budget";
+    move_budget = int "move_budget";
+    probes = Json.field "probes" Json.bool j;
+  }
+
 let of_json j =
-  let ( let* ) = Result.bind in
-  let member name =
-    match j with
-    | Json.Obj fields -> (
-        match List.assoc_opt name fields with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "spec: missing field %S" name))
-    | _ -> Error "spec: not an object"
-  in
-  let as_int name = function
-    | Json.Int i -> Ok i
-    | _ -> Error (Printf.sprintf "spec: %S must be an integer" name)
-  in
-  let as_float name = function
-    | Json.Float f -> Ok f
-    | Json.Int i -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "spec: %S must be a number" name)
-  in
-  let* s = member "schema" in
-  let* () =
-    match s with
-    | Json.String v when String.equal v schema -> Ok ()
-    | Json.String v -> Error (Printf.sprintf "spec: unsupported schema %S" v)
-    | _ -> Error "spec: schema must be a string"
-  in
-  let* graph_class =
-    let* v = member "class" in
-    match v with
-    | Json.String c -> Ok c
-    | _ -> Error "spec: \"class\" must be a string"
-  in
-  let* n = Result.bind (member "n") (as_int "n") in
-  let* p = Result.bind (member "p") (as_float "p") in
-  let* alphas =
-    let* v = member "alphas" in
-    match v with
-    | Json.List xs ->
-        List.fold_left
-          (fun acc x ->
-            let* acc = acc in
-            let* f = as_float "alphas" x in
-            Ok (f :: acc))
-          (Ok []) xs
-        |> Result.map List.rev
-    | _ -> Error "spec: \"alphas\" must be a list"
-  in
-  let* ks =
-    let* v = member "ks" in
-    match v with
-    | Json.List xs ->
-        List.fold_left
-          (fun acc x ->
-            let* acc = acc in
-            let* k = as_int "ks" x in
-            Ok (k :: acc))
-          (Ok []) xs
-        |> Result.map List.rev
-    | _ -> Error "spec: \"ks\" must be a list"
-  in
-  let* trials = Result.bind (member "trials") (as_int "trials") in
-  let* seed = Result.bind (member "seed") (as_int "seed") in
-  let* budget = Result.bind (member "budget") (as_int "budget") in
-  let* move_budget = Result.bind (member "move_budget") (as_int "move_budget") in
-  let* probes =
-    let* v = member "probes" in
-    match v with
-    | Json.Bool b -> Ok b
-    | _ -> Error "spec: \"probes\" must be a boolean"
-  in
-  let spec =
-    {
-      graph_class;
-      n;
-      p;
-      alphas;
-      ks;
-      trials;
-      seed;
-      budget;
-      move_budget;
-      probes;
-    }
-  in
-  let* () = validate spec in
-  Ok spec
+  Result.bind (Json.decode ~what:"spec" decode j) (fun spec ->
+      Result.map (fun () -> spec) (validate spec))

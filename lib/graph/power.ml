@@ -30,15 +30,3 @@ let power g h =
     Array.iteri (fun u row -> Array.blit row 0 packed offsets.(u) (Array.length row)) rows;
     Graph.unsafe_of_csr ~n ~m:(total / 2) ~offsets ~packed
   end
-
-let ball_sets g h =
-  let n = Graph.order g in
-  let s = Bfs.create_scratch ~capacity:n () in
-  Array.init n (fun u ->
-      let set = Ncg_util.Bitset.create n in
-      let visited = Bfs.run s g u ~radius:(max h 0) in
-      let order = Bfs.visit_order s in
-      for i = 0 to visited - 1 do
-        Ncg_util.Bitset.add set order.(i)
-      done;
-      set)

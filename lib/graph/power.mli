@@ -8,8 +8,3 @@
     [power g 1] equals [g]. @raise Invalid_argument if [h < 0].
     [power g 0] is the empty graph on the same vertices. *)
 val power : Graph.t -> int -> Graph.t
-
-(** [ball_sets g h] is, for each vertex [u], the closed ball
-    {v : d(u,v) ≤ h} as a bitset — the covering sets of the dominating-set
-    instance, computed without materializing the power graph. *)
-val ball_sets : Graph.t -> int -> Ncg_util.Bitset.t array

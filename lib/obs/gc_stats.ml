@@ -95,35 +95,15 @@ let to_json s =
    and ignored on read). Float serialization round-trips exactly, so
    decode (encode s) = s; [null] (a NaN that slipped into a file) reads
    back as [nan]. *)
-let of_json = function
-  | Json.Obj fields -> (
-      let exception Bad of string in
-      let get name =
-        match List.assoc_opt name fields with
-        | Some v -> v
-        | None -> raise (Bad (Printf.sprintf "missing field %S" name))
-      in
-      let number name =
-        match get name with
-        | Json.Float f -> f
-        | Json.Int i -> float_of_int i
-        | Json.Null -> nan
-        | _ -> raise (Bad (Printf.sprintf "field %S: expected a number" name))
-      in
-      let int name =
-        match get name with
-        | Json.Int i -> i
-        | _ -> raise (Bad (Printf.sprintf "field %S: expected an int" name))
-      in
-      try
-        Ok
-          {
-            minor_words = number "minor_words";
-            promoted_words = number "promoted_words";
-            major_words = number "major_words";
-            minor_collections = int "minor_collections";
-            major_collections = int "major_collections";
-            compactions = int "compactions";
-          }
-      with Bad msg -> Error ("Gc_stats.of_json: " ^ msg))
-  | _ -> Error "Gc_stats.of_json: expected an object"
+let of_json =
+  Json.decode ~what:"Gc_stats.of_json" (fun j ->
+      let number name = Json.field name Json.number_or_null j in
+      let int name = Json.field name Json.int j in
+      {
+        minor_words = number "minor_words";
+        promoted_words = number "promoted_words";
+        major_words = number "major_words";
+        minor_collections = int "minor_collections";
+        major_collections = int "major_collections";
+        compactions = int "compactions";
+      })

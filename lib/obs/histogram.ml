@@ -253,53 +253,20 @@ let hist_to_json_exact (h : hist) =
 let to_json_exact (snap : snapshot) =
   Json.Obj (List.map (fun (k, h) -> (k, hist_to_json_exact h)) snap)
 
-let hist_of_json_exact = function
-  | Json.Obj fields -> (
-      let exception Bad of string in
-      let int name =
-        match List.assoc_opt name fields with
-        | Some (Json.Int i) -> i
-        | _ -> raise (Bad (Printf.sprintf "field %S: expected an int" name))
-      in
-      try
-        let counts =
-          match List.assoc_opt "counts" fields with
-          | Some (Json.List items) ->
-              let counts =
-                Array.of_list
-                  (List.map
-                     (function
-                       | Json.Int i -> i
-                       | _ -> raise (Bad "non-integer bucket count"))
-                     items)
-              in
-              if Array.length counts <> bucket_count then
-                raise
-                  (Bad
-                     (Printf.sprintf "expected %d buckets, got %d" bucket_count
-                        (Array.length counts)));
-              counts
-          | _ -> raise (Bad "missing bucket counts")
-        in
-        Ok
-          {
-            counts;
-            total = int "total";
-            sum_ns = Int64.of_int (int "sum_ns");
-            max_ns = Int64.of_int (int "max_ns");
-          }
-      with Bad msg -> Error msg)
-  | _ -> Error "expected an object"
+let buckets_of_json j =
+  let counts = Array.of_list (Json.list Json.int j) in
+  if Array.length counts <> bucket_count then
+    Json.fail "expected %d buckets, got %d" bucket_count (Array.length counts);
+  counts
 
-let of_json_exact = function
-  | Json.Obj fields ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | (name, v) :: rest -> (
-            match hist_of_json_exact v with
-            | Ok h -> go ((name, h) :: acc) rest
-            | Error msg ->
-                Error (Printf.sprintf "Histogram.of_json_exact: %S: %s" name msg))
-      in
-      go [] fields
-  | _ -> Error "Histogram.of_json_exact: expected an object"
+let hist_of_json_exact j =
+  let int64 name = Int64.of_int (Json.field name Json.int j) in
+  {
+    counts = Json.field "counts" buckets_of_json j;
+    total = Json.field "total" Json.int j;
+    sum_ns = int64 "sum_ns";
+    max_ns = int64 "max_ns";
+  }
+
+let of_json_exact =
+  Json.decode ~what:"Histogram.of_json_exact" (Json.assoc hist_of_json_exact)

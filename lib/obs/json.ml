@@ -308,3 +308,77 @@ let of_string s =
       (* Belt and braces: of_string promises to never raise, whatever
          bytes arrive (the qcheck fuzz tests hold it to that). *)
       Error (Printf.sprintf "unexpected parser failure: %s" (Printexc.to_string e))
+
+(* --- Decoding ------------------------------------------------------------- *)
+
+type segment = Key of string | Index of int
+
+(* Raised by the accessors below with the path from the value handed to
+   the accessor down to the failing value, outermost segment first;
+   caught only by [decode] and [opt]. *)
+exception Decode_error of segment list * string
+
+let fail fmt = Printf.ksprintf (fun reason -> raise (Decode_error ([], reason))) fmt
+
+let within seg f x =
+  try f x with Decode_error (path, reason) -> raise (Decode_error (seg :: path, reason))
+
+let render_path path =
+  let buf = Buffer.create 32 in
+  List.iter
+    (function
+      | Key k ->
+          if Buffer.length buf > 0 then Buffer.add_char buf '.';
+          Buffer.add_string buf k
+      | Index i -> Buffer.add_string buf (Printf.sprintf "[%d]" i))
+    path;
+  Buffer.contents buf
+
+let decode ~what f j =
+  match f j with
+  | v -> Ok v
+  | exception Decode_error ([], reason) -> Error (what ^ ": " ^ reason)
+  | exception Decode_error (path, reason) ->
+      Error (Printf.sprintf "%s: %s: %s" what (render_path path) reason)
+
+let opt f j = try Some (f j) with Decode_error _ -> None
+
+let nested f j = match f j with Ok v -> v | Error msg -> fail "%s" msg
+
+let int = function Int i -> i | _ -> fail "expected an int"
+let bool = function Bool b -> b | _ -> fail "expected a bool"
+let string = function String s -> s | _ -> fail "expected a string"
+
+let number = function
+  | Float f -> f
+  | Int i -> float_of_int i
+  | _ -> fail "expected a number"
+
+let number_or_null = function Null -> Float.nan | j -> number j
+
+let list f = function
+  | List items -> List.mapi (fun i item -> within (Index i) f item) items
+  | _ -> fail "expected a list"
+
+let assoc f = function
+  | Obj fields -> List.map (fun (k, v) -> (k, within (Key k) f v)) fields
+  | _ -> fail "expected an object"
+
+let field_opt name f = function
+  | Obj fields -> Option.map (within (Key name) f) (List.assoc_opt name fields)
+  | _ -> fail "expected an object"
+
+let field name f j =
+  match field_opt name f j with
+  | Some v -> v
+  | None -> raise (Decode_error ([ Key name ], "missing"))
+
+let schema expected =
+  field "schema" (fun j ->
+      let s = string j in
+      if not (String.equal s expected) then fail "expected %S, got %S" expected s)
+
+let of_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | contents -> Result.map_error (fun msg -> path ^ ": " ^ msg) (of_string contents)

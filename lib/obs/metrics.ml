@@ -83,21 +83,9 @@ let to_json snap =
 
 (* Inverse of to_json within one binary: decode (encode snap) = snap for
    any snapshot produced by [collect]. *)
-let of_json = function
-  | Json.Obj fields -> (
-      let exception Bad of string in
-      try
-        let counts =
-          List.map
-            (fun (k, v) ->
-              match v with
-              | Json.Int n -> (k, n)
-              | _ -> raise (Bad (Printf.sprintf "counter %S: expected an int" k)))
-            fields
-        in
-        Ok (Registry.expand registry ~default:(fun () -> 0) counts)
-      with Bad msg -> Error ("Metrics.of_json: " ^ msg))
-  | _ -> Error "Metrics.of_json: expected an object"
+let of_json =
+  Json.decode ~what:"Metrics.of_json" (fun j ->
+      Registry.expand registry ~default:(fun () -> 0) (Json.assoc Json.int j))
 
 let to_markdown snap =
   let buf = Buffer.create 128 in

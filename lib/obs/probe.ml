@@ -92,33 +92,11 @@ let to_json snap =
              snap) );
     ]
 
-let of_json = function
-  | Json.Obj fields -> (
-      let exception Bad of string in
-      try
-        (match List.assoc_opt "schema" fields with
-        | Some (Json.String s) when s = schema -> ()
-        | Some (Json.String s) ->
-            raise (Bad (Printf.sprintf "unknown schema %S" s))
-        | _ -> raise (Bad "missing schema"));
-        let capacity =
-          match List.assoc_opt "capacity" fields with
-          | Some (Json.Int c) -> c
-          | _ -> raise (Bad "missing capacity")
-        in
-        let series =
-          match List.assoc_opt "series" fields with
-          | Some (Json.Obj s) -> s
-          | _ -> raise (Bad "missing series")
-        in
-        let decode n j =
-          match Timeseries.of_json j with
-          | Ok s -> s
-          | Error msg -> raise (Bad (Printf.sprintf "probe %S: %s" n msg))
-        in
-        Ok
-          (Registry.expand registry
-             ~default:(fun () -> Timeseries.create ~capacity ())
-             (List.map (fun (n, j) -> (n, decode n j)) series))
-      with Bad msg -> Error ("Probe.of_json: " ^ msg))
-  | _ -> Error "Probe.of_json: expected an object"
+let of_json =
+  Json.decode ~what:"Probe.of_json" (fun j ->
+      Json.schema schema j;
+      let capacity = Json.field "capacity" Json.int j in
+      (* Checked here, not left to Timeseries.create, which raises. *)
+      if capacity < 2 then Json.fail "capacity must be >= 2, got %d" capacity;
+      let series = Json.field "series" (Json.assoc (Json.nested Timeseries.of_json)) j in
+      Registry.expand registry ~default:(fun () -> Timeseries.create ~capacity ()) series)

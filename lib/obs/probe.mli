@@ -112,5 +112,5 @@ val to_json : snapshot -> Json.t
 (** Inverse of {!to_json}: dropped empty series are re-expanded over the
     registered probes in registration order (then unknown names in input
     order), so within one binary [of_json (to_json s)] restores [s]
-    exactly ({!equal_snapshot}). *)
+    exactly ({!equal_snapshot}). A capacity below 2 is an [Error]. *)
 val of_json : Json.t -> (snapshot, string) result

@@ -102,37 +102,18 @@ let rec to_json_exact span =
   | children ->
       Json.Obj (base @ [ ("children", Json.List (List.map to_json_exact children)) ])
 
-let of_json_exact json =
-  let exception Bad of string in
-  let rec decode = function
-    | Json.Obj fields ->
-        let name =
-          match List.assoc_opt "name" fields with
-          | Some (Json.String s) -> s
-          | _ -> raise (Bad "missing span name")
-        in
-        let int field =
-          match List.assoc_opt field fields with
-          | Some (Json.Int i) -> Int64.of_int i
-          | _ -> raise (Bad (Printf.sprintf "span %S: expected int %S" name field))
-        in
-        let children =
-          match List.assoc_opt "children" fields with
-          | None -> []
-          | Some (Json.List items) -> List.map decode items
-          | Some _ -> raise (Bad (Printf.sprintf "span %S: bad children" name))
-        in
-        {
-          span_name = name;
-          started_ns = int "started_ns";
-          elapsed_ns = int "elapsed_ns";
-          children;
-        }
-    | _ -> raise (Bad "expected an object")
-  in
-  match decode json with
-  | span -> Ok span
-  | exception Bad msg -> Error ("Span.of_json_exact: " ^ msg)
+let rec span_of_json_exact j =
+  let int64 name = Int64.of_int (Json.field name Json.int j) in
+  {
+    span_name = Json.field "name" Json.string j;
+    started_ns = int64 "started_ns";
+    elapsed_ns = int64 "elapsed_ns";
+    children =
+      Option.value ~default:[]
+        (Json.field_opt "children" (Json.list span_of_json_exact) j);
+  }
+
+let of_json_exact = Json.decode ~what:"Span.of_json_exact" span_of_json_exact
 
 let to_markdown span =
   let buf = Buffer.create 128 in

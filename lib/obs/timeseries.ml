@@ -86,13 +86,11 @@ let sample_to_json f =
   else if f = Float.neg_infinity then Json.String "-inf"
   else Json.Float f
 
-let sample_of_json name = function
-  | Json.Float f -> f
-  | Json.Int i -> float_of_int i
+let sample_of_json = function
   | Json.String "nan" -> Float.nan
   | Json.String "inf" -> Float.infinity
   | Json.String "-inf" -> Float.neg_infinity
-  | _ -> failwith (Printf.sprintf "field %S: expected a sample" name)
+  | j -> Json.number j
 
 let to_json t =
   Json.Obj
@@ -105,43 +103,26 @@ let to_json t =
       ("ys", Json.List (List.init t.len (fun i -> sample_to_json t.ys.(i))));
     ]
 
-let of_json = function
-  | Json.Obj fields -> (
-      let field name =
-        match List.assoc_opt name fields with
-        | Some v -> v
-        | None -> failwith (Printf.sprintf "missing field %S" name)
-      in
-      let int name =
-        match field name with
-        | Json.Int i -> i
-        | _ -> failwith (Printf.sprintf "field %S: expected an int" name)
-      in
-      let samples name =
-        match field name with
-        | Json.List items -> List.map (sample_of_json name) items
-        | _ -> failwith (Printf.sprintf "field %S: expected a list" name)
-      in
-      try
-        (match field "schema" with
-        | Json.String s when s = schema -> ()
-        | Json.String s -> failwith (Printf.sprintf "unknown schema %S" s)
-        | _ -> failwith "missing schema");
-        let cap = int "capacity" in
-        let t = create ~capacity:cap () in
-        t.stride <- int "stride";
-        t.pushed <- int "pushed";
-        if t.stride < 1 then failwith "field \"stride\": must be >= 1";
-        let xs = samples "xs" and ys = samples "ys" in
-        if List.length xs <> List.length ys then
-          failwith "xs and ys must have the same length";
-        if List.length xs > cap then failwith "more samples than capacity";
-        List.iter2
-          (fun x y ->
-            t.xs.(t.len) <- x;
-            t.ys.(t.len) <- y;
-            t.len <- t.len + 1)
-          xs ys;
-        Ok t
-      with Failure msg -> Error ("Timeseries.of_json: " ^ msg))
-  | _ -> Error "Timeseries.of_json: expected an object"
+let of_json =
+  Json.decode ~what:"Timeseries.of_json" (fun j ->
+      let int name = Json.field name Json.int j in
+      Json.schema schema j;
+      (* Checked here, not left to [create], which raises. *)
+      let cap = int "capacity" in
+      if cap < 2 then Json.fail "capacity must be >= 2, got %d" cap;
+      let t = create ~capacity:cap () in
+      t.stride <- int "stride";
+      t.pushed <- int "pushed";
+      if t.stride < 1 then Json.fail "stride must be >= 1";
+      let xs = Json.field "xs" (Json.list sample_of_json) j in
+      let ys = Json.field "ys" (Json.list sample_of_json) j in
+      if List.length xs <> List.length ys then
+        Json.fail "xs and ys must have the same length";
+      if List.length xs > cap then Json.fail "more samples than capacity";
+      List.iter2
+        (fun x y ->
+          t.xs.(t.len) <- x;
+          t.ys.(t.len) <- y;
+          t.len <- t.len + 1)
+        xs ys;
+      t)

@@ -71,5 +71,6 @@ val schema : string
 
 val to_json : t -> Json.t
 
-(** [of_json (to_json t)] restores [t] exactly ({!equal}). *)
+(** [of_json (to_json t)] restores [t] exactly ({!equal}). A capacity
+    below 2, which {!create} rejects by raising, is an [Error] here. *)
 val of_json : Json.t -> (t, string) result

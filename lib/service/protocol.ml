@@ -85,87 +85,42 @@ let request_to_json r =
   in
   Json.Obj (("schema", Json.String request_schema) :: fields)
 
-let member name = function
-  | Json.Obj fields -> List.assoc_opt name fields
-  | _ -> None
-
-let str_field name j =
-  match member name j with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "request: missing string field %S" name)
-
-let int_field name j =
-  match member name j with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "request: missing integer field %S" name)
-
-let request_of_json j =
-  let ( let* ) = Result.bind in
-  let* () =
-    match member "schema" j with
-    | Some (Json.String s)
-      when String.equal s request_schema || String.equal s request_schema_v1 ->
-        (* v1 requests are a strict subset: same encodings, fewer
-           verbs — PR 8 clients and workers keep working unchanged. *)
-        Ok ()
-    | Some (Json.String s) ->
-        Error (Printf.sprintf "request: unsupported schema %S" s)
-    | _ -> Error "request: missing schema"
-  in
-  let* verb = str_field "verb" j in
-  match verb with
-  | "hello" ->
-      let* client = str_field "client" j in
-      let worker =
-        match member "worker" j with Some (Json.Bool b) -> b | _ -> false
-      in
-      Ok (Hello { client; worker })
-  | "submit" ->
-      let* spec_json =
-        match member "spec" j with
-        | Some s -> Ok s
-        | None -> Error "request: submit needs \"spec\""
-      in
-      let* spec = Ncg.Sweep_spec.of_json spec_json in
-      let* deadline_ms =
-        match member "deadline_ms" j with
-        | None -> Ok None
-        | Some (Json.Int ms) when ms > 0 -> Ok (Some ms)
-        | Some _ -> Error "request: \"deadline_ms\" must be a positive integer"
-      in
-      Ok (Submit { spec; deadline_ms })
-  | "status" ->
-      let* job = int_field "job" j in
-      Ok (Status { job })
-  | "results" ->
-      let* job = int_field "job" j in
-      Ok (Results { job })
-  | "lease" ->
-      let* worker = str_field "worker" j in
-      Ok (Lease { worker })
-  | "complete" ->
-      let* worker = str_field "worker" j in
-      let* task = int_field "task" j in
-      let* result =
-        match member "result" j with
-        | Some r -> Ok r
-        | None -> Error "request: complete needs \"result\""
-      in
-      Ok (Complete { worker; task; result })
-  | "fail" ->
-      let* worker = str_field "worker" j in
-      let* task = int_field "task" j in
-      let* error = str_field "error" j in
-      Ok (Fail { worker; task; error })
-  | "ping" ->
-      let* worker = str_field "worker" j in
-      Ok (Ping { worker })
-  | "cancel" ->
-      let* job = int_field "job" j in
-      Ok (Cancel { job })
-  | "subscribe" -> Ok Subscribe
-  | "stats" -> Ok Stats
-  | other -> Error (Printf.sprintf "request: unknown verb %S" other)
+let request_of_json =
+  Json.decode ~what:"request" (fun j ->
+      let str name = Json.field name Json.string j in
+      let int name = Json.field name Json.int j in
+      let schema = str "schema" in
+      (* v1 requests are a strict subset: same encodings, fewer verbs —
+         v1 clients and workers keep working unchanged. *)
+      if not (String.equal schema request_schema || String.equal schema request_schema_v1)
+      then Json.fail "unsupported schema %S" schema;
+      match str "verb" with
+      | "hello" ->
+          let worker = Json.opt (Json.field "worker" Json.bool) j in
+          Hello { client = str "client"; worker = Option.value worker ~default:false }
+      | "submit" ->
+          let positive d =
+            let ms = Json.int d in
+            if ms <= 0 then Json.fail "must be a positive integer";
+            ms
+          in
+          Submit
+            {
+              spec = Json.field "spec" (Json.nested Ncg.Sweep_spec.of_json) j;
+              deadline_ms = Json.field_opt "deadline_ms" positive j;
+            }
+      | "status" -> Status { job = int "job" }
+      | "results" -> Results { job = int "job" }
+      | "lease" -> Lease { worker = str "worker" }
+      | "complete" ->
+          let result = Json.field "result" Fun.id j in
+          Complete { worker = str "worker"; task = int "task"; result }
+      | "fail" -> Fail { worker = str "worker"; task = int "task"; error = str "error" }
+      | "ping" -> Ping { worker = str "worker" }
+      | "cancel" -> Cancel { job = int "job" }
+      | "subscribe" -> Subscribe
+      | "stats" -> Stats
+      | other -> Json.fail "unknown verb %S" other)
 
 type response =
   | Resp_ok of (string * Json.t) list
@@ -184,25 +139,17 @@ let response_to_json = function
           ("error", Json.String msg);
         ]
 
-let response_of_json j =
-  match (member "schema" j, member "ok" j) with
-  | Some (Json.String s), _ when not (String.equal s response_schema) ->
-      Error (Printf.sprintf "response: unsupported schema %S" s)
-  | Some (Json.String _), Some (Json.Bool true) -> (
-      match j with
-      | Json.Obj fields ->
-          Ok
-            (Resp_ok
-               (List.filter
-                  (fun (name, _) ->
-                    not (String.equal name "schema" || String.equal name "ok"))
-                  fields))
-      | _ -> Error "response: not an object")
-  | Some (Json.String _), Some (Json.Bool false) -> (
-      match member "error" j with
-      | Some (Json.String msg) -> Ok (Resp_error msg)
-      | _ -> Error "response: missing \"error\"")
-  | _ -> Error "response: missing schema or \"ok\""
+let response_of_json =
+  Json.decode ~what:"response" (fun j ->
+      let schema = Json.field "schema" Json.string j in
+      if not (String.equal schema response_schema) then
+        Json.fail "unsupported schema %S" schema;
+      if Json.field "ok" Json.bool j then
+        Resp_ok
+          (List.filter
+             (fun (name, _) -> not (String.equal name "schema" || String.equal name "ok"))
+             (Json.assoc Fun.id j))
+      else Resp_error (Json.field "error" Json.string j))
 
 let send_line oc json =
   output_string oc (Json.to_string json);

@@ -105,33 +105,12 @@ let task_payload spec (cell : Experiment.cell) =
        ])
 
 let task_of_payload payload =
-  let ( let* ) = Result.bind in
-  let* j = Json.of_string payload in
-  let member name =
-    match j with Json.Obj f -> List.assoc_opt name f | _ -> None
-  in
-  let* () =
-    match member "schema" with
-    | Some (Json.String s) when String.equal s task_schema -> Ok ()
-    | _ -> Error "task: bad schema"
-  in
-  let* spec =
-    match member "spec" with
-    | Some s -> Sweep_spec.of_json s
-    | None -> Error "task: missing spec"
-  in
-  let* alpha =
-    match member "alpha" with
-    | Some (Json.Float a) -> Ok a
-    | Some (Json.Int a) -> Ok (float_of_int a)
-    | _ -> Error "task: missing alpha"
-  in
-  let* k =
-    match member "k" with
-    | Some (Json.Int k) -> Ok k
-    | _ -> Error "task: missing k"
-  in
-  Ok (spec, { Experiment.alpha; k })
+  Result.bind (Json.of_string payload)
+    (Json.decode ~what:"task" (fun j ->
+         Json.schema task_schema j;
+         let alpha = Json.field "alpha" Json.number j in
+         let cell = { Experiment.alpha; k = Json.field "k" Json.int j } in
+         (Json.field "spec" (Json.nested Sweep_spec.of_json) j, cell)))
 
 (* --- Worker pool events -------------------------------------------------- *)
 

@@ -1,7 +1,6 @@
 module Bitset = Ncg_util.Bitset
 module Graph = Ncg_graph.Graph
 module Bfs = Ncg_graph.Bfs
-module Power = Ncg_graph.Power
 
 type problem = {
   graph : Graph.t;
@@ -19,7 +18,7 @@ let create_workspace () = { matrix = [||] }
 
 (* A context amortises the expensive part of the best-response radius loop:
    the all-pairs distance matrix is computed once (n BFS runs, instead of n
-   per radius as the seed engine did via [Power.ball_sets]), and the ball
+   per radius), and the ball
    bitsets grow *incrementally* — advancing from radius r to r+1 only adds
    the vertices at exactly distance r+1 to each ball. The covering-set
    array is shared across radii: forbidden vertices point at one shared
@@ -94,25 +93,16 @@ let solve_at ?ws ?max_size ?node_budget ctx ~radius =
 let greedy_at ?ws ctx ~radius =
   Option.map of_solution (Set_cover.greedy ?ws (instance_at ctx ~radius))
 
-(* One-shot problem API, kept for tests, benches and external callers; the
-   radius loop in {!Ncg.Best_response} threads a context instead. *)
-
-let to_instance (p : problem) =
-  let n = Graph.order p.graph in
-  let balls = Power.ball_sets p.graph p.radius in
-  let pre = Bitset.create n in
-  List.iter (fun v -> Bitset.union_into ~into:pre balls.(v)) p.free_dominators;
-  let forbidden = Bitset.of_list n p.forbidden in
-  (* Forbidden vertices get an empty candidate set so that they can never
-     be selected, without disturbing vertex numbering. *)
-  let sets =
-    Array.init n (fun v -> if Bitset.mem forbidden v then Bitset.create n else balls.(v))
-  in
-  { Set_cover.universe = n; sets; pre_covered = Some pre }
+(* One-shot problems run through a fresh context: the same instance the
+   best-response radius loop builds. *)
+let instance (p : problem) =
+  instance_at
+    (context ~graph:p.graph ~free_dominators:p.free_dominators ~forbidden:p.forbidden ())
+    ~radius:p.radius
 
 let solve ?max_size ?node_budget p =
-  Option.map of_solution (Set_cover.solve ?max_size ?node_budget (to_instance p))
+  Option.map of_solution (Set_cover.solve ?max_size ?node_budget (instance p))
 
-let greedy p = Option.map of_solution (Set_cover.greedy (to_instance p))
+let greedy p = Option.map of_solution (Set_cover.greedy (instance p))
 
-let dominates p chosen = Set_cover.is_cover (to_instance p) chosen
+let dominates p chosen = Set_cover.is_cover (instance p) chosen

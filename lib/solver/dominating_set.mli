@@ -63,7 +63,11 @@ val solve_at :
 (** Greedy variant of {!solve_at}. *)
 val greedy_at : ?ws:Set_cover.workspace -> context -> radius:int -> int list option
 
-(** {1 One-shot problems} *)
+(** {1 One-shot problems}
+
+    Each builds a fresh {!context} for [p] and reads the instance at
+    [p.radius], so a one-shot problem is solved on exactly the instance
+    the radius loop sees. @raise Invalid_argument on a negative radius. *)
 
 (** [solve ?max_size ?node_budget p] is a minimum list of chosen
     dominators (excluding the free ones), or [None] if infeasible / above

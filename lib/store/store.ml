@@ -168,20 +168,10 @@ let write_manifest t = Json.to_file (Filename.concat t.dir manifest_name) (manif
 let read_manifest_compactions dir =
   let path = Filename.concat dir manifest_name in
   if not (Sys.file_exists path) then 0
-  else begin
-    let contents =
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Json.of_string contents with
-    | Ok (Json.Obj fields) -> (
-        match List.assoc_opt "compactions" fields with
-        | Some (Json.Int n) -> n
-        | _ -> 0)
-    | Ok _ | Error _ -> 0
-  end
+  else
+    match Json.of_file path with
+    | Ok j -> Option.value (Json.opt (Json.field "compactions" Json.int) j) ~default:0
+    | Error _ -> 0
 
 let open_dir ?(sync = true) dir =
   mkdir_p dir;

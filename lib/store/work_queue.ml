@@ -63,16 +63,14 @@ let apply t op id payload worker =
   | _ -> () (* unknown op from a future version: skip, keep folding *)
 
 let replay_record t payload =
-  match Json.of_string payload with
-  | Error _ -> ()
-  | Ok j -> (
-      let member name = match j with Json.Obj f -> List.assoc_opt name f | _ -> None in
-      match (member "op", member "id") with
-      | Some (Json.String op), Some (Json.Int id) ->
-          let pl = match member "payload" with Some (Json.String s) -> s | _ -> "" in
-          let worker = match member "worker" with Some (Json.String s) -> s | _ -> "" in
-          apply t op id pl worker
-      | _ -> ())
+  let record j =
+    let text name = Option.value (Json.opt (Json.field name Json.string) j) ~default:"" in
+    let op = Json.field "op" Json.string j in
+    (op, Json.field "id" Json.int j, text "payload", text "worker")
+  in
+  match Result.map (Json.opt record) (Json.of_string payload) with
+  | Ok (Some (op, id, pl, worker)) -> apply t op id pl worker
+  | Ok None | Error _ -> ()
 
 let recount t =
   t.n_pending <- 0;

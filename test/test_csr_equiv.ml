@@ -155,19 +155,6 @@ let prop_power =
         (fun h -> Graph.edges (Power.power g h) = Reference.power_edges r h)
         [ 1; 2; 3 ])
 
-let prop_ball_sets =
-  QCheck.Test.make ~name:"ball_sets bitsets = reference balls" ~count:60 arb_raw
-    (fun raw ->
-      let g, r = build raw in
-      let n = Graph.order g in
-      List.for_all
-        (fun radius ->
-          let sets = Power.ball_sets g radius in
-          List.for_all
-            (fun u -> Bitset.to_list sets.(u) = Reference.ball r u ~radius)
-            (List.init n Fun.id))
-        [ 0; 1; 2 ])
-
 let prop_induced =
   QCheck.Test.make ~name:"induced subgraph = reference renamed edges" ~count:100
     QCheck.(
@@ -313,7 +300,7 @@ let () =
         ] );
       ( "bfs",
         [ qt prop_bfs_distances; qt prop_bfs_bounded; qt prop_bfs_scratch_reuse ] );
-      ( "power+views", [ qt prop_power; qt prop_ball_sets; qt prop_induced; qt prop_ball_induced ] );
+      ( "power+views", [ qt prop_power; qt prop_induced; qt prop_ball_induced ] );
       ( "bitset",
         [ qt prop_bitset_model; qt prop_bitset_binary_ops; qt prop_bitset_scan ] );
     ]

@@ -206,12 +206,6 @@ let test_power () =
   let big = Power.power p5 10 in
   check_int "saturates to complete" (5 * 4 / 2) (Graph.size big)
 
-let test_ball_sets () =
-  let sets = Power.ball_sets p5 1 in
-  Alcotest.(check (list int)) "ball of 2" [ 1; 2; 3 ] (Ncg_util.Bitset.to_list sets.(2));
-  let sets0 = Power.ball_sets p5 0 in
-  Alcotest.(check (list int)) "radius 0" [ 2 ] (Ncg_util.Bitset.to_list sets0.(2))
-
 (* --- Pretty -------------------------------------------------------------------- *)
 
 let test_pretty_roundtrip () =
@@ -292,22 +286,6 @@ let prop_handshake =
       let sum = Graph.fold_vertices (fun u acc -> acc + Graph.degree g u) g 0 in
       sum = 2 * Graph.size g)
 
-let prop_ball_sets_match_power =
-  QCheck.Test.make ~name:"ball_sets agree with the power graph" ~count:50 arb_graph
-    (fun g ->
-      let h = 2 in
-      let sets = Power.ball_sets g h in
-      let pw = Power.power g h in
-      let ok = ref true in
-      for u = 0 to Graph.order g - 1 do
-        for v = 0 to Graph.order g - 1 do
-          let in_set = Ncg_util.Bitset.mem sets.(u) v in
-          let expected = u = v || Graph.mem_edge pw u v in
-          if in_set <> expected then ok := false
-        done
-      done;
-      !ok)
-
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "ncg_graph"
@@ -353,11 +331,7 @@ let () =
           Alcotest.test_case "induced" `Quick test_induced;
           Alcotest.test_case "ball induced" `Quick test_ball_induced;
         ] );
-      ( "power",
-        [
-          Alcotest.test_case "powers" `Quick test_power;
-          Alcotest.test_case "ball sets" `Quick test_ball_sets;
-        ] );
+      ( "power", [ Alcotest.test_case "powers" `Quick test_power ] );
       ( "pretty",
         [
           Alcotest.test_case "edge list roundtrip" `Quick test_pretty_roundtrip;
@@ -371,6 +345,5 @@ let () =
           qt prop_diameter_vs_eccentricity;
           qt prop_power_monotone;
           qt prop_handshake;
-          qt prop_ball_sets_match_power;
         ] );
     ]

@@ -318,6 +318,93 @@ let prop_of_string_never_raises_truncated =
       let s = Json.to_string v in
       never_raises (String.sub s 0 (min cut (String.length s))))
 
+(* Every document one edit away from [doc]: one object member dropped, or
+   one value anywhere (the root included) replaced by a value of some
+   other shape. *)
+let rec mutations doc =
+  let replace_nth items i v = List.mapi (fun j x -> if j = i then v else x) items in
+  let inside =
+    match doc with
+    | Json.Obj fields ->
+        List.concat
+          (List.mapi
+             (fun i (key, v) ->
+               let put v' = Json.Obj (replace_nth fields i (key, v')) in
+               Json.Obj (List.filteri (fun j _ -> j <> i) fields)
+               :: List.map put (mutations v))
+             fields)
+    | Json.List items ->
+        List.concat
+          (List.mapi
+             (fun i v ->
+               List.map (fun v' -> Json.List (replace_nth items i v')) (mutations v))
+             items)
+    | _ -> []
+  in
+  Json.[ Null; Bool true; String "x"; List []; Obj []; Int (-1); Int 0; Int 1 ] @ inside
+
+(* The decoders' contract (json.mli): on any document they return [Ok]
+   or [Error], never raise. Exhaustive over the one-edit neighbourhood of
+   a valid encoding of each, so it is deterministic. *)
+let test_decoders_never_raise () =
+  let module Protocol = Ncg_service.Protocol in
+  let module Sweep_spec = Ncg.Sweep_spec in
+  let spec =
+    {
+      Sweep_spec.default with
+      Sweep_spec.graph_class = "tree";
+      n = 6;
+      alphas = [ 1.0 ];
+      ks = [ 2 ];
+      trials = 1;
+      seed = 3;
+    }
+  in
+  let r = Sweep_spec.run_cell spec (List.hd (Sweep_spec.cells spec)) in
+  let series = Ncg_obs.Timeseries.create ~capacity:4 () in
+  List.iteri
+    (fun i y -> Ncg_obs.Timeseries.push series ~x:(float_of_int i) y)
+    [ 1.; nan; infinity; 2.; 3. ];
+  let case name encoding decode =
+    (name, encoding, fun j -> Result.map ignore (decode j))
+  in
+  let cases =
+    [
+      case "Metrics" (Metrics.to_json r.Ncg.Experiment.counters) Metrics.of_json;
+      case "Histogram exact"
+        (Histogram.to_json_exact r.Ncg.Experiment.histograms)
+        Histogram.of_json_exact;
+      case "Probe" (Ncg_obs.Probe.to_json r.Ncg.Experiment.probes) Ncg_obs.Probe.of_json;
+      case "Timeseries" (Ncg_obs.Timeseries.to_json series) Ncg_obs.Timeseries.of_json;
+      case "Gc_stats" (Gc_stats.to_json r.Ncg.Experiment.gc) Gc_stats.of_json;
+      case "Span exact" (Span.to_json_exact r.Ncg.Experiment.spans) Span.of_json_exact;
+      case "cell result" (Ncg.Experiment.cell_result_to_json r)
+        Ncg.Experiment.cell_result_of_json;
+      case "Sweep_spec" (Sweep_spec.to_json spec) Sweep_spec.of_json;
+      case "Protocol request"
+        (Protocol.request_to_json (Protocol.Submit { spec; deadline_ms = Some 60_000 }))
+        Protocol.request_of_json;
+      case "Protocol response"
+        (Protocol.response_to_json
+           (Protocol.Resp_ok [ ("job", Json.Int 1); ("state", Json.String "running") ]))
+        Protocol.response_of_json;
+    ]
+  in
+  List.iter
+    (fun (name, encoding, decode) ->
+      (match decode encoding with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: valid encoding rejected: %s" name e);
+      List.iter
+        (fun doc ->
+          match decode doc with
+          | Ok () | Error _ -> ()
+          | exception e ->
+              Alcotest.failf "%s raised %s on %s" name (Printexc.to_string e)
+                (Json.to_string doc))
+        (mutations encoding))
+    cases
+
 (* --- Histogram ----------------------------------------------------------- *)
 
 let us = 1_000L (* 1µs in ns *)
@@ -923,6 +1010,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
           QCheck_alcotest.to_alcotest prop_of_string_never_raises;
           QCheck_alcotest.to_alcotest prop_of_string_never_raises_truncated;
+          Alcotest.test_case "decoders never raise on one-edit mutations" `Quick
+            test_decoders_never_raise;
         ] );
       ( "histogram",
         [

@@ -484,6 +484,47 @@ let test_scheduler_fail_quarantines () =
           | _ -> Alcotest.fail "expected exactly one quarantined cell");
           check_bool "scheduler idle after quarantine" true (Scheduler.idle t)))
 
+(* [doc] with every probe series capacity set to 1: well-formed JSON
+   that [Timeseries.create] would reject by raising. Only probe
+   snapshots and their series carry a "capacity" field. *)
+let rec with_probe_capacity_1 = function
+  | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, v) ->
+             if String.equal k "capacity" then (k, Json.Int 1)
+             else (k, with_probe_capacity_1 v))
+           fields)
+  | j -> j
+
+(* An undecodable result must come back as [Error] and requeue the
+   entry; an exception would kill the daemon's connection thread with
+   the lease still held. *)
+let test_scheduler_undecodable_complete_requeues () =
+  with_temp_dir (fun dir ->
+      let t = Scheduler.create (scheduler_config dir) in
+      Fun.protect
+        ~finally:(fun () -> Scheduler.close t)
+        (fun () ->
+          ignore (submit_ok t ~client:"c" { tiny_spec with Sweep_spec.alphas = [ 1.0 ] });
+          match Scheduler.lease t ~worker:"w" with
+          | Scheduler.Granted task -> (
+              let result =
+                with_probe_capacity_1
+                  (Experiment.cell_result_to_json
+                     (Sweep_spec.run_cell task.Scheduler.spec task.Scheduler.cell))
+              in
+              let completed =
+                Scheduler.complete t ~worker:"w" ~task:task.Scheduler.task_id result
+              in
+              check_bool "complete returns Error" true (Result.is_error completed);
+              match Scheduler.lease t ~worker:"w" with
+              | Scheduler.Granted again ->
+                  check_int "the same task is leased again" task.Scheduler.task_id
+                    again.Scheduler.task_id
+              | _ -> Alcotest.fail "task was not requeued")
+          | _ -> Alcotest.fail "expected a grant"))
+
 let test_scheduler_worker_lost () =
   with_temp_dir (fun dir ->
       let t = Scheduler.create (scheduler_config dir) in
@@ -880,6 +921,8 @@ let () =
             test_scheduler_restart_readopts_queue;
           Alcotest.test_case "outcome vector independent of worker count" `Quick
             test_scheduler_worker_count_independence;
+          Alcotest.test_case "undecodable result is requeued" `Quick
+            test_scheduler_undecodable_complete_requeues;
         ] );
       ( "worker",
         [

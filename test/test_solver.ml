@@ -258,6 +258,44 @@ let prop_mds_on_random_graphs =
           && List.length exact <= List.length greedy
       | _ -> false)
 
+(* The one-shot API runs through [context], the best-response path. On
+   random graphs it must reach the DP optimum of the instance built from
+   the naive reference balls, with a choice that dominates there. *)
+let prop_context_solve_matches_dp =
+  QCheck.Test.make ~name:"context-backed solve = DP on reference balls" ~count:300
+    QCheck.(triple (int_range 1 12) (int_range 0 3) (int_range 0 1_000_000))
+    (fun (n, radius, seed) ->
+      let rng = Rng.create seed in
+      let pick p = List.filter (fun _ -> Rng.bernoulli rng p) in
+      let pairs =
+        List.concat
+          (List.init n (fun u -> List.init (n - u - 1) (fun i -> (u, u + i + 1))))
+      in
+      let edges = pick 0.3 pairs in
+      let vertices = List.init n Fun.id in
+      let free_dominators = pick 0.15 vertices in
+      let forbidden = pick 0.2 vertices in
+      let reference = Ncg_graph.Reference.of_edges ~n edges in
+      let ball v = Bitset.of_list n (Ncg_graph.Reference.ball reference v ~radius) in
+      let pre = Bitset.create n in
+      List.iter (fun v -> Bitset.union_into ~into:pre (ball v)) free_dominators;
+      let inst =
+        {
+          Set_cover.universe = n;
+          sets =
+            Array.init n (fun v ->
+                if List.mem v forbidden then Bitset.create n else ball v);
+          pre_covered = Some pre;
+        }
+      in
+      let graph = Graph.of_edges ~n edges in
+      let p = { Dominating_set.graph; radius; free_dominators; forbidden } in
+      match (Dominating_set.solve p, Set_cover.solve_dp inst) with
+      | None, None -> true
+      | Some chosen, Some dp ->
+          List.length chosen = dp.Set_cover.cardinality && Set_cover.is_cover inst chosen
+      | _ -> false)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "ncg_solver"
@@ -290,5 +328,6 @@ let () =
             test_mds_free_and_forbidden_interplay;
           Alcotest.test_case "disconnected" `Quick test_mds_disconnected;
           qt prop_mds_on_random_graphs;
+          qt prop_context_solve_matches_dp;
         ] );
     ]

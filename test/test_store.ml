@@ -370,6 +370,53 @@ let test_sweep_store_roundtrip () =
       check_bool "cached pass restores populate results verbatim" true
         (compare populated cached = 0))
 
+(* The key [sweep_fixture] files [cell] under. *)
+let fixture_key cell =
+  Experiment.cell_cache_key
+    ~context:[ ("fixture", Json.String "test_store") ]
+    ~seed:2014 ~trials:2
+    ~cell_seed:(Experiment.cell_seed_of_cell ~seed:2014 cell)
+    cell
+
+(* [doc] with every probe series capacity set to 1: well-formed JSON
+   that [Timeseries.create] would reject by raising. Only probe
+   snapshots and their series carry a "capacity" field. *)
+let rec with_probe_capacity_1 = function
+  | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, v) ->
+             if String.equal k "capacity" then (k, Json.Int 1)
+             else (k, with_probe_capacity_1 v))
+           fields)
+  | j -> j
+
+let test_bad_record_is_a_miss () =
+  let reference = sweep_fixture ~domains:1 () in
+  let cells = List.length fixture_cells in
+  with_temp_dir (fun dir ->
+      Store.with_dir dir (fun store ->
+          List.iter
+            (fun (r : Experiment.cell_result) ->
+              let key = fixture_key r.Experiment.cell in
+              let bad = with_probe_capacity_1 (Experiment.cell_result_to_json r) in
+              Store.insert store key (Json.to_string bad);
+              check_bool "undecodable record reads as a miss" true
+                (Experiment.store_lookup store key = None))
+            reference;
+          let recomputed = sweep_fixture ~store ~domains:1 () in
+          check_same_cells "recompute = plain sweep" reference recomputed;
+          let st = Store.stats store in
+          check_int "every cell recomputed and inserted" (2 * cells) st.Store.inserts;
+          check_int "recomputes supersede the bad records" cells st.Store.superseded;
+          List.iter
+            (fun (r : Experiment.cell_result) ->
+              check_bool "the superseding record decodes" true
+                (match Experiment.store_lookup store (fixture_key r.Experiment.cell) with
+                | Some cached -> compare cached r = 0
+                | None -> false))
+            recomputed))
+
 let test_sweep_resume_after_kill () =
   let reference = sweep_fixture ~domains:1 () in
   with_temp_dir (fun dir ->
@@ -634,5 +681,7 @@ let () =
             test_cell_result_codec_roundtrip;
           Alcotest.test_case "store round-trip" `Quick test_sweep_store_roundtrip;
           Alcotest.test_case "resume after kill" `Quick test_sweep_resume_after_kill;
+          Alcotest.test_case "undecodable record is a miss" `Quick
+            test_bad_record_is_a_miss;
         ] );
     ]
