@@ -197,8 +197,8 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
           if ks = [] then default_ks else ks )
   in
   (* One spec record drives everything downstream — the same compiler
-     the sweep service uses, so a served cell and a one-shot cell are
-     built from identical constructors. *)
+     perfbench and the tests use, so every path builds a cell from
+     identical constructors. *)
   let spec =
     {
       Ncg.Sweep_spec.graph_class;

@@ -5,18 +5,13 @@
 
      dune exec bin/ncg_top.exe -- events.jsonl            # follow
      dune exec bin/ncg_top.exe -- --once events.jsonl     # one frame (CI)
-     dune exec bin/ncg_top.exe -- unix:ncg.sock           # watch a daemon
-     dune exec bin/ncg_top.exe -- tcp:host:7214           # ... remotely
 
    Besides regular files (polled by offset), the EVENTS argument may be
-   a service address (unix:PATH / tcp:HOST:PORT — ncg_top subscribes to
-   a running ncg_served daemon's event stream) or a FIFO (lines arrive
-   pushed; mkfifo + redirect a subscriber into it).
+   a FIFO (lines arrive pushed by any writer, e.g. tail -f events.jsonl).
 
    It renders a progress grid over the (alpha, k) plane from sweep.cell
-   events (and their service.* counterparts emitted by ncg_served),
-   convergence sparklines from dynamics.round events (emitted when
-   probes and events are both enabled), and the latest retry /
+   events, convergence sparklines from dynamics.round events (emitted
+   when probes and events are both enabled), and the latest retry /
    quarantine alerts. Torn or foreign lines are counted and skipped — a
    live tail always sees partial writes.
 
@@ -42,19 +37,11 @@ type key = float * int
 
 type status = Done | Cached | Quarantined
 
-type wstat = {
-  mutable wstate : string;
-  mutable wleases : int;
-  mutable wdone : int;
-  mutable wexpired : int;
-}
-
 type live = {
   cells : (key, status) Hashtbl.t;
   retries : (key, int) Hashtbl.t;
   series : (key, (int * float * int) list ref) Hashtbl.t;
       (* newest-first (round, social_cost, awake) from dynamics.round *)
-  workers : (string, wstat) Hashtbl.t;  (* from service.worker_* events *)
   mutable total : int;
   mutable finished : int;
   mutable events : int;
@@ -67,21 +54,12 @@ let new_live () =
     cells = Hashtbl.create 64;
     retries = Hashtbl.create 16;
     series = Hashtbl.create 64;
-    workers = Hashtbl.create 8;
     total = 0;
     finished = 0;
     events = 0;
     skipped = 0;
     alerts = [];
   }
-
-let wstat_of st name =
-  match Hashtbl.find_opt st.workers name with
-  | Some w -> w
-  | None ->
-      let w = { wstate = "healthy"; wleases = 0; wdone = 0; wexpired = 0 } in
-      Hashtbl.replace st.workers name w;
-      w
 
 let alert st line =
   st.alerts <- (line :: st.alerts) |> List.filteri (fun i _ -> i < 6)
@@ -136,85 +114,6 @@ let process_line st line =
                      (shown "attempt") (text "error")
                      (if get "will_retry" Json.bool = Some false then " — giving up"
                       else "")))
-        (* The ncg_served daemon speaks its own event vocabulary; map it
-           onto the same grid so one dashboard serves both sources. A
-           subscriber can watch several jobs at once, so totals are the
-           running sum of distinct queued work (cached cells resolve
-           instantly and are marked directly). *)
-        | Some "service.submit" ->
-            (match get "total" Json.int with
-            | Some t -> st.total <- st.total + t
-            | None -> ());
-            (match get "cached" Json.int with
-            | Some c -> st.finished <- st.finished + c
-            | None -> ())
-        | Some "service.lease" ->
-            (match get "worker" Json.string with
-            | Some name -> (wstat_of st name).wleases <- (wstat_of st name).wleases + 1
-            | None -> ())
-        | Some "service.complete" -> (
-            st.finished <- st.finished + 1;
-            (match get "worker" Json.string with
-            | Some name -> (wstat_of st name).wdone <- (wstat_of st name).wdone + 1
-            | None -> ());
-            match key_of_event j with
-            | None -> ()
-            | Some key -> Hashtbl.replace st.cells key Done)
-        | Some "service.requeue" -> (
-            match key_of_event j with
-            | None -> ()
-            | Some ((alpha, k) as key) ->
-                let prev = Option.value (Hashtbl.find_opt st.retries key) ~default:0 in
-                Hashtbl.replace st.retries key (prev + 1);
-                alert st
-                  (Printf.sprintf "requeue alpha=%g k=%d (%s)" alpha k (text "reason")))
-        | Some "service.quarantine" -> (
-            st.finished <- st.finished + 1;
-            match key_of_event j with
-            | None -> ()
-            | Some ((alpha, k) as key) ->
-                Hashtbl.replace st.cells key Quarantined;
-                alert st
-                  (Printf.sprintf "QUARANTINED alpha=%g k=%d: %s" alpha k (text "error")))
-        | Some "service.job_expired" ->
-            alert st
-              (Printf.sprintf "job %s EXPIRED before completing" (shown "job"))
-        | Some
-            (( "service.worker_registered" | "service.worker_suspect"
-             | "service.worker_quarantined" | "service.worker_readmitted"
-             | "service.worker_recovered" | "service.worker_lost" ) as ev) -> (
-            match get "worker" Json.string with
-            | None -> ()
-            | Some name ->
-                let w = wstat_of st name in
-                (match ev with
-                | "service.worker_registered" | "service.worker_recovered" ->
-                    w.wstate <- "healthy"
-                | "service.worker_suspect" | "service.worker_readmitted" ->
-                    w.wstate <- "suspect"
-                | "service.worker_quarantined" -> w.wstate <- "quarantined"
-                | _ -> w.wstate <- "drained");
-                match ev with
-                | "service.worker_quarantined" ->
-                    alert st (Printf.sprintf "worker %s QUARANTINED" name)
-                | "service.worker_suspect" ->
-                    alert st (Printf.sprintf "worker %s silent (suspect)" name)
-                | "service.worker_readmitted" ->
-                    alert st (Printf.sprintf "worker %s readmitted on probation" name)
-                | _ -> ())
-        | Some "service.lease_expired" -> (
-            match get "worker" Json.string with
-            | None -> ()
-            | Some name ->
-                let w = wstat_of st name in
-                w.wexpired <- w.wexpired + 1;
-                alert st
-                  (Printf.sprintf "lease %s EXPIRED on silent worker %s" (shown "task")
-                     name))
-        | Some "service.cancel" ->
-            alert st
-              (Printf.sprintf "job %s cancelled (released %s, revoked %s)" (shown "job")
-                 (shown "released") (shown "revoked"))
         | Some "dynamics.round" -> (
             match
               ( key_of_event j,
@@ -333,22 +232,6 @@ let render st =
     cached quarantined st.events st.skipped;
   line "";
   List.iter (fun l -> line "%s" l) (grid_lines st);
-  (let workers =
-     (Hashtbl.fold [@lint.allow "D3" "sorted before render"])
-       (fun name w acc -> (name, w) :: acc)
-       st.workers []
-     |> List.sort (fun (a, _) (b, _) -> compare a b)
-   in
-   match workers with
-   | [] -> ()
-   | workers ->
-       line "";
-       line "workers:";
-       List.iter
-         (fun (name, w) ->
-           line "  %-20s %-11s leased=%d done=%d expired=%d" name w.wstate
-             w.wleases w.wdone w.wexpired)
-         workers);
   (match spark_lines st with
   | [] -> ()
   | lines ->
@@ -411,11 +294,9 @@ let live_file path once interval =
     0
   end
 
-(* Pushed sources (a daemon subscription or a FIFO) block on read, so a
-   reader thread feeds lines into a queue and the render loop wakes on
-   its own clock. --once drains the stream to EOF first — useful for
-   FIFOs with a finite writer; against a live daemon it renders when the
-   daemon shuts down. *)
+(* A FIFO blocks on read, so a reader thread feeds lines into a queue
+   and the render loop wakes on its own clock. --once drains the stream
+   to EOF first, which suits FIFOs with a finite writer. *)
 let live_stream ic once interval =
   let st = new_live () in
   if once then begin
@@ -465,53 +346,8 @@ let live_stream ic once interval =
     0
   end
 
-(* Subscribe to a running ncg_served daemon: hello, subscribe, then the
-   connection carries raw event lines until either side closes. *)
-let subscribe_to_daemon addr =
-  let module Protocol = Ncg_service.Protocol in
-  let ic, oc = Protocol.connect addr in
-  let rpc req =
-    Protocol.send_line oc (Protocol.request_to_json req);
-    match Protocol.recv_line ic with
-    | Ok (Some j) -> Protocol.response_of_json j
-    | Ok None -> Error "daemon hung up"
-    | Error msg -> Error msg
-  in
-  let check = function
-    | Ok (Protocol.Resp_ok _) -> Ok ()
-    | Ok (Protocol.Resp_error msg) -> Error msg
-    | Error msg -> Error msg
-  in
-  match check (rpc (Protocol.Hello { client = Printf.sprintf "ncg_top-%d" (Unix.getpid ()); worker = false })) with
-  | Error msg -> Error msg
-  | Ok () -> (
-      match check (rpc Protocol.Subscribe) with
-      | Error msg -> Error msg
-      | Ok () -> Ok ic)
-
 let live path once interval =
-  let looks_like_addr =
-    String.length path > 4
-    && (String.sub path 0 5 = "unix:"
-        || (String.length path > 3 && String.sub path 0 4 = "tcp:"))
-  in
-  if looks_like_addr then begin
-    match Ncg_service.Protocol.parse_addr path with
-    | Error msg ->
-        Printf.eprintf "ncg_top: %s\n" msg;
-        2
-    | Ok addr -> (
-        match subscribe_to_daemon addr with
-        | Ok ic -> live_stream ic once interval
-        | Error msg ->
-            Printf.eprintf "ncg_top: cannot subscribe to %s: %s\n" path msg;
-            1
-        | exception Unix.Unix_error (e, _, _) ->
-            Printf.eprintf "ncg_top: cannot connect to %s: %s\n" path
-              (Unix.error_message e);
-            1)
-  end
-  else if not (Sys.file_exists path) then begin
+  if not (Sys.file_exists path) then begin
     Printf.eprintf "ncg_top: %s: no such file\n" path;
     2
   end
@@ -735,9 +571,7 @@ let events_arg =
     & pos 0 (some string) None
     & info [] ~docv:"EVENTS"
         ~doc:"Event source for live mode: a JSONL file written by a sweep's \
-              --events flag, a FIFO carrying event lines, or a running \
-              ncg_served daemon's address (unix:PATH or tcp:HOST:PORT) to \
-              subscribe to.")
+              --events flag, or a FIFO carrying event lines.")
 
 let once_arg =
   Arg.(

@@ -149,8 +149,8 @@ let grid ~alphas ~ks =
 (* A cell's seed is a pure function of (seed, alpha, k), chained
    through SplitMix64 so nearby cells get unrelated streams. Two sweeps
    that share a cell agree on its seed whatever the rest of their grids
-   look like — what lets one-shot sweeps, --only-cell and the sweep
-   service's cross-client dedup all hand out the same row for a cell. *)
+   look like — what lets one-shot sweeps, --only-cell and stored sweeps
+   over overlapping grids all hand out the same row for a cell. *)
 let cell_seed_of_cell ~seed (cell : cell) =
   let step state salt =
     Ncg_prng.Splitmix64.next (Ncg_prng.Splitmix64.create (Int64.logxor state salt))
@@ -569,10 +569,10 @@ let fraction p runs =
     float_of_int (List.length (List.filter p runs)) /. float_of_int total
 
 (* --- CSV rendering -------------------------------------------------------
-   One definition shared by ncg_experiment and the sweep service, so a
-   served cell's row is byte-identical to a one-shot run's by
-   construction — the cross-process determinism contract is a string
-   equality, not a float-formatting coincidence. *)
+   One definition shared by ncg_experiment and perfbench, so a cell's
+   row is byte-identical on every path by construction — the
+   cross-process determinism contract is a string equality, not a
+   float-formatting coincidence. *)
 
 let csv_header =
   "class,n,p,alpha,k,trials,converged_frac,cycled_frac,rounds_mean,rounds_ci,\

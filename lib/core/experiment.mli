@@ -122,8 +122,7 @@ val grid : alphas:float list -> ks:int list -> cell list
 (** [run_cell ~make_initial ~make_config ~trials ~cell_seed cell] runs a
     single instrumented cell exactly as {!sweep} would when [cell_seed]
     is [cell_seed_of_cell ~seed cell]: trial [j] starts from the [j]-th
-    entry of [derive_seeds ~seed:cell_seed ~count:trials]. The sweep
-    service's workers compute cells through it.
+    entry of [derive_seeds ~seed:cell_seed ~count:trials].
 
     [probes] (default true) installs an {!Ncg_obs.Probe} collector
     around trial 0, recording the round-level convergence series of the
@@ -302,18 +301,16 @@ val fraction : (run_stats -> bool) -> run_stats list -> float
     of [(seed, cell.alpha, cell.k)], independent of the grid around the
     cell. Two sweeps over {e overlapping} grids agree on every shared
     cell's seed, which is what lets [ncg_experiment], [--only-cell] and
-    the sweep service (dedup across clients included) all produce
-    byte-identical rows for a cell. *)
+    stored sweeps over overlapping grids all produce byte-identical rows
+    for a cell. *)
 val cell_seed_of_cell : seed:int -> cell -> int
 
-(** The CSV header row shared by [ncg_experiment] and the sweep
-    service. *)
+(** The CSV header row of [ncg_experiment]'s output. *)
 val csv_header : string
 
 (** [csv_row ~graph_class ~n ~p ~trials r] renders one result row
-    (no trailing newline) in the exact format of {!csv_header}. Both
-    [ncg_experiment] and the service daemon render through this
-    function, so byte-identity of served vs one-shot CSVs is structural,
-    not coincidental. *)
+    (no trailing newline) in the exact format of {!csv_header}. Every
+    sweep path renders through this function, so byte-identity of their
+    CSVs is structural, not coincidental. *)
 val csv_row :
   graph_class:string -> n:int -> p:float -> trials:int -> cell_result -> string

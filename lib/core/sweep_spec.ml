@@ -113,41 +113,3 @@ let run_cell spec cell =
 let csv_row spec r =
   Experiment.csv_row ~graph_class:spec.graph_class ~n:spec.n ~p:spec.p
     ~trials:spec.trials r
-
-let schema = Ncg_obs.Schema.service_spec
-
-let to_json spec =
-  Json.Obj
-    [
-      ("schema", Json.String schema);
-      ("class", Json.String spec.graph_class);
-      ("n", Json.Int spec.n);
-      ("p", Json.Float spec.p);
-      ("alphas", Json.List (List.map (fun a -> Json.Float a) spec.alphas));
-      ("ks", Json.List (List.map (fun k -> Json.Int k) spec.ks));
-      ("trials", Json.Int spec.trials);
-      ("seed", Json.Int spec.seed);
-      ("budget", Json.Int spec.budget);
-      ("move_budget", Json.Int spec.move_budget);
-      ("probes", Json.Bool spec.probes);
-    ]
-
-let decode j =
-  let int name = Json.field name Json.int j in
-  Json.schema schema j;
-  {
-    graph_class = Json.field "class" Json.string j;
-    n = int "n";
-    p = Json.field "p" Json.number j;
-    alphas = Json.field "alphas" (Json.list Json.number) j;
-    ks = Json.field "ks" (Json.list Json.int) j;
-    trials = int "trials";
-    seed = int "seed";
-    budget = int "budget";
-    move_budget = int "move_budget";
-    probes = Json.field "probes" Json.bool j;
-  }
-
-let of_json j =
-  Result.bind (Json.decode ~what:"spec" decode j) (fun spec ->
-      Result.map (fun () -> spec) (validate spec))

@@ -1,19 +1,17 @@
-(** Sweep submissions as data: one record naming everything that
-    determines a sweep's results.
+(** Sweeps as data: one record naming everything that determines a
+    sweep's results.
 
-    [ncg_experiment] builds its sweep inline from CLI flags; the sweep
-    service receives the same parameters over a socket. This module is
-    the single compiler from that record to the {!Experiment} calls, so
-    both paths construct {e the same} initial graphs, dynamics configs,
-    store contexts and cache keys — the served-vs-one-shot byte-identity
-    contract is then structural, not a matter of keeping two
-    definitions in sync.
+    [ncg_experiment] builds this record from its CLI flags, and
+    perfbench and the tests build it directly. This module is the single
+    compiler from that record to the {!Experiment} calls, so every
+    caller constructs {e the same} initial graphs, dynamics configs,
+    store contexts and cache keys.
 
     Cell seeds come from {!Experiment.cell_seed_of_cell}, a pure
     function of [(seed, alpha, k)], so two specs whose grids overlap
-    agree on every shared cell, which is what makes cross-client dedup
-    sound; a plain one-shot [ncg_experiment] run over the same grid
-    reproduces a served result byte for byte. *)
+    agree on every shared cell. Two [--store] sweeps over overlapping
+    grids therefore share the store's records for the common cells, and
+    their rows together equal a one-shot sweep over the union grid. *)
 
 type t = {
   graph_class : string;  (** ["tree"], ["gnp"], ["ba"] or ["ws"] *)
@@ -69,9 +67,3 @@ val run_cell : t -> Experiment.cell -> Experiment.cell_result
 (** Render one result row ({!Experiment.csv_row} with this spec's
     class/n/p/trials). *)
 val csv_row : t -> Experiment.cell_result -> string
-
-(** Wire codec, schema ["ncg.service.spec/1"]. [of_json] validates. *)
-val schema : string
-
-val to_json : t -> Ncg_obs.Json.t
-val of_json : Ncg_obs.Json.t -> (t, string) result

@@ -14,11 +14,6 @@ let best_response = site "best_response.compute"
 let dynamics_round = site "dynamics.round"
 let sweep_cell = site "sweep.cell"
 let record_log_append = site "record_log.append"
-let service_accept = site "service.accept"
-let service_dispatch = site "service.dispatch"
-let queue_lease = site "queue.lease"
-let service_heartbeat = site "service.heartbeat"
-let service_cancel = site "service.cancel"
 
 (* Plans *)
 

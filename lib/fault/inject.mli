@@ -60,27 +60,6 @@ val record_log_append : site
 (** ["record_log.append"] — inside [Record_log.append], between framing
     and the write; the only site where short-write rules act *)
 
-val service_accept : site
-(** ["service.accept"] — in the sweep daemon ([ncg_served]), after a
-    client connection is accepted and before its handler starts *)
-
-val service_dispatch : site
-(** ["service.dispatch"] — in the daemon scheduler, as a leased cell is
-    handed to a worker *)
-
-val queue_lease : site
-(** ["queue.lease"] — entry of [Ncg_store.Work_queue.lease], before any
-    queue state changes (a firing raise leaves the queue intact) *)
-
-val service_heartbeat : site
-(** ["service.heartbeat"] — in the daemon scheduler, as a worker [ping]
-    is recorded and before the worker's health state changes (a firing
-    raise drops the heartbeat: the worker stays silent this interval) *)
-
-val service_cancel : site
-(** ["service.cancel"] — in the daemon scheduler, on a client [cancel]
-    before any job or queue state changes *)
-
 (** {1 Plans} *)
 
 type action =

@@ -15,12 +15,6 @@
 
 type severity = Debug | Info | Warn | Error
 
-val severity_to_string : severity -> string
-
-(** Install (or clear, with [None]) the global sink. The caller owns the
-    channel lifetime. *)
-val set_sink : out_channel option -> unit
-
 (** True when a sink is installed. *)
 val active : unit -> bool
 

@@ -2,7 +2,7 @@
 
     Just enough for telemetry export ({!Metrics}, {!Span},
     [BENCH_experiment.json]) and for reading back what the repo writes
-    (store cells, service messages, telemetry) without pulling in a JSON
+    (store cells, telemetry, bench reports) without pulling in a JSON
     dependency.
     Numbers follow OCaml float formatting; NaN and infinities serialize
     as [null] so the output stays standard-compliant. *)

@@ -17,18 +17,6 @@ let sum_bb_nodes = register "sum_best_response.bb_nodes"
 let sum_bb_cutoffs = register "sum_best_response.bb_cutoffs"
 let dynamics_rounds = register "dynamics.rounds"
 let dynamics_moves = register "dynamics.moves"
-let service_requests = register "service.requests"
-let service_cache_hits = register "service.cache_hits"
-let service_dedup_hits = register "service.dedup_hits"
-let service_completions = register "service.completions"
-let service_requeues = register "service.requeues"
-let service_quarantines = register "service.quarantines"
-let service_heartbeats = register "service.heartbeats"
-let service_worker_quarantines = register "service.worker_quarantines"
-let service_lease_expiries = register "service.lease_expiries"
-let service_cancels = register "service.cancels"
-let queue_enqueues = register "queue.enqueues"
-let queue_leases = register "queue.leases"
 
 (* The collector is domain-local: no atomics in the hot path, and counts
    recorded by a sweep cell stay with that cell wherever it runs. *)

@@ -54,39 +54,6 @@ val dynamics_rounds : counter  (** completed best-response rounds *)
 
 val dynamics_moves : counter  (** accepted strategy changes *)
 
-val service_requests : counter
-(** sweep-service requests decoded (any verb) *)
-
-val service_cache_hits : counter
-(** submitted cells answered from the store without recomputation *)
-
-val service_dedup_hits : counter
-(** submitted cells attached to an already-in-flight computation *)
-
-val service_completions : counter  (** cells completed by workers *)
-
-val service_requeues : counter
-(** leases returned to pending (failed attempts, lost workers) *)
-
-val service_quarantines : counter
-(** cells abandoned after exhausting the retry budget *)
-
-val service_heartbeats : counter
-(** worker [ping]s accepted by the daemon *)
-
-val service_worker_quarantines : counter
-(** workers quarantined after consecutive failed/expired attempts *)
-
-val service_lease_expiries : counter
-(** leases reclaimed from heartbeat-silent workers *)
-
-val service_cancels : counter
-(** client-issued job cancellations *)
-
-val queue_enqueues : counter  (** [Ncg_store.Work_queue] enqueues *)
-
-val queue_leases : counter  (** [Ncg_store.Work_queue] leases granted *)
-
 (** {1 Recording} *)
 
 (** [incr c] adds 1 to [c] in the current domain's collector, if any. *)

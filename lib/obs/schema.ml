@@ -7,8 +7,8 @@
    site could silently skew from its parse site. Now the tag lives here
    exactly once and both sides reference it by name; the lint rule R1
    (lib/lint) rejects any exact schema-shaped string literal outside
-   this file, so the registry cannot rot. Legacy tags that readers must
-   still accept (e.g. request_v1) stay registered forever. *)
+   this file, so the registry cannot rot. A tag leaves the registry once
+   no reader or writer references it. *)
 
 (* lib/obs *)
 let obs_timeseries = "ncg.obs.timeseries/1"
@@ -20,13 +20,6 @@ let store_cell = "ncg.store.cell/5"
 
 (* lib/core *)
 let experiment_telemetry = "ncg.experiment.telemetry/4"
-let service_spec = "ncg.service.spec/1"
-
-(* lib/service *)
-let service_request = "ncg.service.request/2"
-let service_request_v1 = "ncg.service.request/1"
-let service_response = "ncg.service.response/1"
-let service_task = "ncg.service.task/1"
 
 (* lib/lint *)
 let lint_report = "ncg.lint.report/3"
@@ -44,11 +37,6 @@ let all =
     store_manifest;
     store_cell;
     experiment_telemetry;
-    service_spec;
-    service_request;
-    service_request_v1;
-    service_response;
-    service_task;
     lint_report;
     bench_experiment;
     bench_fullgrid;

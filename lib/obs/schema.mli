@@ -1,33 +1,27 @@
 (** Central registry of the repo's [ncg.*/N] schema tags.
 
     Every versioned artifact (telemetry, store records, bench reports,
-    service protocol, lint reports) names its schema through this module
+    lint reports) names its schema through this module
     — never as a local string literal — so an emit site and its parse
     site cannot skew across a version bump. The lint rule [R1]
     (docs/LINTING.md) enforces this mechanically: an exact schema-shaped
     string literal anywhere outside [lib/obs/schema.ml] is a violation.
 
-    Legacy tags that readers still accept (e.g. {!service_request_v1})
-    remain registered forever; removing a tag from the registry is a
-    statement that no reader or writer references it any more. *)
+    Removing a tag from the registry is a statement that no reader or
+    writer references it any more. *)
 
 val obs_timeseries : string
 val obs_probes : string
 val store_manifest : string
 val store_cell : string
 val experiment_telemetry : string
-val service_spec : string
-val service_request : string
-val service_request_v1 : string
-val service_response : string
-val service_task : string
 val lint_report : string
 val bench_experiment : string
 val bench_fullgrid : string
 val bench_baseline : string
 val bench_history : string
 
-(** Every registered tag, current and legacy. *)
+(** Every registered tag. *)
 val all : string list
 
 (** [is_schema_shaped s] is [true] when [s] is exactly

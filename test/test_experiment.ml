@@ -307,8 +307,7 @@ let spec_rows spec =
 let test_overlapping_grids_agree () =
   (* A cell's row is a function of (seed, alpha, k): two sweeps over
      overlapping grids, listed in different orders, print byte-identical
-     rows for every shared cell — and so does a lone Sweep_spec.run_cell,
-     the path the sweep service's workers take. *)
+     rows for every shared cell — and so does a lone Sweep_spec.run_cell. *)
   let small = { Sweep_spec.default with n = 12; trials = 2 } in
   let a = { small with alphas = [ 0.5; 1.0 ]; ks = [ 2; 1000 ] } in
   let b = { small with alphas = [ 2.0; 1.0 ]; ks = [ 3; 1000; 2 ] } in

@@ -77,6 +77,18 @@ let test_parse_plan () =
     | Error _ -> ()
   in
   bad "no.such.site=raise";
+  (* Sites of the retired sweep daemon: an old daemon fault plan must be
+     rejected, not silently arm nothing. *)
+  List.iter
+    (fun spec ->
+      match Inject.parse_plan ~seed:0 spec with
+      | Ok _ -> Alcotest.failf "accepted %S" spec
+      | Error e ->
+          check_bool (spec ^ ": unknown fault site") true
+            (String.starts_with
+               ~prefix:(Printf.sprintf "%S: unknown fault site" spec)
+               e))
+    [ "queue.lease=raise"; "service.accept=raise@p:0.5" ];
   bad "sweep.cell=explode";
   bad "sweep.cell=raise@sometimes";
   bad "sweep.cell=delay:x";

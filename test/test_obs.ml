@@ -347,7 +347,6 @@ let rec mutations doc =
    or [Error], never raise. Exhaustive over the one-edit neighbourhood of
    a valid encoding of each, so it is deterministic. *)
 let test_decoders_never_raise () =
-  let module Protocol = Ncg_service.Protocol in
   let module Sweep_spec = Ncg.Sweep_spec in
   let spec =
     {
@@ -380,14 +379,6 @@ let test_decoders_never_raise () =
       case "Span exact" (Span.to_json_exact r.Ncg.Experiment.spans) Span.of_json_exact;
       case "cell result" (Ncg.Experiment.cell_result_to_json r)
         Ncg.Experiment.cell_result_of_json;
-      case "Sweep_spec" (Sweep_spec.to_json spec) Sweep_spec.of_json;
-      case "Protocol request"
-        (Protocol.request_to_json (Protocol.Submit { spec; deadline_ms = Some 60_000 }))
-        Protocol.request_of_json;
-      case "Protocol response"
-        (Protocol.response_to_json
-           (Protocol.Resp_ok [ ("job", Json.Int 1); ("state", Json.String "running") ]))
-        Protocol.response_of_json;
     ]
   in
   List.iter

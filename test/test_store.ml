@@ -7,6 +7,7 @@ module Record_log = Ncg_store.Record_log
 module Cache_key = Ncg_store.Cache_key
 module Store = Ncg_store.Store
 module Experiment = Ncg.Experiment
+module Sweep_spec = Ncg.Sweep_spec
 module Dynamics = Ncg.Dynamics
 module Json = Ncg_obs.Json
 
@@ -452,6 +453,53 @@ let test_sweep_resume_after_kill () =
             [ 1; 2 ])
         offsets)
 
+(* Every cell of [spec] as (cell, CSV row), swept the way
+   [ncg_experiment --store] sweeps it. *)
+let spec_rows ?store spec =
+  Experiment.sweep_supervised ?store ~store_context:(Sweep_spec.context spec)
+    ~probes:spec.Sweep_spec.probes
+    ~make_initial:(Sweep_spec.make_initial spec)
+    ~make_config:(Sweep_spec.make_config spec) ~cells:(Sweep_spec.cells spec)
+    ~trials:spec.Sweep_spec.trials ~seed:spec.Sweep_spec.seed ()
+  |> List.map (function
+       | Ok (r : Experiment.cell_result) ->
+           (r.Experiment.cell, Sweep_spec.csv_row spec r)
+       | Error (f : Experiment.cell_failure) ->
+           Alcotest.failf "cell %d quarantined" f.Experiment.index)
+
+let test_overlapping_stored_sweeps () =
+  (* Two sweeps run one after the other against one store: the second
+     overlaps the first on the k = 3 column, finds those three cells in
+     the store, and the rows of both together are a one-shot sweep of
+     the union grid. *)
+  let base =
+    { Sweep_spec.default with n = 12; trials = 2; alphas = [ 0.5; 1.0; 2.0 ] }
+  in
+  let first = { base with ks = [ 2; 3 ] } and second = { base with ks = [ 3; 1000 ] } in
+  with_temp_dir (fun dir ->
+      let sweep spec check =
+        Store.with_dir dir (fun store ->
+            let rows = spec_rows ~store spec in
+            check (Store.stats store);
+            rows)
+      in
+      let rows_first =
+        sweep first (fun st ->
+            check_int "first sweep: no hits" 0 st.Store.hits;
+            check_int "first sweep: six inserted" 6 st.Store.inserts)
+      in
+      let rows_second =
+        sweep second (fun st ->
+            check_int "second sweep: three hits" 3 st.Store.hits;
+            check_int "second sweep: three misses" 3 st.Store.misses;
+            check_int "store: nine live records" 9 st.Store.live)
+      in
+      let sorted rows = List.map snd (List.sort_uniq compare rows) in
+      Alcotest.(check (list string))
+        "union of both sweeps = one-shot sweep of the union grid"
+        (sorted (spec_rows { base with ks = [ 2; 3; 1000 ] }))
+        (sorted (rows_first @ rows_second)))
+
 (* --- Fault-injected short writes and healing ------------------------------ *)
 
 module Inject = Ncg_fault.Inject
@@ -683,5 +731,7 @@ let () =
           Alcotest.test_case "resume after kill" `Quick test_sweep_resume_after_kill;
           Alcotest.test_case "undecodable record is a miss" `Quick
             test_bad_record_is_a_miss;
+          Alcotest.test_case "overlapping stored sweeps = union sweep" `Quick
+            test_overlapping_stored_sweeps;
         ] );
     ]
