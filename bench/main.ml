@@ -672,34 +672,6 @@ let experiment () =
   in
   let populated, populate_wall, populate_stats = store_pass () in
   let cached, cached_wall, cached_stats = store_pass () in
-  (* Supervised-executor overhead: the same grid through a bare
-     Parallel.map of run_cell (no work queue, no retry machinery, no
-     arming) vs Experiment.sweep (now routed through the supervised
-     executor). Informational — recorded against a 5% target, not
-     gated, because a smoke grid's wall time is noise-dominated. *)
-  let baseline, baseline_wall =
-    let t0 = Ncg_obs.Clock.now_ns () in
-    let r =
-      Ncg_util.Parallel.map ~domains:fan_domains (Sweep_spec.run_cell spec) cells
-    in
-    (r, Ncg_obs.Clock.ns_to_s (Ncg_obs.Clock.elapsed_ns ~since:t0))
-  in
-  let supervised, supervised_wall = timed fan_domains in
-  (* GC words are excluded here: under the executor a cancellation
-     control is already installed, so the per-move step-budget scope
-     reuses it, while the bare baseline allocates one per move — a
-     deterministic, harness-only difference. runs/counters/histogram
-     counts must still agree exactly. *)
-  let supervised_ok =
-    List.for_all2
-      (fun (a : Experiment.cell_result) (b : Experiment.cell_result) ->
-        a.Experiment.runs = b.Experiment.runs
-        && a.Experiment.counters = b.Experiment.counters
-        && Ncg_obs.Histogram.counts_only a.Experiment.histograms
-           = Ncg_obs.Histogram.counts_only b.Experiment.histograms)
-      baseline supervised
-  in
-  let overhead_frac = (supervised_wall -. baseline_wall) /. baseline_wall in
   let store_ok =
     same_results "store populate vs sequential" seq populated
     && same_results "store cached vs sequential" seq cached
@@ -716,13 +688,8 @@ let experiment () =
   Printf.printf "%-30s %.2fs populate, %.2fs cached (%d hits)\n" "store round-trip"
     populate_wall cached_wall cached_stats.Ncg_store.Store.hits;
   Printf.printf "%-30s %b\n" "store cached == sequential" store_ok;
-  Printf.printf "%-30s %.2fs bare, %.2fs supervised (overhead %+.1f%%)\n"
-    "supervised overhead" baseline_wall supervised_wall (100. *. overhead_frac);
-  Printf.printf "%-30s %b\n" "supervised == bare parallel" supervised_ok;
   if not identical then failwith "experiment: parallel sweep diverged from sequential";
   if not store_ok then failwith "experiment: store round-trip diverged";
-  if not supervised_ok then
-    failwith "experiment: supervised sweep diverged from bare Parallel.map";
   let module Json = Ncg_obs.Json in
   Json.to_file out
     (Json.Obj
@@ -750,16 +717,6 @@ let experiment () =
                      ("cached_matches", Json.Bool store_ok);
                      ( "stats",
                        Ncg_store.Store.stats_to_json cached_stats );
-                   ] );
-               ( "supervised_overhead",
-                 Json.Obj
-                   [
-                     ("baseline_wall_seconds", Json.Float baseline_wall);
-                     ("supervised_wall_seconds", Json.Float supervised_wall);
-                     ("overhead_frac", Json.Float overhead_frac);
-                     ("target_frac", Json.Float 0.05);
-                     ("deterministic", Json.Bool supervised_ok);
-                     ("domains", Json.Int fan_domains);
                    ] );
                ("counters", Ncg_obs.Metrics.to_json (Experiment.sweep_counters par));
                ( "histograms",

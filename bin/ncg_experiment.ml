@@ -21,12 +21,13 @@
    k) alone, so --only-cell ALPHA:K runs that one cell and prints the
    row (or the quarantine) any sweep containing it would.
 
-   Sweeps run under a supervised executor (see docs/ROBUSTNESS.md): a
-   failing cell is retried up to --max-retries times (backing off
-   --retry-backoff-ms * attempt), then quarantined while every other
-   cell completes; quarantines are listed on stderr and in the
+   Sweeps run under a supervised executor (see docs/ROBUSTNESS.md): each
+   cell gets one attempt, and a failing cell is quarantined while every
+   other cell completes; quarantines are listed on stderr and in the
    telemetry failure report ("sweep.failures") and make the exit code 3.
-   --cell-deadline-ms bounds each attempt (watchdog + cooperative
+   A cell is a pure function of (--seed, alpha, k), so a retry would
+   fail the same way; rerun with --resume once the cause is gone.
+   --cell-deadline-ms bounds each cell (watchdog + cooperative
    cancellation); --move-budget bounds a single player move's search
    steps so a pathological cell times out instead of hanging.
    --fault-plan SPEC (with --fault-seed) injects deterministic faults —
@@ -165,8 +166,7 @@ let install_signal_handlers () =
 
 let run graph_class n p alphas ks trials seed budget domains store_dir resume
     no_cache only_cell telemetry trace_out events quiet no_progress no_probes
-    fault_plan_spec fault_seed max_retries retry_backoff_ms cell_deadline_ms
-    move_budget =
+    fault_plan_spec fault_seed cell_deadline_ms move_budget =
   if quiet || no_progress then Ncg_obs.Events.set_progress false;
   let probes = not no_probes in
   let fault_plan =
@@ -181,7 +181,6 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
             Printf.eprintf "ncg_experiment: --fault-plan: %s\n%!" msg;
             exit 2)
   in
-  let retry_backoff_ns = Int64.of_float (retry_backoff_ms *. 1e6) in
   let cell_deadline_ns =
     if cell_deadline_ms <= 0. then None
     else Some (Int64.of_float (cell_deadline_ms *. 1e6))
@@ -244,8 +243,7 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
   in
   let started = Ncg_obs.Clock.now_ns () in
   let run_sweep () =
-    Experiment.sweep_supervised ~domains ~max_retries ~retry_backoff_ns
-      ?cell_deadline_ns
+    Experiment.sweep_supervised ~domains ?cell_deadline_ns
       ?store:(if no_cache then None else store)
       ~store_context:(Ncg.Sweep_spec.context spec) ~probes
       ~make_initial:(Ncg.Sweep_spec.make_initial spec)
@@ -302,14 +300,12 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
       let doc =
         Json.Obj
           ([
-             (* /4: cells gained a "probes" section (round-level series of
-                the exemplar trial) and the top level records the probes
-                switch. *)
+             (* /5: the top-level retry budget and the failures'
+                attempt counts are gone — every cell gets one attempt. *)
              ("schema", Json.String Ncg_obs.Schema.experiment_telemetry);
              ("seed", Json.Int seed);
              ("domains", Json.Int domains);
              ("probes", Json.Bool probes);
-             ("max_retries", Json.Int max_retries);
              ( "fault_plan",
                match fault_plan with
                | None -> Json.Null
@@ -324,7 +320,7 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
                       match Experiment.cell_failure_to_json f with
                       | Json.Obj fields ->
                           (* The exact CSV row prefix of the quarantined
-                             cell, so tooling (the CI fault-smoke job) can
+                             cell, so tooling (test_cli's fault smoke) can
                              filter it from a clean run's CSV without
                              re-deriving float formatting. *)
                           Json.Obj
@@ -388,11 +384,9 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
   List.iter
     (fun (f : Experiment.cell_failure) ->
       Printf.eprintf
-        "QUARANTINED cell alpha=%g k=%d (index %d, seed %d): %d attempt%s, \
-         %s: %s\n%!"
+        "QUARANTINED cell alpha=%g k=%d (index %d, seed %d): %s: %s\n%!"
         f.Experiment.cell.Experiment.alpha f.Experiment.cell.Experiment.k
-        f.Experiment.index f.Experiment.cell_seed f.Experiment.attempts
-        (if f.Experiment.attempts = 1 then "" else "s")
+        f.Experiment.index f.Experiment.cell_seed
         (Ncg_fault.Executor.kind_to_string f.Experiment.kind)
         f.Experiment.exn_text)
     failures;
@@ -494,17 +488,9 @@ let fault_seed =
   Arg.(value & opt int 0 & info [ "fault-seed" ] ~docv:"N"
          ~doc:"Seed of the fault plan's probability draws.")
 
-let max_retries =
-  Arg.(value & opt int 0 & info [ "max-retries" ] ~docv:"N"
-         ~doc:"Extra attempts per failing cell before quarantine.")
-
-let retry_backoff_ms =
-  Arg.(value & opt float 0. & info [ "retry-backoff-ms" ] ~docv:"MS"
-         ~doc:"Linear retry backoff: attempt $(i,i) sleeps MS*i first.")
-
 let cell_deadline_ms =
   Arg.(value & opt float 0. & info [ "cell-deadline-ms" ] ~docv:"MS"
-         ~doc:"Wall-clock deadline per cell attempt (0 = none).")
+         ~doc:"Wall-clock deadline per cell (0 = none).")
 
 let move_budget =
   Arg.(value & opt int 1_000_000 & info [ "move-budget" ] ~docv:"N"
@@ -519,7 +505,6 @@ let cmd =
     Term.(const run $ graph_class $ n $ p $ alphas $ ks $ trials $ seed $ budget
           $ domains $ store_dir $ resume $ no_cache $ only_cell $ telemetry
           $ trace_out $ events $ quiet $ no_progress $ no_probes
-          $ fault_plan_spec $ fault_seed $ max_retries $ retry_backoff_ms
-          $ cell_deadline_ms $ move_budget)
+          $ fault_plan_spec $ fault_seed $ cell_deadline_ms $ move_budget)
 
 let () = exit (Cmd.eval cmd)

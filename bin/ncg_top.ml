@@ -11,13 +11,13 @@
 
    It renders a progress grid over the (alpha, k) plane from sweep.cell
    events, convergence sparklines from dynamics.round events (emitted
-   when probes and events are both enabled), and the latest retry /
-   quarantine alerts. Torn or foreign lines are counted and skipped — a
-   live tail always sees partial writes.
+   when probes and events are both enabled), and the latest quarantine
+   alerts. Torn or foreign lines are counted and skipped — a live tail
+   always sees partial writes.
 
    Post-hoc mode renders a Markdown convergence report from any telemetry
-   document with a "cells" list (ncg.experiment.telemetry/4,
-   ncg.bench.experiment/3, ncg.bench.fullgrid/1):
+   document with a "cells" list (ncg.experiment.telemetry/5,
+   ncg.bench.experiment/5, ncg.bench.fullgrid/1):
 
      dune exec bin/ncg_top.exe -- --post-hoc --telemetry telemetry.json \
        [--compare other.json] [--out report.md]
@@ -39,7 +39,6 @@ type status = Done | Cached | Quarantined
 
 type live = {
   cells : (key, status) Hashtbl.t;
-  retries : (key, int) Hashtbl.t;
   series : (key, (int * float * int) list ref) Hashtbl.t;
       (* newest-first (round, social_cost, awake) from dynamics.round *)
   mutable total : int;
@@ -52,7 +51,6 @@ type live = {
 let new_live () =
   {
     cells = Hashtbl.create 64;
-    retries = Hashtbl.create 16;
     series = Hashtbl.create 64;
     total = 0;
     finished = 0;
@@ -77,7 +75,6 @@ let process_line st line =
         (* Live lines are read leniently: a missing or mistyped field
            reads as absent, shown as "?". *)
         let get name decode = Json.opt (Json.field name decode) j in
-        let shown name = Option.fold ~none:"?" ~some:string_of_int (get name Json.int) in
         let text name = Option.value (get name Json.string) ~default:"?" in
         match get "event" Json.string with
         | Some "sweep.cell" -> (
@@ -101,19 +98,8 @@ let process_line st line =
             | Some ((alpha, k) as key) ->
                 Hashtbl.replace st.cells key Quarantined;
                 alert st
-                  (Printf.sprintf "QUARANTINED alpha=%g k=%d after %s attempt(s): %s"
-                     alpha k (shown "attempts") (text "error")))
-        | Some "sweep.cell.attempt_failed" -> (
-            match key_of_event j with
-            | None -> ()
-            | Some ((alpha, k) as key) ->
-                let prev = Option.value (Hashtbl.find_opt st.retries key) ~default:0 in
-                Hashtbl.replace st.retries key (prev + 1);
-                alert st
-                  (Printf.sprintf "retry alpha=%g k=%d attempt %s (%s)%s" alpha k
-                     (shown "attempt") (text "error")
-                     (if get "will_retry" Json.bool = Some false then " — giving up"
-                      else "")))
+                  (Printf.sprintf "QUARANTINED alpha=%g k=%d (%s): %s" alpha k
+                     (text "kind") (text "error")))
         | Some "dynamics.round" -> (
             match
               ( key_of_event j,
@@ -156,8 +142,7 @@ let grid_lines st =
           (fun k ->
             let c =
               match Hashtbl.find_opt st.cells (alpha, k) with
-              | Some Done ->
-                  if Hashtbl.mem st.retries (alpha, k) then '!' else '#'
+              | Some Done -> '#'
               | Some Cached -> 'c'
               | Some Quarantined -> 'X'
               | None -> '.'
@@ -168,7 +153,7 @@ let grid_lines st =
       Printf.sprintf "%8g %s" alpha (String.concat " " marks)
     in
     (header :: List.map row alphas)
-    @ [ "legend: # done   c cached   ! done after retry   X quarantined   . pending" ]
+    @ [ "legend: # done   c cached   X quarantined   . pending" ]
   end
 
 let spark_lines st =
@@ -599,7 +584,7 @@ let telemetry_arg =
     & info [ "telemetry" ] ~docv:"FILE"
         ~doc:
           "Telemetry JSON document (any schema with a per-cell \"cells\" list: \
-           ncg.experiment.telemetry/4, ncg.bench.experiment/3, \
+           ncg.experiment.telemetry/5, ncg.bench.experiment/5, \
            ncg.bench.fullgrid/1).")
 
 let compare_arg =

@@ -375,7 +375,6 @@ type cell_failure = {
   index : int;
   cell : cell;
   cell_seed : int;
-  attempts : int;
   kind : Ncg_fault.Executor.kind;
   exn_text : string;
   exn : exn;
@@ -388,13 +387,11 @@ let cell_failure_to_json (f : cell_failure) =
       ("alpha", Json.Float f.cell.alpha);
       ("k", Json.Int f.cell.k);
       ("cell_seed", Json.Int f.cell_seed);
-      ("attempts", Json.Int f.attempts);
       ("kind", Json.String (Ncg_fault.Executor.kind_to_string f.kind));
       ("error", Json.String f.exn_text);
     ]
 
-let sweep_supervised ?(domains = 1) ?(max_retries = 0) ?(retry_backoff_ns = 0L)
-    ?cell_deadline_ns ?store ?(store_context = []) ?(probes = true) ?cell_seeds
+let sweep_supervised ?(domains = 1) ?cell_deadline_ns ?store ?(store_context = []) ?(probes = true) ?cell_seeds
     ~make_initial ~make_config ~cells ~trials:count ~seed () =
   let cells = Array.of_list cells in
   let total = Array.length cells in
@@ -442,7 +439,7 @@ let sweep_supervised ?(domains = 1) ?(max_retries = 0) ?(retry_backoff_ns = 0L)
           ("total", Json.Int total);
         ]
   in
-  let task ~index:i ~attempt:_ =
+  let task ~index:i =
     let cell = cells.(i) in
     match if i < Array.length cached then cached.(i) else None with
     | Some r ->
@@ -461,8 +458,8 @@ let sweep_supervised ?(domains = 1) ?(max_retries = 0) ?(retry_backoff_ns = 0L)
         (* Persist as soon as the cell finishes, on the domain that ran
            it: a SIGKILL later in the sweep loses only in-flight cells.
            An insert that fails (e.g. an injected short write) fails the
-           attempt — durability is part of the cell — and the retry
-           recomputes and re-appends. *)
+           cell — durability is part of the cell — so it is quarantined
+           and a later resume recomputes and re-appends it. *)
         (match store with Some s -> store_insert s keys.(i) r | None -> ());
         let done_count = Atomic.fetch_and_add finished 1 + 1 in
         emit_cell_event ~index:i ~cell ~wall_ns:r.wall_ns ~gc:r.gc
@@ -471,52 +468,33 @@ let sweep_supervised ?(domains = 1) ?(max_retries = 0) ?(retry_backoff_ns = 0L)
           ~histograms:r.histograms;
         r
   in
-  let on_event (ev : Ncg_fault.Executor.event) =
-    match ev with
-    | Ncg_fault.Executor.Attempt_started _ -> ()
-    | Ncg_fault.Executor.Attempt_failed
-        { index; attempt; kind; exn_text; will_retry } ->
-        if Ncg_obs.Events.active () then
-          Ncg_obs.Events.emit ~severity:Ncg_obs.Events.Warn
-            "sweep.cell.attempt_failed"
-            [
-              ("index", Json.Int index);
-              ("alpha", Json.Float cells.(index).alpha);
-              ("k", Json.Int cells.(index).k);
-              ("attempt", Json.Int attempt);
-              ("kind", Json.String (Ncg_fault.Executor.kind_to_string kind));
-              ("error", Json.String exn_text);
-              ("will_retry", Json.Bool will_retry);
-            ]
-    | Ncg_fault.Executor.Quarantined fl ->
-        let done_count = Atomic.fetch_and_add finished 1 + 1 in
-        if Ncg_obs.Events.active () then
-          Ncg_obs.Events.emit ~severity:Ncg_obs.Events.Error
-            "sweep.cell.quarantined"
-            [
-              ("index", Json.Int fl.index);
-              ("alpha", Json.Float cells.(fl.index).alpha);
-              ("k", Json.Int cells.(fl.index).k);
-              ("cell_seed", Json.Int cell_seeds.(fl.index));
-              ("attempts", Json.Int fl.attempts);
-              ("kind", Json.String (Ncg_fault.Executor.kind_to_string fl.kind));
-              ("error", Json.String fl.exn_text);
-              ("done", Json.Int done_count);
-              ("total", Json.Int total);
-            ];
-        report_progress ~sweep_started ~finished:done_count ~total
-          ~histograms:[]
+  let on_quarantine (fl : Ncg_fault.Executor.failure) =
+    let done_count = Atomic.fetch_and_add finished 1 + 1 in
+    if Ncg_obs.Events.active () then
+      Ncg_obs.Events.emit ~severity:Ncg_obs.Events.Error
+        "sweep.cell.quarantined"
+        [
+          ("index", Json.Int fl.index);
+          ("alpha", Json.Float cells.(fl.index).alpha);
+          ("k", Json.Int cells.(fl.index).k);
+          ("cell_seed", Json.Int cell_seeds.(fl.index));
+          ("kind", Json.String (Ncg_fault.Executor.kind_to_string fl.kind));
+          ("error", Json.String fl.exn_text);
+          ("done", Json.Int done_count);
+          ("total", Json.Int total);
+        ];
+    report_progress ~sweep_started ~finished:done_count ~total
+      ~histograms:[]
   in
   let outcomes =
-    Ncg_fault.Executor.map ~domains ~max_retries ~backoff_ns:retry_backoff_ns
-      ?deadline_ns:cell_deadline_ns
+    Ncg_fault.Executor.map ~domains ?deadline_ns:cell_deadline_ns
       ~scope:
         ((fun i -> cell_seeds.(i))
         [@lint.allow
           "P2"
             "cell_seeds is fully built before the fan-out and only read by \
              the workers; no domain writes it"])
-      ~on_event task total
+      ~on_quarantine task total
   in
   Ncg_obs.Events.progress_done ();
   Array.to_list outcomes
@@ -529,7 +507,6 @@ let sweep_supervised ?(domains = 1) ?(max_retries = 0) ?(retry_backoff_ns = 0L)
                  index = i;
                  cell = cells.(i);
                  cell_seed = cell_seeds.(i);
-                 attempts = fl.attempts;
                  kind = fl.kind;
                  exn_text = fl.exn_text;
                  exn = fl.exn;
@@ -546,7 +523,7 @@ let sweep ?domains ?store ?store_context ?probes ~make_initial ~make_config
   in
   (* Legacy contract: every cell still ran (the executor quarantines
      instead of aborting), then the lowest-index failure re-raises —
-     deterministic for a deterministic task, like Parallel.chunked_map. *)
+     deterministic for a deterministic task, whatever the domain count. *)
   List.map (function Ok r -> r | Error f -> raise f.exn) outcomes
 
 let sweep_counters results =

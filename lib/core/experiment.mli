@@ -140,41 +140,38 @@ val run_cell :
   cell ->
   cell_result
 
-(** A quarantined sweep cell: it failed [attempts] attempts (under the
-    retry budget) and the sweep completed without it. *)
+(** A quarantined sweep cell: its one attempt failed and the sweep
+    completed without it. *)
 type cell_failure = {
   index : int;  (** position in the sweep's cell list *)
   cell : cell;
   cell_seed : int;
       (** the seed the cell ran with ({!cell_seed_of_cell} unless the
           caller passed [cell_seeds]); also its fault-injection scope *)
-  attempts : int;
   kind : Ncg_fault.Executor.kind;
   exn_text : string;
-  exn : exn;  (** the final attempt's exception, for re-raising *)
+  exn : exn;  (** the cell's exception, for re-raising *)
 }
 
-(** Failure-report entry (index, α, k, seed, attempts, kind, error) —
+(** Failure-report entry (index, α, k, seed, kind, error) —
     the elements of the telemetry ["sweep.failures"] list. *)
 val cell_failure_to_json : cell_failure -> Ncg_obs.Json.t
 
-(** [sweep_supervised ?domains ?max_retries ?retry_backoff_ns
-    ?cell_deadline_ns ?store ?store_context ~make_initial ~make_config
-    ~cells ~trials ~seed ()] runs every cell ([trials] dynamics each)
-    under the supervised work-queue executor
+(** [sweep_supervised ?domains ?cell_deadline_ns ?store ?store_context
+    ~make_initial ~make_config ~cells ~trials ~seed ()] runs every cell
+    ([trials] dynamics each) under the supervised work-queue executor
     ({!Ncg_fault.Executor.map}), returning one outcome per cell in cell
-    order: [Ok result], or [Error failure] for a cell that exhausted
-    [max_retries] (default 0) extra attempts and was quarantined — the
-    sweep always completes every other cell.
+    order: [Ok result], or [Error failure] for a cell whose one attempt
+    raised and was quarantined — the sweep always completes every other
+    cell. A computed cell is a pure function of its inputs, so a retry
+    would fail the same way; there is none.
 
-    Per attempt, a cell runs under [cell_deadline_ns] (watchdog domain +
-    cooperative {!Ncg_fault.Cancel.checkpoint} polls in the dynamics
-    loop); retries back off [retry_backoff_ns * attempt] (a
-    deterministic schedule). Each cell's task is armed for fault
-    injection with its cell seed as scope (see {!Ncg_fault.Inject}), and
-    passes through the ["sweep.cell"] fault site — so a cell meets the
-    same faults in a one-cell sweep as in any grid that contains it. Failed attempts emit
-    ["sweep.cell.attempt_failed"] (warn) and quarantines
+    A cell runs under [cell_deadline_ns] (watchdog domain + cooperative
+    {!Ncg_fault.Cancel.checkpoint} polls in the dynamics loop). Each
+    cell's task is armed for fault injection with its cell seed as scope
+    (see {!Ncg_fault.Inject}), and passes through the ["sweep.cell"]
+    fault site — so a cell meets the same faults in a one-cell sweep as
+    in any grid that contains it. Quarantines emit
     ["sweep.cell.quarantined"] (error) structured events.
 
     With [?store], each cell is looked up by its {!cell_cache_key}
@@ -193,7 +190,7 @@ val cell_failure_to_json : cell_failure -> Ncg_obs.Json.t
 
     Determinism under failure: successful cells are identical (same
     contract as {!sweep}) to a sequential no-fault run, for any
-    [domains], retry budget or fault plan; and for a fixed plan (and
+    [domains] or fault plan; and for a fixed plan (and
     deterministic faults — raises, not wall-clock deadlines) each cell's
     outcome is identical too, whatever grid it is swept in.
 
@@ -203,8 +200,6 @@ val cell_failure_to_json : cell_failure -> Ncg_obs.Json.t
     the cells' fault scopes. *)
 val sweep_supervised :
   ?domains:int ->
-  ?max_retries:int ->
-  ?retry_backoff_ns:int64 ->
   ?cell_deadline_ns:int64 ->
   ?store:Ncg_store.Store.t ->
   ?store_context:(string * Ncg_obs.Json.t) list ->
@@ -224,7 +219,7 @@ val sweep_failures :
   (cell_result, cell_failure) result list -> cell_failure list
 
 (** [sweep ?domains ?store ?store_context …] is {!sweep_supervised}
-    with no retries and no deadline, re-raising the lowest-index
+    with no deadline, re-raising the lowest-index
     failure's exception after every other cell completed (the legacy
     all-or-nothing contract). *)
 val sweep :

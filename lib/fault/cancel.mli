@@ -14,7 +14,7 @@
 
     Controls are domain-local and scoped: {!with_control} installs a
     deadline and a cancellation flag for the duration of a task (the
-    executor does this per attempt), {!with_step_budget} bounds the
+    executor does this per task), {!with_step_budget} bounds the
     number of checkpoints inside it (the dynamics engine does this per
     player move). *)
 

@@ -7,39 +7,22 @@ let kind_to_string = function
   | Interrupted -> "interrupted"
   | Crashed -> "crashed"
 
-type failure = {
-  index : int;
-  attempts : int;
-  kind : kind;
-  exn_text : string;
-  exn : exn;
-}
-
-type event =
-  | Attempt_started of { index : int; attempt : int }
-  | Attempt_failed of {
-      index : int;
-      attempt : int;
-      kind : kind;
-      exn_text : string;
-      will_retry : bool;
-    }
-  | Quarantined of failure
+type failure = { index : int; kind : kind; exn_text : string; exn : exn }
 
 let classify = function
   | Cancel.Timed_out _ -> Timeout
   | Cancel.Interrupted _ -> Interrupted
   | _ -> Crashed
 
-let map ?(domains = 1) ?(max_retries = 0) ?(backoff_ns = 0L) ?deadline_ns
-    ?(on_event = fun (_ : event) -> ()) ~scope f n =
+let map ?(domains = 1) ?deadline_ns ?(on_quarantine = fun (_ : failure) -> ())
+    ~scope f n =
   if n = 0 then [||]
   else begin
     let domains = max 1 (min domains n) in
     let results = Array.make n None in
     let next = Atomic.make 0 in
-    (* Watchdog slots: when worker [w] starts an attempt it publishes the
-       start time; the watchdog flags [cancels.(w)] once the attempt has
+    (* Watchdog slots: when worker [w] starts a task it publishes the
+       start time; the watchdog flags [cancels.(w)] once the task has
        been running past the deadline, and the task's next cooperative
        checkpoint raises. *)
     let busy_since = Array.init domains (fun _ -> Atomic.make 0L) in
@@ -67,61 +50,38 @@ let map ?(domains = 1) ?(max_retries = 0) ?(backoff_ns = 0L) ?deadline_ns
     in
     let run_task w i =
       Inject.arm ~scope:(scope i);
-      let rec go attempt =
-        on_event (Attempt_started { index = i; attempt });
-        Atomic.set cancels.(w) false;
-        Atomic.set busy_since.(w) (Clock.now_ns ());
+      Atomic.set cancels.(w) false;
+      Atomic.set busy_since.(w) (Clock.now_ns ());
+      let outcome =
         match
           Cancel.with_control ?timeout_ns:deadline_ns ~cancel:cancels.(w)
-            (fun () -> f ~index:i ~attempt)
+            (fun () -> f ~index:i)
         with
-        | v ->
-            Atomic.set busy_since.(w) 0L;
-            Ok v
-        | exception e ->
-            Atomic.set busy_since.(w) 0L;
-            let kind = classify e in
-            let will_retry =
-              kind <> Interrupted && attempt <= max_retries
-              && Cancel.shutdown_requested () = None
-            in
-            on_event
-              (Attempt_failed
+        | v -> Ok v
+        | exception e -> Error e
+      in
+      Atomic.set busy_since.(w) 0L;
+      Inject.disarm ();
+      results.(i) <-
+        Some
+          (Result.map_error
+             (fun e ->
+               let fl =
                  {
                    index = i;
-                   attempt;
-                   kind;
+                   kind = classify e;
                    exn_text = Printexc.to_string e;
-                   will_retry;
-                 });
-            if will_retry then begin
-              if backoff_ns > 0L then
-                Unix.sleepf
-                  (Int64.to_float (Int64.mul backoff_ns (Int64.of_int attempt))
-                  *. 1e-9);
-              go (attempt + 1)
-            end
-            else begin
-              let fl =
-                {
-                  index = i;
-                  attempts = attempt;
-                  kind;
-                  exn_text = Printexc.to_string e;
-                  exn = e;
-                }
-              in
-              on_event (Quarantined fl);
-              Error fl
-            end
-      in
-      let r = Fun.protect ~finally:Inject.disarm (fun () -> go 1) in
-      results.(i) <- Some r
+                   exn = e;
+                 }
+               in
+               on_quarantine fl;
+               fl)
+             outcome)
     in
     let worker_error : (int * exn) option Atomic.t = Atomic.make None in
     let worker w =
       (* run_task catches all task exceptions; anything escaping here is
-         an executor/on_event bug — record the lowest-worker one and
+         an executor/on_quarantine bug — record the lowest-worker one and
          re-raise it after the join so it is never swallowed. *)
       try
         let rec loop () =
@@ -165,7 +125,6 @@ let map ?(domains = 1) ?(max_retries = 0) ?(backoff_ns = 0L) ?deadline_ns
             Error
               {
                 index = i;
-                attempts = 0;
                 kind = Interrupted;
                 exn_text = "not started: shutdown requested";
                 exn = Cancel.Interrupted s;

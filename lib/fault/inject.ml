@@ -19,12 +19,7 @@ let record_log_append = site "record_log.append"
 
 type action = Raise | Delay_ns of int64 | Short_write of int
 type trigger = Always | Nth of int | Every of int | Prob of float
-type rule = {
-  site : string;
-  action : action;
-  trigger : trigger;
-  budget : int option;
-}
+type rule = { site : string; action : action; trigger : trigger }
 type plan = { seed : int; rules : rule list }
 
 exception Fault of { site : string; action : string }
@@ -47,12 +42,10 @@ let trigger_to_string = function
   | Prob p -> Printf.sprintf "p:%g" p
 
 let rule_to_string r =
-  let quals =
-    (match r.trigger with Always -> [] | t -> [ trigger_to_string t ])
-    @ match r.budget with None -> [] | Some b -> [ Printf.sprintf "budget:%d" b ]
-  in
-  String.concat "@"
-    (Printf.sprintf "%s=%s" r.site (action_to_string r.action) :: quals)
+  let rule = Printf.sprintf "%s=%s" r.site (action_to_string r.action) in
+  match r.trigger with
+  | Always -> rule
+  | t -> rule ^ "@" ^ trigger_to_string t
 
 let plan_to_string p = String.concat "," (List.map rule_to_string p.rules)
 
@@ -101,55 +94,25 @@ let parse_rule spec =
         if b < 0 then fail "short must be >= 0 bytes" else Ok (Short_write b)
     | _ -> fail "unknown action %S (raise | delay:MS | short:BYTES)" action_s
   in
-  (* The '@' qualifiers after the action: at most one trigger and at
-     most one budget, in either order. *)
-  let* trigger, budget =
-    let parse_qual (trigger, budget) q =
-      let dup what = fail "duplicate %s qualifier %S" what q in
-      match String.split_on_char ':' q with
-      | [ "always" ] -> (
-          match trigger with Some _ -> dup "trigger" | None -> Ok (Some Always, budget))
-      | [ "nth"; n ] -> (
-          match trigger with
-          | Some _ -> dup "trigger"
-          | None ->
-              let* n = int_of n "nth" in
-              if n < 1 then fail "nth must be >= 1"
-              else Ok (Some (Nth n), budget))
-      | [ "every"; n ] -> (
-          match trigger with
-          | Some _ -> dup "trigger"
-          | None ->
-              let* n = int_of n "every" in
-              if n < 1 then fail "every must be >= 1"
-              else Ok (Some (Every n), budget))
-      | [ "p"; p ] -> (
-          match trigger with
-          | Some _ -> dup "trigger"
-          | None ->
-              let* p = float_of p "p" in
-              if p < 0. || p > 1. then fail "p must be in [0, 1]"
-              else Ok (Some (Prob p), budget))
-      | [ "budget"; b ] -> (
-          match budget with
-          | Some _ -> dup "budget"
-          | None ->
-              let* b = int_of b "budget" in
-              if b < 1 then fail "budget must be >= 1"
-              else Ok (trigger, Some b))
-      | _ ->
-          fail "unknown qualifier %S (always | nth:N | every:N | p:P | budget:N)"
-            q
-    in
-    let rec go acc = function
-      | [] -> Ok acc
-      | q :: rest ->
-          let* acc = parse_qual acc q in
-          go acc rest
-    in
-    go (None, None) quals
+  let* trigger =
+    match quals with
+    | [] -> Ok Always
+    | [ q ] -> (
+        match String.split_on_char ':' q with
+        | [ "always" ] -> Ok Always
+        | [ "nth"; n ] ->
+            let* n = int_of n "nth" in
+            if n < 1 then fail "nth must be >= 1" else Ok (Nth n)
+        | [ "every"; n ] ->
+            let* n = int_of n "every" in
+            if n < 1 then fail "every must be >= 1" else Ok (Every n)
+        | [ "p"; p ] ->
+            let* p = float_of p "p" in
+            if p < 0. || p > 1. then fail "p must be in [0, 1]" else Ok (Prob p)
+        | _ -> fail "unknown trigger %S (always | nth:N | every:N | p:P)" q)
+    | _ -> fail "at most one @TRIGGER per rule"
   in
-  Ok { site; action; trigger = Option.value trigger ~default:Always; budget }
+  Ok { site; action; trigger }
 
 let parse_plan ~seed spec =
   let specs =
@@ -177,9 +140,7 @@ let installed () = Atomic.get current
 type rule_state = {
   action : action;
   trigger : trigger;
-  budget : int option;
   mutable hits : int;
-  mutable fired : int;
   rng : Splitmix64.t;
 }
 
@@ -227,14 +188,7 @@ let arm ~scope =
               per_site.(id) <-
                 per_site.(id)
                 @ [
-                    {
-                      action = r.action;
-                      trigger = r.trigger;
-                      budget = r.budget;
-                      hits = 0;
-                      fired = 0;
-                      rng;
-                    };
+                    { action = r.action; trigger = r.trigger; hits = 0; rng };
                   ])
         plan.rules;
       Domain.DLS.set armed_key (Some per_site)
@@ -245,23 +199,11 @@ let unit_float bits = Int64.to_float (Int64.shift_right_logical bits 11) *. 0x1.
 
 let fires st =
   st.hits <- st.hits + 1;
-  (* An exhausted budget short-circuits before the trigger is evaluated,
-     so a Prob rule stops drawing from its stream at a point that is
-     itself deterministic — the decision sequence stays a pure function
-     of (plan seed, site, rule index, scope). *)
-  let exhausted = match st.budget with Some b -> st.fired >= b | None -> false in
-  if exhausted then false
-  else begin
-    let f =
-      match st.trigger with
-      | Always -> true
-      | Nth n -> st.hits = n
-      | Every n -> st.hits mod n = 0
-      | Prob p -> unit_float (Splitmix64.next st.rng) < p
-    in
-    if f then st.fired <- st.fired + 1;
-    f
-  end
+  match st.trigger with
+  | Always -> true
+  | Nth n -> st.hits = n
+  | Every n -> st.hits mod n = 0
+  | Prob p -> unit_float (Splitmix64.next st.rng) < p
 
 let fault id action = Fault { site = site_name id; action }
 

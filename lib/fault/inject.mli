@@ -15,14 +15,10 @@
     {!arm}[ ~scope]; arming (re)creates every rule's hit counters and its
     SplitMix64 stream from [(plan.seed, site, rule index, scope)] alone.
     The supervised executor ({!Executor}) arms with the caller's scope
-    for the task (a sweep passes the cell's seed) before its first
-    attempt and does not re-arm on retries, so
-    - the same plan, seed and scope always fire at the same hits, on any
-      domain, for any [--domains];
-    - hit counters persist across a task's retries, which is how
-      transient faults are expressed: [nth:1] fails the first attempt
-      and lets the retry pass, [always] fails every attempt and drives
-      the task into quarantine.
+    for the task (a sweep passes the cell's seed) before the task runs,
+    so the same plan, seed and scope always fire at the same hits, on
+    any domain, for any [--domains]: a raise at a task's site drives
+    that task into quarantine in every run.
 
     Unarmed domains (and all code outside the executor, e.g. cached-cell
     lookups on the calling domain) never fire, even with a plan
@@ -75,17 +71,7 @@ type trigger =
   | Every of int  (** fire on every [n]-th hit *)
   | Prob of float  (** fire with probability [p], seeded per scope *)
 
-type rule = {
-  site : string;
-  action : action;
-  trigger : trigger;
-  budget : int option;
-      (** Stop firing after this many fires (per {!arm} scope); [None]
-          means unlimited. Hits keep counting while exhausted, but a
-          [Prob] rule stops drawing from its stream — exhaustion happens
-          at a deterministic hit, so decisions stay a pure function of
-          (seed, site, rule index, scope). *)
-}
+type rule = { site : string; action : action; trigger : trigger }
 
 type plan = { seed : int; rules : rule list }
 
@@ -93,13 +79,10 @@ type plan = { seed : int; rules : rule list }
 exception Fault of { site : string; action : string }
 
 (** [parse_plan ~seed spec] parses the [--fault-plan] syntax:
-    comma-separated [SITE=ACTION\[@TRIGGER\]\[@budget:N\]] rules where
-    ACTION is [raise], [delay:MS] or [short:BYTES], TRIGGER is [always]
-    (default), [nth:N], [every:N] or [p:P], and [budget:N] caps the rule
-    at [N] fires per armed scope (e.g. [sweep.cell=raise@p:0.5@budget:2]:
-    coin-flip crashes, but at most two per cell — so retries eventually
-    pass). Qualifiers may appear in either order, at most once each.
-    Site names are validated against the registry. *)
+    comma-separated [SITE=ACTION\[@TRIGGER\]] rules where ACTION is
+    [raise], [delay:MS] or [short:BYTES] and TRIGGER is [always]
+    (default), [nth:N], [every:N] or [p:P]. Site names are validated
+    against the registry. *)
 val parse_plan : seed:int -> string -> (plan, string) result
 
 (** Inverse of {!parse_plan} (modulo default triggers). *)

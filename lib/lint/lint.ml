@@ -31,7 +31,7 @@ let ctx_for_path ~known_sites ~known_probes ~known_schemas path =
     prng_exempt = in_dir "lib/prng";
     clock_exempt = in_dir "lib/obs";
     global_state = in_dir "lib";
-    parallel_impl = is_file "lib/util/parallel.ml" || is_file "lib/fault/executor.ml";
+    parallel_impl = is_file "lib/fault/executor.ml";
     scratch_lender = is_file "lib/graph/bfs.ml" || is_file "lib/core/workspace.ml";
     schema_registry = is_file "lib/obs/schema.ml";
     known_sites;

@@ -17,8 +17,7 @@ type ctx = {
 
 (** Zone assignment for a root-relative path: [lib/prng/*] is
     [prng_exempt], [lib/obs/*] is [clock_exempt], anything under [lib/]
-    has [global_state]; [lib/util/parallel.ml] and [lib/fault/executor.ml] are
-    [parallel_impl], [lib/graph/bfs.ml] and [lib/core/workspace.ml] are
+    has [global_state]; [lib/fault/executor.ml] is [parallel_impl], [lib/graph/bfs.ml] and [lib/core/workspace.ml] are
     [scratch_lender], [lib/obs/schema.ml] is [schema_registry]. *)
 val ctx_for_path :
   known_sites:string list ->

@@ -66,16 +66,16 @@ let contract = function
        (12 digits / 6 digits) and lose NaN/infinity, so crash/resume replays \
        would diverge byte-wise from fresh runs."
   | P1 ->
-      "Libraries run on multiple domains under Parallel/Executor; top-level \
+      "Libraries run on multiple domains under the Executor; top-level \
        mutable state must be Atomic.t, Domain.DLS, mutex-guarded, or \
        explicitly marked [@lint.domain_local] with a written justification."
   | P2 ->
-      "A closure handed to a fan-out point (Parallel.chunked_map, \
-       Executor.map, Domain.spawn) runs on another domain: any plain mutable \
-       state it captures from an enclosing scope (ref, array, Hashtbl, \
-       Buffer, Bytes, Queue, Stack) is a data race unless it is Atomic, \
-       domain-local, or provably guarded — and a guard the checker cannot \
-       see must be written down in a suppression."
+      "A closure handed to a fan-out point (Executor.map, Domain.spawn) runs \
+       on another domain: any plain mutable state it captures from an \
+       enclosing scope (ref, array, Hashtbl, Buffer, Bytes, Queue, Stack) is \
+       a data race unless it is Atomic, domain-local, or provably guarded — \
+       and a guard the checker cannot see must be written down in a \
+       suppression."
   | A1 ->
       "Artifact files are written via the atomic temp+fsync+rename helpers in \
        lib/obs and lib/store; a bare open_out can leave a torn file behind on \

@@ -146,7 +146,6 @@ let printf_unit = function
 (* Fan-out points whose function argument runs on another domain. *)
 let fanout_point cu name =
   match (cu, name) with
-  | "Ncg_util__Parallel", ("map" | "init" | "chunked_map") -> true
   | "Ncg_fault__Executor", "map" -> true
   | "Stdlib__Domain", "spawn" -> true
   | _ -> false
@@ -195,7 +194,7 @@ let run_checks ~(ctx : Lint.ctx) ~filename (str : structure) =
   let is_tainted id = List.exists (Ident.same id) !tainted in
   (* P2 side table: idents bound to plainly-mutable state anywhere in
      the file (the type check below misses abbreviations; this catches
-     the common [let acc = ref [] in ... Parallel.map ...] shape). *)
+     the common [let acc = ref [] in ... Executor.map ...] shape). *)
   let local_shapes = ref [] in
   let local_shape id =
     List.find_map

@@ -19,13 +19,13 @@ let store_manifest = "ncg.store/1"
 let store_cell = "ncg.store.cell/5"
 
 (* lib/core *)
-let experiment_telemetry = "ncg.experiment.telemetry/4"
+let experiment_telemetry = "ncg.experiment.telemetry/5"
 
 (* lib/lint *)
 let lint_report = "ncg.lint.report/3"
 
 (* bench + bin/ncg_bench_diff *)
-let bench_experiment = "ncg.bench.experiment/4"
+let bench_experiment = "ncg.bench.experiment/5"
 let bench_fullgrid = "ncg.bench.fullgrid/1"
 let bench_baseline = "ncg.bench.baseline/1"
 let bench_history = "ncg.bench.history/1"

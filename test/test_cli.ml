@@ -1,0 +1,246 @@
+(* End-to-end checks of the ncg_experiment binary, run as a child process
+   on a 9-cell tree grid: a stored sweep killed mid-run resumes to the
+   uninterrupted CSV, sweeps under seeded fault plans quarantine exactly
+   the reported cells, and retired flags are usage errors. *)
+
+module Json = Ncg_obs.Json
+
+let check_int = Alcotest.(check int)
+let check_bool = Alcotest.(check bool)
+let check_string = Alcotest.(check string)
+
+(* The binary sits next to this test in the build tree: dune builds it
+   first (see the test's deps). *)
+let exe =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name "bin/ncg_experiment.exe")
+
+let grid =
+  [
+    "--class"; "tree"; "-n"; "30"; "--alphas"; "0.5,1,2"; "--ks"; "2,3,1000";
+    "--trials"; "4"; "--seed"; "2014"; "--quiet";
+  ]
+
+let cells = 9
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "ncg_cli_test" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let rec rm p =
+    if Sys.is_directory p then begin
+      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
+      Unix.rmdir p
+    end
+    else Sys.remove p
+  in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm dir) (fun () -> f dir)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Start [exe args] with stdout and stderr redirected to files. *)
+let spawn ~out ~err args =
+  let fd path = Unix.openfile path [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
+  let o = fd out and e = fd err in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close o;
+      Unix.close e)
+    (fun () -> Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin o e)
+
+(* Run [exe args] to completion; returns its exit code. *)
+let run ~out ~err args =
+  match Unix.waitpid [] (spawn ~out ~err args) with
+  | _, WEXITED code -> code
+  | _, (WSIGNALED s | WSTOPPED s) ->
+      Alcotest.failf "ncg_experiment died of signal %d; stderr:\n%s" s (read_file err)
+
+let run_ok ~out ~err args =
+  let code = run ~out ~err args in
+  if code <> 0 then
+    Alcotest.failf "ncg_experiment exited %d; stderr:\n%s" code (read_file err)
+
+(* The uninterrupted, fault-free CSV every other run is held to. *)
+let clean_csv dir =
+  let out = Filename.concat dir "clean.csv" in
+  run_ok ~out ~err:(Filename.concat dir "clean.err") (grid @ [ "--domains"; "2" ]);
+  read_file out
+
+(* (hits, misses) from the "store DIR: H hits, M misses, ..." line. *)
+let store_counts err =
+  let text = read_file err in
+  match
+    List.find_opt
+      (String.starts_with ~prefix:"store ")
+      (String.split_on_char '\n' text)
+  with
+  | None -> Alcotest.failf "no store summary on stderr:\n%s" text
+  | Some line -> (
+      match String.rindex_opt line ':' with
+      | None -> Alcotest.failf "unparseable store summary %S" line
+      | Some i ->
+          let rest = String.sub line (i + 1) (String.length line - i - 1) in
+          Scanf.sscanf rest " %d %s %d" (fun hits _ misses -> (hits, misses)))
+
+let lines s = List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
+
+(* --- Kill mid-run, resume ------------------------------------------------ *)
+
+let test_kill_resume () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir in
+      let clean = clean_csv dir in
+      let store = path "store" in
+      (* Every computed cell first sleeps 200 ms, so the sweep is still
+         running when the first record lands. *)
+      let pid =
+        spawn ~out:(path "partial.csv") ~err:(path "partial.err")
+          (grid
+          @ [
+              "--domains"; "1"; "--store"; store; "--fault-plan";
+              "sweep.cell=delay:200";
+            ])
+      in
+      let log = Filename.concat store "records.log" in
+      let size () = try (Unix.stat log).st_size with Unix.Unix_error _ -> 0 in
+      (* Poll every 10 ms, for at most a minute. *)
+      let polls = ref 0 in
+      while size () <= 8 && !polls < 6000 do
+        Unix.sleepf 0.01;
+        incr polls
+      done;
+      Unix.kill pid Sys.sigkill;
+      (match Unix.waitpid [] pid with
+      | _, WSIGNALED s when s = Sys.sigkill -> ()
+      | _, WEXITED code ->
+          Alcotest.failf "sweep finished (exit %d) before it was killed" code
+      | _ -> Alcotest.fail "sweep stopped some other way");
+      check_bool "a record was appended before the kill" true (size () > 8);
+      (* Resume over a different fan-out: the stored cells are hits, the
+         rest recompute, and the CSV is the uninterrupted one. *)
+      run_ok ~out:(path "resumed.csv") ~err:(path "resumed.err")
+        (grid @ [ "--domains"; "4"; "--store"; store; "--resume" ]);
+      check_string "resumed CSV = uninterrupted" clean (read_file (path "resumed.csv"));
+      let hits, misses = store_counts (path "resumed.err") in
+      check_bool "resume served at least one stored cell" true (hits >= 1);
+      check_bool "resume recomputed at least one cell" true (misses >= 1);
+      check_int "hits + misses = cells" cells (hits + misses);
+      (* Third run: everything is stored. *)
+      run_ok ~out:(path "cached.csv") ~err:(path "cached.err")
+        (grid @ [ "--domains"; "2"; "--store"; store; "--resume" ]);
+      check_string "cached CSV = uninterrupted" clean (read_file (path "cached.csv"));
+      check_bool "9 hits, 0 misses" true
+        (store_counts (path "cached.err") = (cells, 0)))
+
+(* --- Sweeps under fault plans ------------------------------------------- *)
+
+(* (index, csv_row_prefix) of every quarantined cell in a telemetry file,
+   after checking the report agrees with itself. *)
+let failures telemetry =
+  match
+    Result.bind (Json.of_file telemetry)
+      (Json.decode ~what:"fault telemetry" (fun j ->
+           Json.schema Ncg_obs.Schema.experiment_telemetry j;
+           let failed = Json.field "failed_cells" Json.int j in
+           let list =
+             Json.field "sweep.failures"
+               (Json.list (fun f ->
+                    ignore (Json.field "kind" Json.string f);
+                    ignore (Json.field "error" Json.string f);
+                    ( Json.field "index" Json.int f,
+                      Json.field "csv_row_prefix" Json.string f )))
+               j
+           in
+           if List.length list <> failed then
+             Json.fail "failed_cells %d but %d failures" failed (List.length list);
+           list))
+  with
+  | Ok l -> l
+  | Error e -> Alcotest.failf "%s: %s" telemetry e
+
+let quarantined_lines err =
+  List.length
+    (List.filter (String.starts_with ~prefix:"QUARANTINED") (lines (read_file err)))
+
+let test_fault_plan (plan, fault_seed) () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir in
+      let clean = clean_csv dir in
+      let faulted ~domains ~store ~tag =
+        let code =
+          run ~out:(path (tag ^ ".csv")) ~err:(path (tag ^ ".err"))
+            (grid
+            @ [
+                "--domains"; string_of_int domains; "--store"; path store;
+                "--fault-plan"; plan; "--fault-seed"; string_of_int fault_seed;
+                "--telemetry"; path (tag ^ ".json");
+              ])
+        in
+        check_int (tag ^ ": exit code 3 (cells quarantined)") 3 code;
+        let fs = failures (path (tag ^ ".json")) in
+        check_int (tag ^ ": one QUARANTINED line per failure") (List.length fs)
+          (quarantined_lines (path (tag ^ ".err")));
+        fs
+      in
+      let fs = faulted ~domains:2 ~store:"store" ~tag:"faulted" in
+      check_bool "some cells quarantined" true (fs <> []);
+      check_bool "some cells survived" true (List.length fs < cells);
+      (* The surviving rows are the clean run's rows, byte for byte. *)
+      let survivors =
+        List.filter
+          (fun row ->
+            not (List.exists (fun (_, p) -> String.starts_with ~prefix:p row) fs))
+          (lines clean)
+      in
+      Alcotest.(check (list string))
+        "clean CSV minus quarantined rows = faulted CSV" survivors
+        (lines (read_file (path "faulted.csv")));
+      (* Same plan, other fan-out, fresh store: same failure vector. *)
+      let fs4 = faulted ~domains:4 ~store:"store4" ~tag:"faulted4" in
+      Alcotest.(check (list int))
+        "failure indices at --domains 2 and 4" (List.map fst fs) (List.map fst fs4);
+      check_string "faulted CSVs agree"
+        (read_file (path "faulted.csv"))
+        (read_file (path "faulted4.csv"));
+      (* A fault-free resume recomputes exactly the quarantined cells. *)
+      run_ok ~out:(path "resumed.csv") ~err:(path "resumed.err")
+        (grid @ [ "--domains"; "2"; "--store"; path "store"; "--resume" ]);
+      check_string "resumed CSV = clean" clean (read_file (path "resumed.csv"));
+      check_bool "resume hits the survivors, misses the quarantined" true
+        (store_counts (path "resumed.err")
+        = (cells - List.length fs, List.length fs)))
+
+let plans =
+  [
+    ("sweep.cell=raise@p:0.35,best_response.compute=delay:2@p:0.001", 7);
+    ("sweep.cell=raise@p:0.2,bfs.traverse=delay:1@p:0.0001", 11);
+    ("sweep.cell=raise@p:0.5,dynamics.round=delay:1@p:0.005", 23);
+  ]
+
+(* --- Retired flags -------------------------------------------------------- *)
+
+let test_retired_flags () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir in
+      List.iter
+        (fun args ->
+          let code = run ~out:(path "out.csv") ~err:(path "err.txt") (grid @ args) in
+          (* cmdliner's exit code for a command-line parse error. *)
+          check_int (String.concat " " args ^ " is a usage error") 124 code)
+        [ [ "--max-retries"; "1" ]; [ "--retry-backoff-ms"; "5" ] ])
+
+let () =
+  Alcotest.run "ncg_experiment"
+    [
+      ("store", [ Alcotest.test_case "kill mid-run, resume" `Quick test_kill_resume ]);
+      ( "fault",
+        List.map
+          (fun ((plan, seed) as p) ->
+            Alcotest.test_case
+              (Printf.sprintf "seed %d: %s" seed plan)
+              `Quick (test_fault_plan p))
+          plans );
+      ( "flags",
+        [ Alcotest.test_case "retired flags rejected" `Quick test_retired_flags ] );
+    ]

@@ -291,45 +291,56 @@ let test_sweep_counters_isolated_per_cell () =
        outer);
   check_bool "totals positive" true (List.assoc "bfs.calls" totals > 0)
 
-(* Every cell of a spec's default supervised sweep, as (cell, CSV row). *)
-let spec_rows spec =
+(* Every cell of a spec's default supervised sweep, as (cell, result). *)
+let spec_results spec =
   Experiment.sweep_supervised ~store_context:(Sweep_spec.context spec)
     ~probes:spec.Sweep_spec.probes
     ~make_initial:(Sweep_spec.make_initial spec)
     ~make_config:(Sweep_spec.make_config spec) ~cells:(Sweep_spec.cells spec)
     ~trials:spec.Sweep_spec.trials ~seed:spec.Sweep_spec.seed ()
   |> List.map (function
-       | Ok (r : Experiment.cell_result) ->
-           (r.Experiment.cell, Sweep_spec.csv_row spec r)
+       | Ok (r : Experiment.cell_result) -> (r.Experiment.cell, r)
        | Error (f : Experiment.cell_failure) ->
            Alcotest.failf "cell %d quarantined" f.Experiment.index)
 
 let test_overlapping_grids_agree () =
   (* A cell's row is a function of (seed, alpha, k): two sweeps over
      overlapping grids, listed in different orders, print byte-identical
-     rows for every shared cell — and so does a lone Sweep_spec.run_cell. *)
+     rows for every shared cell — and so does a lone Sweep_spec.run_cell,
+     with the same counters and histogram sample counts as the supervised
+     sweep's cell. *)
   let small = { Sweep_spec.default with n = 12; trials = 2 } in
   let a = { small with alphas = [ 0.5; 1.0 ]; ks = [ 2; 1000 ] } in
   let b = { small with alphas = [ 2.0; 1.0 ]; ks = [ 3; 1000; 2 ] } in
-  let rows_a = spec_rows a and rows_b = spec_rows b in
+  let results_b = spec_results b in
   let shared =
     List.filter_map
-      (fun (cell, row) ->
-        Option.map (fun row' -> (cell, row, row')) (List.assoc_opt cell rows_b))
-      rows_a
+      (fun (cell, r) ->
+        Option.map (fun r' -> (cell, r, r')) (List.assoc_opt cell results_b))
+      (spec_results a)
   in
   check_int "two shared cells" 2 (List.length shared);
   List.iter
-    (fun ((cell : Experiment.cell), row, row') ->
+    (fun ((cell : Experiment.cell), r, r') ->
       let label what =
         Printf.sprintf "cell (%g,%d) %s" cell.Experiment.alpha cell.Experiment.k
           what
       in
-      Alcotest.(check string) (label "same row in both grids") row row';
+      let row = Sweep_spec.csv_row a r in
+      let lone = Sweep_spec.run_cell a cell in
+      Alcotest.(check string)
+        (label "same row in both grids")
+        row (Sweep_spec.csv_row b r');
       Alcotest.(check string)
         (label "same row from run_cell")
-        row
-        (Sweep_spec.csv_row a (Sweep_spec.run_cell a cell)))
+        row (Sweep_spec.csv_row a lone);
+      check_bool (label "same counters from run_cell") true
+        (lone.Experiment.counters = r.Experiment.counters);
+      check_bool
+        (label "same histogram counts from run_cell")
+        true
+        (Ncg_obs.Histogram.counts_only lone.Experiment.histograms
+        = Ncg_obs.Histogram.counts_only r.Experiment.histograms))
     shared
 
 let test_cache_key_golden () =

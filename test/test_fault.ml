@@ -46,12 +46,7 @@ let test_parse_plan () =
         seed;
         rules =
           [
-            {
-              site;
-              action = Inject.Raise;
-              trigger = Inject.Always;
-              budget = None;
-            };
+            { site; action = Inject.Raise; trigger = Inject.Always };
           ];
       } ->
       check_int "seed" 3 seed;
@@ -95,6 +90,12 @@ let test_parse_plan () =
   bad "sweep.cell=short:-1";
   bad "sweep.cell=raise@p:1.5";
   bad "sweep.cell=raise@nth:0";
+  bad "sweep.cell=raise@nth:1@every:2";
+  (* The retired budget qualifier (it capped fires so that retries
+     would pass; cells get one attempt now) must be rejected, not
+     silently read as an unlimited rule. *)
+  bad "sweep.cell=raise@budget:2";
+  bad "sweep.cell=raise@p:0.5@budget:1";
   bad "sweep.cell";
   bad ""
 
@@ -242,7 +243,7 @@ let test_executor_clean () =
         (fun domains ->
           let out =
             Executor.map ~scope:Fun.id ~domains
-              (fun ~index ~attempt:_ -> index * index)
+              (fun ~index -> index * index)
               10
           in
           check_int "length" 10 (Array.length out);
@@ -253,56 +254,67 @@ let test_executor_clean () =
 
 let test_executor_retry_and_quarantine () =
   hermetic (fun () ->
-      (* Task 3 fails its first 2 attempts, task 7 always fails. *)
-      let f ~index ~attempt =
-        if index = 3 && attempt <= 2 then failwith "transient";
+      (* Task 3 fails on its first run only, task 7 always fails. The
+         executor never retries: both are quarantined after one attempt
+         and every other task still completes. Retrying is the caller's
+         job, by mapping again over the quarantined indices (what a
+         resumed sweep does): task 3 then recovers, task 7 does not. *)
+      let runs = Array.init 10 (fun _ -> Atomic.make 0) in
+      let f ~index =
+        let run = Atomic.fetch_and_add runs.(index) 1 + 1 in
+        if index = 3 && run = 1 then failwith "transient";
         if index = 7 then failwith "permanent";
         index
       in
-      let events = ref [] in
-      let record ev =
-        match ev with
-        | Executor.Attempt_failed { index; attempt; will_retry; _ } ->
-            events := (index, attempt, will_retry) :: !events
-        | _ -> ()
+      let quarantined = ref [] in
+      let out =
+        Executor.map ~scope:Fun.id ~domains:2
+          ~on_quarantine:(fun fl ->
+            quarantined := fl.Executor.index :: !quarantined)
+          f 10
       in
-      let out = Executor.map ~scope:Fun.id ~max_retries:2 ~on_event:record f 10 in
-      check_int "task 3 recovered" 3 (ok_exn out.(3));
       (match out.(7) with
       | Ok _ -> Alcotest.fail "task 7 should be quarantined"
       | Error f ->
-          check_int "attempts" 3 f.Executor.attempts;
           check_bool "kind" true (f.Executor.kind = Executor.Crashed);
           check_bool "text" true
             (String.length f.Executor.exn_text > 0
             && f.Executor.exn = Failure "permanent"));
-      (* Every other task untouched. *)
+      check_bool "task 3 quarantined" true (Result.is_error out.(3));
       List.iter
-        (fun i -> if i <> 7 then check_int "value" i (ok_exn out.(i)))
+        (fun i -> if i <> 3 && i <> 7 then check_int "value" i (ok_exn out.(i)))
         (List.init 10 Fun.id);
-      let failed_events = List.sort compare !events in
-      check_bool "event trail" true
-        (failed_events
-        = [
-            (3, 1, true); (3, 2, true); (7, 1, true); (7, 2, true); (7, 3, false);
-          ]))
+      Array.iter (fun r -> check_int "one attempt per task" 1 (Atomic.get r)) runs;
+      check_bool "quarantine reports" true
+        (List.sort compare !quarantined = [ 3; 7 ]);
+      let failed = [ 3; 7 ] in
+      let again =
+        Executor.map
+          ~scope:(List.nth failed)
+          (fun ~index -> f ~index:(List.nth failed index))
+          (List.length failed)
+      in
+      check_int "task 3 recovered" 3 (ok_exn again.(0));
+      check_bool "task 7 still quarantined" true (Result.is_error again.(1));
+      check_int "task 3 ran twice" 2 (Atomic.get runs.(3));
+      check_int "task 7 ran twice" 2 (Atomic.get runs.(7)))
 
-let test_executor_no_retry_on_zero_budget () =
+let test_executor_no_retry_by_default () =
   hermetic (fun () ->
       let attempts = Atomic.make 0 in
-      let f ~index:_ ~attempt:_ =
+      let f ~index:_ =
         Atomic.incr attempts;
         failwith "boom"
       in
       let out = Executor.map ~scope:Fun.id f 1 in
       (match out.(0) with
       | Ok _ -> Alcotest.fail "should fail"
-      | Error f -> check_int "attempts" 1 f.Executor.attempts);
+      | Error f -> check_bool "kind" true (f.Executor.kind = Executor.Crashed));
       check_int "ran once" 1 (Atomic.get attempts))
 
 let test_executor_deadline () =
   hermetic (fun () ->
-      let f ~index ~attempt:_ =
+      let f ~index =
         if index = 1 then (
           let rec spin () =
             Cancel.checkpoint ();
@@ -323,7 +335,7 @@ let test_executor_shutdown_marks_unstarted () =
   hermetic (fun () ->
       (* Single domain: task 2 requests shutdown; everything after it is
          reported interrupted without having started. *)
-      let f ~index ~attempt:_ =
+      let f ~index =
         if index = 2 then Cancel.request_shutdown 15;
         Cancel.checkpoint ();
         index
@@ -334,21 +346,21 @@ let test_executor_shutdown_marks_unstarted () =
       (match out.(2) with
       | Ok _ -> Alcotest.fail "task 2 should be interrupted"
       | Error f ->
-          check_bool "kind" true (f.Executor.kind = Executor.Interrupted);
-          check_int "attempted" 1 f.Executor.attempts);
+          check_bool "kind" true (f.Executor.kind = Executor.Interrupted));
       List.iter
         (fun i ->
           match out.(i) with
           | Ok _ -> Alcotest.failf "task %d should not have started" i
           | Error f ->
-              check_int "no attempts" 0 f.Executor.attempts;
-              check_bool "kind" true (f.Executor.kind = Executor.Interrupted))
+              check_bool "kind" true (f.Executor.kind = Executor.Interrupted);
+              check_string "not started" "not started: shutdown requested"
+                f.Executor.exn_text)
         [ 3; 4; 5 ])
 
 let test_executor_fault_plan_deterministic () =
   hermetic (fun () ->
       install "sweep.cell=raise@p:0.45";
-      let f ~index:_ ~attempt:_ =
+      let f ~index:_ =
         Inject.hit Inject.sweep_cell;
         ()
       in
@@ -366,11 +378,7 @@ let test_executor_fault_plan_deterministic () =
       check_bool "some quarantined" true (failures 1 > 0);
       check_bool "some survived" true (failures 1 < 32);
       check_bool "domains=2 identical" true (outcome 2 = base);
-      check_bool "domains=4 identical" true (outcome 4 = base);
-      (* nth:1 under one retry: every task fails once, then recovers. *)
-      install "sweep.cell=raise@nth:1";
-      let out = Executor.map ~scope:Fun.id ~max_retries:1 ~domains:2 f 8 in
-      Array.iter (fun o -> ignore (ok_exn o)) out)
+      check_bool "domains=4 identical" true (outcome 4 = base))
 
 (* --- Supervised sweep ----------------------------------------------------- *)
 
@@ -387,9 +395,8 @@ let make_config (c : Experiment.cell) =
     collect_features = false;
   }
 
-let run_supervised ?max_retries ?store ?store_context ?(cells = cells) ~domains
-    () =
-  Experiment.sweep_supervised ~domains ?max_retries ?store ?store_context
+let run_supervised ?store ?store_context ?(cells = cells) ~domains () =
+  Experiment.sweep_supervised ~domains ?store ?store_context
     ~make_initial ~make_config ~cells ~trials ~seed:sweep_seed ()
 
 let clean_results () =
@@ -405,22 +412,6 @@ let same_cell (a : Experiment.cell_result) (b : Experiment.cell_result) =
   && a.Experiment.counters = b.Experiment.counters
   && Ncg_obs.Histogram.counts_only a.Experiment.histograms
      = Ncg_obs.Histogram.counts_only b.Experiment.histograms
-
-let test_sweep_transient_fault_retries () =
-  hermetic (fun () ->
-      let clean = clean_results () in
-      (* Every cell crashes on its first attempt and recovers on retry;
-         results must match the clean run exactly. *)
-      install "sweep.cell=raise@nth:1";
-      List.iter2
-        (fun expected outcome ->
-          match outcome with
-          | Ok r -> check_bool "matches clean" true (same_cell expected r)
-          | Error (f : Experiment.cell_failure) ->
-              Alcotest.failf "cell %d quarantined: attempts=%d %s"
-                f.Experiment.index f.Experiment.attempts f.Experiment.exn_text)
-        clean
-        (run_supervised ~max_retries:1 ~domains:2 ()))
 
 let test_sweep_quarantine_is_deterministic () =
   hermetic (fun () ->
@@ -497,23 +488,24 @@ let test_one_cell_sweep_reproduces_full_sweep () =
       (* Seeds and fault scopes are keyed on the cell, so a cell's outcome
          under a plan does not depend on the grid it is swept in: a
          one-cell sweep (what ncg_experiment --only-cell runs) either
-         prints the full sweep's row or quarantines after the same
-         number of attempts. *)
+         prints the full sweep's row or quarantines with the same
+         error. *)
       let grid = Experiment.grid ~alphas:[ 0.5; 1.0; 2.0 ] ~ks:[ 2; 3; 1000 ] in
       install "sweep.cell=raise@p:0.5";
       let outcome = function
         | Ok r ->
             Ok (Experiment.csv_row ~graph_class:"tree" ~n:n_nodes ~p:0. ~trials r)
-        | Error (f : Experiment.cell_failure) -> Error f.Experiment.attempts
+        | Error (f : Experiment.cell_failure) ->
+            Error (f.Experiment.kind, f.Experiment.exn_text)
       in
       let full =
-        List.map outcome (run_supervised ~max_retries:1 ~cells:grid ~domains:2 ())
+        List.map outcome (run_supervised ~cells:grid ~domains:2 ())
       in
       check_bool "some quarantined" true (List.exists Result.is_error full);
       check_bool "some survived" true (List.exists Result.is_ok full);
       List.iter2
         (fun (cell : Experiment.cell) expected ->
-          match run_supervised ~max_retries:1 ~cells:[ cell ] ~domains:1 () with
+          match run_supervised ~cells:[ cell ] ~domains:1 () with
           | [ one ] ->
               check_bool
                 (Printf.sprintf "cell (%g,%d) reproduces" cell.Experiment.alpha
@@ -522,103 +514,6 @@ let test_one_cell_sweep_reproduces_full_sweep () =
                 (outcome one = expected)
           | _ -> Alcotest.fail "one-cell sweep returned a different length")
         grid full)
-
-(* --- Per-site fault budgets ------------------------------------------------ *)
-
-let test_budget_parse () =
-  hermetic (fun () ->
-      (match Inject.parse_plan ~seed:0 "sweep.cell=raise@budget:2" with
-      | Ok { rules = [ r ]; _ } ->
-          check_bool "trigger defaults" true (r.Inject.trigger = Inject.Always);
-          check_bool "budget" true (r.Inject.budget = Some 2)
-      | Ok _ -> Alcotest.fail "unexpected parse"
-      | Error e -> Alcotest.fail e);
-      (* The trigger and budget qualifiers compose in either order. *)
-      List.iter
-        (fun spec ->
-          match Inject.parse_plan ~seed:0 spec with
-          | Ok { rules = [ r ]; _ } ->
-              check_bool "trigger" true (r.Inject.trigger = Inject.Prob 0.5);
-              check_bool "budget" true (r.Inject.budget = Some 1)
-          | Ok _ -> Alcotest.fail "unexpected parse"
-          | Error e -> Alcotest.fail e)
-        [ "sweep.cell=raise@p:0.5@budget:1"; "sweep.cell=raise@budget:1@p:0.5" ];
-      let bad spec =
-        match Inject.parse_plan ~seed:0 spec with
-        | Ok _ -> Alcotest.failf "accepted %S" spec
-        | Error _ -> ()
-      in
-      bad "sweep.cell=raise@budget:0";
-      bad "sweep.cell=raise@budget:x";
-      bad "sweep.cell=raise@budget";
-      bad "sweep.cell=raise@budget:1@budget:2";
-      bad "sweep.cell=raise@nth:1@every:2";
-      (* Round-trip, canonical qualifier order (trigger then budget). *)
-      List.iter
-        (fun spec ->
-          match Inject.parse_plan ~seed:5 spec with
-          | Error e -> Alcotest.fail e
-          | Ok plan -> (
-              check_string "round-trip" spec (Inject.plan_to_string plan);
-              match Inject.parse_plan ~seed:5 (Inject.plan_to_string plan) with
-              | Ok plan' -> check_bool "reparse" true (plan = plan')
-              | Error e -> Alcotest.fail e))
-        [
-          "sweep.cell=raise@budget:2";
-          "bfs.traverse=delay:5@every:3@budget:1";
-          "record_log.append=short:4@nth:2,sweep.cell=raise@p:0.25@budget:3";
-        ])
-
-let test_budget_firing () =
-  hermetic (fun () ->
-      install "sweep.cell=raise@budget:2";
-      Inject.arm ~scope:0;
-      check_bool "always@budget:2" true
-        (firing_pattern Inject.sweep_cell 10 = [ 1; 2 ]);
-      install "sweep.cell=raise@every:3@budget:2";
-      Inject.arm ~scope:0;
-      check_bool "every:3@budget:2" true
-        (firing_pattern Inject.sweep_cell 12 = [ 3; 6 ]);
-      (* Re-arming resets the budget along with the hit counters. *)
-      Inject.arm ~scope:0;
-      check_bool "rearm resets" true
-        (firing_pattern Inject.sweep_cell 12 = [ 3; 6 ]))
-
-let test_budget_prob_prefix () =
-  hermetic (fun () ->
-      (* A budgeted Prob rule fires on a prefix of the unlimited rule's
-         pattern: same per-scope stream, and draws stop only once the
-         budget is exhausted — at a hit that is itself deterministic. *)
-      install "sweep.cell=raise@p:0.5";
-      Inject.arm ~scope:7;
-      let unlimited = firing_pattern Inject.sweep_cell 64 in
-      check_bool "enough fires to test" true (List.length unlimited >= 3);
-      install "sweep.cell=raise@p:0.5@budget:3";
-      Inject.arm ~scope:7;
-      let budgeted = firing_pattern Inject.sweep_cell 64 in
-      check_int "exactly budget fires" 3 (List.length budgeted);
-      check_bool "prefix of unlimited" true
-        (budgeted
-        = [ List.nth unlimited 0; List.nth unlimited 1; List.nth unlimited 2 ]);
-      Inject.arm ~scope:7;
-      check_bool "reproducible" true
-        (firing_pattern Inject.sweep_cell 64 = budgeted))
-
-let test_executor_budget_transient () =
-  hermetic (fun () ->
-      (* budget:1 with an always trigger: each task's first attempt
-         crashes, and because hit counters (and spent budget) persist
-         across retries, the retry passes — a transient fault expressed
-         without knowing which hit number the attempt lands on. *)
-      install "sweep.cell=raise@budget:1";
-      let out =
-        Executor.map ~scope:Fun.id ~domains:2 ~max_retries:1
-          (fun ~index ~attempt:_ ->
-            Inject.(hit sweep_cell);
-            index * 10)
-          4
-      in
-      Array.iteri (fun i r -> check_int "value" (i * 10) (ok_exn r)) out)
 
 (* --- Cancellation inside the set-cover solver ------------------------------ *)
 
@@ -667,16 +562,6 @@ let () =
           Alcotest.test_case "parse" `Quick test_parse_plan;
           Alcotest.test_case "to_string round-trip" `Quick
             test_plan_to_string_roundtrip;
-          Alcotest.test_case "budget parse + round-trip" `Quick
-            test_budget_parse;
-        ] );
-      ( "budget",
-        [
-          Alcotest.test_case "caps fires" `Quick test_budget_firing;
-          Alcotest.test_case "prob prefix + determinism" `Quick
-            test_budget_prob_prefix;
-          Alcotest.test_case "transient via executor retry" `Quick
-            test_executor_budget_transient;
         ] );
       ( "solver",
         [ Alcotest.test_case "cancellation" `Quick test_solver_cancel ] );
@@ -702,7 +587,7 @@ let () =
           Alcotest.test_case "retry + quarantine" `Quick
             test_executor_retry_and_quarantine;
           Alcotest.test_case "no retry by default" `Quick
-            test_executor_no_retry_on_zero_budget;
+            test_executor_no_retry_by_default;
           Alcotest.test_case "deadline" `Quick test_executor_deadline;
           Alcotest.test_case "shutdown marks unstarted" `Quick
             test_executor_shutdown_marks_unstarted;
@@ -711,8 +596,6 @@ let () =
         ] );
       ( "sweep",
         [
-          Alcotest.test_case "transient fault + retry" `Quick
-            test_sweep_transient_fault_retries;
           Alcotest.test_case "deterministic quarantine" `Quick
             test_sweep_quarantine_is_deterministic;
           Alcotest.test_case "quarantine then resume" `Quick

@@ -55,7 +55,7 @@ let objs_dir sub lib =
   else Filename.concat (Lazy.force root) (Filename.concat "_build/default" rel)
 
 (* Enough of the project's cmis to type fixtures that borrow scratch
-   buffers (Ncg_graph.Bfs, Ncg.Workspace) and fan out (Ncg_util.Parallel);
+   buffers (Ncg_graph.Bfs, Ncg.Workspace) and fan out (Ncg_fault.Executor);
    the rest are transitive signature dependencies of lib/core. *)
 let ncg_dirs =
   lazy
@@ -104,10 +104,10 @@ let test_zones () =
   check_bool "obs" true obs_ctx.Lint.clock_exempt;
   check_bool "bin has no global-state rule" false bin_ctx.Lint.global_state;
   check_bool "bin not exempt" false bin_ctx.Lint.prng_exempt;
-  check_bool "parallel impl zone" true
-    (ctx_for "lib/util/parallel.ml").Lint.parallel_impl;
-  check_bool "executor is parallel impl too" true
+  check_bool "executor is the parallel impl" true
     (ctx_for "lib/fault/executor.ml").Lint.parallel_impl;
+  check_bool "other fault files are not" false
+    (ctx_for "lib/fault/inject.ml").Lint.parallel_impl;
   check_bool "bfs lends scratch" true
     (ctx_for "lib/graph/bfs.ml").Lint.scratch_lender;
   check_bool "workspace lends scratch" true
@@ -336,24 +336,27 @@ let test_s1 () =
 
 let test_p2 () =
   typed_rejects ~with_ncg:true Rules.P2
-    "let bad xs =\n\
+    "let bad n =\n\
     \  let acc = ref 0 in\n\
-    \  Ncg_util.Parallel.map (fun x -> acc := !acc + x; x) xs";
+    \  Ncg_fault.Executor.map ~scope:Fun.id\n\
+    \    (fun ~index -> acc := !acc + index; index) n";
   typed_rejects ~with_ncg:true Rules.P2
-    "let bad2 (a : int array) xs = Ncg_util.Parallel.map (fun i -> a.(i)) xs";
+    "let bad2 (a : int array) n =\n\
+    \  Ncg_fault.Executor.map ~scope:Fun.id (fun ~index -> a.(index)) n";
   typed_rejects Rules.P2 "let bad3 (r : int ref) = Domain.spawn (fun () -> r := 1)";
   (* Atomics are the sanctioned cross-domain channel. *)
   typed_accepts ~with_ncg:true
-    "let ok xs =\n\
+    "let ok n =\n\
     \  let c = Atomic.make 0 in\n\
-    \  Ncg_util.Parallel.map (fun x -> Atomic.incr c; x) xs";
+    \  Ncg_fault.Executor.map ~scope:Fun.id\n\
+    \    (fun ~index -> Atomic.incr c; index) n";
   (* Capturing immutable data is what the fan-out is for. *)
   typed_accepts ~with_ncg:true
-    "let ok2 k xs = Ncg_util.Parallel.map (fun x -> x + k) xs";
+    "let ok2 k n = Ncg_fault.Executor.map ~scope:Fun.id (fun ~index -> index + k) n";
   (* A justified allow works at the fan-out site. *)
   typed_accepts ~with_ncg:true
-    "let ok3 (a : int array) xs =\n\
-    \  (Ncg_util.Parallel.map (fun i -> a.(i)) xs\n\
+    "let ok3 (a : int array) n =\n\
+    \  (Ncg_fault.Executor.map ~scope:Fun.id (fun ~index -> a.(index)) n\n\
     \  [@lint.allow \"P2\" \"read-only in this fixture\"])"
 
 (* --- R1: schema literals live in the registry ------------------------------ *)
