@@ -30,17 +30,40 @@ let base_seed = 2014
 
 (* Every section runs the dynamics with ncg_experiment's settings. *)
 let spec = { Sweep_spec.default with seed = base_seed }
-let config ~alpha ~k = Sweep_spec.make_config spec { Experiment.alpha; k }
 
-let tree_cell ~n ~alpha ~k ~trials =
-  Experiment.trials
-    ~make_initial:(fun ~seed -> Experiment.initial_tree ~seed ~n)
-    ~config:(config ~alpha ~k) ~trials ~seed:base_seed
+(* The results of every cell of [spec], in grid order; a quarantined
+   cell aborts the section. *)
+let sweep ?domains ?store spec =
+  List.map
+    (function
+      | Ok r -> r | Error (f : Experiment.cell_failure) -> raise f.Experiment.exn)
+    (Sweep_spec.sweep ?domains ?store spec)
 
-let gnp_cell ~n ~p ~alpha ~k ~trials =
-  Experiment.trials
-    ~make_initial:(fun ~seed -> Experiment.initial_gnp ~seed ~n ~p)
-    ~config:(config ~alpha ~k) ~trials ~seed:base_seed
+(* One figure panel: a class/n/p grid swept as one spec, looked up by
+   cell. Each cell's runs are those behind the row
+   [ncg_experiment --class C -n N -p P --trials T --seed 2014] prints
+   for it. *)
+let panel ?(graph_class = "tree") ?(p = spec.p) ~n ~trials ~alphas ~ks () =
+  let results = sweep { spec with graph_class; n; p; trials; alphas; ks } in
+  fun ~alpha ~k ->
+    (List.find
+       (fun (r : Experiment.cell_result) ->
+         r.Experiment.cell = { Experiment.alpha; k })
+       results)
+      .Experiment.runs
+
+(* A cell whose dynamics config a spec cannot express: the spec's start
+   profiles, trials and cell seed, with [tweak] applied to its config. *)
+let tweaked_runs spec ~tweak (cell : Experiment.cell) =
+  (Experiment.run_cell ~make_initial:(Sweep_spec.make_initial spec)
+     ~make_config:(fun c -> tweak (Sweep_spec.make_config spec c))
+     ~trials:spec.Sweep_spec.trials
+     ~cell_seed:(Sweep_spec.cell_seed spec cell) cell)
+    .Experiment.runs
+
+let cell_json spec =
+  Experiment.cell_json ~graph_class:spec.Sweep_spec.graph_class
+    ~n:spec.Sweep_spec.n ~p:spec.Sweep_spec.p ~trials:spec.Sweep_spec.trials
 
 let summary_str f runs = Summary.to_string (Experiment.summarize f runs)
 let summary_mean f runs = (Experiment.summarize f runs).Summary.mean
@@ -121,13 +144,14 @@ let fig5 () =
   let n = 60 and trials = 5 in
   let ks = [ 2; 3; 4; 5; 7; 1000 ] in
   let alphas = [ 0.1; 0.5; 1.0; 2.0; 5.0; 10.0 ] in
+  let cell = panel ~n ~trials ~alphas ~ks () in
   Printf.printf "%8s %6s %18s %18s\n" "alpha" "k" "avg view size" "min view size";
   let series = List.map (fun k -> (Printf.sprintf "k=%d" k, ref [])) ks in
   List.iter
     (fun alpha ->
       List.iter2
         (fun k (_, points) ->
-          let runs = tree_cell ~n ~alpha ~k ~trials in
+          let runs = cell ~alpha ~k in
           let avg = summary_mean (fun r -> r.Experiment.avg_view) runs in
           points := (alpha, avg) :: !points;
           Printf.printf "%8g %6d %18s %18s\n%!" alpha k
@@ -145,7 +169,10 @@ let fig6 () =
     "quality of equilibrium vs n for alpha in {1, 10} (paper Figure 6; trees)";
   let trials = 5 in
   let ks = [ 2; 3; 4; 5; 1000 ] in
-  let ns = [ 20; 30; 50; 70; 100 ] in
+  let alphas = [ 1.0; 10.0 ] in
+  let panels =
+    List.map (fun n -> (n, panel ~n ~trials ~alphas ~ks ())) [ 20; 30; 50; 70; 100 ]
+  in
   List.iter
     (fun alpha ->
       Printf.printf "alpha = %g\n" alpha;
@@ -154,65 +181,64 @@ let fig6 () =
       print_newline ();
       let series = List.map (fun k -> (Printf.sprintf "k=%d" k, ref [])) ks in
       List.iter
-        (fun n ->
+        (fun (n, cell) ->
           Printf.printf "%6d" n;
           List.iter2
             (fun k (_, points) ->
-              let runs = tree_cell ~n ~alpha ~k ~trials in
+              let runs = cell ~alpha ~k in
               let mean = summary_mean (fun r -> r.Experiment.quality) runs in
               points := (fi n, mean) :: !points;
               Printf.printf "%16s" (summary_str (fun r -> r.Experiment.quality) runs))
             ks series;
           print_newline ();
           flush stdout)
-        ns;
+        panels;
       chart (List.map (fun (label, points) -> (label, List.rev !points)) series))
-    [ 1.0; 10.0 ]
+    alphas
 
 (* --- Figure 7: quality vs k with the theoretical trend ---------------------------- *)
 
 let fig7 () =
   section_header "fig7"
     "quality of equilibrium vs k at alpha=2, with the theory trend (paper Figure 7)";
-  let trials = 5 in
+  let trials = 5 and alpha = 2.0 in
   let ks = [ 2; 3; 4; 5; 6; 7; 10 ] in
   Printf.printf "trees:\n%10s" "n\\k";
   List.iter (fun k -> Printf.printf "%14d" k) ks;
   print_newline ();
   let tree_series = ref [] in
+  let trees =
+    List.map (fun n -> (n, panel ~n ~trials ~alphas:[ alpha ] ~ks ())) [ 30; 50; 100 ]
+  in
   List.iter
-    (fun n ->
+    (fun (n, cell) ->
       Printf.printf "%10d" n;
       let points = ref [] in
       List.iter
         (fun k ->
-          let runs = tree_cell ~n ~alpha:2.0 ~k ~trials in
+          let runs = cell ~alpha ~k in
           points := (fi k, summary_mean (fun r -> r.Experiment.quality) runs) :: !points;
           Printf.printf "%14s" (summary_str (fun r -> r.Experiment.quality) runs))
         ks;
       tree_series := (Printf.sprintf "trees n=%d" n, List.rev !points) :: !tree_series;
       print_newline ();
       flush stdout)
-    [ 30; 50; 100 ];
+    trees;
   (* G(n, 0.2), the paper's right panel (scaled from n=100 to n=60). *)
   let n = 60 in
+  let gnp = panel ~graph_class:"gnp" ~p:0.2 ~n ~trials ~alphas:[ alpha ] ~ks () in
   Printf.printf "%10s" (Printf.sprintf "G(%d,.2)" n);
   List.iter
     (fun k ->
-      let runs = gnp_cell ~n ~p:0.2 ~alpha:2.0 ~k ~trials in
-      Printf.printf "%14s" (summary_str (fun r -> r.Experiment.quality) runs))
+      Printf.printf "%14s"
+        (summary_str (fun r -> r.Experiment.quality) (gnp ~alpha ~k)))
     ks;
   print_newline ();
   (* Theoretical benchmark curve, anchored at k=2 like the paper's red line. *)
   let first_quality =
-    (Experiment.summarize
-       (fun r -> r.Experiment.quality)
-       (tree_cell ~n:100 ~alpha:2.0 ~k:2 ~trials))
-      .Summary.mean
+    summary_mean (fun r -> r.Experiment.quality) ((List.assoc 100 trees) ~alpha ~k:2)
   in
-  let trend =
-    Bounds.fig7_trend ~n:100 ~alpha:2.0 ~anchor_k:2 ~anchor_value:first_quality
-  in
+  let trend = Bounds.fig7_trend ~n:100 ~alpha ~anchor_k:2 ~anchor_value:first_quality in
   Printf.printf "%10s" "f(k)";
   List.iter (fun k -> Printf.printf "%14.2f" (trend k)) ks;
   print_newline ();
@@ -228,11 +254,9 @@ let fig89 () =
   let n = 60 and p = 0.1 and trials = 4 in
   let ks = [ 2; 3; 5; 1000 ] in
   let alphas = [ 0.1; 0.3; 0.5; 1.0; 1.5; 3.0 ] in
+  let cell = panel ~graph_class:"gnp" ~p ~n ~trials ~alphas ~ks () in
   let cells =
-    List.map
-      (fun alpha ->
-        (alpha, List.map (fun k -> (k, gnp_cell ~n ~p ~alpha ~k ~trials)) ks))
-      alphas
+    List.map (fun alpha -> (alpha, List.map (fun k -> (k, cell ~alpha ~k)) ks)) alphas
   in
   let print_metric ?(with_chart = false) title f =
     Printf.printf "%s:\n%8s" title "alpha";
@@ -266,6 +290,8 @@ let fig10 () =
   section_header "fig10" "rounds to convergence (paper Figure 10; trees)";
   let trials = 5 in
   let ks = [ 2; 3; 5; 10; 1000 ] in
+  let alphas = [ 0.1; 0.5; 1.0; 2.0; 5.0; 10.0 ] in
+  let cell = panel ~n:60 ~trials ~alphas ~ks () in
   Printf.printf "rounds vs alpha (n = 60):\n%8s" "alpha";
   List.iter (fun k -> Printf.printf "%14s" (Printf.sprintf "k=%d" k)) ks;
   print_newline ();
@@ -274,40 +300,36 @@ let fig10 () =
       Printf.printf "%8g" alpha;
       List.iter
         (fun k ->
-          let runs = tree_cell ~n:60 ~alpha ~k ~trials in
+          let runs = cell ~alpha ~k in
           Printf.printf "%14s" (summary_str (fun r -> fi r.Experiment.rounds) runs))
         ks;
       print_newline ();
       flush stdout)
-    [ 0.1; 0.5; 1.0; 2.0; 5.0; 10.0 ];
+    alphas;
   Printf.printf "rounds vs n (alpha = 2):\n%8s" "n";
   List.iter (fun k -> Printf.printf "%14s" (Printf.sprintf "k=%d" k)) ks;
   print_newline ();
   List.iter
     (fun n ->
+      let cell = panel ~n ~trials ~alphas:[ 2.0 ] ~ks () in
       Printf.printf "%8d" n;
       List.iter
         (fun k ->
-          let runs = tree_cell ~n ~alpha:2.0 ~k ~trials in
+          let runs = cell ~alpha:2.0 ~k in
           Printf.printf "%14s" (summary_str (fun r -> fi r.Experiment.rounds) runs))
         ks;
       print_newline ();
       flush stdout)
     [ 20; 50; 100; 150 ];
   (* Convergence/cycling tally across every cell of a small sweep. *)
-  let total = ref 0 and cycles = ref 0 in
-  List.iter
-    (fun alpha ->
-      List.iter
-        (fun k ->
-          List.iter
-            (fun r ->
-              incr total;
-              if r.Experiment.cycled then incr cycles)
-            (tree_cell ~n:40 ~alpha ~k ~trials:3))
-        ks)
-    [ 0.5; 2.0 ];
-  Printf.printf "best-response cycles observed: %d / %d dynamics\n" !cycles !total
+  let runs =
+    List.concat_map
+      (fun (r : Experiment.cell_result) -> r.Experiment.runs)
+      (sweep { spec with n = 40; trials = 3; alphas = [ 0.5; 2.0 ]; ks })
+  in
+  Printf.printf "best-response cycles observed: %d / %d dynamics\n"
+    (List.length (List.filter (fun r -> r.Experiment.cycled) runs))
+    (List.length runs)
 
 (* --- Constructions (Lemmas 3.1, 3.2; Theorems 3.12, 4.2) -------------------------------- *)
 
@@ -400,13 +422,15 @@ let robustness () =
   section_header "robustness"
     "equilibrium quality by initial graph class (beyond the paper: trees and G(n,p) \
      from Section 5 plus scale-free and small-world starts), n=50, alpha=2, 4 seeds";
-  let n = 50 and trials = 4 in
+  let n = 50 and trials = 4 and alpha = 2.0 in
+  (* Sweep_spec.make_initial builds the four classes (p = 0.1, BA m = 2,
+     WS k = 4 beta = 0.2). *)
   let classes =
     [
-      ("random tree", fun ~seed -> Experiment.initial_tree ~seed ~n);
-      ("G(n, 0.1)", fun ~seed -> Experiment.initial_gnp ~seed ~n ~p:0.1);
-      ("Barabasi-Albert m=2", fun ~seed -> Experiment.initial_ba ~seed ~n ~m:2);
-      ("Watts-Strogatz k=4 b=.2", fun ~seed -> Experiment.initial_ws ~seed ~n ~k:4 ~beta:0.2);
+      ("random tree", "tree");
+      ("G(n, 0.1)", "gnp");
+      ("Barabasi-Albert m=2", "ba");
+      ("Watts-Strogatz k=4 b=.2", "ws");
     ]
   in
   Printf.printf "%-26s" "class";
@@ -414,15 +438,13 @@ let robustness () =
   List.iter (fun k -> Printf.printf "%16s" (Printf.sprintf "k=%d" k)) ks;
   Printf.printf "%14s\n" "rounds(k=3)";
   List.iter
-    (fun (name, make_initial) ->
+    (fun (name, graph_class) ->
+      let cell = panel ~graph_class ~n ~trials ~alphas:[ alpha ] ~ks () in
       Printf.printf "%-26s" name;
       let rounds3 = ref "" in
       List.iter
         (fun k ->
-          let runs =
-            Experiment.trials ~make_initial ~config:(config ~alpha:2.0 ~k) ~trials
-              ~seed:base_seed
-          in
+          let runs = cell ~alpha ~k in
           if k = 3 then rounds3 := summary_str (fun r -> fi r.Experiment.rounds) runs;
           Printf.printf "%16s" (summary_str (fun r -> r.Experiment.quality) runs))
         ks;
@@ -466,16 +488,11 @@ let modes () =
   section_header "modes"
     "dynamics ablation: exact best responses (the paper) vs single-move better responses, \
      round-robin vs random sweeps (trees n=60, alpha=1, k=3, 5 seeds)";
-  let trials = 5 and n = 60 and alpha = 1.0 and k = 3 in
+  let spec = { spec with n = 60; trials = 5 } in
   Printf.printf "%-28s %14s %14s %14s\n" "mode" "quality" "rounds" "moves";
   List.iter
     (fun (name, tweak) ->
-      let cfg = tweak (config ~alpha ~k) in
-      let runs =
-        Experiment.trials
-          ~make_initial:(fun ~seed -> Experiment.initial_tree ~seed ~n)
-          ~config:cfg ~trials ~seed:base_seed
-      in
+      let runs = tweaked_runs spec ~tweak { Experiment.alpha = 1.0; k = 3 } in
       Printf.printf "%-28s %14s %14s %14s\n%!" name
         (summary_str (fun r -> r.Experiment.quality) runs)
         (summary_str (fun r -> fi r.Experiment.rounds) runs)
@@ -497,23 +514,20 @@ let sumdyn () =
   section_header "sumdyn"
     "SumNCG best-response dynamics (not in the paper: Section 5 restricts to MaxNCG \
      for tractability; our branch-and-bound engine makes small instances exact)";
-  let trials = 4 in
   Printf.printf "%6s %6s %8s %14s %14s %12s\n" "n" "k" "alpha" "quality" "rounds"
     "conv.frac";
   List.iter
     (fun (n, k, alpha) ->
-      let cfg =
-        {
-          (config ~alpha ~k) with
-          Dynamics.variant = Game.Sum;
-          sum_mode = `Branch_and_bound 34;
-          max_rounds = 60;
-        }
-      in
       let runs =
-        Experiment.trials
-          ~make_initial:(fun ~seed -> Experiment.initial_tree ~seed ~n)
-          ~config:cfg ~trials ~seed:base_seed
+        tweaked_runs { spec with n; trials = 4 }
+          ~tweak:(fun c ->
+            {
+              c with
+              Dynamics.variant = Game.Sum;
+              sum_mode = `Branch_and_bound 34;
+              max_rounds = 60;
+            })
+          { Experiment.alpha; k }
       in
       Printf.printf "%6d %6d %8g %14s %14s %12.2f\n%!" n k alpha
         (summary_str (fun r -> r.Experiment.quality) runs)
@@ -530,46 +544,25 @@ let ablation () =
   Printf.printf "%-16s %10s %10s %10s %10s\n" "solver" "time(s)" "rounds" "moves" "quality";
   List.iter
     (fun (name, solver) ->
-      let cfg = { (config ~alpha:0.1 ~k:1000) with Dynamics.solver } in
+      (* No move budget: the exact row must run the exact solver to the
+         end (about 30 s) to measure it. *)
+      let cfg =
+        {
+          (Sweep_spec.make_config spec { Experiment.alpha = 0.1; k = 1000 }) with
+          Dynamics.solver;
+          move_budget = 0;
+        }
+      in
       let t0 = Ncg_obs.Clock.now_ns () in
-      let elapsed () = Ncg_obs.Clock.ns_to_s (Ncg_obs.Clock.elapsed_ns ~since:t0) in
-      (* Exact B&B on this graph can exhaust the dynamics' move budget;
-         report that as the row's outcome rather than abort the bench. *)
-      match Experiment.run_one cfg (make ()) with
-      | r ->
-          Printf.printf "%-16s %10.2f %10d %10d %10.3f\n%!" name (elapsed ())
-            r.Experiment.rounds r.Experiment.total_moves r.Experiment.quality
-      | exception Ncg_fault.Cancel.Timed_out reason ->
-          Printf.printf "%-16s %10.2f  timed out: %s\n%!" name (elapsed ()) reason)
+      let r = Experiment.run_one cfg (make ()) in
+      Printf.printf "%-16s %10.2f %10d %10d %10.3f\n%!" name
+        (Ncg_obs.Clock.ns_to_s (Ncg_obs.Clock.elapsed_ns ~since:t0))
+        r.Experiment.rounds r.Experiment.total_moves r.Experiment.quality)
     [
       ("exact", `Exact);
       ("budget 50k", `Budgeted 50_000);
       ("budget 2k", `Budgeted 2_000);
       ("greedy", `Greedy);
-    ]
-
-(* Per-cell JSON shared by the instrumented sweeps below; everything the
-   bench gate (bin/ncg_bench_diff) keys on — allocated words and the
-   oracle-call counters — lives under "gc" and "counters". *)
-let bench_cell_json (r : Experiment.cell_result) =
-  let module Json = Ncg_obs.Json in
-  let mean f = (Experiment.summarize f r.Experiment.runs).Summary.mean in
-  Json.Obj
-    [
-      ("alpha", Json.Float r.Experiment.cell.Experiment.alpha);
-      ("k", Json.Int r.Experiment.cell.Experiment.k);
-      ("wall_seconds", Json.Float (Ncg_obs.Clock.ns_to_s r.Experiment.wall_ns));
-      ("domain", Json.Int r.Experiment.domain);
-      ("counters", Ncg_obs.Metrics.to_json r.Experiment.counters);
-      ("histograms", Ncg_obs.Histogram.to_json r.Experiment.histograms);
-      ("gc", Ncg_obs.Gc_stats.to_json r.Experiment.gc);
-      ( "converged_frac",
-        Json.Float
-          (Experiment.fraction (fun x -> x.Experiment.converged) r.Experiment.runs)
-      );
-      ("rounds_mean", Json.Float (mean (fun x -> fi x.Experiment.rounds)));
-      ("quality_mean", Json.Float (mean (fun x -> x.Experiment.quality)));
-      ("probes", Ncg_obs.Probe.to_json r.Experiment.probes);
     ]
 
 (* --- Instrumented parallel experiment sweep ------------------------------------------------ *)
@@ -607,14 +600,9 @@ let experiment () =
   in
   let n = spec.Sweep_spec.n and trials = spec.Sweep_spec.trials in
   let cells = Sweep_spec.cells spec in
-  let make_initial = Sweep_spec.make_initial spec in
-  let make_config = Sweep_spec.make_config spec in
   let timed domains =
     let t0 = Ncg_obs.Clock.now_ns () in
-    let results =
-      Experiment.sweep ~domains ~make_initial ~make_config ~cells ~trials
-        ~seed:base_seed ()
-    in
+    let results = sweep ~domains spec in
     (results, Ncg_obs.Clock.ns_to_s (Ncg_obs.Clock.elapsed_ns ~since:t0))
   in
   let seq, seq_wall = timed 1 in
@@ -653,19 +641,12 @@ let experiment () =
   let store_dir =
     Filename.concat (Filename.get_temp_dir_name ()) "ncg_bench_store"
   in
-  List.iter
-    (fun f ->
-      let p = Filename.concat store_dir f in
-      if Sys.file_exists p then Sys.remove p)
-    [ "records.log"; "MANIFEST.json" ];
-  let store_context = Sweep_spec.context spec in
+  let records = Filename.concat store_dir "records.log" in
+  if Sys.file_exists records then Sys.remove records;
   let store_pass () =
     Ncg_store.Store.with_dir store_dir (fun store ->
         let t0 = Ncg_obs.Clock.now_ns () in
-        let results =
-          Experiment.sweep ~domains:fan_domains ~store ~store_context
-            ~make_initial ~make_config ~cells ~trials ~seed:base_seed ()
-        in
+        let results = sweep ~domains:fan_domains ~store spec in
         ( results,
           Ncg_obs.Clock.ns_to_s (Ncg_obs.Clock.elapsed_ns ~since:t0),
           Ncg_store.Store.stats store ))
@@ -700,7 +681,7 @@ let experiment () =
          ("class", Json.String "tree");
          ("n", Json.Int n);
          ("trials", Json.Int trials);
-         ("cells", Json.List (List.map bench_cell_json par));
+         ("cells", Json.List (List.map (cell_json spec) par));
          ( "totals",
            Json.Obj
              [
@@ -781,10 +762,7 @@ let fullgrid () =
   let cells = Sweep_spec.cells spec in
   let domains = max 2 (Domain.recommended_domain_count ()) in
   let t0 = Ncg_obs.Clock.now_ns () in
-  let results =
-    Experiment.sweep ~domains ~make_initial:(Sweep_spec.make_initial spec)
-      ~make_config:(Sweep_spec.make_config spec) ~cells ~trials ~seed:base_seed ()
-  in
+  let results = sweep ~domains spec in
   let wall = Ncg_obs.Clock.ns_to_s (Ncg_obs.Clock.elapsed_ns ~since:t0) in
   let gc = Experiment.sweep_gc results in
   let total_words = Ncg_obs.Gc_stats.allocated_words gc in
@@ -814,7 +792,7 @@ let fullgrid () =
          ("class", Json.String "tree");
          ("n", Json.Int n);
          ("trials", Json.Int trials);
-         ("cells", Json.List (List.map bench_cell_json results));
+         ("cells", Json.List (List.map (cell_json spec) results));
          ( "totals",
            Json.Obj
              [

@@ -16,10 +16,11 @@
    already in the store are returned without recomputation, fresh cells
    are appended (fsync'd) the moment they finish, so a killed sweep
    resumes from where it died. --resume is --store plus a guard that DIR
-   already exists; --no-cache recomputes everything but still refreshes
-   the store. A cell's seeds and fault scope depend on (--seed, alpha,
-   k) alone, so --only-cell ALPHA:K runs that one cell and prints the
-   row (or the quarantine) any sweep containing it would.
+   already exists. A cell's seeds and fault scope depend on (--seed,
+   alpha, k) alone, so a stored cell never needs recomputing (to re-time
+   a grid, run it without --store or on a fresh store), and --only-cell
+   ALPHA:K runs that one cell and prints the row (or the quarantine) any
+   sweep containing it would.
 
    Sweeps run under a supervised executor (see docs/ROBUSTNESS.md): each
    cell gets one attempt, and a failing cell is quarantined while every
@@ -54,33 +55,12 @@
 
 open Cmdliner
 module Experiment = Ncg.Experiment
-module Dynamics = Ncg.Dynamics
 module Store = Ncg_store.Store
 module Metrics = Ncg_obs.Metrics
 module Json = Ncg_obs.Json
 
 let default_alphas = [ 0.5; 1.0; 2.0; 5.0 ]
 let default_ks = [ 2; 3; 4; 5; 1000 ]
-
-let header = Experiment.csv_header
-
-let cell_json graph_class n p trials (r : Experiment.cell_result) =
-  Json.Obj
-    [
-      ("class", Json.String graph_class);
-      ("n", Json.Int n);
-      ("p", Json.Float p);
-      ("alpha", Json.Float r.Experiment.cell.Experiment.alpha);
-      ("k", Json.Int r.Experiment.cell.Experiment.k);
-      ("trials", Json.Int trials);
-      ("wall_seconds", Json.Float (Ncg_obs.Clock.ns_to_s r.Experiment.wall_ns));
-      ("domain", Json.Int r.Experiment.domain);
-      ("counters", Metrics.to_json r.Experiment.counters);
-      ("histograms", Ncg_obs.Histogram.to_json r.Experiment.histograms);
-      ("probes", Ncg_obs.Probe.to_json r.Experiment.probes);
-      ("gc", Ncg_obs.Gc_stats.to_json r.Experiment.gc);
-      ("spans", Ncg_obs.Span.to_json r.Experiment.spans);
-    ]
 
 (* Probe series carry no wall-clock of their own (cell payloads are
    wall-clock-free by contract), so for the timeline their rounds are
@@ -165,7 +145,7 @@ let install_signal_handlers () =
     [ Sys.sigint; Sys.sigterm ]
 
 let run graph_class n p alphas ks trials seed budget domains store_dir resume
-    no_cache only_cell telemetry trace_out events quiet no_progress no_probes
+    only_cell telemetry trace_out events quiet no_progress no_probes
     fault_plan_spec fault_seed cell_deadline_ms move_budget =
   if quiet || no_progress then Ncg_obs.Events.set_progress false;
   let probes = not no_probes in
@@ -242,14 +222,7 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
              exit 1)
   in
   let started = Ncg_obs.Clock.now_ns () in
-  let run_sweep () =
-    Experiment.sweep_supervised ~domains ?cell_deadline_ns
-      ?store:(if no_cache then None else store)
-      ~store_context:(Ncg.Sweep_spec.context spec) ~probes
-      ~make_initial:(Ncg.Sweep_spec.make_initial spec)
-      ~make_config:(Ncg.Sweep_spec.make_config spec)
-      ~cells:(Ncg.Sweep_spec.cells spec) ~trials ~seed ()
-  in
+  let run_sweep () = Ncg.Sweep_spec.sweep ~domains ?cell_deadline_ns ?store spec in
   let outcomes =
     match events with
     | None -> run_sweep ()
@@ -262,18 +235,6 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
   let results = List.filter_map Result.to_option outcomes in
   let failures = Experiment.sweep_failures outcomes in
   let interrupted = Ncg_fault.Cancel.shutdown_requested () in
-  (* --no-cache recomputed everything; refresh the store afterwards so the
-     next cached run picks the new records up. *)
-  (if no_cache then
-     match store with
-     | Some s ->
-         List.iter
-           (fun (r : Experiment.cell_result) ->
-             Experiment.store_insert s
-               (Ncg.Sweep_spec.cache_key spec r.Experiment.cell)
-               r)
-           results
-     | None -> ());
   let sweep_wall = Ncg_obs.Clock.elapsed_ns ~since:started in
   (match trace_out with
   | None -> ()
@@ -282,10 +243,10 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
       with Sys_error msg ->
         Printf.eprintf "ncg_experiment: cannot write trace: %s\n%!" msg;
         exit 1));
-  print_endline header;
+  print_endline Experiment.csv_header;
   List.iter
     (fun (r : Experiment.cell_result) ->
-      print_string (Experiment.csv_row ~graph_class ~n ~p ~trials r);
+      print_string (Ncg.Sweep_spec.csv_row spec r);
       print_newline ();
       flush stdout)
     results;
@@ -300,8 +261,8 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
       let doc =
         Json.Obj
           ([
-             (* /5: the top-level retry budget and the failures'
-                attempt counts are gone — every cell gets one attempt. *)
+             (* /6: each cell record is Experiment.cell_json, which adds
+                converged_frac, rounds_mean and quality_mean. *)
              ("schema", Json.String Ncg_obs.Schema.experiment_telemetry);
              ("seed", Json.Int seed);
              ("domains", Json.Int domains);
@@ -348,7 +309,9 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
           @ store_fields
           @ [
               ( "cells",
-                Json.List (List.map (cell_json graph_class n p trials) results) );
+                Json.List
+                  (List.map (Experiment.cell_json ~graph_class ~n ~p ~trials) results)
+              );
             ])
       in
       try
@@ -436,11 +399,6 @@ let resume =
          ~doc:"Require the --store directory to already exist — a guard \
                against silently starting from scratch on a mistyped path.")
 
-let no_cache =
-  Arg.(value & flag & info [ "no-cache" ]
-         ~doc:"Recompute every cell even when cached, then refresh the store \
-               with the new results.")
-
 let only_cell =
   Arg.(value & opt (some string) None & info [ "only-cell" ] ~docv:"ALPHA:K"
          ~doc:"Run the single cell (ALPHA, K) in place of the grid. Its \
@@ -503,7 +461,7 @@ let cmd =
   Cmd.v
     (Cmd.info "ncg_experiment" ~doc)
     Term.(const run $ graph_class $ n $ p $ alphas $ ks $ trials $ seed $ budget
-          $ domains $ store_dir $ resume $ no_cache $ only_cell $ telemetry
+          $ domains $ store_dir $ resume $ only_cell $ telemetry
           $ trace_out $ events $ quiet $ no_progress $ no_probes
           $ fault_plan_spec $ fault_seed $ cell_deadline_ms $ move_budget)
 

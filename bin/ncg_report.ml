@@ -58,12 +58,7 @@ let run graph_class n p alpha k seed variant telemetry out =
   | Some path -> latency_report path out
   | None ->
   let strategy =
-    match graph_class with
-    | "tree" -> Ncg.Experiment.initial_tree ~seed ~n
-    | "gnp" -> Ncg.Experiment.initial_gnp ~seed ~n ~p
-    | "ba" -> Ncg.Experiment.initial_ba ~seed ~n ~m:2
-    | "ws" -> Ncg.Experiment.initial_ws ~seed ~n ~k:4 ~beta:0.2
-    | other -> failwith (Printf.sprintf "unknown graph class %S" other)
+    Ncg.Sweep_spec.make_initial { Ncg.Sweep_spec.default with graph_class; n; p } ~seed
   in
   let variant =
     match variant with
@@ -93,8 +88,9 @@ let run graph_class n p alpha k seed variant telemetry out =
       Printf.printf "wrote %s (%d bytes)\n" path (String.length report)
 
 let graph_class =
-  Arg.(value & opt string "tree" & info [ "class" ] ~docv:"CLASS"
-         ~doc:"tree, gnp, ba or ws.")
+  let classes = List.map (fun c -> (c, c)) Ncg.Sweep_spec.graph_classes in
+  Arg.(value & opt (enum classes) "tree" & info [ "class" ] ~docv:"CLASS"
+         ~doc:("Initial graph class: " ^ doc_alts_enum classes ^ "."))
 
 let n = Arg.(value & opt int 40 & info [ "n" ] ~doc:"Players.")
 let p = Arg.(value & opt float 0.1 & info [ "p" ] ~doc:"Edge probability (gnp).")

@@ -10,11 +10,9 @@ open Cmdliner
 let run graph_class n p alpha k seed variant solver max_rounds quiet =
   let strategy =
     match graph_class with
-    | "tree" -> Ncg.Experiment.initial_tree ~seed ~n
-    | "gnp" -> Ncg.Experiment.initial_gnp ~seed ~n ~p
     | "cycle" -> Ncg.Strategy.of_buys ~n (Ncg_gen.Classic.cycle_buys n)
     | "star" -> Ncg.Strategy.of_buys ~n (Ncg_gen.Classic.star_buys n)
-    | other -> failwith (Printf.sprintf "unknown graph class %S" other)
+    | _ -> Ncg.Sweep_spec.make_initial { Ncg.Sweep_spec.default with graph_class; n; p } ~seed
   in
   let variant = match variant with "max" -> Ncg.Game.Max | "sum" -> Ncg.Game.Sum | v -> failwith ("unknown variant " ^ v) in
   let solver =
@@ -60,8 +58,11 @@ let run graph_class n p alpha k seed variant solver max_rounds quiet =
   Printf.printf "# certified stable: %b\n" lke
 
 let graph_class =
-  Arg.(value & opt string "tree" & info [ "class" ] ~docv:"CLASS"
-         ~doc:"Initial graph class: tree, gnp, cycle or star.")
+  let classes =
+    List.map (fun c -> (c, c)) (Ncg.Sweep_spec.graph_classes @ [ "cycle"; "star" ])
+  in
+  Arg.(value & opt (enum classes) "tree" & info [ "class" ] ~docv:"CLASS"
+         ~doc:("Initial graph class: " ^ doc_alts_enum classes ^ "."))
 
 let n = Arg.(value & opt int 50 & info [ "n" ] ~docv:"N" ~doc:"Number of players.")
 let p = Arg.(value & opt float 0.1 & info [ "p" ] ~docv:"P" ~doc:"Edge probability for gnp.")

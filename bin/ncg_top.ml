@@ -16,8 +16,8 @@
    always sees partial writes.
 
    Post-hoc mode renders a Markdown convergence report from any telemetry
-   document with a "cells" list (ncg.experiment.telemetry/5,
-   ncg.bench.experiment/5, ncg.bench.fullgrid/1):
+   document with a "cells" list (ncg.experiment.telemetry/6,
+   ncg.bench.experiment/6, ncg.bench.fullgrid/2, and older versions):
 
      dune exec bin/ncg_top.exe -- --post-hoc --telemetry telemetry.json \
        [--compare other.json] [--out report.md]
@@ -372,8 +372,8 @@ let cell_of_json c =
   }
 
 (* Any document with a "cells" list is accepted — the experiment
-   telemetry and both bench outputs share the per-cell shape this report
-   needs. *)
+   telemetry and both bench outputs write Experiment.cell_json records.
+   Fields an older document lacks print as "-". *)
 let load_cells path =
   Result.bind (Json.of_file path)
     (Json.decode ~what:path (fun j ->
@@ -584,8 +584,8 @@ let telemetry_arg =
     & info [ "telemetry" ] ~docv:"FILE"
         ~doc:
           "Telemetry JSON document (any schema with a per-cell \"cells\" list: \
-           ncg.experiment.telemetry/5, ncg.bench.experiment/5, \
-           ncg.bench.fullgrid/1).")
+           ncg.experiment.telemetry/6, ncg.bench.experiment/6, \
+           ncg.bench.fullgrid/2, and older versions).")
 
 let compare_arg =
   Arg.(

@@ -25,10 +25,7 @@ let trace_path prefix = prefix ^ ".trace"
 
 let record graph_class n p alpha k seed prefix =
   let strategy =
-    match graph_class with
-    | "tree" -> Ncg.Experiment.initial_tree ~seed ~n
-    | "gnp" -> Ncg.Experiment.initial_gnp ~seed ~n ~p
-    | other -> failwith (Printf.sprintf "unknown graph class %S" other)
+    Ncg.Sweep_spec.make_initial { Ncg.Sweep_spec.default with graph_class; n; p } ~seed
   in
   let config =
     { (Ncg.Dynamics.default_config ~alpha ~k) with Ncg.Dynamics.solver = `Budgeted 50_000 }
@@ -57,7 +54,9 @@ let verify prefix alpha k =
   if not lke then exit 2
 
 let graph_class =
-  Arg.(value & opt string "tree" & info [ "class" ] ~docv:"CLASS" ~doc:"tree or gnp.")
+  let classes = List.map (fun c -> (c, c)) Ncg.Sweep_spec.graph_classes in
+  Arg.(value & opt (enum classes) "tree" & info [ "class" ] ~docv:"CLASS"
+         ~doc:("Initial graph class: " ^ doc_alts_enum classes ^ "."))
 
 let n = Arg.(value & opt int 30 & info [ "n" ] ~doc:"Players.")
 let p = Arg.(value & opt float 0.1 & info [ "p" ] ~doc:"Edge probability (gnp).")

@@ -5,33 +5,35 @@
    Run with:  dune exec examples/tree_dynamics.exe *)
 
 module Experiment = Ncg.Experiment
-module Dynamics = Ncg.Dynamics
+module Sweep_spec = Ncg.Sweep_spec
 module Summary = Ncg_stats.Summary
 
 let () =
-  let n = 40 and alpha = 2.0 and trials = 5 in
+  let spec =
+    {
+      Sweep_spec.default with
+      n = 40;
+      trials = 5;
+      alphas = [ 2.0 ];
+      ks = [ 2; 3; 4; 5; 1000 ];
+    }
+  in
   Printf.printf
     "Best-response dynamics on %d-vertex random trees, alpha = %g, %d seeds per k\n\n"
-    n alpha trials;
-  Printf.printf "%6s %18s %14s %14s %12s\n" "k" "quality (±95%%CI)" "rounds" "diameter"
+    spec.n (List.hd spec.alphas) spec.trials;
+  Printf.printf "%6s %18s %14s %14s %12s\n" "k" "quality (±95% CI)" "rounds" "diameter"
     "min view";
   List.iter
-    (fun k ->
-      let config = Dynamics.default_config ~alpha ~k in
-      let runs =
-        Experiment.trials
-          ~make_initial:(fun ~seed -> Experiment.initial_tree ~seed ~n)
-          ~config ~trials ~seed:2014
-      in
-      let quality = Experiment.summarize (fun r -> r.Experiment.quality) runs in
-      let rounds = Experiment.summarize (fun r -> float_of_int r.Experiment.rounds) runs in
-      let diam = Experiment.summarize (fun r -> float_of_int r.Experiment.diameter) runs in
-      let minv = Experiment.summarize (fun r -> float_of_int r.Experiment.min_view) runs in
-      Printf.printf "%6d %18s %14s %14s %12s\n"
-        (if k >= n then 1000 else k)
-        (Summary.to_string quality) (Summary.to_string rounds)
-        (Summary.to_string diam) (Summary.to_string minv))
-    [ 2; 3; 4; 5; 1000 ];
+    (function
+      | Ok (r : Experiment.cell_result) ->
+          let summary f = Summary.to_string (Experiment.summarize f r.runs) in
+          Printf.printf "%6d %18s %14s %14s %12s\n" r.cell.k
+            (summary (fun r -> r.Experiment.quality))
+            (summary (fun r -> float_of_int r.Experiment.rounds))
+            (summary (fun r -> float_of_int r.Experiment.diameter))
+            (summary (fun r -> float_of_int r.Experiment.min_view))
+      | Error (f : Experiment.cell_failure) -> raise f.exn)
+    (Sweep_spec.sweep spec);
   print_newline ();
   print_endline
     "Reading: small k leaves long chains in place (high quality ratio = bad),";

@@ -121,11 +121,6 @@ let derive_seeds ~seed ~count =
   let sm = Ncg_prng.Splitmix64.create (Int64.of_int seed) in
   Array.init count (fun _ -> Int64.to_int (Ncg_prng.Splitmix64.next sm))
 
-let trials ~make_initial ~config ~trials:count ~seed =
-  List.map
-    (fun seed -> run_one config (make_initial ~seed))
-    (Array.to_list (derive_seeds ~seed ~count))
-
 (* --- Instrumented parallel sweeps --------------------------------------- *)
 
 type cell = { alpha : float; k : int }
@@ -515,17 +510,6 @@ let sweep_supervised ?(domains = 1) ?cell_deadline_ns ?store ?(store_context = [
 let sweep_failures outcomes =
   List.filter_map (function Ok _ -> None | Error f -> Some f) outcomes
 
-let sweep ?domains ?store ?store_context ?probes ~make_initial ~make_config
-    ~cells ~trials ~seed () =
-  let outcomes =
-    sweep_supervised ?domains ?store ?store_context ?probes ~make_initial
-      ~make_config ~cells ~trials ~seed ()
-  in
-  (* Legacy contract: every cell still ran (the executor quarantines
-     instead of aborting), then the lowest-index failure re-raises —
-     deterministic for a deterministic task, whatever the domain count. *)
-  List.map (function Ok r -> r | Error f -> raise f.exn) outcomes
-
 let sweep_counters results =
   Ncg_obs.Metrics.total (List.map (fun r -> r.counters) results)
 
@@ -545,11 +529,12 @@ let fraction p runs =
   else
     float_of_int (List.length (List.filter p runs)) /. float_of_int total
 
-(* --- CSV rendering -------------------------------------------------------
-   One definition shared by ncg_experiment and perfbench, so a cell's
-   row is byte-identical on every path by construction — the
-   cross-process determinism contract is a string equality, not a
-   float-formatting coincidence. *)
+(* --- Row and record rendering ----------------------------------------------
+   One definition each, shared by ncg_experiment, the bench and
+   perfbench, so a cell's row is byte-identical on every path by
+   construction — the cross-process determinism contract is a string
+   equality, not a float-formatting coincidence — and every telemetry
+   document carries the same per-cell record. *)
 
 let csv_header =
   "class,n,p,alpha,k,trials,converged_frac,cycled_frac,rounds_mean,rounds_ci,\
@@ -575,3 +560,25 @@ let csv_row ~graph_class ~n ~p ~trials (r : cell_result) =
     (mean (fun r -> float_of_int r.min_view))
     (mean (fun r -> r.avg_view))
     (mean (fun r -> r.social_cost))
+
+let cell_json ~graph_class ~n ~p ~trials (r : cell_result) =
+  let mean f = (summarize f r.runs).Summary.mean in
+  Json.Obj
+    [
+      ("class", Json.String graph_class);
+      ("n", Json.Int n);
+      ("p", Json.Float p);
+      ("alpha", Json.Float r.cell.alpha);
+      ("k", Json.Int r.cell.k);
+      ("trials", Json.Int trials);
+      ("wall_seconds", Json.Float (Ncg_obs.Clock.ns_to_s r.wall_ns));
+      ("domain", Json.Int r.domain);
+      ("converged_frac", Json.Float (fraction (fun x -> x.converged) r.runs));
+      ("rounds_mean", Json.Float (mean (fun x -> float_of_int x.rounds)));
+      ("quality_mean", Json.Float (mean (fun x -> x.quality)));
+      ("counters", Ncg_obs.Metrics.to_json r.counters);
+      ("histograms", Ncg_obs.Histogram.to_json r.histograms);
+      ("gc", Ncg_obs.Gc_stats.to_json r.gc);
+      ("probes", Ncg_obs.Probe.to_json r.probes);
+      ("spans", Ncg_obs.Span.to_json r.spans);
+    ]

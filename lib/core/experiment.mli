@@ -64,15 +64,6 @@ val run_one : Dynamics.config -> Strategy.t -> run_stats
     re-run any single trial of a sweep in isolation. *)
 val derive_seeds : seed:int -> count:int -> int array
 
-(** [trials ~make_initial ~config ~trials ~seed] runs several seeds
-    sequentially. *)
-val trials :
-  make_initial:(seed:int -> Strategy.t) ->
-  config:Dynamics.config ->
-  trials:int ->
-  seed:int ->
-  run_stats list
-
 (** {1 Instrumented parallel sweeps}
 
     The engine behind [bin/ncg_experiment] and the bench harness: a grid
@@ -120,7 +111,7 @@ type cell_result = {
 val grid : alphas:float list -> ks:int list -> cell list
 
 (** [run_cell ~make_initial ~make_config ~trials ~cell_seed cell] runs a
-    single instrumented cell exactly as {!sweep} would when [cell_seed]
+    single instrumented cell exactly as {!sweep_supervised} would when [cell_seed]
     is [cell_seed_of_cell ~seed cell]: trial [j] starts from the [j]-th
     entry of [derive_seeds ~seed:cell_seed ~count:trials].
 
@@ -188,8 +179,8 @@ val cell_failure_to_json : cell_failure -> Ncg_obs.Json.t
     [counters]/[histograms]/[gc] are identical whether it was computed
     or restored.
 
-    Determinism under failure: successful cells are identical (same
-    contract as {!sweep}) to a sequential no-fault run, for any
+    Determinism under failure: successful cells are identical (the
+    section's determinism contract) to a sequential no-fault run, for any
     [domains] or fault plan; and for a fixed plan (and
     deterministic faults — raises, not wall-clock deadlines) each cell's
     outcome is identical too, whatever grid it is swept in.
@@ -218,23 +209,6 @@ val sweep_supervised :
 val sweep_failures :
   (cell_result, cell_failure) result list -> cell_failure list
 
-(** [sweep ?domains ?store ?store_context …] is {!sweep_supervised}
-    with no deadline, re-raising the lowest-index
-    failure's exception after every other cell completed (the legacy
-    all-or-nothing contract). *)
-val sweep :
-  ?domains:int ->
-  ?store:Ncg_store.Store.t ->
-  ?store_context:(string * Ncg_obs.Json.t) list ->
-  ?probes:bool ->
-  make_initial:(seed:int -> Strategy.t) ->
-  make_config:(cell -> Dynamics.config) ->
-  cells:cell list ->
-  trials:int ->
-  seed:int ->
-  unit ->
-  cell_result list
-
 (** {1 Cell persistence}
 
     The codec and key schema behind [?store]. Exposed so tools
@@ -251,7 +225,7 @@ val cell_result_to_json : cell_result -> Ncg_obs.Json.t
 val cell_result_of_json : Ncg_obs.Json.t -> (cell_result, string) result
 
 (** [cell_cache_key ~context ~seed ~trials ~cell_seed cell] is the
-    content-addressed key {!sweep} uses: [context] (caller-supplied
+    content-addressed key {!sweep_supervised} uses: [context] (caller-supplied
     fingerprint of the graph class and dynamics config) plus the sweep
     seed, the cell's [(alpha, k)], the trial count, the cell's derived
     seed, the probes switch (default true — probing shifts the counter
@@ -309,3 +283,13 @@ val csv_header : string
     CSVs is structural, not coincidental. *)
 val csv_row :
   graph_class:string -> n:int -> p:float -> trials:int -> cell_result -> string
+
+(** [cell_json ~graph_class ~n ~p ~trials r] is a cell's telemetry
+    record: the row's identity (class, n, p, alpha, k, trials), wall
+    seconds and domain, the converged fraction and the rounds and
+    quality means ([ncg_top --post-hoc] reads these three), then the
+    cell's counters, histograms, GC delta, probe series and span tree.
+    [ncg_experiment --telemetry] and the bench's [BENCH_*.json] files
+    write every cell through this function. *)
+val cell_json :
+  graph_class:string -> n:int -> p:float -> trials:int -> cell_result -> Ncg_obs.Json.t

@@ -105,6 +105,12 @@ let cache_key spec cell =
   Experiment.cell_cache_key ~probes:spec.probes ~context:(context spec)
     ~seed:spec.seed ~trials:spec.trials ~cell_seed:(cell_seed spec cell) cell
 
+let sweep ?domains ?cell_deadline_ns ?store spec =
+  Experiment.sweep_supervised ?domains ?cell_deadline_ns ?store
+    ~store_context:(context spec) ~probes:spec.probes
+    ~make_initial:(make_initial spec) ~make_config:(make_config spec)
+    ~cells:(cells spec) ~trials:spec.trials ~seed:spec.seed ()
+
 let run_cell spec cell =
   Experiment.run_cell ~probes:spec.probes ~make_initial:(make_initial spec)
     ~make_config:(make_config spec) ~trials:spec.trials

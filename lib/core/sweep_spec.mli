@@ -1,11 +1,14 @@
 (** Sweeps as data: one record naming everything that determines a
     sweep's results.
 
-    [ncg_experiment] builds this record from its CLI flags, and
-    perfbench and the tests build it directly. This module is the single
-    compiler from that record to the {!Experiment} calls, so every
-    caller constructs {e the same} initial graphs, dynamics configs,
-    store contexts and cache keys.
+    [ncg_experiment] builds this record from its CLI flags; the bench,
+    the examples, perfbench and the tests build it directly. This module
+    is the single compiler from that record to the {!Experiment} calls
+    ({!sweep} is the only caller of {!Experiment.sweep_supervised}
+    outside perfbench and the tests), so every caller constructs
+    {e the same} initial graphs, dynamics configs, store contexts and
+    cache keys, and every figure cell is a row [ncg_experiment] can
+    reproduce.
 
     Cell seeds come from {!Experiment.cell_seed_of_cell}, a pure
     function of [(seed, alpha, k)], so two specs whose grids overlap
@@ -59,6 +62,17 @@ val cell_seed : t -> Experiment.cell -> int
 
 (** Full content-addressed key for one cell of this spec. *)
 val cache_key : t -> Experiment.cell -> Ncg_store.Cache_key.t
+
+(** [sweep ?domains ?cell_deadline_ns ?store spec] runs every cell of
+    the spec through {!Experiment.sweep_supervised}, with the spec's
+    store context, probes switch, constructors, trials and seed: one
+    outcome per cell, in {!cells} order. *)
+val sweep :
+  ?domains:int ->
+  ?cell_deadline_ns:int64 ->
+  ?store:Ncg_store.Store.t ->
+  t ->
+  (Experiment.cell_result, Experiment.cell_failure) result list
 
 (** Compute one cell ({!Experiment.run_cell} with this spec's
     constructors and seed derivation). *)

@@ -1,8 +1,7 @@
 (* Blessed atomic text-file writer: same-directory temp + fsync + rename,
    so a crash at any point leaves either the old file or the new one —
-   never a torn artifact. Json.to_file is the same dance for JSON
-   documents; this is the generic-string version for markdown reports,
-   trace files, and other non-JSON artifacts. *)
+   never a torn artifact. The only one in the tree: Json.to_file renders
+   and calls it, and markdown reports and trace files use it directly. *)
 
 let write path contents =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in

@@ -3,8 +3,8 @@
     [write path contents] renders [contents] to a same-directory temp
     file, fsyncs, then renames over [path]. A crash at any point leaves
     either the previous file or the complete new one — never a torn
-    artifact. (For JSON documents use {!Json.to_file}, which is the same
-    dance plus rendering.) *)
+    artifact. {!Json.to_file} renders a JSON document and writes it
+    through here. *)
 
 val write : string -> string -> unit
 

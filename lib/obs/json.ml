@@ -90,25 +90,9 @@ let to_string_pretty t =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-(* Atomic write: render to a same-directory temp file, fsync, then
-   rename over the target. A crash at any point leaves either the old
-   file or the new one — never a partial/invalid JSON document. *)
-let to_file path t =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc =
-    (open_out [@lint.allow "A1" "this IS the blessed atomic JSON writer"]) tmp
-  in
-  (match
-     output_string oc (to_string_pretty t);
-     flush oc;
-     Unix.fsync (Unix.descr_of_out_channel oc)
-   with
-  | () -> close_out oc
-  | exception e ->
-      close_out_noerr oc;
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise e);
-  Sys.rename tmp path
+(* Atomic write (temp file + fsync + rename): a crash at any point
+   leaves either the old file or the new one. *)
+let to_file path t = Atomic_file.write path (to_string_pretty t)
 
 (* --- Parsing --------------------------------------------------------------- *)
 

@@ -15,18 +15,17 @@ let obs_timeseries = "ncg.obs.timeseries/1"
 let obs_probes = "ncg.obs.probes/1"
 
 (* lib/store *)
-let store_manifest = "ncg.store/1"
 let store_cell = "ncg.store.cell/5"
 
 (* lib/core *)
-let experiment_telemetry = "ncg.experiment.telemetry/5"
+let experiment_telemetry = "ncg.experiment.telemetry/6"
 
 (* lib/lint *)
 let lint_report = "ncg.lint.report/3"
 
 (* bench + bin/ncg_bench_diff *)
-let bench_experiment = "ncg.bench.experiment/5"
-let bench_fullgrid = "ncg.bench.fullgrid/1"
+let bench_experiment = "ncg.bench.experiment/6"
+let bench_fullgrid = "ncg.bench.fullgrid/2"
 let bench_baseline = "ncg.bench.baseline/1"
 let bench_history = "ncg.bench.history/1"
 
@@ -34,7 +33,6 @@ let all =
   [
     obs_timeseries;
     obs_probes;
-    store_manifest;
     store_cell;
     experiment_telemetry;
     lint_report;

@@ -12,7 +12,6 @@
 
 val obs_timeseries : string
 val obs_probes : string
-val store_manifest : string
 val store_cell : string
 val experiment_telemetry : string
 val lint_report : string

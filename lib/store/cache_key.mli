@@ -14,7 +14,7 @@
     with [("store_schema", Int schema_version)] prepended. Field {e
     order matters} (it is part of the bytes); callers must build the
     list deterministically. The 64-bit FNV-1a {!fingerprint} is a
-    convenience for logs and manifests, never for lookup. *)
+    convenience for logs, never for lookup. *)
 
 type t
 

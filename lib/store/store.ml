@@ -6,10 +6,8 @@ module Metrics = Ncg_obs.Metrics
 let m_hits = Metrics.register "store.hits"
 let m_misses = Metrics.register "store.misses"
 let m_inserts = Metrics.register "store.inserts"
-let m_evictions = Metrics.register "store.evictions"
 let m_heals = Metrics.register "store.heals"
 
-let manifest_name = "MANIFEST.json"
 let records_name = "records.log"
 let lock_name = "LOCK"
 
@@ -94,7 +92,6 @@ type t = {
   lock : Unix.file_descr * (int * int); (* held LOCK fd, directory key *)
   mutable log : Record_log.t;
   index : (string, string) Hashtbl.t; (* canonical key -> latest payload *)
-  mutable order : string list; (* reverse first-insertion order of live keys *)
   mutex : Mutex.t;
   mutable hits : int;
   mutable misses : int;
@@ -102,7 +99,6 @@ type t = {
   mutable superseded : int; (* dead records currently in the log *)
   mutable replayed : int;
   mutable dropped_bytes : int;
-  mutable compactions : int; (* whole-history count, persisted in the manifest *)
   mutable heals : int; (* log reopens after a failed append *)
   mutable closed : bool;
 }
@@ -115,7 +111,6 @@ type stats = {
   live : int;
   replayed : int;
   dropped_bytes : int;
-  compactions : int;
   heals : int;
 }
 
@@ -147,45 +142,17 @@ let rec mkdir_p dir =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let manifest_json t =
-  Json.Obj
-    [
-      ("schema", Json.String Ncg_obs.Schema.store_manifest);
-      ("key_schema", Json.Int Cache_key.schema_version);
-      ("records_file", Json.String records_name);
-      ("live", Json.Int (Hashtbl.length t.index));
-      ("superseded", Json.Int t.superseded);
-      ("log_bytes", Json.Int (Record_log.size t.log));
-      ("last_open_replayed", Json.Int t.replayed);
-      ("last_open_dropped_bytes", Json.Int t.dropped_bytes);
-      ("compactions", Json.Int t.compactions);
-    ]
-
-(* Json.to_file is atomic (temp file + rename), so a crash mid-write
-   never leaves a partial manifest. *)
-let write_manifest t = Json.to_file (Filename.concat t.dir manifest_name) (manifest_json t)
-
-let read_manifest_compactions dir =
-  let path = Filename.concat dir manifest_name in
-  if not (Sys.file_exists path) then 0
-  else
-    match Json.of_file path with
-    | Ok j -> Option.value (Json.opt (Json.field "compactions" Json.int) j) ~default:0
-    | Error _ -> 0
-
 let open_dir ?(sync = true) dir =
   mkdir_p dir;
   let lock = acquire_lock dir in
   match
   let index = Hashtbl.create 64 in
-  let order = ref [] in
   let superseded = ref 0 in
   let replay payload =
     match decode_record payload with
     | None -> () (* valid frame, unintelligible payload: skip, keep scanning *)
     | Some (key, value) ->
-        if Hashtbl.mem index key then incr superseded
-        else order := key :: !order;
+        if Hashtbl.mem index key then incr superseded;
         Hashtbl.replace index key value
   in
   let log, { Record_log.replayed; dropped_bytes } =
@@ -198,7 +165,6 @@ let open_dir ?(sync = true) dir =
       lock;
       log;
       index;
-      order = !order;
       mutex = Mutex.create ();
       hits = 0;
       misses = 0;
@@ -206,12 +172,10 @@ let open_dir ?(sync = true) dir =
       superseded = !superseded;
       replayed;
       dropped_bytes;
-      compactions = read_manifest_compactions dir;
       heals = 0;
       closed = false;
     }
   in
-  write_manifest t;
   t
   with
   | t -> t
@@ -264,48 +228,13 @@ let insert t key payload =
       | exception e ->
           heal_log t;
           raise e);
-      if Hashtbl.mem t.index key then t.superseded <- t.superseded + 1
-      else t.order <- key :: t.order;
+      if Hashtbl.mem t.index key then t.superseded <- t.superseded + 1;
       Hashtbl.replace t.index key payload;
       t.inserts <- t.inserts + 1;
       Metrics.incr m_inserts)
 
 let live_count t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.index)
 let log_size t = Mutex.protect t.mutex (fun () -> Record_log.size t.log)
-
-let compact t =
-  Mutex.protect t.mutex (fun () ->
-      check_open t;
-      if t.superseded > 0 then begin
-        let evicted = t.superseded in
-        let live_path = Filename.concat t.dir records_name in
-        let tmp_path = live_path ^ ".compact" in
-        if Sys.file_exists tmp_path then Sys.remove tmp_path;
-        let fresh, _ = Record_log.openfile ~sync:false tmp_path ~replay:ignore in
-        (match
-           List.iter
-             (fun key ->
-               Record_log.append fresh
-                 (encode_record key (Hashtbl.find t.index key)))
-             (List.rev t.order);
-           Record_log.sync fresh
-         with
-        | () -> Record_log.close fresh
-        | exception e ->
-            Record_log.close fresh;
-            (try Sys.remove tmp_path with Sys_error _ -> ());
-            raise e);
-        (* The swap point: rename is atomic, so a crash leaves either the
-           old log (with dead records) or the new one — never a mix. *)
-        Record_log.close t.log;
-        Sys.rename tmp_path live_path;
-        let log, _ = Record_log.openfile ~sync:t.sync live_path ~replay:ignore in
-        t.log <- log;
-        t.superseded <- 0;
-        t.compactions <- t.compactions + 1;
-        Metrics.add m_evictions evicted;
-        write_manifest t
-      end)
 
 let stats t =
   Mutex.protect t.mutex (fun () ->
@@ -317,14 +246,12 @@ let stats t =
         live = Hashtbl.length t.index;
         replayed = t.replayed;
         dropped_bytes = t.dropped_bytes;
-        compactions = t.compactions;
         heals = t.heals;
       })
 
 let close t =
   Mutex.protect t.mutex (fun () ->
       if not t.closed then begin
-        write_manifest t;
         Record_log.close t.log;
         release_lock t.lock;
         t.closed <- true
@@ -344,6 +271,5 @@ let stats_to_json s =
       ("live", Json.Int s.live);
       ("replayed", Json.Int s.replayed);
       ("dropped_bytes", Json.Int s.dropped_bytes);
-      ("compactions", Json.Int s.compactions);
       ("heals", Json.Int s.heals);
     ]

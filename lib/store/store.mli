@@ -4,8 +4,8 @@
 
     {v
     DIR/
-      MANIFEST.json    small human-readable summary, rewritten atomically
       records.log      CRC-framed append-only record log (Record_log)
+      LOCK             advisory lock, held while a handle is open
     v}
 
     Records map a {!Cache_key} to an opaque payload (the serialized cell
@@ -14,16 +14,17 @@
     on the next {!open_dir} the torn tail is truncated and every
     completed record is recovered. Re-inserting an existing key appends
     a new record that {e supersedes} the old one (last write wins on
-    replay); {!compact} rewrites the log with only live records and
-    atomically swaps it in.
+    replay). A cell is a pure function of its key, so superseding
+    records are rare (a recompute after an undecodable record) and the
+    log is never rewritten.
 
     Lookups are exact-match on the key's canonical bytes. All operations
     are serialized by an internal mutex, so a parallel sweep may insert
     from several domains concurrently.
 
-    Hits, misses, inserts and compaction evictions are counted both in
-    {!stats} (always) and into the {!Ncg_obs.Metrics} counters
-    [store.hits] / [store.misses] / [store.inserts] / [store.evictions]
+    Hits, misses, inserts and heals are counted both in {!stats}
+    (always) and into the {!Ncg_obs.Metrics} counters [store.hits] /
+    [store.misses] / [store.inserts] / [store.heals]
     (observed while a Metrics collector is installed in the calling
     domain). *)
 
@@ -44,13 +45,12 @@ type stats = {
   live : int;  (** distinct keys *)
   replayed : int;  (** records recovered at open *)
   dropped_bytes : int;  (** torn-tail bytes truncated at open *)
-  compactions : int;  (** over the store's whole history (from manifest) *)
   heals : int;  (** in-place log reopens after a failed append *)
 }
 
 (** [open_dir ?sync dir] opens (creating directories as needed) the
-    store at [dir], replays the record log (repairing a torn tail) and
-    rewrites the manifest. [sync] (default [true]) is passed to
+    store at [dir] and replays the record log (repairing a torn tail).
+    [sync] (default [true]) is passed to
     {!Record_log.openfile}.
 
     At most one handle per directory, in this process or any other:
@@ -88,15 +88,9 @@ val live_count : t -> int
 (** Bytes currently occupied by the record log. *)
 val log_size : t -> int
 
-(** [compact t] rewrites the log keeping only live records (in first-
-    insertion order), fsyncs the replacement and atomically renames it
-    over the old log. A crash during compaction leaves the old log
-    intact. No-op when nothing is superseded. *)
-val compact : t -> unit
-
 val stats : t -> stats
 
-(** Rewrite the manifest and close the log. Further operations raise. *)
+(** Close the log and release the lock. Further operations raise. *)
 val close : t -> unit
 
 (** [with_dir ?sync dir f] opens, runs [f], and closes (also on

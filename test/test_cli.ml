@@ -1,7 +1,8 @@
 (* End-to-end checks of the ncg_experiment binary, run as a child process
    on a 9-cell tree grid: a stored sweep killed mid-run resumes to the
    uninterrupted CSV, sweeps under seeded fault plans quarantine exactly
-   the reported cells, and retired flags are usage errors. *)
+   the reported cells, ncg_top's post-hoc report reads every cell of the
+   telemetry, and retired flags are usage errors. *)
 
 module Json = Ncg_obs.Json
 
@@ -9,12 +10,14 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-(* The binary sits next to this test in the build tree: dune builds it
-   first (see the test's deps). *)
-let exe =
+(* The binaries sit next to this test in the build tree: dune builds
+   them first (see the test's deps). *)
+let built name =
   Filename.concat
     (Filename.dirname Sys.executable_name)
-    (Filename.concat Filename.parent_dir_name "bin/ncg_experiment.exe")
+    (Filename.concat Filename.parent_dir_name ("bin/" ^ name ^ ".exe"))
+
+let exe = built "ncg_experiment"
 
 let grid =
   [
@@ -39,27 +42,28 @@ let with_temp_dir f =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* Start [exe args] with stdout and stderr redirected to files. *)
-let spawn ~out ~err args =
+(* Start [prog args] (ncg_experiment by default) with stdout and stderr
+   redirected to files. *)
+let spawn ?(prog = exe) ~out ~err args =
   let fd path = Unix.openfile path [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
   let o = fd out and e = fd err in
   Fun.protect
     ~finally:(fun () ->
       Unix.close o;
       Unix.close e)
-    (fun () -> Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin o e)
+    (fun () -> Unix.create_process prog (Array.of_list (prog :: args)) Unix.stdin o e)
 
-(* Run [exe args] to completion; returns its exit code. *)
-let run ~out ~err args =
-  match Unix.waitpid [] (spawn ~out ~err args) with
+(* Run [prog args] to completion; returns its exit code. *)
+let run ?prog ~out ~err args =
+  match Unix.waitpid [] (spawn ?prog ~out ~err args) with
   | _, WEXITED code -> code
   | _, (WSIGNALED s | WSTOPPED s) ->
-      Alcotest.failf "ncg_experiment died of signal %d; stderr:\n%s" s (read_file err)
+      Alcotest.failf "child died of signal %d; stderr:\n%s" s (read_file err)
 
-let run_ok ~out ~err args =
-  let code = run ~out ~err args in
+let run_ok ?prog ~out ~err args =
+  let code = run ?prog ~out ~err args in
   if code <> 0 then
-    Alcotest.failf "ncg_experiment exited %d; stderr:\n%s" code (read_file err)
+    Alcotest.failf "child exited %d; stderr:\n%s" code (read_file err)
 
 (* The uninterrupted, fault-free CSV every other run is held to. *)
 let clean_csv dir =
@@ -218,6 +222,46 @@ let plans =
     ("sweep.cell=raise@p:0.5,dynamics.round=delay:1@p:0.005", 23);
   ]
 
+(* --- Post-hoc report of the sweep telemetry --------------------------------- *)
+
+(* The rows of the report's summary table, split into trimmed cells. *)
+let summary_rows report =
+  let rec skip_to_header = function
+    | l :: rest when String.starts_with ~prefix:"| alpha | k |" l -> rows rest
+    | _ :: rest -> skip_to_header rest
+    | [] -> Alcotest.fail "no summary table in the post-hoc report"
+  and rows = function
+    | sep :: rest when String.starts_with ~prefix:"| ---" sep -> rows rest
+    | l :: rest when String.starts_with ~prefix:"|" l ->
+        let cols = String.split_on_char '|' l in
+        List.map String.trim (List.filteri (fun i _ -> i > 0 && i < List.length cols - 1) cols)
+        :: rows rest
+    | _ -> []
+  in
+  skip_to_header (String.split_on_char '\n' report)
+
+let test_post_hoc_reads_every_cell () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir in
+      run_ok ~out:(path "sweep.csv") ~err:(path "sweep.err")
+        (grid @ [ "--telemetry"; path "telemetry.json" ]);
+      run_ok ~prog:(built "ncg_top") ~out:(path "report.md") ~err:(path "top.err")
+        [ "--post-hoc"; "--telemetry"; path "telemetry.json" ];
+      let rows = summary_rows (read_file (path "report.md")) in
+      check_int "one summary row per cell" cells (List.length rows);
+      List.iter
+        (function
+          | alpha :: k :: _wall :: rounds :: quality :: converged :: _ ->
+              List.iter
+                (fun (column, v) ->
+                  check_bool
+                    (Printf.sprintf "alpha=%s k=%s: %s %S is numeric" alpha k column v)
+                    true
+                    (Option.is_some (float_of_string_opt v)))
+                [ ("rounds", rounds); ("quality", quality); ("converged", converged) ]
+          | row -> Alcotest.failf "short summary row: %s" (String.concat " | " row))
+        rows)
+
 (* --- Retired flags -------------------------------------------------------- *)
 
 let test_retired_flags () =
@@ -228,7 +272,7 @@ let test_retired_flags () =
           let code = run ~out:(path "out.csv") ~err:(path "err.txt") (grid @ args) in
           (* cmdliner's exit code for a command-line parse error. *)
           check_int (String.concat " " args ^ " is a usage error") 124 code)
-        [ [ "--max-retries"; "1" ]; [ "--retry-backoff-ms"; "5" ] ])
+        [ [ "--max-retries"; "1" ]; [ "--retry-backoff-ms"; "5" ]; [ "--no-cache" ] ])
 
 let () =
   Alcotest.run "ncg_experiment"
@@ -241,6 +285,11 @@ let () =
               (Printf.sprintf "seed %d: %s" seed plan)
               `Quick (test_fault_plan p))
           plans );
+      ( "telemetry",
+        [
+          Alcotest.test_case "post-hoc report reads every cell" `Quick
+            test_post_hoc_reads_every_cell;
+        ] );
       ( "flags",
         [ Alcotest.test_case "retired flags rejected" `Quick test_retired_flags ] );
     ]

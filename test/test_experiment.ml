@@ -57,13 +57,17 @@ let test_run_one () =
     (r.Experiment.min_view >= 1 && r.Experiment.avg_view >= float_of_int r.Experiment.min_view);
   check_bool "social cost positive" true (r.Experiment.social_cost > 0.0)
 
+(* The runs of one cell: trial j starts from the j-th seed derived from
+   [cell_seed]. *)
+let cell_runs ~alpha ~k ~n ~trials ~cell_seed =
+  (Experiment.run_cell
+     ~make_initial:(fun ~seed -> Experiment.initial_tree ~seed ~n)
+     ~make_config:(fun _ -> Dynamics.default_config ~alpha ~k)
+     ~trials ~cell_seed { Experiment.alpha; k })
+    .Experiment.runs
+
 let test_trials_and_summaries () =
-  let cfg = Dynamics.default_config ~alpha:2.0 ~k:3 in
-  let runs =
-    Experiment.trials
-      ~make_initial:(fun ~seed -> Experiment.initial_tree ~seed ~n:12)
-      ~config:cfg ~trials:5 ~seed:100
-  in
+  let runs = cell_runs ~alpha:2.0 ~k:3 ~n:12 ~trials:5 ~cell_seed:100 in
   check_int "five runs" 5 (List.length runs);
   let q = Experiment.summarize (fun r -> r.Experiment.quality) runs in
   check_int "summary n" 5 q.Ncg_stats.Summary.n;
@@ -72,12 +76,7 @@ let test_trials_and_summaries () =
   check_bool "most converge" true (frac >= 0.8)
 
 let test_trials_deterministic () =
-  let cfg = Dynamics.default_config ~alpha:1.0 ~k:2 in
-  let run () =
-    Experiment.trials
-      ~make_initial:(fun ~seed -> Experiment.initial_tree ~seed ~n:10)
-      ~config:cfg ~trials:3 ~seed:42
-  in
+  let run () = cell_runs ~alpha:1.0 ~k:2 ~n:10 ~trials:3 ~cell_seed:42 in
   let a = List.map (fun r -> r.Experiment.social_cost) (run ()) in
   let b = List.map (fun r -> r.Experiment.social_cost) (run ()) in
   Alcotest.(check (list (float 1e-12))) "reproducible" a b
@@ -124,16 +123,27 @@ let test_derive_seeds_golden () =
   check_bool "seed 0 stream frozen" true
     (Experiment.derive_seeds ~seed:0 ~count:4 = golden_0)
 
-let sweep_fixture ?probes ~domains () =
-  Experiment.sweep ?probes ~domains
-    ~make_initial:(fun ~seed -> Experiment.initial_tree ~seed ~n:12)
-    ~make_config:(fun (c : Experiment.cell) ->
-      {
-        (Dynamics.default_config ~alpha:c.Experiment.alpha ~k:c.Experiment.k) with
-        Dynamics.collect_features = false;
-      })
-    ~cells:(Experiment.grid ~alphas:[ 0.5; 2.0 ] ~ks:[ 2; 3; 1000 ])
-    ~trials:3 ~seed:2014 ()
+(* Every result of a spec's sweep, in cell order; a quarantine fails the
+   test. *)
+let ok_results outcomes =
+  List.map
+    (function
+      | Ok (r : Experiment.cell_result) -> r
+      | Error (f : Experiment.cell_failure) ->
+          Alcotest.failf "cell %d quarantined" f.Experiment.index)
+    outcomes
+
+let sweep_fixture ?(probes = true) ~domains () =
+  ok_results
+    (Sweep_spec.sweep ~domains
+       {
+         Sweep_spec.default with
+         n = 12;
+         trials = 3;
+         alphas = [ 0.5; 2.0 ];
+         ks = [ 2; 3; 1000 ];
+         probes;
+       })
 
 let test_sweep_shape () =
   let results = sweep_fixture ~domains:1 () in
@@ -291,17 +301,11 @@ let test_sweep_counters_isolated_per_cell () =
        outer);
   check_bool "totals positive" true (List.assoc "bfs.calls" totals > 0)
 
-(* Every cell of a spec's default supervised sweep, as (cell, result). *)
+(* Every cell of a spec's sweep, as (cell, result). *)
 let spec_results spec =
-  Experiment.sweep_supervised ~store_context:(Sweep_spec.context spec)
-    ~probes:spec.Sweep_spec.probes
-    ~make_initial:(Sweep_spec.make_initial spec)
-    ~make_config:(Sweep_spec.make_config spec) ~cells:(Sweep_spec.cells spec)
-    ~trials:spec.Sweep_spec.trials ~seed:spec.Sweep_spec.seed ()
-  |> List.map (function
-       | Ok (r : Experiment.cell_result) -> (r.Experiment.cell, r)
-       | Error (f : Experiment.cell_failure) ->
-           Alcotest.failf "cell %d quarantined" f.Experiment.index)
+  List.map
+    (fun (r : Experiment.cell_result) -> (r.Experiment.cell, r))
+    (ok_results (Sweep_spec.sweep spec))
 
 let test_overlapping_grids_agree () =
   (* A cell's row is a function of (seed, alpha, k): two sweeps over

@@ -1,6 +1,6 @@
 (* Tests for the crash-safe result store: CRC-32, record framing and
    torn-tail recovery, content-addressed cache keys, supersede +
-   compaction, and resuming an interrupted sweep from the store. *)
+   last-write-wins replay, and resuming an interrupted sweep from the store. *)
 
 module Crc32 = Ncg_store.Crc32
 module Record_log = Ncg_store.Record_log
@@ -8,7 +8,6 @@ module Cache_key = Ncg_store.Cache_key
 module Store = Ncg_store.Store
 module Experiment = Ncg.Experiment
 module Sweep_spec = Ncg.Sweep_spec
-module Dynamics = Ncg.Dynamics
 module Json = Ncg_obs.Json
 
 let check_int = Alcotest.(check int)
@@ -223,40 +222,7 @@ let test_store_basic () =
           check_int "live after reopen" 2 (Store.live_count s);
           check_bool "latest wins after reopen" true
             (Store.lookup s (key 1) = Some "one v2");
-          check_bool "other key intact" true (Store.lookup s (key 2) = Some "two"));
-      check_bool "manifest written" true
-        (Sys.file_exists (Filename.concat dir "MANIFEST.json"));
-      match Json.of_string (read_file (Filename.concat dir "MANIFEST.json")) with
-      | Error e -> Alcotest.fail ("manifest not valid JSON: " ^ e)
-      | Ok (Json.Obj fields) ->
-          check_bool "manifest live count" true
-            (List.assoc_opt "live" fields = Some (Json.Int 2))
-      | Ok _ -> Alcotest.fail "manifest not an object")
-
-let test_store_compaction () =
-  with_temp_dir (fun dir ->
-      Store.with_dir dir (fun s ->
-          Store.insert s (key 1) "a";
-          Store.insert s (key 1) "b";
-          Store.insert s (key 1) "c";
-          Store.insert s (key 2) "z";
-          let before = Store.log_size s in
-          Store.compact s;
-          let after = Store.log_size s in
-          check_bool "log shrank" true (after < before);
-          check_bool "latest survives" true (Store.lookup s (key 1) = Some "c");
-          check_bool "other key survives" true (Store.lookup s (key 2) = Some "z");
-          check_int "nothing superseded now" 0 (Store.stats s).Store.superseded;
-          check_int "compactions counted" 1 (Store.stats s).Store.compactions;
-          (* No superseded records: compacting again is a no-op. *)
-          Store.compact s;
-          check_int "no-op compaction not counted" 1 (Store.stats s).Store.compactions;
-          check_int "no-op keeps size" after (Store.log_size s));
-      Store.with_dir dir (fun s ->
-          let st = Store.stats s in
-          check_int "replays only live records" 2 st.Store.replayed;
-          check_int "compactions persisted" 1 st.Store.compactions;
-          check_bool "latest still wins" true (Store.lookup s (key 1) = Some "c")))
+          check_bool "other key intact" true (Store.lookup s (key 2) = Some "two")))
 
 let test_store_truncated_log_recovers () =
   with_temp_dir (fun dir ->
@@ -287,18 +253,25 @@ let test_store_truncated_log_recovers () =
 
 (* --- Sweep integration: cache round-trip and crash resume ----------------- *)
 
-let fixture_cells = Experiment.grid ~alphas:[ 0.5; 2.0 ] ~ks:[ 2; 1000 ]
+let fixture =
+  {
+    Sweep_spec.default with
+    n = 10;
+    trials = 2;
+    alphas = [ 0.5; 2.0 ];
+    ks = [ 2; 1000 ];
+  }
 
+let fixture_cells = Sweep_spec.cells fixture
+
+(* The fixture's results in cell order; a quarantine fails the test. *)
 let sweep_fixture ?store ~domains () =
-  Experiment.sweep ~domains ?store
-    ~store_context:[ ("fixture", Json.String "test_store") ]
-    ~make_initial:(fun ~seed -> Experiment.initial_tree ~seed ~n:10)
-    ~make_config:(fun (c : Experiment.cell) ->
-      {
-        (Dynamics.default_config ~alpha:c.Experiment.alpha ~k:c.Experiment.k) with
-        Dynamics.collect_features = false;
-      })
-    ~cells:fixture_cells ~trials:2 ~seed:2014 ()
+  List.map
+    (function
+      | Ok (r : Experiment.cell_result) -> r
+      | Error (f : Experiment.cell_failure) ->
+          Alcotest.failf "cell %d quarantined" f.Experiment.index)
+    (Sweep_spec.sweep ~domains ?store fixture)
 
 (* The deterministic projection of a cell result — what must be identical
    between a fresh and a resumed sweep for any domain count (timing
@@ -372,12 +345,7 @@ let test_sweep_store_roundtrip () =
         (compare populated cached = 0))
 
 (* The key [sweep_fixture] files [cell] under. *)
-let fixture_key cell =
-  Experiment.cell_cache_key
-    ~context:[ ("fixture", Json.String "test_store") ]
-    ~seed:2014 ~trials:2
-    ~cell_seed:(Experiment.cell_seed_of_cell ~seed:2014 cell)
-    cell
+let fixture_key = Sweep_spec.cache_key fixture
 
 (* [doc] with every probe series capacity set to 1: well-formed JSON
    that [Timeseries.create] would reject by raising. Only probe
@@ -456,11 +424,7 @@ let test_sweep_resume_after_kill () =
 (* Every cell of [spec] as (cell, CSV row), swept the way
    [ncg_experiment --store] sweeps it. *)
 let spec_rows ?store spec =
-  Experiment.sweep_supervised ?store ~store_context:(Sweep_spec.context spec)
-    ~probes:spec.Sweep_spec.probes
-    ~make_initial:(Sweep_spec.make_initial spec)
-    ~make_config:(Sweep_spec.make_config spec) ~cells:(Sweep_spec.cells spec)
-    ~trials:spec.Sweep_spec.trials ~seed:spec.Sweep_spec.seed ()
+  Sweep_spec.sweep ?store spec
   |> List.map (function
        | Ok (r : Experiment.cell_result) ->
            (r.Experiment.cell, Sweep_spec.csv_row spec r)
@@ -711,7 +675,6 @@ let () =
       ( "store",
         [
           Alcotest.test_case "insert/lookup/supersede" `Quick test_store_basic;
-          Alcotest.test_case "compaction" `Quick test_store_compaction;
           Alcotest.test_case "truncated log recovers" `Quick
             test_store_truncated_log_recovers;
           Alcotest.test_case "heals after failed insert" `Quick
