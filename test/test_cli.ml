@@ -285,7 +285,7 @@ let () =
               (Printf.sprintf "seed %d: %s" seed plan)
               `Quick (test_fault_plan p))
           plans );
-      ( "telemetry",
+      ( "top",
         [
           Alcotest.test_case "post-hoc report reads every cell" `Quick
             test_post_hoc_reads_every_cell;
