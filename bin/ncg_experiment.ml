@@ -289,11 +289,8 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
                             @ [
                                 ( "csv_row_prefix",
                                   Json.String
-                                    (Printf.sprintf "%s,%d,%g,%g,%d,%d,"
-                                       graph_class n p
-                                       f.Experiment.cell.Experiment.alpha
-                                       f.Experiment.cell.Experiment.k trials)
-                                );
+                                    (Experiment.csv_row_prefix ~graph_class ~n ~p
+                                       ~trials f.Experiment.cell) );
                               ])
                       | j -> j)
                     failures) );

@@ -541,15 +541,17 @@ let csv_header =
    quality_mean,quality_ci,unfairness_mean,unfairness_ci,diameter_mean,\
    max_degree_mean,max_bought_mean,min_view_mean,avg_view_mean,social_cost_mean"
 
+let csv_row_prefix ~graph_class ~n ~p ~trials cell =
+  Printf.sprintf "%s,%d,%g,%g,%d,%d," graph_class n p cell.alpha cell.k trials
+
 let csv_row ~graph_class ~n ~p ~trials (r : cell_result) =
   let runs = r.runs in
   let mean f = (summarize f runs).Summary.mean in
   let quality = summarize (fun r -> r.quality) runs in
   let rounds = summarize (fun r -> float_of_int r.rounds) runs in
   let unfair = summarize (fun r -> r.unfairness) runs in
-  Printf.sprintf
-    "%s,%d,%g,%g,%d,%d,%.2f,%.2f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f"
-    graph_class n p r.cell.alpha r.cell.k trials
+  csv_row_prefix ~graph_class ~n ~p ~trials r.cell
+  ^ Printf.sprintf "%.2f,%.2f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f"
     (fraction (fun r -> r.converged) runs)
     (fraction (fun r -> r.cycled) runs)
     rounds.Summary.mean rounds.Summary.ci95 quality.Summary.mean

@@ -277,6 +277,13 @@ val cell_seed_of_cell : seed:int -> cell -> int
 (** The CSV header row of [ncg_experiment]'s output. *)
 val csv_header : string
 
+(** [csv_row_prefix ~graph_class ~n ~p ~trials cell] is the cell's
+    identity columns (class, n, p, alpha, k, trials), comma-terminated:
+    the exact start of its {!csv_row}. Quarantined cells, which have no
+    row, are reported by this prefix. *)
+val csv_row_prefix :
+  graph_class:string -> n:int -> p:float -> trials:int -> cell -> string
+
 (** [csv_row ~graph_class ~n ~p ~trials r] renders one result row
     (no trailing newline) in the exact format of {!csv_header}. Every
     sweep path renders through this function, so byte-identity of their

@@ -10,6 +10,8 @@ let set_cover_solves = register "set_cover.solves"
 let set_cover_nodes = register "set_cover.bb_nodes"
 let set_cover_cutoffs = register "set_cover.bb_cutoffs"
 let set_cover_greedy = register "set_cover.greedy_runs"
+let set_cover_root_decided = register "set_cover.root_decided"
+let set_cover_budget_exhausted = register "set_cover.budget_exhausted"
 let best_response_calls = register "best_response.calls"
 let best_response_radii = register "best_response.radii_tried"
 let sum_best_response_calls = register "sum_best_response.calls"

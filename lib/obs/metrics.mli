@@ -40,6 +40,12 @@ val set_cover_cutoffs : counter  (** lower-bound prunes in [Set_cover.solve] *)
 
 val set_cover_greedy : counter  (** greedy warm starts / greedy solves *)
 
+val set_cover_root_decided : counter
+(** [Set_cover.solve] calls decided by its root triage, with no search *)
+
+val set_cover_budget_exhausted : counter
+(** [Set_cover.solve] calls whose search stopped on [node_budget] *)
+
 val best_response_calls : counter  (** [Best_response.compute] invocations *)
 
 val best_response_radii : counter  (** dominating-set radii (h values) tried *)

@@ -24,10 +24,13 @@ type workspace = {
      fresh [int list array] per solve. *)
   mutable cov_off : int array;
   mutable cov_idx : int array;
+  (* Root triage's bucket counts: [by_coverage.(r)] sets cover exactly r
+     elements of the initial uncovered set. *)
+  mutable by_coverage : int array;
 }
 
 let create_workspace () =
-  { cap = -1; pool = []; cov_off = [||]; cov_idx = [||] }
+  { cap = -1; pool = []; cov_off = [||]; cov_idx = [||]; by_coverage = [||] }
 
 let acquire ws n =
   if ws.cap <> n then begin
@@ -101,13 +104,14 @@ let feasible candidates uncovered =
   Array.iter (fun (_, s) -> Bitset.union_into ~into:coverable s) candidates;
   Bitset.subset uncovered coverable
 
-let greedy_on ws candidates uncovered0 =
+(* Greedy over [candidates], giving up (as uncovered) after [limit] picks. *)
+let greedy_on ?(limit = max_int) ws candidates uncovered0 =
   Ncg_obs.Metrics.(incr set_cover_greedy);
   let uncovered = acquire ws (Bitset.capacity uncovered0) in
   Bitset.copy_into ~into:uncovered uncovered0;
-  let chosen = ref [] in
+  let chosen = ref [] and picks = ref 0 in
   let continue_ = ref true in
-  while (not (Bitset.is_empty uncovered)) && !continue_ do
+  while (not (Bitset.is_empty uncovered)) && !continue_ && !picks < limit do
     Ncg_fault.Cancel.checkpoint ();
     let best = ref (-1) and best_gain = ref 0 in
     Array.iteri
@@ -122,6 +126,7 @@ let greedy_on ws candidates uncovered0 =
     else begin
       let orig, s = candidates.(!best) in
       chosen := orig :: !chosen;
+      incr picks;
       Bitset.diff_into ~into:uncovered s
     end
   done;
@@ -209,122 +214,174 @@ let lower_bound ws candidates uncovered =
   release ws rest;
   !lb
 
+(* Root triage: decide a solve from the coverages r_i = |sets_i ∩ U| of
+   the initial uncovered set U alone, before any candidate cut exists.
+   [Some answer] is exactly what [search] would return:
+
+   - cap < 1: U is non-empty, so no cover of size <= cap exists;
+   - [i], the first set with r_i = |U|: it survives the dominance filter
+     (only a lower-index equal cut could drop it), greedy takes it as the
+     first maximum gain, and the search never beats cardinality 1;
+   - the fewest sets whose largest coverages add up to |U| exceed cap
+     (or even all of them fall short): no cover of size <= cap exists, so
+     neither greedy nor the search, budgeted or not, finds one. With
+     cap = 1 and no superset of U this always fires.
+
+   The coverage-sum bound is applied at the root only; the per-node bound
+   stays the independent-element packing, so the search's visit order and
+   its budgeted answers are unchanged. *)
+let triage ws inst uncovered ~cap =
+  if cap < 1 then Some None
+  else begin
+    let u = Bitset.cardinal uncovered in
+    if Array.length ws.by_coverage <= u then ws.by_coverage <- Array.make (u + 1) 0;
+    let count = ws.by_coverage in
+    Array.fill count 0 (u + 1) 0;
+    let n = Array.length inst.sets in
+    let rec superset i =
+      if i = n then None
+      else begin
+        let r = Bitset.inter_cardinal inst.sets.(i) uncovered in
+        if r = u then Some i
+        else begin
+          count.(r) <- count.(r) + 1;
+          superset (i + 1)
+        end
+      end
+    in
+    match superset 0 with
+    | Some i -> Some (Some [ i ])
+    | None ->
+        (* [need] sets of coverage > r add up to [sum] < u. *)
+        let rec fewest r ~sum ~need =
+          if r = 0 then max_int
+          else begin
+            let c = count.(r) in
+            let take = (u - sum + r - 1) / r in
+            if take <= c then need + take
+            else fewest (r - 1) ~sum:(sum + (c * r)) ~need:(need + c)
+          end
+        in
+        if fewest (u - 1) ~sum:0 ~need:0 > cap then Some None else None
+  end
+
+(* Branch and bound below the root: candidate cuts, dominance filter,
+   cover index, greedy incumbent, then the search. *)
+let search ws inst uncovered0 ~cap ~node_budget =
+  let candidates = reduced_candidates ws inst uncovered0 in
+  if not (feasible candidates uncovered0) then begin
+    release_candidates ws candidates;
+    None
+  end
+  else begin
+    let ncand = Array.length candidates in
+    let u_cap = inst.universe in
+    (* Flat covers index into the workspace arrays: counts at [e + 1],
+       prefix-summed to starts, then a cursor pass that leaves
+       [cov_off.(e)] at the *end* of element e's slice (so the start is
+       [cov_off.(e - 1)], or 0 for e = 0). Candidate order inside a slice
+       is ascending, exactly as the former per-element lists. *)
+    if Array.length ws.cov_off < u_cap + 1 then
+      ws.cov_off <- Array.make (u_cap + 1) 0;
+    let cov_off = ws.cov_off in
+    Array.fill cov_off 0 (u_cap + 1) 0;
+    Array.iter
+      (fun (_, s) -> Bitset.iter (fun e -> cov_off.(e + 1) <- cov_off.(e + 1) + 1) s)
+      candidates;
+    for e = 1 to u_cap do
+      cov_off.(e) <- cov_off.(e) + cov_off.(e - 1)
+    done;
+    let total = cov_off.(u_cap) in
+    if Array.length ws.cov_idx < total then ws.cov_idx <- Array.make total 0;
+    let cov_idx = ws.cov_idx in
+    for ci = 0 to ncand - 1 do
+      let _, s = candidates.(ci) in
+      Bitset.iter
+        (fun e ->
+          cov_idx.(cov_off.(e)) <- ci;
+          cov_off.(e) <- cov_off.(e) + 1)
+        s
+    done;
+    let cov_start e = if e = 0 then 0 else cov_off.(e - 1) in
+    (* Incumbent from greedy, which gives up beyond the cap. *)
+    let best_card = ref (cap + 1) in
+    let best_sol = ref None in
+    (match greedy_on ~limit:cap ws candidates uncovered0 with
+    | Some chosen ->
+        best_card := List.length chosen;
+        best_sol := Some chosen
+    | None -> ());
+    let nodes = ref 0 in
+    let rec branch uncovered depth acc =
+      (* Cooperative cancellation per B&B node: an executor deadline
+         (--cell-deadline-ms) or step budget can cut off one oversized
+         solve instead of waiting for the node budget. One atomic read
+         when nothing is armed. *)
+      Ncg_fault.Cancel.checkpoint ();
+      incr nodes;
+      if !nodes > node_budget then ()
+      else if Bitset.is_empty uncovered then begin
+        if depth < !best_card then begin
+          best_card := depth;
+          best_sol := Some (List.rev acc)
+        end
+      end
+      else if depth + 1 < !best_card then begin
+        let lb = lower_bound ws candidates uncovered in
+        if depth + lb >= !best_card then
+          Ncg_obs.Metrics.(incr set_cover_cutoffs)
+        else begin
+          (* Branch on the uncovered element with fewest live candidates. *)
+          let pick = ref (-1) and pick_count = ref max_int in
+          Bitset.iter
+            (fun e ->
+              let c = cov_off.(e) - cov_start e in
+              if c < !pick_count then begin
+                pick := e;
+                pick_count := c
+              end)
+            uncovered;
+          let e = !pick in
+          (* Try candidates covering e, largest residual coverage first. *)
+          let opts = ref [] in
+          for i = cov_off.(e) - 1 downto cov_start e do
+            let ci = cov_idx.(i) in
+            let _, s = candidates.(ci) in
+            opts := (ci, Bitset.inter_cardinal s uncovered) :: !opts
+          done;
+          let opts = !opts in
+          let opts = List.sort (fun (_, a) (_, b) -> compare b a) opts in
+          List.iter
+            (fun (ci, _) ->
+              if depth + 1 < !best_card then begin
+                let orig, s = candidates.(ci) in
+                let uncovered' = acquire ws inst.universe in
+                Bitset.copy_into ~into:uncovered' uncovered;
+                Bitset.diff_into ~into:uncovered' s;
+                branch uncovered' (depth + 1) (orig :: acc);
+                release ws uncovered'
+              end)
+            opts
+        end
+      end
+    in
+    branch uncovered0 0 [];
+    release_candidates ws candidates;
+    Ncg_obs.Metrics.(add set_cover_nodes !nodes);
+    if !nodes > node_budget then Ncg_obs.Metrics.(incr set_cover_budget_exhausted);
+    Option.map (fun chosen -> { chosen; cardinality = !best_card }) !best_sol
+  end
+
 let solve ?ws ?max_size ?(node_budget = max_int) inst =
   Ncg_obs.Histogram.(time set_cover) @@ fun () ->
   Ncg_obs.Metrics.(incr set_cover_solves);
   let ws = match ws with Some w -> w | None -> create_workspace () in
   let uncovered0 = initial_uncovered inst in
+  let cap = match max_size with Some m -> m | None -> inst.universe + 1 in
   if Bitset.is_empty uncovered0 then Some { chosen = []; cardinality = 0 }
-  else begin
-    let candidates = reduced_candidates ws inst uncovered0 in
-    if not (feasible candidates uncovered0) then begin
-      release_candidates ws candidates;
-      None
-    end
-    else begin
-      let ncand = Array.length candidates in
-      let u_cap = inst.universe in
-      (* Flat covers index into the workspace arrays: counts at [e + 1],
-         prefix-summed to starts, then a cursor pass that leaves
-         [cov_off.(e)] at the *end* of element e's slice (so the start is
-         [cov_off.(e - 1)], or 0 for e = 0). Candidate order inside a slice
-         is ascending, exactly as the former per-element lists. *)
-      if Array.length ws.cov_off < u_cap + 1 then
-        ws.cov_off <- Array.make (u_cap + 1) 0;
-      let cov_off = ws.cov_off in
-      Array.fill cov_off 0 (u_cap + 1) 0;
-      Array.iter
-        (fun (_, s) -> Bitset.iter (fun e -> cov_off.(e + 1) <- cov_off.(e + 1) + 1) s)
-        candidates;
-      for e = 1 to u_cap do
-        cov_off.(e) <- cov_off.(e) + cov_off.(e - 1)
-      done;
-      let total = cov_off.(u_cap) in
-      if Array.length ws.cov_idx < total then ws.cov_idx <- Array.make total 0;
-      let cov_idx = ws.cov_idx in
-      for ci = 0 to ncand - 1 do
-        let _, s = candidates.(ci) in
-        Bitset.iter
-          (fun e ->
-            cov_idx.(cov_off.(e)) <- ci;
-            cov_off.(e) <- cov_off.(e) + 1)
-          s
-      done;
-      let cov_start e = if e = 0 then 0 else cov_off.(e - 1) in
-      (* Incumbent from greedy; cap by max_size if provided. *)
-      let cap =
-        match max_size with Some m -> m | None -> inst.universe + 1
-      in
-      let best_card = ref (cap + 1) in
-      let best_sol = ref None in
-      (match greedy_on ws candidates uncovered0 with
-      | Some chosen ->
-          let c = List.length chosen in
-          if c <= cap then begin
-            best_card := c;
-            best_sol := Some chosen
-          end
-      | None -> ());
-      let nodes = ref 0 in
-      let rec branch uncovered depth acc =
-        (* Cooperative cancellation per B&B node: an executor deadline
-           (--cell-deadline-ms) or step budget can cut off one oversized
-           solve instead of waiting for the node budget. One atomic read
-           when nothing is armed. *)
-        Ncg_fault.Cancel.checkpoint ();
-        incr nodes;
-        if !nodes > node_budget then ()
-        else if Bitset.is_empty uncovered then begin
-          if depth < !best_card then begin
-            best_card := depth;
-            best_sol := Some (List.rev acc)
-          end
-        end
-        else if depth + 1 < !best_card then begin
-          let lb = lower_bound ws candidates uncovered in
-          if depth + lb >= !best_card then
-            Ncg_obs.Metrics.(incr set_cover_cutoffs)
-          else begin
-            (* Branch on the uncovered element with fewest live candidates. *)
-            let pick = ref (-1) and pick_count = ref max_int in
-            Bitset.iter
-              (fun e ->
-                let c = cov_off.(e) - cov_start e in
-                if c < !pick_count then begin
-                  pick := e;
-                  pick_count := c
-                end)
-              uncovered;
-            let e = !pick in
-            (* Try candidates covering e, largest residual coverage first. *)
-            let opts = ref [] in
-            for i = cov_off.(e) - 1 downto cov_start e do
-              let ci = cov_idx.(i) in
-              let _, s = candidates.(ci) in
-              opts := (ci, Bitset.inter_cardinal s uncovered) :: !opts
-            done;
-            let opts = !opts in
-            let opts = List.sort (fun (_, a) (_, b) -> compare b a) opts in
-            List.iter
-              (fun (ci, _) ->
-                if depth + 1 < !best_card then begin
-                  let orig, s = candidates.(ci) in
-                  let uncovered' = acquire ws inst.universe in
-                  Bitset.copy_into ~into:uncovered' uncovered;
-                  Bitset.diff_into ~into:uncovered' s;
-                  branch uncovered' (depth + 1) (orig :: acc);
-                  release ws uncovered'
-                end)
-              opts
-          end
-        end
-      in
-      branch uncovered0 0 [];
-      release_candidates ws candidates;
-      Ncg_obs.Metrics.(add set_cover_nodes !nodes);
-      match !best_sol with
-      | Some chosen when !best_card <= cap ->
-          Some { chosen; cardinality = !best_card }
-      | _ -> None
-    end
-  end
+  else
+    match triage ws inst uncovered0 ~cap with
+    | Some decided ->
+        Ncg_obs.Metrics.(incr set_cover_root_decided);
+        Option.map (fun chosen -> { chosen; cardinality = List.length chosen }) decided
+    | None -> search ws inst uncovered0 ~cap ~node_budget

@@ -7,13 +7,27 @@
     whose union covers the universe, possibly on top of a set of elements
     that are [pre_covered] for free.
 
-    The exact solver is a branch-and-bound search branching on the element
-    with the fewest remaining candidates, with
+    The exact solver first triages the root from the coverages
+    [r_i = |sets.(i) ∩ U|] of the uncovered set [U], one pass over [sets]
+    with no per-candidate allocation. It answers without a search when
 
-    - a greedy warm start for the incumbent,
+    - some set covers [U]: the lowest-index such set;
+    - [max_size] is below 1, or the fewest sets whose largest [r_i] add
+      up to [|U|] exceed [max_size] (a valid lower bound): [None].
+
+    Every other instance goes to a branch-and-bound search branching on
+    the element with the fewest remaining candidates, with
+
+    - candidate dominance elimination at the root,
+    - a greedy warm start for the incumbent, stopped after [max_size]
+      picks, and
     - a lower bound from a greedily-built family of pairwise "independent"
-      elements (no candidate covers two of them), and
-    - candidate dominance elimination at the root.
+      elements (no candidate covers two of them).
+
+    The triage returns exactly what the search would, so it changes no
+    answer, only the work: most best-response solves (one of the sets is
+    the whole uncovered ball, or the cap is too tight) never build the
+    candidate cuts, the dominance filter or the cover index.
 
     Views in the paper's experiments have ≤ ~200 vertices and their power
     graphs are dense, so instances are small; the B&B solves them in
@@ -42,13 +56,21 @@ val create_workspace : unit -> workspace
 (** [solve ?ws ?max_size ?node_budget inst] is the optimal solution, or [None]
     when the instance is infeasible (some element is in no candidate set)
     or every cover needs more than [max_size] sets. [max_size] defaults to
-    unbounded; passing the best-known bound prunes the search.
+    unbounded; passing the best-known bound prunes the search. An
+    optimum of one set is always the lowest-index set covering every
+    element that is not [pre_covered].
 
     [node_budget] caps the number of branch-and-bound nodes explored
     (default: unbounded). When the budget is exhausted the incumbent —
     never worse than the greedy warm start — is returned, so the solver
     degrades gracefully into an anytime heuristic on pathological dense
-    instances while remaining exact everywhere the search completes. *)
+    instances while remaining exact everywhere the search completes.
+    Solves decided by the root triage (see above) never reach the budget,
+    and their answer is the one the search would have returned.
+
+    Counters: every call counts [set_cover.solves]; a call decided at the
+    root counts [set_cover.root_decided], and a search stopped by
+    [node_budget] counts [set_cover.budget_exhausted]. *)
 val solve :
   ?ws:workspace -> ?max_size:int -> ?node_budget:int -> instance -> solution option
 

@@ -372,6 +372,30 @@ let test_full_knowledge_view_sizes () =
   let r = Experiment.run_one cfg s in
   check_int "min view = n" 12 r.Experiment.min_view
 
+(* A node budget that bites shows up in the cell record's counters. *)
+let test_budget_exhausted_in_cell_json () =
+  let counter solver =
+    let r =
+      Experiment.run_cell
+        ~make_initial:(fun ~seed -> Experiment.initial_gnp ~seed ~n:16 ~p:0.3)
+        ~make_config:(fun _ ->
+          { (Dynamics.default_config ~alpha:0.5 ~k:1000) with Dynamics.solver })
+        ~trials:1 ~cell_seed:7 { Experiment.alpha = 0.5; k = 1000 }
+    in
+    let module Json = Ncg_obs.Json in
+    match Experiment.cell_json ~graph_class:"gnp" ~n:16 ~p:0.3 ~trials:1 r with
+    | Json.Obj fields -> (
+        match List.assoc "counters" fields with
+        | Json.Obj counters -> (
+            match List.assoc_opt "set_cover.budget_exhausted" counters with
+            | Some (Json.Int v) -> v
+            | _ -> 0)
+        | _ -> Alcotest.fail "counters is not an object")
+    | _ -> Alcotest.fail "cell record is not an object"
+  in
+  check_bool "tiny budget bites" true (counter (`Budgeted 1) > 0);
+  check_int "exact never does" 0 (counter `Exact)
+
 let () =
   Alcotest.run "experiment"
     [
@@ -389,6 +413,8 @@ let () =
           Alcotest.test_case "determinism" `Quick test_trials_deterministic;
           Alcotest.test_case "ba/ws initials" `Quick test_initial_ba_ws;
           Alcotest.test_case "full knowledge views" `Quick test_full_knowledge_view_sizes;
+          Alcotest.test_case "budget exhausted reaches the cell record" `Quick
+            test_budget_exhausted_in_cell_json;
         ] );
       ( "sweep",
         [

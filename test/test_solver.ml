@@ -76,6 +76,38 @@ let test_solution_indices_original () =
   | Some { Set_cover.chosen = [ i ]; _ } -> check_int "picks the big set" 1 i
   | _ -> Alcotest.fail "expected a single-set solution"
 
+let counted f = snd (Ncg_obs.Metrics.collect f)
+let count snap name = Option.value (List.assoc_opt name snap) ~default:0
+
+let test_root_bound () =
+  (* Feasible with 3 sets, but the two largest coverages (3 + 2) fall
+     short of the 7 elements: the root rejects cap 2 without a search. *)
+  let inst = instance 7 [ [ 0; 1; 2 ]; [ 3; 4 ]; [ 5; 6 ]; [ 0; 3 ] ] in
+  let snap =
+    counted (fun () ->
+        check_bool "cap 2 rejected" true (Set_cover.solve ~max_size:2 inst = None))
+  in
+  check_int "decided at the root" 1 (count snap "set_cover.root_decided");
+  check_int "no search" 0 (count snap "set_cover.bb_nodes");
+  check_int "cap 3 ok" 3
+    (match Set_cover.solve ~max_size:3 inst with
+    | Some s -> s.Set_cover.cardinality
+    | None -> -1)
+
+let test_budget_exhausted () =
+  let inst = instance 6 [ [ 0; 1; 2; 3 ]; [ 0; 2; 4 ]; [ 1; 3; 5 ]; [ 4 ]; [ 5 ] ] in
+  let budgeted =
+    counted (fun () ->
+        match Set_cover.solve ~node_budget:1 inst with
+        | Some s ->
+            check_bool "incumbent is a cover" true
+              (Set_cover.is_cover inst s.Set_cover.chosen)
+        | None -> Alcotest.fail "the greedy incumbent survives the budget")
+  in
+  check_int "budget bit once" 1 (count budgeted "set_cover.budget_exhausted");
+  let exact = counted (fun () -> ignore (Set_cover.solve inst)) in
+  check_int "exact search never bites" 0 (count exact "set_cover.budget_exhausted")
+
 (* Exhaustive reference solver for small instances. *)
 let brute_force inst =
   let n_sets = Array.length inst.Set_cover.sets in
@@ -112,24 +144,81 @@ let test_dp_basics () =
     (Invalid_argument "Set_cover.solve_dp: universe too large for the DP") (fun () ->
       ignore (Set_cover.solve_dp (instance 23 [ [ 0 ] ])))
 
+(* Random instances with the shapes best responses produce: duplicate
+   sets, empty sets (a forbidden vertex dominates nothing) and
+   pre-covered elements (free dominators). *)
+let gen_instance =
+  QCheck.Gen.(
+    int_range 1 12 >>= fun universe ->
+    list_size (int_range 1 10) (list_size (int_range 0 8) (int_bound (universe - 1)))
+    >>= fun sets ->
+    int_bound 3 >>= fun extra ->
+    let sets =
+      match extra with
+      | 0 -> sets @ [ List.hd sets ] (* a duplicate *)
+      | 1 -> sets @ [ [] ] (* an empty set *)
+      | _ -> sets
+    in
+    opt (list_size (int_range 0 4) (int_bound (universe - 1))) >>= fun pre_covered ->
+    return (instance ?pre_covered universe sets))
+
+let print_instance inst =
+  let set s = "[" ^ String.concat ";" (List.map string_of_int (Bitset.to_list s)) ^ "]" in
+  Printf.sprintf "universe %d, sets %s, pre %s" inst.Set_cover.universe
+    (String.concat " " (Array.to_list (Array.map set inst.Set_cover.sets)))
+    (match inst.Set_cover.pre_covered with Some p -> set p | None -> "none")
+
+(* [solve ?max_size] against the DP optimum, for max_size in
+   {0, 1, dp - 1, dp, none}: [None] exactly when the optimum exceeds the
+   cap, otherwise the optimum's cardinality; a one-set optimum is the
+   lowest-index superset of the uncovered elements. *)
 let prop_dp_matches_branch_and_bound =
-  QCheck.Test.make ~name:"DP and B&B find the same optimum" ~count:200
-    QCheck.(
-      pair (int_range 1 12)
-        (list_of_size (Gen.int_range 1 10) (list_of_size (Gen.int_range 0 8) (int_bound 11))))
-    (fun (universe, raw_sets) ->
-      let sets = List.map (List.filter (fun x -> x < universe)) raw_sets in
-      let inst = instance universe sets in
-      let card = function
-        | Some (s : Set_cover.solution) -> Some s.Set_cover.cardinality
-        | None -> None
-      in
+  QCheck.Test.make ~name:"DP and B&B find the same optimum" ~count:500
+    (QCheck.make
+       ~print:(fun (inst, m) ->
+         Printf.sprintf "%s, cap choice %d" (print_instance inst) m)
+       QCheck.Gen.(pair gen_instance (int_bound 4)))
+    (fun (inst, choice) ->
       let dp = Set_cover.solve_dp inst in
-      (* The DP solution must itself be a feasible cover. *)
+      let opt = Option.map (fun (s : Set_cover.solution) -> s.Set_cover.cardinality) dp in
+      let max_size =
+        match (choice, opt) with
+        | 0, _ -> Some 0
+        | 1, _ -> Some 1
+        | 2, Some o -> Some (max 0 (o - 1))
+        | 3, Some o -> Some o
+        | _ -> None
+      in
+      let within =
+        match (opt, max_size) with
+        | Some o, Some m -> o <= m
+        | Some _, None -> true
+        | None, _ -> false
+      in
+      let uncovered =
+        List.filter
+          (fun e ->
+            match inst.Set_cover.pre_covered with
+            | Some p -> not (Bitset.mem p e)
+            | None -> true)
+          (List.init inst.Set_cover.universe Fun.id)
+      in
+      let first_superset () =
+        List.find
+          (fun i -> List.for_all (Bitset.mem inst.Set_cover.sets.(i)) uncovered)
+          (List.init (Array.length inst.Set_cover.sets) Fun.id)
+      in
       (match dp with
       | Some s -> Set_cover.is_cover inst s.Set_cover.chosen
       | None -> true)
-      && card (Set_cover.solve inst) = card dp)
+      &&
+      match Set_cover.solve ?max_size inst with
+      | None -> not within
+      | Some s ->
+          within
+          && Some s.Set_cover.cardinality = opt
+          && Set_cover.is_cover inst s.Set_cover.chosen
+          && (opt <> Some 1 || s.Set_cover.chosen = [ first_superset () ]))
 
 let prop_greedy_feasible =
   QCheck.Test.make ~name:"greedy returns feasible covers when exact does" ~count:200
@@ -311,6 +400,8 @@ let () =
           Alcotest.test_case "duplicate sets" `Quick test_duplicate_sets;
           Alcotest.test_case "original indices" `Quick test_solution_indices_original;
           Alcotest.test_case "dp basics" `Quick test_dp_basics;
+          Alcotest.test_case "root coverage bound" `Quick test_root_bound;
+          Alcotest.test_case "budget exhausted counter" `Quick test_budget_exhausted;
           qt prop_matches_brute_force;
           qt prop_dp_matches_branch_and_bound;
           qt prop_greedy_feasible;
