@@ -9,8 +9,8 @@
    times, hot-path counters (BFS calls, solver nodes, best responses),
    latency histograms, GC deltas and span trees as JSON; --trace-out FILE
    writes the sweep timeline as Chrome trace-event JSON (open in
-   ui.perfetto.dev); --events FILE logs one JSONL line per accepted
-   dynamics move and per finished cell.
+   ui.perfetto.dev). ncg_report --telemetry FILE renders the telemetry
+   as a Markdown report.
 
    --store DIR keeps a crash-safe result cache (see docs/STORE.md): cells
    already in the store are returned without recomputation, fresh cells
@@ -34,7 +34,7 @@
    --fault-plan SPEC (with --fault-seed) injects deterministic faults —
    raises, delays, short store writes — for testing that machinery;
    see docs/ROBUSTNESS.md for the plan syntax. SIGINT/SIGTERM flush the
-   store, telemetry and event log before exiting 128+signal.
+   store and telemetry before exiting 128+signal.
 
    Examples:
      # Figure 5 series (view sizes) on 50-vertex trees, 5 seeds per cell
@@ -43,7 +43,7 @@
      # Figure 8/9 series on G(100, 0.1), 4 domains, with telemetry
      dune exec bin/ncg_experiment.exe -- --class gnp -n 100 -p 0.1 \
          --alphas 0.5,1,2 --ks 2,3,1000 --domains 4 --telemetry cells.json \
-         --trace-out trace.json --events events.jsonl
+         --trace-out trace.json
 
      # Resumable sweep: kill it, rerun the same line, only missing cells run
      dune exec bin/ncg_experiment.exe -- --class gnp -n 100 -p 0.1 \
@@ -145,9 +145,9 @@ let install_signal_handlers () =
     [ Sys.sigint; Sys.sigterm ]
 
 let run graph_class n p alphas ks trials seed budget domains store_dir resume
-    only_cell telemetry trace_out events quiet no_progress no_probes
-    fault_plan_spec fault_seed cell_deadline_ms move_budget =
-  if quiet || no_progress then Ncg_obs.Events.set_progress false;
+    only_cell telemetry trace_out quiet no_probes fault_plan_spec fault_seed
+    cell_deadline_ms move_budget =
+  if quiet then Ncg_obs.Progress.set_enabled false;
   let probes = not no_probes in
   let fault_plan =
     match fault_plan_spec with
@@ -222,16 +222,7 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
              exit 1)
   in
   let started = Ncg_obs.Clock.now_ns () in
-  let run_sweep () = Ncg.Sweep_spec.sweep ~domains ?cell_deadline_ns ?store spec in
-  let outcomes =
-    match events with
-    | None -> run_sweep ()
-    | Some path -> (
-        try Ncg_obs.Events.with_file path run_sweep
-        with Sys_error msg ->
-          Printf.eprintf "ncg_experiment: cannot write events: %s\n%!" msg;
-          exit 1)
-  in
+  let outcomes = Ncg.Sweep_spec.sweep ~domains ?cell_deadline_ns ?store spec in
   let results = List.filter_map Result.to_option outcomes in
   let failures = Experiment.sweep_failures outcomes in
   let interrupted = Ncg_fault.Cancel.shutdown_requested () in
@@ -339,8 +330,8 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
            else "");
       Store.close s);
   (* Structured failure report: one stderr line per quarantined cell,
-     then a distinct exit code — after the store, telemetry and events
-     are all flushed. *)
+     then a distinct exit code — after the store and telemetry are
+     flushed. *)
   List.iter
     (fun (f : Experiment.cell_failure) ->
       Printf.eprintf
@@ -353,7 +344,7 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
   match interrupted with
   | Some s ->
       Printf.eprintf
-        "ncg_experiment: interrupted by signal %d (store/telemetry/events \
+        "ncg_experiment: interrupted by signal %d (store/telemetry \
          flushed)\n%!"
         s;
       exit (128 + s)
@@ -413,18 +404,9 @@ let trace_out =
          ~doc:"Write the sweep timeline as Chrome trace-event JSON (one track \
                per domain; open in ui.perfetto.dev).")
 
-let events =
-  Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE"
-         ~doc:"Write a structured JSONL event log (one line per accepted \
-               dynamics move and per finished cell).")
-
 let quiet =
   Arg.(value & flag & info [ "quiet" ]
-         ~doc:"Suppress the live progress line on stderr.")
-
-let no_progress =
-  Arg.(value & flag & info [ "no-progress" ]
-         ~doc:"Explicitly disable the live progress line (it is also \
+         ~doc:"Suppress the live progress line on stderr (it is also \
                auto-suppressed whenever stderr is not an interactive TTY).")
 
 let no_probes =
@@ -459,7 +441,7 @@ let cmd =
     (Cmd.info "ncg_experiment" ~doc)
     Term.(const run $ graph_class $ n $ p $ alphas $ ks $ trials $ seed $ budget
           $ domains $ store_dir $ resume $ only_cell $ telemetry
-          $ trace_out $ events $ quiet $ no_progress $ no_probes
+          $ trace_out $ quiet $ no_probes
           $ fault_plan_spec $ fault_seed $ cell_deadline_ms $ move_budget)
 
 let () = exit (Cmd.eval cmd)

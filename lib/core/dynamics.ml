@@ -57,8 +57,8 @@ let move_stats_of (view : View.t) ~targets =
   { edit_distance = List.length added + List.length removed; radius }
 
 (* On an accepted move, also returns the player's view-local cost before
-   and after — already computed by the oracles, and what the structured
-   event log reports per move — plus the move's locality stats. *)
+   and after — already computed by the oracles, and what the round probes
+   sum into best-response gaps — plus the move's locality stats. *)
 let best_response_step_stats ?ws config strategy g u =
   let ws = match ws with Some w -> w | None -> Workspace.create () in
   let view = View.extract ~scratch:ws.Workspace.bfs strategy g ~k:config.k u in
@@ -103,16 +103,6 @@ let best_response_step ?ws config strategy g u =
     (fun (strategy', old_cost, new_cost, _stats) ->
       (strategy', old_cost, new_cost))
     (best_response_step_stats ?ws config strategy g u)
-
-(* "buy" = only additions, "drop" = only removals, "swap" = both. *)
-let move_kind ~before ~after =
-  let added = List.exists (fun t -> not (List.mem t before)) after in
-  let removed = List.exists (fun t -> not (List.mem t after)) before in
-  match (added, removed) with
-  | true, false -> "buy"
-  | false, true -> "drop"
-  | true, true -> "swap"
-  | false, false -> "reorder"
 
 let run_untraced config strategy0 =
   let n = Strategy.n_players strategy0 in
@@ -235,15 +225,6 @@ let run_untraced config strategy0 =
                     edits := !edits + stats.edit_distance;
                     if stats.radius > !reach then reach := stats.radius
                   end;
-                  if Ncg_obs.Events.active () then
-                    Ncg_obs.Events.emit "dynamics.move"
-                      [
-                        ("round", Ncg_obs.Json.Int !round);
-                        ("player", Ncg_obs.Json.Int u);
-                        ("kind", Ncg_obs.Json.String (move_kind ~before ~after));
-                        ("old_cost", Ncg_obs.Json.Float old_cost);
-                        ("new_cost", Ncg_obs.Json.Float new_cost);
-                      ];
                   let g' = Strategy.update_graph strategy' !g u in
                   wake ~before:!g ~after:g' u;
                   strategy := strategy';
@@ -267,17 +248,7 @@ let run_untraced config strategy0 =
           Ncg_obs.Probe.(sample bb_cutoffs) ~x
             (float_of_int
                (Ncg_obs.Metrics.(read set_cover_cutoffs + read sum_bb_cutoffs)
-               - cutoffs0));
-          if Ncg_obs.Events.active () then
-            Ncg_obs.Events.emit "dynamics.round"
-              [
-                ("round", Ncg_obs.Json.Int !round);
-                ("alpha", Ncg_obs.Json.Float config.alpha);
-                ("k", Ncg_obs.Json.Int config.k);
-                ("awake", Ncg_obs.Json.Int !solved);
-                ("moves", Ncg_obs.Json.Int !total_moves);
-                ("social_cost", Ncg_obs.Json.Float sc);
-              ]
+               - cutoffs0))
         end;
         if config.collect_features then
           features :=

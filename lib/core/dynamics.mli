@@ -78,9 +78,7 @@ type result = {
     domain, every round samples the built-in probes (social cost, awake
     players — the best responses computed that round — best-response
     gaps, move edit distance and locality radius,
-    solver effort deltas) with [x = round], and — when an
-    {!Ncg_obs.Events} sink is also active — emits one ["dynamics.round"]
-    structured event per round. Probing reuses the trajectory's BFS
+    solver effort deltas) with [x = round]. Probing reuses the trajectory's BFS
     scratch, so it allocates nothing; with no collector installed each
     probe point is a domain-local read and a branch.
 

@@ -177,7 +177,7 @@ let report_progress ~sweep_started ~finished ~total ~histograms =
         Ncg_obs.Histogram.(pp_ns (p99_ns h))
     | Some _ | None -> "-"
   in
-  Ncg_obs.Events.progress
+  Ncg_obs.Progress.update
     (Printf.sprintf "sweep %d/%d cells  elapsed %.1fs  eta %s  p99(best_response) %s"
        finished total elapsed
        (if Float.is_nan eta then "-" else Printf.sprintf "%.1fs" eta)
@@ -418,66 +418,31 @@ let sweep_supervised ?(domains = 1) ?cell_deadline_ns ?store ?(store_context = [
   in
   let sweep_started = Ncg_obs.Clock.now_ns () in
   let finished = Atomic.make 0 in
-  let emit_cell_event ~index ~cell ~wall_ns ~gc ~was_cached ~done_count =
-    if Ncg_obs.Events.active () then
-      Ncg_obs.Events.emit "sweep.cell"
-        [
-          ("index", Json.Int index);
-          ("alpha", Json.Float cell.alpha);
-          ("k", Json.Int cell.k);
-          ("trials", Json.Int count);
-          ("cached", Json.Bool was_cached);
-          ("wall_seconds", Json.Float (Ncg_obs.Clock.ns_to_s wall_ns));
-          ( "gc_allocated_words",
-            Json.Float (Ncg_obs.Gc_stats.allocated_words gc) );
-          ("done", Json.Int done_count);
-          ("total", Json.Int total);
-        ]
-  in
   let task ~index:i =
-    let cell = cells.(i) in
-    match if i < Array.length cached then cached.(i) else None with
-    | Some r ->
-        let done_count = Atomic.fetch_and_add finished 1 + 1 in
-        emit_cell_event ~index:i ~cell ~wall_ns:r.wall_ns ~gc:r.gc
-          ~was_cached:true ~done_count;
-        report_progress ~sweep_started ~finished:done_count ~total
-          ~histograms:r.histograms;
-        r
-    | None ->
-        Ncg_fault.Inject.(hit sweep_cell);
-        let r =
-          run_cell ~probes ~make_initial ~make_config ~trials:count
-            ~cell_seed:cell_seeds.(i) cell
-        in
-        (* Persist as soon as the cell finishes, on the domain that ran
-           it: a SIGKILL later in the sweep loses only in-flight cells.
-           An insert that fails (e.g. an injected short write) fails the
-           cell — durability is part of the cell — so it is quarantined
-           and a later resume recomputes and re-appends it. *)
-        (match store with Some s -> store_insert s keys.(i) r | None -> ());
-        let done_count = Atomic.fetch_and_add finished 1 + 1 in
-        emit_cell_event ~index:i ~cell ~wall_ns:r.wall_ns ~gc:r.gc
-          ~was_cached:false ~done_count;
-        report_progress ~sweep_started ~finished:done_count ~total
-          ~histograms:r.histograms;
-        r
-  in
-  let on_quarantine (fl : Ncg_fault.Executor.failure) =
+    let r =
+      match if i < Array.length cached then cached.(i) else None with
+      | Some r -> r
+      | None ->
+          Ncg_fault.Inject.(hit sweep_cell);
+          let r =
+            run_cell ~probes ~make_initial ~make_config ~trials:count
+              ~cell_seed:cell_seeds.(i) cells.(i)
+          in
+          (* Persist as soon as the cell finishes, on the domain that ran
+             it: a SIGKILL later in the sweep loses only in-flight cells.
+             An insert that fails (e.g. an injected short write) fails the
+             cell — durability is part of the cell — so it is quarantined
+             and a later resume recomputes and re-appends it. *)
+          (match store with Some s -> store_insert s keys.(i) r | None -> ());
+          r
+    in
     let done_count = Atomic.fetch_and_add finished 1 + 1 in
-    if Ncg_obs.Events.active () then
-      Ncg_obs.Events.emit ~severity:Ncg_obs.Events.Error
-        "sweep.cell.quarantined"
-        [
-          ("index", Json.Int fl.index);
-          ("alpha", Json.Float cells.(fl.index).alpha);
-          ("k", Json.Int cells.(fl.index).k);
-          ("cell_seed", Json.Int cell_seeds.(fl.index));
-          ("kind", Json.String (Ncg_fault.Executor.kind_to_string fl.kind));
-          ("error", Json.String fl.exn_text);
-          ("done", Json.Int done_count);
-          ("total", Json.Int total);
-        ];
+    report_progress ~sweep_started ~finished:done_count ~total
+      ~histograms:r.histograms;
+    r
+  in
+  let on_quarantine (_ : Ncg_fault.Executor.failure) =
+    let done_count = Atomic.fetch_and_add finished 1 + 1 in
     report_progress ~sweep_started ~finished:done_count ~total
       ~histograms:[]
   in
@@ -491,7 +456,7 @@ let sweep_supervised ?(domains = 1) ?cell_deadline_ns ?store ?(store_context = [
              the workers; no domain writes it"])
       ~on_quarantine task total
   in
-  Ncg_obs.Events.progress_done ();
+  Ncg_obs.Progress.clear ();
   Array.to_list outcomes
   |> List.mapi (fun i outcome ->
          match outcome with

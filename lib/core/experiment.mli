@@ -80,10 +80,8 @@ val derive_seeds : seed:int -> count:int -> int array
     [wall_ns], [started_ns], [domain], span durations, histogram bucket
     placement and GC collection counts vary between runs.
 
-    While a sweep runs, each finished cell emits a ["sweep.cell"]
-    structured event (when an {!Ncg_obs.Events} sink is installed) and
-    refreshes a live progress line on stderr (TTY only; see
-    {!Ncg_obs.Events.set_progress}). *)
+    While a sweep runs, each finished cell refreshes a live progress
+    line on stderr (TTY only; see {!Ncg_obs.Progress.set_enabled}). *)
 
 (** One sweep cell of the paper's Section 5 grids. *)
 type cell = { alpha : float; k : int }
@@ -294,7 +292,7 @@ val csv_row :
 (** [cell_json ~graph_class ~n ~p ~trials r] is a cell's telemetry
     record: the row's identity (class, n, p, alpha, k, trials), wall
     seconds and domain, the converged fraction and the rounds and
-    quality means ([ncg_top --post-hoc] reads these three), then the
+    quality means ([ncg_report --telemetry] reads these three), then the
     cell's counters, histograms, GC delta, probe series and span tree.
     [ncg_experiment --telemetry] and the bench's [BENCH_*.json] files
     write every cell through this function. *)

@@ -43,7 +43,7 @@ type failure = { index : int; kind : kind; exn_text : string; exn : exn }
       with. A sweep passes each cell's seed, so a cell's faults do not
       depend on its position in this particular map.
     - [on_quarantine]: called from worker domains as each failure is
-      recorded (the caller must be thread-safe; {!Ncg_obs.Events} is).
+      recorded (the caller must be thread-safe; {!Ncg_obs.Progress} is).
 
     After {!Cancel.request_shutdown}, no new tasks start; tasks never
     started are reported as [Error] with [kind = Interrupted]. *)

@@ -15,17 +15,9 @@ let run root cmt_root json_out =
       root;
     exit 2
   end;
-  (* Linking ncg_fault populated the fault-site registry at module-init
-     time, so the live registry is the ground truth for F1 — a site
-     renamed in inject.ml without updating callers fails the lint. *)
-  let known_sites = Ncg_fault.Inject.sites () in
-  (* Same trick for O1: linking ncg_obs registered the built-in probes. *)
-  let known_probes = Ncg_obs.Probe.names () in
-  (* And for R1: the schema registry is a plain module, linked here. *)
-  let known_schemas = Ncg_obs.Schema.all in
-  let ctx_of rel =
-    Ncg_lint.Lint.ctx_for_path ~known_sites ~known_probes ~known_schemas rel
-  in
+  (* R1's ground truth: the schema registry is a plain module, linked
+     here. *)
+  let ctx_of = Ncg_lint.Lint.ctx_for_path ~known_schemas:Ncg_obs.Schema.all in
   let report =
     Ncg_lint.Report.merge ~root
       (Ncg_lint.Typed_lint.check_tree ~ctx_of ~root

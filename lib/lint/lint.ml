@@ -12,8 +12,6 @@ type ctx = {
   parallel_impl : bool;  (* P2 off: the fan-out machinery itself *)
   scratch_lender : bool;  (* S1 off: the module that owns the scratch *)
   schema_registry : bool;  (* R1 off: the one blessed literal site *)
-  known_sites : string list;  (* F1: the registered fault-site names *)
-  known_probes : string list;  (* O1: the registered probe names *)
   known_schemas : string list;  (* R1: the registered schema tags *)
 }
 
@@ -22,7 +20,7 @@ let contains_sub s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-let ctx_for_path ~known_sites ~known_probes ~known_schemas path =
+let ctx_for_path ~known_schemas path =
   let path = String.map (fun c -> if c = '\\' then '/' else c) path in
   let p = "/" ^ path in
   let in_dir d = contains_sub p ("/" ^ d ^ "/") in
@@ -34,8 +32,6 @@ let ctx_for_path ~known_sites ~known_probes ~known_schemas path =
     parallel_impl = is_file "lib/fault/executor.ml";
     scratch_lender = is_file "lib/graph/bfs.ml" || is_file "lib/core/workspace.ml";
     schema_registry = is_file "lib/obs/schema.ml";
-    known_sites;
-    known_probes;
     known_schemas;
   }
 

@@ -10,8 +10,6 @@ type ctx = {
   parallel_impl : bool;  (** P2 off: the fan-out machinery itself *)
   scratch_lender : bool;  (** S1 off: the module that owns the scratch *)
   schema_registry : bool;  (** R1 off: the one blessed literal site *)
-  known_sites : string list;  (** F1: the registered fault-site names *)
-  known_probes : string list;  (** O1: the registered probe names *)
   known_schemas : string list;  (** R1: the registered schema tags *)
 }
 
@@ -19,12 +17,7 @@ type ctx = {
     [prng_exempt], [lib/obs/*] is [clock_exempt], anything under [lib/]
     has [global_state]; [lib/fault/executor.ml] is [parallel_impl], [lib/graph/bfs.ml] and [lib/core/workspace.ml] are
     [scratch_lender], [lib/obs/schema.ml] is [schema_registry]. *)
-val ctx_for_path :
-  known_sites:string list ->
-  known_probes:string list ->
-  known_schemas:string list ->
-  string ->
-  ctx
+val ctx_for_path : known_schemas:string list -> string -> ctx
 
 type violation = {
   file : string;

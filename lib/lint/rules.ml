@@ -1,6 +1,6 @@
-type id = D1 | D2 | D3 | D4 | P1 | P2 | A1 | F1 | O1 | S1 | R1 | L1 | L2
+type id = D1 | D2 | D3 | D4 | P1 | P2 | A1 | S1 | R1 | L1 | L2
 
-let all = [ D1; D2; D3; D4; P1; P2; A1; F1; O1; S1; R1; L1; L2 ]
+let all = [ D1; D2; D3; D4; P1; P2; A1; S1; R1; L1; L2 ]
 
 let to_string = function
   | D1 -> "D1"
@@ -10,8 +10,6 @@ let to_string = function
   | P1 -> "P1"
   | P2 -> "P2"
   | A1 -> "A1"
-  | F1 -> "F1"
-  | O1 -> "O1"
   | S1 -> "S1"
   | R1 -> "R1"
   | L1 -> "L1"
@@ -25,8 +23,6 @@ let of_string = function
   | "P1" -> Some P1
   | "P2" -> Some P2
   | "A1" -> Some A1
-  | "F1" -> Some F1
-  | "O1" -> Some O1
   | "S1" -> Some S1
   | "R1" -> Some R1
   | "L1" -> Some L1
@@ -41,8 +37,6 @@ let title = function
   | P1 -> "unsynchronized top-level mutable state"
   | P2 -> "cross-domain capture of unsynchronized mutable state"
   | A1 -> "bare output channel for artifact writes"
-  | F1 -> "unregistered fault site"
-  | O1 -> "unregistered probe name"
   | S1 -> "borrowed scratch view escapes its lender"
   | R1 -> "schema literal outside the registry"
   | L1 -> "malformed lint annotation"
@@ -80,15 +74,6 @@ let contract = function
       "Artifact files are written via the atomic temp+fsync+rename helpers in \
        lib/obs and lib/store; a bare open_out can leave a torn file behind on \
        crash, breaking the crash/resume byte-identity contract."
-  | F1 ->
-      "Every fault site named in code must exist in Inject's registered site \
-       list; an orphan name would silently never fire, making a fault plan \
-       test vacuous."
-  | O1 ->
-      "Probe names form a closed namespace like fault sites: every probe \
-       name literal handed to Ncg_obs.Probe.find or Probe.register must be \
-       in the live registry (Probe.names ()), or a dashboard filter / probe \
-       lookup silently matches nothing."
   | S1 ->
       "Bfs.dist_array / Bfs.visit_order and the Ncg.Workspace pools lend \
        views into scratch buffers that the next run overwrites \
@@ -125,8 +110,6 @@ let hint = function
        if a mutex really guards every access, say so in a [@lint.allow \"P2\"] \
        justification"
   | A1 -> "use Ncg_obs.Json.to_file, Ncg_obs.Atomic_file.write, or lib/store"
-  | F1 -> "register the site in lib/fault/inject.ml next to the built-ins"
-  | O1 -> "register the probe in lib/obs/probe.ml next to the built-ins"
   | S1 ->
       "copy before it escapes (Array.copy / Array.sub), or restructure so \
        the view is consumed inside the lending call"

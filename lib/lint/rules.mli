@@ -2,8 +2,8 @@
 
     Each rule mechanizes one convention the reproducibility story already
     relies on: determinism (D1–D4), parallel safety (P1/P2), artifact
-    atomicity (A1), fault-site hygiene (F1), probe-name hygiene (O1),
-    scratch-buffer ownership (S1) and schema-tag hygiene (R1). L1
+    atomicity (A1), scratch-buffer ownership (S1) and schema-tag
+    hygiene (R1). L1
     polices the suppression annotations themselves; L2 polices their
     staleness.
 
@@ -20,8 +20,6 @@ type id =
   | P2  (** closures crossing a domain boundary must not capture plain
             mutable state *)
   | A1  (** no bare [open_out]; artifact writes go through atomic helpers *)
-  | F1  (** fault-site literals must be registered in {!Ncg_fault.Inject} *)
-  | O1  (** probe-name literals must be registered in [Ncg_obs.Probe] *)
   | S1  (** borrowed scratch views must not escape their lender *)
   | R1  (** [ncg.*/N] schema literals live only in the registry *)
   | L1  (** lint annotations must name a rule and justify themselves *)

@@ -309,15 +309,6 @@ let run_checks ~(ctx : Lint.ctx) ~filename (str : structure) =
         add_viol loc Rules.D3 (d ^ ": iteration order is hash-bucket order")
     | _ -> ()
   in
-  let string_arg args =
-    match args with
-    | ( Asttypes.Nolabel,
-        Some { exp_desc = Texp_constant (Asttypes.Const_string (s, _, _)); _ }
-      )
-      :: _ ->
-        Some s
-    | _ -> None
-  in
   (* The typechecker elaborates a literal format string into a
      [CamlinternalFormatBasics.Format] construct; the original spelling
      rides along as its final argument. *)
@@ -332,7 +323,7 @@ let run_checks ~(ctx : Lint.ctx) ~filename (str : structure) =
         | _ -> None)
     | _ -> None
   in
-  let check_apply loc f args =
+  let check_apply f args =
     match resolve f with
     | None -> ()
     | Some ((cu, name, spelled) as r) ->
@@ -351,21 +342,6 @@ let run_checks ~(ctx : Lint.ctx) ~filename (str : structure) =
                   | _ -> ())
               | None -> ())
             args;
-        (* F1 / O1: registry-membership checks, alias-proof. *)
-        (if cu = "Ncg_fault__Inject" && name = "site" then
-           match string_arg args with
-           | Some s when not (List.mem s ctx.Lint.known_sites) ->
-               add_viol loc Rules.F1
-                 (Printf.sprintf
-                    "fault site %S is not in the registered site list" s)
-           | _ -> ());
-        (if cu = "Ncg_obs__Probe" && (name = "find" || name = "register") then
-           match string_arg args with
-           | Some s when not (List.mem s ctx.Lint.known_probes) ->
-               add_viol loc Rules.O1
-                 (Printf.sprintf
-                    "probe name %S is not in the registered probe list" s)
-           | _ -> ());
         (* S1: a borrowed view flowing into a mutable store. *)
         if s1_on && s1_sink cu name then
           List.iter
@@ -436,7 +412,7 @@ let run_checks ~(ctx : Lint.ctx) ~filename (str : structure) =
                 add_viol e.exp_loc Rules.R1
                   (Printf.sprintf
                      "schema literal %S is not a registered schema tag" s)
-          | Texp_apply (f, args) -> check_apply e.exp_loc f args
+          | Texp_apply (f, args) -> check_apply f args
           | Texp_tuple es -> List.iter (check_leak "is packed into a tuple") es
           (* Passing [~lbl:x] to an optional parameter elaborates to an
              invisible [Some x] sharing [x]'s location — that is argument

@@ -5,7 +5,7 @@
     through the [Shape.Uid.t] carried on [Texp_ident], so
     [module H = Hashtbl], [include Hashtbl], [let f = Hashtbl.iter] and
     functor arguments all fire the same rules as the idiomatic spelling.
-    Besides the identifier rules (D1–D4, A1, F1, O1, P1, L1) it checks
+    Besides the identifier rules (D1–D4, A1, P1, L1) it checks
     the three semantic-only rules: S1 (scratch-view escape), P2
     (cross-domain mutable capture) and R1 (schema-literal registry).
 

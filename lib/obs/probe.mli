@@ -2,9 +2,8 @@
     {!Timeseries} while a probe collector is installed.
 
     Probes are a {!Registry}, like {!Metrics} counters: registered
-    once, at module-initialization time on the main domain, and the
-    namespace is closed — [ncg_lint] checks every probe name literal in the tree
-    against {!names} (rule O1), exactly like fault-site literals.
+    once, at module-initialization time on the main domain, as the
+    values below; code names a probe through its value, never a string.
 
     Collectors are domain-local: {!sample} is a single domain-local-storage
     read and a branch when no collector is installed, so probe points can
@@ -27,8 +26,7 @@ val register : string -> probe
 (** The probe's registered name. *)
 val name : probe -> string
 
-(** All registered probe names, in registration order — the closed
-    namespace [ncg_lint]'s O1 rule checks literals against. *)
+(** All registered probe names, in registration order. *)
 val names : unit -> string list
 
 val find : string -> probe option

@@ -378,7 +378,8 @@ let solve ?ws ?max_size ?(node_budget = max_int) inst =
   let ws = match ws with Some w -> w | None -> create_workspace () in
   let uncovered0 = initial_uncovered inst in
   let cap = match max_size with Some m -> m | None -> inst.universe + 1 in
-  if Bitset.is_empty uncovered0 then Some { chosen = []; cardinality = 0 }
+  if Bitset.is_empty uncovered0 then
+    if cap < 0 then None else Some { chosen = []; cardinality = 0 }
   else
     match triage ws inst uncovered0 ~cap with
     | Some decided ->

@@ -1,8 +1,8 @@
 (* End-to-end checks of the ncg_experiment binary, run as a child process
    on a 9-cell tree grid: a stored sweep killed mid-run resumes to the
    uninterrupted CSV, sweeps under seeded fault plans quarantine exactly
-   the reported cells, ncg_top's post-hoc report reads every cell of the
-   telemetry, and retired flags are usage errors. *)
+   the reported cells, ncg_report's telemetry report reads every cell of
+   the telemetry, and retired flags are usage errors. *)
 
 module Json = Ncg_obs.Json
 
@@ -222,14 +222,15 @@ let plans =
     ("sweep.cell=raise@p:0.5,dynamics.round=delay:1@p:0.005", 23);
   ]
 
-(* --- Post-hoc report of the sweep telemetry --------------------------------- *)
+(* --- Report of the sweep telemetry ------------------------------------------ *)
 
-(* The rows of the report's summary table, split into trimmed cells. *)
-let summary_rows report =
+(* The rows of the first table whose header starts with [header], split
+   into trimmed cells. *)
+let table_rows ~header report =
   let rec skip_to_header = function
-    | l :: rest when String.starts_with ~prefix:"| alpha | k |" l -> rows rest
+    | l :: rest when String.starts_with ~prefix:header l -> rows rest
     | _ :: rest -> skip_to_header rest
-    | [] -> Alcotest.fail "no summary table in the post-hoc report"
+    | [] -> Alcotest.failf "no %S table in the report" header
   and rows = function
     | sep :: rest when String.starts_with ~prefix:"| ---" sep -> rows rest
     | l :: rest when String.starts_with ~prefix:"|" l ->
@@ -240,14 +241,16 @@ let summary_rows report =
   in
   skip_to_header (String.split_on_char '\n' report)
 
-let test_post_hoc_reads_every_cell () =
+let test_report_reads_every_cell () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir in
+      let telemetry = path "telemetry.json" in
       run_ok ~out:(path "sweep.csv") ~err:(path "sweep.err")
-        (grid @ [ "--telemetry"; path "telemetry.json" ]);
-      run_ok ~prog:(built "ncg_top") ~out:(path "report.md") ~err:(path "top.err")
-        [ "--post-hoc"; "--telemetry"; path "telemetry.json" ];
-      let rows = summary_rows (read_file (path "report.md")) in
+        (grid @ [ "--telemetry"; telemetry ]);
+      run_ok ~prog:(built "ncg_report") ~out:(path "report.md") ~err:(path "report.err")
+        [ "--telemetry"; telemetry; "--compare"; telemetry ];
+      let report = read_file (path "report.md") in
+      let rows = table_rows ~header:"| alpha | k | wall s |" report in
       check_int "one summary row per cell" cells (List.length rows);
       List.iter
         (function
@@ -260,7 +263,26 @@ let test_post_hoc_reads_every_cell () =
                     (Option.is_some (float_of_string_opt v)))
                 [ ("rounds", rounds); ("quality", quality); ("converged", converged) ]
           | row -> Alcotest.failf "short summary row: %s" (String.concat " | " row))
-        rows)
+        rows;
+      let has_line prefix =
+        List.exists (String.starts_with ~prefix) (String.split_on_char '\n' report)
+      in
+      check_bool "no cell cut off by the node budget" true
+        (has_line (Printf.sprintf "Exactness: 0 of %d cells" cells));
+      (match
+         List.find_opt
+           (fun row -> List.hd row = "best_response.latency")
+           (table_rows ~header:"| histogram | count |" report)
+       with
+      | Some (_ :: count :: _) ->
+          check_bool "best_response.latency has samples" true (int_of_string count > 0)
+      | _ -> Alcotest.fail "no best_response.latency row in the latency table");
+      check_int "the file compared with itself matches every cell" cells
+        (List.length (table_rows ~header:"| alpha | k | wall A |" report));
+      check_bool "no unmatched cells" false (has_line "no (alpha, k) match");
+      check_int "a CSV is not telemetry: exit 1" 1
+        (run ~prog:(built "ncg_report") ~out:(path "bad.md") ~err:(path "bad.err")
+           [ "--telemetry"; path "sweep.csv" ]))
 
 (* --- Retired flags -------------------------------------------------------- *)
 
@@ -272,7 +294,13 @@ let test_retired_flags () =
           let code = run ~out:(path "out.csv") ~err:(path "err.txt") (grid @ args) in
           (* cmdliner's exit code for a command-line parse error. *)
           check_int (String.concat " " args ^ " is a usage error") 124 code)
-        [ [ "--max-retries"; "1" ]; [ "--retry-backoff-ms"; "5" ]; [ "--no-cache" ] ])
+        [
+          [ "--max-retries"; "1" ];
+          [ "--retry-backoff-ms"; "5" ];
+          [ "--no-cache" ];
+          [ "--events"; "x" ];
+          [ "--no-progress" ];
+        ])
 
 let () =
   Alcotest.run "ncg_experiment"
@@ -288,7 +316,7 @@ let () =
       ( "top",
         [
           Alcotest.test_case "post-hoc report reads every cell" `Quick
-            test_post_hoc_reads_every_cell;
+            test_report_reads_every_cell;
         ] );
       ( "flags",
         [ Alcotest.test_case "retired flags rejected" `Quick test_retired_flags ] );

@@ -14,20 +14,17 @@ module Json = Ncg_obs.Json
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
-let known_sites = [ "sweep.cell"; "bfs.traverse" ]
-let known_probes = [ "dynamics.social_cost"; "solver.bb_cutoffs" ]
 let known_schemas =
   ([ "ncg.test.alpha/1"; "ncg.test.beta/2" ]
   [@lint.allow
     "R1" "fixture registry for the R1 tests, distinct from the real one"])
 
 (* Zone contexts, derived exactly as the driver derives them. *)
-let ctx_for = Lint.ctx_for_path ~known_sites ~known_probes ~known_schemas
+let ctx_for = Lint.ctx_for_path ~known_schemas
 let lib_ctx = ctx_for "lib/core/fixture.ml"
 let bin_ctx = ctx_for "bin/fixture.ml"
 let prng_ctx = ctx_for "lib/prng/fixture.ml"
 let obs_ctx = ctx_for "lib/obs/fixture.ml"
-let fault_ctx = ctx_for "lib/fault/fixture.ml"
 let schema_ctx = ctx_for "lib/obs/schema.ml"
 
 (* --- Fixture plumbing -------------------------------------------------------- *)
@@ -116,7 +113,7 @@ let test_zones () =
   check_bool "plain obs files are not" false obs_ctx.Lint.schema_registry
 
 let test_rule_catalogue () =
-  check_int "thirteen rules" 13 (List.length Rules.all);
+  check_int "eleven rules" 11 (List.length Rules.all);
   List.iter
     (fun id ->
       match Rules.of_string (Rules.to_string id) with
@@ -197,49 +194,6 @@ let test_a1 () =
   typed_accepts {|let ic = open_in "x.json"|};
   typed_accepts ~with_ncg:true
     {|let w body = Ncg_obs.Atomic_file.write "x.md" body|}
-
-let test_f1 () =
-  typed_rejects ~with_ncg:true Rules.F1
-    {|open Ncg_fault
-let s = Inject.site "no.such.site"|};
-  typed_rejects ~with_ncg:true Rules.F1
-    {|let s = Ncg_fault.Inject.site "no.such.site"|};
-  (* A bare [site] call, as inside the registry itself, is checked too. *)
-  typed_rejects ~with_ncg:true ~ctx:fault_ctx Rules.F1
-    {|open Ncg_fault.Inject
-let s = site "no.such.site"|};
-  typed_accepts ~with_ncg:true {|let s = Ncg_fault.Inject.site "sweep.cell"|};
-  typed_accepts ~with_ncg:true ~ctx:fault_ctx
-    {|open Ncg_fault.Inject
-let s = site "bfs.traverse"|};
-  (* A [site] defined anywhere else is some other function. *)
-  typed_accepts
-    {|let site (name : string) = name
-let s = site "no.such.site"|};
-  (* Non-literal arguments cannot be checked. *)
-  typed_accepts ~with_ncg:true "let s name = Ncg_fault.Inject.site name"
-
-let test_o1 () =
-  typed_rejects ~with_ncg:true Rules.O1
-    {|let p = Ncg_obs.Probe.find "no.such.probe"|};
-  typed_rejects ~with_ncg:true Rules.O1
-    {|open Ncg_obs
-let p = Probe.find "no.such.probe"|};
-  typed_rejects ~with_ncg:true Rules.O1
-    {|open Ncg_obs
-let p = Probe.register "no.such.probe"|};
-  typed_accepts ~with_ncg:true
-    {|let p = Ncg_obs.Probe.find "dynamics.social_cost"|};
-  typed_accepts ~with_ncg:true
-    {|open Ncg_obs
-let p = Probe.register "solver.bb_cutoffs"|};
-  (* A [find] that is not Probe's is some other function. *)
-  typed_accepts
-    {|let find (name : string) = name
-let p = find "no.such.probe"|};
-  typed_accepts {|let x table = Hashtbl.find table "no.such.probe"|};
-  (* Non-literal arguments cannot be checked. *)
-  typed_accepts ~with_ncg:true "let p name = Ncg_obs.Probe.find name"
 
 let test_l1 () =
   typed_rejects Rules.L1 {|let x f t = (Hashtbl.fold [@lint.allow "D3"]) f t []|};
@@ -577,12 +531,7 @@ let test_live_tree_clean () =
     (List.exists (starts_with "test/") files);
   check_bool "scan includes examples/" true
     (List.exists (starts_with "examples/") files);
-  let known_sites = Ncg_fault.Inject.sites () in
-  let known_probes = Ncg_obs.Probe.names () in
-  let known_schemas = Ncg_obs.Schema.all in
-  let ctx_of rel =
-    Lint.ctx_for_path ~known_sites ~known_probes ~known_schemas rel
-  in
+  let ctx_of = Lint.ctx_for_path ~known_schemas:Ncg_obs.Schema.all in
   let cmt_root =
     let cand = Filename.concat root "_build/default" in
     if Sys.file_exists cand then cand else root
@@ -606,8 +555,6 @@ let () =
           Alcotest.test_case "D4 float formatting" `Quick test_d4;
           Alcotest.test_case "P1 global state" `Quick test_p1;
           Alcotest.test_case "A1 bare open_out" `Quick test_a1;
-          Alcotest.test_case "F1 fault sites" `Quick test_f1;
-          Alcotest.test_case "O1 probe names" `Quick test_o1;
           Alcotest.test_case "L1 malformed annotations" `Quick test_l1;
         ] );
       ( "typed",

@@ -185,7 +185,7 @@ let prop_dp_matches_branch_and_bound =
         match (choice, opt) with
         | 0, _ -> Some 0
         | 1, _ -> Some 1
-        | 2, Some o -> Some (max 0 (o - 1))
+        | 2, Some o -> Some (o - 1)
         | 3, Some o -> Some o
         | _ -> None
       in
