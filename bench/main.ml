@@ -2,10 +2,12 @@
 
    One section per table and figure of the paper's evaluation (Section 5),
    plus certifications of the theoretical constructions (Sections 3-4) and
-   Bechamel micro-benchmarks of the hot kernels.
+   a few ablations beyond the paper. Sections print to stdout and write no
+   file; the paper-scale sweep documents the bench gate reads come from
+   `ncg_experiment --telemetry` (docs/PERFORMANCE.md).
 
    Run everything:        dune exec bench/main.exe
-   Run a few sections:    dune exec bench/main.exe -- table1 fig7 kernels
+   Run a few sections:    dune exec bench/main.exe -- table1 fig7 modes
    List sections:         dune exec bench/main.exe -- list
 
    Scale note: the paper runs 20 seeds per cell over a 15x12 (alpha, k)
@@ -33,11 +35,11 @@ let spec = { Sweep_spec.default with seed = base_seed }
 
 (* The results of every cell of [spec], in grid order; a quarantined
    cell aborts the section. *)
-let sweep ?domains ?store spec =
+let sweep spec =
   List.map
     (function
       | Ok r -> r | Error (f : Experiment.cell_failure) -> raise f.Experiment.exn)
-    (Sweep_spec.sweep ?domains ?store spec)
+    (Sweep_spec.sweep spec)
 
 (* One figure panel: a class/n/p grid swept as one spec, looked up by
    cell. Each cell's runs are those behind the row
@@ -60,10 +62,6 @@ let tweaked_runs spec ~tweak (cell : Experiment.cell) =
      ~trials:spec.Sweep_spec.trials
      ~cell_seed:(Sweep_spec.cell_seed spec cell) cell)
     .Experiment.runs
-
-let cell_json spec =
-  Experiment.cell_json ~graph_class:spec.Sweep_spec.graph_class
-    ~n:spec.Sweep_spec.n ~p:spec.Sweep_spec.p ~trials:spec.Sweep_spec.trials
 
 let summary_str f runs = Summary.to_string (Experiment.summarize f runs)
 let summary_mean f runs = (Experiment.summarize f runs).Summary.mean
@@ -565,381 +563,6 @@ let ablation () =
       ("greedy", `Greedy);
     ]
 
-(* --- Instrumented parallel experiment sweep ------------------------------------------------ *)
-
-(* Runs one (alpha, k) sweep twice — sequentially and fanned out over
-   domains — checks the results are identical (the engine's determinism
-   contract), and writes BENCH_experiment.json: per-cell wall time and
-   hot-path counters plus the 1-domain vs n-domain speedup, so CI can
-   track the perf trajectory run over run.
-
-   Env knobs (for CI):
-     NCG_BENCH_SMOKE=1     tiny grid, finishes in seconds
-     NCG_BENCH_OUT=PATH    output path (default BENCH_experiment.json)
-     NCG_BENCH_TRACE=PATH  Chrome trace of the parallel sweep
-                           (default BENCH_experiment_trace.json) *)
-
-let experiment () =
-  section_header "experiment" "instrumented parallel sweep + BENCH_experiment.json";
-  let smoke = Sys.getenv_opt "NCG_BENCH_SMOKE" <> None in
-  let out = Option.value (Sys.getenv_opt "NCG_BENCH_OUT") ~default:"BENCH_experiment.json" in
-  let trace_out =
-    Option.value (Sys.getenv_opt "NCG_BENCH_TRACE")
-      ~default:"BENCH_experiment_trace.json"
-  in
-  let spec =
-    if smoke then { spec with n = 20; trials = 2; alphas = [ 0.5; 2.0 ]; ks = [ 2; 1000 ] }
-    else
-      {
-        spec with
-        n = 50;
-        trials = 5;
-        alphas = [ 0.5; 1.0; 2.0; 5.0 ];
-        ks = [ 2; 3; 5; 1000 ];
-      }
-  in
-  let n = spec.Sweep_spec.n and trials = spec.Sweep_spec.trials in
-  let cells = Sweep_spec.cells spec in
-  let timed domains =
-    let t0 = Ncg_obs.Clock.now_ns () in
-    let results = sweep ~domains spec in
-    (results, Ncg_obs.Clock.ns_to_s (Ncg_obs.Clock.elapsed_ns ~since:t0))
-  in
-  let seq, seq_wall = timed 1 in
-  let fan_domains = max 2 (Domain.recommended_domain_count ()) in
-  let par, par_wall = timed fan_domains in
-  (* The full determinism contract: runs, counters, histogram sample
-     counts and GC allocated words (bucket placement and collection
-     counts are timing-dependent, so they are excluded). *)
-  let same_results tag a b =
-    List.for_all2
-      (fun (a : Experiment.cell_result) (b : Experiment.cell_result) ->
-        let check name ok =
-          if not ok then
-            Printf.printf "  DIVERGED (%s) alpha=%g k=%d: %s\n%!" tag
-              a.Experiment.cell.Experiment.alpha a.Experiment.cell.Experiment.k
-              name;
-          ok
-        in
-        check "runs" (a.Experiment.runs = b.Experiment.runs)
-        && check "counters" (a.Experiment.counters = b.Experiment.counters)
-        && check "histogram counts"
-             (Ncg_obs.Histogram.counts_only a.Experiment.histograms
-             = Ncg_obs.Histogram.counts_only b.Experiment.histograms)
-        && check "gc allocated words"
-             (Ncg_obs.Gc_stats.allocated_words a.Experiment.gc
-             = Ncg_obs.Gc_stats.allocated_words b.Experiment.gc)
-        && check "probe series"
-             (Ncg_obs.Probe.equal_snapshot a.Experiment.probes b.Experiment.probes))
-      a b
-  in
-  let identical = same_results "parallel vs sequential" seq par in
-  let speedup = seq_wall /. par_wall in
-  (* Store round-trip: populate a fresh store (all misses), then rerun the
-     same sweep against it (all hits — no dynamics run at all) and check
-     the cached pass returns the very same results. *)
-  let store_dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "ncg_bench_store"
-  in
-  let records = Filename.concat store_dir "records.log" in
-  if Sys.file_exists records then Sys.remove records;
-  let store_pass () =
-    Ncg_store.Store.with_dir store_dir (fun store ->
-        let t0 = Ncg_obs.Clock.now_ns () in
-        let results = sweep ~domains:fan_domains ~store spec in
-        ( results,
-          Ncg_obs.Clock.ns_to_s (Ncg_obs.Clock.elapsed_ns ~since:t0),
-          Ncg_store.Store.stats store ))
-  in
-  let populated, populate_wall, populate_stats = store_pass () in
-  let cached, cached_wall, cached_stats = store_pass () in
-  let store_ok =
-    same_results "store populate vs sequential" seq populated
-    && same_results "store cached vs sequential" seq cached
-    && populate_stats.Ncg_store.Store.misses = List.length cells
-    && cached_stats.Ncg_store.Store.hits = List.length cells
-    && cached_stats.Ncg_store.Store.misses = 0
-  in
-  Printf.printf "%-30s %d cells x %d trials, n=%d%s\n" "grid"
-    (List.length cells) trials n (if smoke then " (smoke)" else "");
-  Printf.printf "%-30s %.2fs\n" "sequential (1 domain)" seq_wall;
-  Printf.printf "%-30s %.2fs (%d domains, speedup %.2fx)\n" "parallel" par_wall
-    fan_domains speedup;
-  Printf.printf "%-30s %b\n" "parallel == sequential" identical;
-  Printf.printf "%-30s %.2fs populate, %.2fs cached (%d hits)\n" "store round-trip"
-    populate_wall cached_wall cached_stats.Ncg_store.Store.hits;
-  Printf.printf "%-30s %b\n" "store cached == sequential" store_ok;
-  if not identical then failwith "experiment: parallel sweep diverged from sequential";
-  if not store_ok then failwith "experiment: store round-trip diverged";
-  let module Json = Ncg_obs.Json in
-  Json.to_file out
-    (Json.Obj
-       [
-         ("schema", Json.String Ncg_obs.Schema.bench_experiment);
-         ("smoke", Json.Bool smoke);
-         ("seed", Json.Int base_seed);
-         ("class", Json.String "tree");
-         ("n", Json.Int n);
-         ("trials", Json.Int trials);
-         ("cells", Json.List (List.map (cell_json spec) par));
-         ( "totals",
-           Json.Obj
-             [
-               ("wall_seconds_1_domain", Json.Float seq_wall);
-               ("wall_seconds_parallel", Json.Float par_wall);
-               ("parallel_domains", Json.Int fan_domains);
-               ("speedup", Json.Float speedup);
-               ("deterministic", Json.Bool identical);
-               ( "store",
-                 Json.Obj
-                   [
-                     ("populate_wall_seconds", Json.Float populate_wall);
-                     ("cached_wall_seconds", Json.Float cached_wall);
-                     ("cached_matches", Json.Bool store_ok);
-                     ( "stats",
-                       Ncg_store.Store.stats_to_json cached_stats );
-                   ] );
-               ("counters", Ncg_obs.Metrics.to_json (Experiment.sweep_counters par));
-               ( "histograms",
-                 Ncg_obs.Histogram.to_json (Experiment.sweep_histograms par) );
-               ("gc", Ncg_obs.Gc_stats.to_json (Experiment.sweep_gc par));
-             ] );
-       ]);
-  Printf.printf "wrote %s\n%!" out;
-  (* Chrome trace of the parallel run: one Perfetto track per domain. *)
-  let trace = Ncg_obs.Chrome_trace.create ~process_name:"ncg_bench" () in
-  List.iter
-    (fun (r : Experiment.cell_result) ->
-      let tid = r.Experiment.domain in
-      Ncg_obs.Chrome_trace.add_span_tree trace ~tid r.Experiment.spans;
-      Ncg_obs.Chrome_trace.add_counter trace ~tid
-        ~ts_ns:(Int64.add r.Experiment.started_ns r.Experiment.wall_ns)
-        ~name:"gc allocated words"
-        [ ("words", Ncg_obs.Gc_stats.allocated_words r.Experiment.gc) ])
-    par;
-  Ncg_obs.Chrome_trace.to_file trace_out trace;
-  Printf.printf "wrote %s (%d events)\n%!" trace_out
-    (Ncg_obs.Chrome_trace.event_count trace);
-  (* Per-cell counter profile: where the solver work concentrates. *)
-  print_string (Ncg_obs.Metrics.to_markdown (Experiment.sweep_counters par));
-  (* Latency profile of the whole sweep. *)
-  print_string (Ncg_obs.Histogram.to_markdown (Experiment.sweep_histograms par))
-
-(* --- The paper's full (alpha, k) grid ------------------------------------------------------ *)
-
-(* Section 5 of the paper sweeps the full 15x12 (alpha, k) grid at 20
-   seeds per cell (with Gurobi as the best-response oracle). The seed
-   engine could only afford scaled-down slices of that grid in CI; the
-   CSR + bitset engine runs the whole thing, so this section holds it to
-   that scale on Table I's n=100 random trees and records per-cell wall
-   time, solver counters and GC allocated words for the bench gate.
-
-   Env knobs (for CI):
-     NCG_BENCH_FULLGRID_OUT=PATH  output path (default BENCH_fullgrid.json)
-     NCG_BENCH_FULLGRID_N=N       vertex count (default 100)
-     NCG_BENCH_FULLGRID_TRIALS=T  seeds per cell (default 20) *)
-
-let fullgrid () =
-  section_header "fullgrid"
-    "paper-scale sweep: full 15x12 (alpha, k) grid, 20 seeds (paper Section 5)";
-  let getenv_int name default =
-    match Sys.getenv_opt name with Some v -> int_of_string v | None -> default
-  in
-  let out =
-    Option.value (Sys.getenv_opt "NCG_BENCH_FULLGRID_OUT")
-      ~default:"BENCH_fullgrid.json"
-  in
-  let spec =
-    {
-      spec with
-      n = getenv_int "NCG_BENCH_FULLGRID_N" 100;
-      trials = getenv_int "NCG_BENCH_FULLGRID_TRIALS" 20;
-      alphas = Experiment.paper_alphas;
-      ks = Experiment.paper_ks;
-    }
-  in
-  let n = spec.Sweep_spec.n and trials = spec.Sweep_spec.trials in
-  let cells = Sweep_spec.cells spec in
-  let domains = max 2 (Domain.recommended_domain_count ()) in
-  let t0 = Ncg_obs.Clock.now_ns () in
-  let results = sweep ~domains spec in
-  let wall = Ncg_obs.Clock.ns_to_s (Ncg_obs.Clock.elapsed_ns ~since:t0) in
-  let gc = Experiment.sweep_gc results in
-  let total_words = Ncg_obs.Gc_stats.allocated_words gc in
-  let per_cell_words = total_words /. fi (List.length cells) in
-  let slowest =
-    List.nth
-      (List.sort
-         (fun (a : Experiment.cell_result) b ->
-           compare b.Experiment.wall_ns a.Experiment.wall_ns)
-         results)
-      0
-  in
-  Printf.printf "%-30s %d cells x %d trials, n=%d, %d domains\n" "grid"
-    (List.length cells) trials n domains;
-  Printf.printf "%-30s %.1fs\n" "wall" wall;
-  Printf.printf "%-30s %.3g total, %.3g mean per cell\n" "allocated words"
-    total_words per_cell_words;
-  Printf.printf "%-30s alpha=%g k=%d (%.2fs)\n%!" "slowest cell"
-    slowest.Experiment.cell.Experiment.alpha slowest.Experiment.cell.Experiment.k
-    (Ncg_obs.Clock.ns_to_s slowest.Experiment.wall_ns);
-  let module Json = Ncg_obs.Json in
-  Json.to_file out
-    (Json.Obj
-       [
-         ("schema", Json.String Ncg_obs.Schema.bench_fullgrid);
-         ("seed", Json.Int base_seed);
-         ("class", Json.String "tree");
-         ("n", Json.Int n);
-         ("trials", Json.Int trials);
-         ("cells", Json.List (List.map (cell_json spec) results));
-         ( "totals",
-           Json.Obj
-             [
-               ("wall_seconds", Json.Float wall);
-               ("domains", Json.Int domains);
-               ("counters", Ncg_obs.Metrics.to_json (Experiment.sweep_counters results));
-               ("gc", Ncg_obs.Gc_stats.to_json gc);
-             ] );
-       ]);
-  Printf.printf "wrote %s\n%!" out
-
-(* --- Bechamel micro-benchmarks ------------------------------------------------------------ *)
-
-let kernels () =
-  section_header "kernels" "Bechamel micro-benchmarks of the hot kernels";
-  let open Bechamel in
-  let open Toolkit in
-  (* Fixed inputs, built once. *)
-  let rng = Ncg_prng.Rng.create 7 in
-  let gnp = Ncg_gen.Erdos_renyi.connected rng ~n:100 ~p:0.1 ~max_attempts:1000 in
-  let tree_strategy = Experiment.initial_tree ~seed:3 ~n:100 in
-  let tree_graph = Strategy.graph tree_strategy in
-  let view = Ncg.View.extract tree_strategy tree_graph ~k:5 0 in
-  let mds_problem =
-    {
-      Ncg_solver.Dominating_set.graph = gnp;
-      radius = 1;
-      free_dominators = [];
-      forbidden = [];
-    }
-  in
-  let tests =
-    [
-      Test.make ~name:"bfs_gnp100"
-        (Staged.stage (fun () -> Ncg_graph.Bfs.distances gnp 0));
-      Test.make ~name:"diameter_tree100"
-        (Staged.stage (fun () -> Metrics.diameter tree_graph));
-      Test.make ~name:"view_extract_k5"
-        (Staged.stage (fun () -> Ncg.View.extract tree_strategy tree_graph ~k:5 0));
-      Test.make ~name:"mds_exact_gnp100"
-        (Staged.stage (fun () ->
-             Ncg_solver.Dominating_set.solve ~node_budget:50_000 mds_problem));
-      Test.make ~name:"best_response_k5"
-        (Staged.stage (fun () -> Ncg.Best_response.compute ~alpha:2.0 view));
-      Test.make ~name:"girth_gnp100"
-        (Staged.stage (fun () -> Ncg_graph.Girth.girth gnp));
-    ]
-  in
-  let test = Test.make_grouped ~name:"ncg" ~fmt:"%s/%s" tests in
-  let benchmark () =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-    let raw_results = Benchmark.all cfg instances test in
-    let results =
-      List.map (fun instance -> Analyze.all ols instance raw_results) instances
-    in
-    Analyze.merge ols instances results
-  in
-  let results = benchmark () in
-  (* Plain-text report: nanoseconds per run from the OLS estimate. *)
-  match Hashtbl.find_opt results (Measure.label Instance.monotonic_clock) with
-  | Some by_test ->
-      Printf.printf "%-28s %16s\n" "kernel" "time/run";
-      let rows =
-        (Hashtbl.fold [@lint.allow "D3" "accumulated rows are List.sort-ed before printing"])
-          (fun name ols acc -> (name, ols) :: acc)
-          by_test []
-      in
-      List.iter
-        (fun (name, ols) ->
-          let time =
-            match Analyze.OLS.estimates ols with Some (t :: _) -> t | _ -> nan
-          in
-          let pretty =
-            if time > 1e9 then Printf.sprintf "%.2f s" (time /. 1e9)
-            else if time > 1e6 then Printf.sprintf "%.2f ms" (time /. 1e6)
-            else if time > 1e3 then Printf.sprintf "%.2f us" (time /. 1e3)
-            else Printf.sprintf "%.0f ns" time
-          in
-          Printf.printf "%-28s %16s\n" name pretty)
-        (List.sort compare rows)
-  | None -> print_endline "no results?!"
-
-(* --- Run-history JSONL --------------------------------------------------------------------- *)
-
-(* One line per bench invocation, appended to BENCH_history.jsonl
-   (override the path with NCG_BENCH_HISTORY): which sections ran and
-   their wall seconds, plus lines of code per source directory.
-   `ncg_bench_diff --history FILE` prints the trend.
-   Durations only — no wall-clock timestamps, so two runs of the same
-   tree on the same machine produce comparable (not machine-unique)
-   lines. *)
-
-let history_schema = Ncg_obs.Schema.bench_history
-
-(* Lines of .ml/.mli source per directory: each lib/* library, then bin,
-   bench and test, relative to the working directory (the repo root under
-   `dune exec`). [None] when no source tree is there. *)
-let lines_of_code () =
-  let is_dir d = Sys.file_exists d && Sys.is_directory d in
-  let entries d = List.sort compare (Array.to_list (Sys.readdir d)) in
-  let lines path =
-    String.fold_left
-      (fun n c -> if c = '\n' then n + 1 else n)
-      0
-      (In_channel.with_open_bin path In_channel.input_all)
-  in
-  let source f = Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli" in
-  let dir_lines d =
-    List.fold_left
-      (fun acc f -> if source f then acc + lines (Filename.concat d f) else acc)
-      0 (entries d)
-  in
-  if not (is_dir "lib") then None
-  else
-    let libs = List.map (Filename.concat "lib") (entries "lib") in
-    Some
-      (List.map
-         (fun d -> (d, dir_lines d))
-         (List.filter is_dir (libs @ [ "bin"; "bench"; "test" ])))
-
-let append_history entries =
-  let path =
-    Option.value (Sys.getenv_opt "NCG_BENCH_HISTORY") ~default:"BENCH_history.jsonl"
-  in
-  let module Json = Ncg_obs.Json in
-  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 entries in
-  let loc =
-    match lines_of_code () with
-    | None -> []
-    | Some loc -> [ ("loc", Json.Obj (List.map (fun (d, n) -> (d, Json.Int n)) loc)) ]
-  in
-  let line =
-    Json.Obj
-      ([
-         ("schema", Json.String history_schema);
-         ("smoke", Json.Bool (Sys.getenv_opt "NCG_BENCH_SMOKE" <> None));
-         ( "sections",
-           Json.Obj (List.map (fun (name, wall) -> (name, Json.Float wall)) entries) );
-         ("total_seconds", Json.Float total);
-       ]
-      @ loc)
-  in
-  Ncg_obs.Atomic_file.append_line path (Json.to_string line);
-  Printf.printf "appended run summary to %s\n%!" path
-
 (* --- Driver ---------------------------------------------------------------------------------- *)
 
 let sections =
@@ -962,38 +585,29 @@ let sections =
     ("modes", modes);
     ("sumdyn", sumdyn);
     ("ablation", ablation);
-    ("experiment", experiment);
-    ("fullgrid", fullgrid);
-    ("kernels", kernels);
   ]
 
-let run_timed (name, f) =
+let run_timed f =
   let s0 = Ncg_obs.Clock.now_ns () in
   f ();
-  let wall = Ncg_obs.Clock.ns_to_s (Ncg_obs.Clock.elapsed_ns ~since:s0) in
-  Printf.printf "[section time: %.1fs]\n%!" wall;
-  (name, wall)
+  Printf.printf "[section time: %.1fs]\n%!"
+    (Ncg_obs.Clock.ns_to_s (Ncg_obs.Clock.elapsed_ns ~since:s0))
 
 let () =
-  let requested = List.tl (Array.to_list Sys.argv) in
-  match requested with
+  match List.tl (Array.to_list Sys.argv) with
   | [ "list" ] -> List.iter (fun (name, _) -> print_endline name) sections
   | [] ->
       let t0 = Ncg_obs.Clock.now_ns () in
-      let entries = List.map run_timed sections in
+      List.iter (fun (_, f) -> run_timed f) sections;
       Printf.printf "\nTotal: %.1fs\n"
-        (Ncg_obs.Clock.ns_to_s (Ncg_obs.Clock.elapsed_ns ~since:t0));
-      append_history entries
+        (Ncg_obs.Clock.ns_to_s (Ncg_obs.Clock.elapsed_ns ~since:t0))
   | names ->
-      let entries =
-        List.map
-          (fun name ->
-            match List.assoc_opt name sections with
-            | Some f -> run_timed (name, f)
-            | None ->
-                Printf.eprintf "unknown section %S (try: %s)\n" name
-                  (String.concat ", " (List.map fst sections));
-                exit 1)
-          names
-      in
-      append_history entries
+      List.iter
+        (fun name ->
+          match List.assoc_opt name sections with
+          | Some f -> run_timed f
+          | None ->
+              Printf.eprintf "unknown section %S (try: %s)\n" name
+                (String.concat ", " (List.map fst sections));
+              exit 1)
+        names

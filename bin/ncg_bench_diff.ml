@@ -1,7 +1,12 @@
 (* Bench perf-regression gate.
 
-   Diffs fresh instrumented-bench outputs (BENCH_experiment.json,
-   BENCH_fullgrid.json) against the committed bench/BASELINE.json:
+   Diffs the cells of fresh sweep telemetry documents (written by
+   `ncg_experiment --telemetry`; any document whose "cells" are
+   Experiment.cell_json records) against the committed
+   bench/BASELINE.json. Each positional SECTION=FILE names one baseline
+   section and the document to check against it; CI sweeps the smoke
+   grid into BENCH_experiment.json and the paper's full grid into
+   BENCH_fullgrid.json (the two commands are in docs/PERFORMANCE.md):
 
      dune exec bin/ncg_bench_diff.exe -- --baseline bench/BASELINE.json \
        experiment=BENCH_experiment.json fullgrid=BENCH_fullgrid.json
@@ -45,7 +50,7 @@ let cell_of_json j =
     alpha = num "alpha";
     k = int_of_float (num "k");
     allocated_words =
-      (* Bench outputs nest it under "gc"; the baseline stores it flat. *)
+      (* Telemetry cells nest it under "gc"; the baseline stores it flat. *)
       (match Json.field_opt "allocated_words" Json.number j with
       | Some words -> words
       | None -> Json.field "gc" (Json.field "allocated_words" Json.number) j);
@@ -80,7 +85,7 @@ let diff_section ~tolerance ~wall_tolerance ~fails ~warns name baseline fresh =
       match
         List.find_opt (fun f -> f.alpha = b.alpha && f.k = b.k) fresh
       with
-      | None -> tag "FAIL" "%s: cell missing from fresh bench output" (cell_key b)
+      | None -> tag "FAIL" "%s: cell missing from fresh telemetry" (cell_key b)
       | Some f ->
           if f.allocated_words > b.allocated_words *. (1. +. tolerance) then
             tag "FAIL" "%s: allocated words %.4g -> %.4g (+%.1f%%, tolerance %.1f%%)"
@@ -124,84 +129,6 @@ let cell_to_baseline_json (c : cell) =
       ( "counters",
         Json.Obj (List.map (fun (name, v) -> (name, Json.Float v)) c.counters) );
     ]
-
-(* --- Run-history trend (bench/main.exe appends BENCH_history.jsonl) ------- *)
-
-let history_schema = Ncg_obs.Schema.bench_history
-
-(* One history line: wall seconds per section, and lines of code per
-   directory when the line records them. *)
-let history_run j =
-  Json.schema history_schema j;
-  let walls =
-    List.filter_map
-      (fun (name, v) -> Option.map (fun w -> (name, w)) (Json.opt Json.number v))
-      (Json.field "sections" (Json.assoc Fun.id) j)
-  in
-  (walls, Json.opt (Json.field "loc" (Json.assoc Json.int)) j)
-
-(* Unparseable lines (torn tails from a crashed appender) are skipped, not
-   fatal; only a history with zero valid lines is an error. *)
-let history_runs path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | contents ->
-      Ok
-        (List.filter_map
-           (fun line ->
-             match Json.of_string line with
-             | Ok j -> Json.opt history_run j
-             | Error _ -> None)
-           (String.split_on_char '\n' contents))
-
-(* Ordered union of the names across [rows]. *)
-let names rows =
-  List.fold_left
-    (List.fold_left (fun acc (name, _) ->
-         if List.mem name acc then acc else acc @ [ name ]))
-    [] rows
-
-let print_loc locs =
-  match locs with
-  | [] -> ()
-  | first :: _ ->
-      let latest = List.nth locs (List.length locs - 1) in
-      Printf.printf "lines of code, first -> latest of %d run(s) recording them\n"
-        (List.length locs);
-      List.iter
-        (fun name ->
-          match (List.assoc_opt name first, List.assoc_opt name latest) with
-          | Some a, Some b -> Printf.printf "  %-14s %6d -> %6d  (%+d)\n" name a b (b - a)
-          | Some a, None -> Printf.printf "  %-14s %6d -> %6s\n" name a "-"
-          | None, Some b -> Printf.printf "  %-14s %6s -> %6d\n" name "-" b
-          | None, None -> ())
-        (names [ first; latest ])
-
-let print_history path =
-  match history_runs path with
-  | Error _ as e -> e
-  | Ok [] -> Error (Printf.sprintf "%s: no valid %s lines" path history_schema)
-  | Ok runs ->
-      let walls = List.map fst runs in
-      Printf.printf "%d run(s) in %s (oldest first, wall seconds)\n" (List.length runs)
-        path;
-      List.iter
-        (fun name ->
-          match List.filter_map (List.assoc_opt name) walls with
-          | [] -> ()
-          | first :: _ as walls ->
-              let last = List.nth walls (List.length walls - 1) in
-              let trend =
-                if List.length walls < 2 || first = 0.0 then ""
-                else
-                  Printf.sprintf "  (%+.1f%% vs first)" (100. *. ((last /. first) -. 1.))
-              in
-              Printf.printf "  %-14s %s%s\n" name
-                (String.concat " " (List.map (Printf.sprintf "%.2f") walls))
-                trend)
-        (names walls);
-      print_loc (List.filter_map snd runs);
-      Ok 0
 
 let write_baseline path sections =
   Json.to_file path
@@ -248,26 +175,23 @@ let gate ~tolerance ~wall_tolerance baseline_path sections =
     Ok 0
   end
 
-let run baseline_path write_path history_path tolerance wall_tolerance specs =
+let run baseline_path write_path tolerance wall_tolerance specs =
   let ( let* ) = Result.bind in
   let result =
-    match history_path with
-    | Some path -> print_history path
-    | None -> (
-        let* sections =
-          List.fold_left
-            (fun acc spec ->
-              let* acc = acc in
-              let* name, file = parse_spec spec in
-              let* cells = read file cells in
-              Ok (acc @ [ (name, cells) ]))
-            (Ok []) specs
-        in
-        match (sections, write_path, baseline_path) with
-        | [], _, _ -> Error "no SECTION=FILE arguments given"
-        | _, Some path, _ -> Ok (write_baseline path sections)
-        | _, None, Some path -> gate ~tolerance ~wall_tolerance path sections
-        | _, None, None -> Error "one of --baseline or --write-baseline is required")
+    let* sections =
+      List.fold_left
+        (fun acc spec ->
+          let* acc = acc in
+          let* name, file = parse_spec spec in
+          let* cells = read file cells in
+          Ok (acc @ [ (name, cells) ]))
+        (Ok []) specs
+    in
+    match (sections, write_path, baseline_path) with
+    | [], _, _ -> Error "no SECTION=FILE arguments given"
+    | _, Some path, _ -> Ok (write_baseline path sections)
+    | _, None, Some path -> gate ~tolerance ~wall_tolerance path sections
+    | _, None, None -> Error "one of --baseline or --write-baseline is required"
   in
   match result with
   | Ok code -> code
@@ -290,18 +214,8 @@ let write_arg =
     & opt (some string) None
     & info [ "write-baseline" ] ~docv:"FILE"
         ~doc:
-          "Regenerate the baseline at $(docv) from the given bench outputs \
+          "Regenerate the baseline at $(docv) from the given telemetry documents \
            instead of diffing.")
-
-let history_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "history" ] ~docv:"FILE"
-        ~doc:
-          "Print the per-section wall-time trend from a BENCH_history.jsonl \
-           appended by bench/main.exe (schema ncg.bench.history/1), then exit. \
-           Unparseable lines are skipped.")
 
 let tolerance_arg =
   Arg.(
@@ -319,14 +233,14 @@ let specs_arg =
   Arg.(
     value & pos_all string []
     & info [] ~docv:"SECTION=FILE"
-        ~doc:"Bench section name and its fresh JSON output.")
+        ~doc:"Baseline section name and its fresh telemetry document.")
 
 let cmd =
-  let doc = "diff bench telemetry against the committed perf baseline" in
+  let doc = "diff sweep telemetry against the committed perf baseline" in
   Cmd.v
     (Cmd.info "ncg_bench_diff" ~doc)
     Term.(
-      const run $ baseline_arg $ write_arg $ history_arg $ tolerance_arg
+      const run $ baseline_arg $ write_arg $ tolerance_arg
       $ wall_tolerance_arg $ specs_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -7,10 +7,9 @@
    every cell draws its RNG streams from a SplitMix64 split of the seed
    before the fan-out. --telemetry FILE additionally dumps per-cell wall
    times, hot-path counters (BFS calls, solver nodes, best responses),
-   latency histograms, GC deltas and span trees as JSON; --trace-out FILE
-   writes the sweep timeline as Chrome trace-event JSON (open in
-   ui.perfetto.dev). ncg_report --telemetry FILE renders the telemetry
-   as a Markdown report.
+   latency histograms, GC deltas and span trees as JSON, the one sweep
+   document: ncg_report --telemetry FILE renders it as a Markdown report
+   and ncg_bench_diff gates it against bench/BASELINE.json.
 
    --store DIR keeps a crash-safe result cache (see docs/STORE.md): cells
    already in the store are returned without recomputation, fresh cells
@@ -42,8 +41,7 @@
 
      # Figure 8/9 series on G(100, 0.1), 4 domains, with telemetry
      dune exec bin/ncg_experiment.exe -- --class gnp -n 100 -p 0.1 \
-         --alphas 0.5,1,2 --ks 2,3,1000 --domains 4 --telemetry cells.json \
-         --trace-out trace.json
+         --alphas 0.5,1,2 --ks 2,3,1000 --domains 4 --telemetry cells.json
 
      # Resumable sweep: kill it, rerun the same line, only missing cells run
      dune exec bin/ncg_experiment.exe -- --class gnp -n 100 -p 0.1 \
@@ -61,61 +59,6 @@ module Json = Ncg_obs.Json
 
 let default_alphas = [ 0.5; 1.0; 2.0; 5.0 ]
 let default_ks = [ 2; 3; 4; 5; 1000 ]
-
-(* Probe series carry no wall-clock of their own (cell payloads are
-   wall-clock-free by contract), so for the timeline their rounds are
-   spread evenly across the cell's span — synthetic timestamps, real
-   values. Non-finite samples (disconnected social cost) are skipped:
-   Perfetto rejects counter tracks with null values. *)
-let add_probe_track trace ~tid ~started_ns ~wall_ns ~label series =
-  let samples = Ncg_obs.Timeseries.to_list series in
-  let count = List.length samples in
-  List.iteri
-    (fun i (_x, y) ->
-      if Float.is_finite y then begin
-        let ts_ns =
-          Int64.add started_ns
-            (Int64.of_float
-               (Int64.to_float wall_ns
-               *. (float_of_int (i + 1) /. float_of_int (count + 1))))
-        in
-        Ncg_obs.Chrome_trace.add_counter trace ~tid ~ts_ns ~name:label
-          [ ("value", y) ]
-      end)
-    samples
-
-(* One Perfetto track per domain: each cell's span tree at its absolute
-   start, a GC counter sample (words allocated by that cell) at the
-   cell boundary, and counter tracks for the exemplar trial's
-   convergence series. *)
-let write_trace path (results : Experiment.cell_result list) =
-  let trace = Ncg_obs.Chrome_trace.create ~process_name:"ncg_experiment" () in
-  List.iter
-    (fun (r : Experiment.cell_result) ->
-      let tid = r.Experiment.domain in
-      Ncg_obs.Chrome_trace.add_span_tree trace ~tid r.Experiment.spans;
-      let end_ns = Int64.add r.Experiment.started_ns r.Experiment.wall_ns in
-      Ncg_obs.Chrome_trace.add_counter trace ~tid ~ts_ns:end_ns
-        ~name:"gc allocated words"
-        [ ("words", Ncg_obs.Gc_stats.allocated_words r.Experiment.gc) ];
-      List.iter
-        (fun (probe, label) ->
-          match
-            List.assoc_opt (Ncg_obs.Probe.name probe) r.Experiment.probes
-          with
-          | Some series ->
-              add_probe_track trace ~tid ~started_ns:r.Experiment.started_ns
-                ~wall_ns:r.Experiment.wall_ns ~label series
-          | None -> ())
-        [
-          (Ncg_obs.Probe.social_cost, "social cost (trial 0)");
-          (Ncg_obs.Probe.awake_players, "awake players (trial 0)");
-        ])
-    results;
-  Ncg_obs.Chrome_trace.to_file path trace;
-  Printf.eprintf "chrome trace (%d events) written to %s\n%!"
-    (Ncg_obs.Chrome_trace.event_count trace)
-    path
 
 let parse_only_cell s =
   match String.index_opt s ':' with
@@ -145,7 +88,7 @@ let install_signal_handlers () =
     [ Sys.sigint; Sys.sigterm ]
 
 let run graph_class n p alphas ks trials seed budget domains store_dir resume
-    only_cell telemetry trace_out quiet no_probes fault_plan_spec fault_seed
+    only_cell telemetry quiet no_probes fault_plan_spec fault_seed
     cell_deadline_ms move_budget =
   if quiet then Ncg_obs.Progress.set_enabled false;
   let probes = not no_probes in
@@ -227,13 +170,6 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
   let failures = Experiment.sweep_failures outcomes in
   let interrupted = Ncg_fault.Cancel.shutdown_requested () in
   let sweep_wall = Ncg_obs.Clock.elapsed_ns ~since:started in
-  (match trace_out with
-  | None -> ()
-  | Some path -> (
-      try write_trace path results
-      with Sys_error msg ->
-        Printf.eprintf "ncg_experiment: cannot write trace: %s\n%!" msg;
-        exit 1));
   print_endline Experiment.csv_header;
   List.iter
     (fun (r : Experiment.cell_result) ->
@@ -399,11 +335,6 @@ let telemetry =
          ~doc:"Write per-cell wall times, counters, histograms, GC deltas and \
                span trees as JSON.")
 
-let trace_out =
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
-         ~doc:"Write the sweep timeline as Chrome trace-event JSON (one track \
-               per domain; open in ui.perfetto.dev).")
-
 let quiet =
   Arg.(value & flag & info [ "quiet" ]
          ~doc:"Suppress the live progress line on stderr (it is also \
@@ -441,7 +372,7 @@ let cmd =
     (Cmd.info "ncg_experiment" ~doc)
     Term.(const run $ graph_class $ n $ p $ alphas $ ks $ trials $ seed $ budget
           $ domains $ store_dir $ resume $ only_cell $ telemetry
-          $ trace_out $ quiet $ no_probes
+          $ quiet $ no_probes
           $ fault_plan_spec $ fault_seed $ cell_deadline_ms $ move_budget)
 
 let () = exit (Cmd.eval cmd)

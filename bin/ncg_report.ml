@@ -8,14 +8,14 @@
 
    With --telemetry FILE it instead reports on a finished sweep: any
    telemetry document with a per-cell "cells" list
-   (ncg.experiment.telemetry/6, ncg.bench.experiment/6,
-   ncg.bench.fullgrid/2 and older versions). The report holds, in order:
+   (ncg.experiment.telemetry/6 and older versions). The report holds, in
+   order:
 
    - a summary table, one row per cell;
    - one exactness line: the cells whose best responses were cut off by
      the set-cover node budget, and in how many solves;
    - a latency table over the sweep-wide "histograms_total" section, when
-     the document has one (bench documents do not);
+     the document has one;
    - the convergence series of up to three cells' trial-0 exemplars;
    - with --compare OTHER, a cross-run table matched on (alpha, k).
 
@@ -266,12 +266,6 @@ let report_run graph_class n p alpha k seed variant out =
   let strategy =
     Ncg.Sweep_spec.make_initial { Ncg.Sweep_spec.default with graph_class; n; p } ~seed
   in
-  let variant =
-    match variant with
-    | "max" -> Ncg.Game.Max
-    | "sum" -> Ncg.Game.Sum
-    | v -> failwith ("unknown variant " ^ v)
-  in
   let config =
     {
       (Ncg.Dynamics.default_config ~alpha ~k) with
@@ -307,7 +301,9 @@ let p = Arg.(value & opt float 0.1 & info [ "p" ] ~doc:"Edge probability (gnp)."
 let alpha = Arg.(value & opt float 2.0 & info [ "alpha"; "a" ] ~doc:"Edge price.")
 let k = Arg.(value & opt int 3 & info [ "k" ] ~doc:"View radius.")
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.")
-let variant = Arg.(value & opt string "max" & info [ "variant" ] ~doc:"max or sum.")
+let variant =
+  Arg.(value & opt (enum [ ("max", Ncg.Game.Max); ("sum", Ncg.Game.Sum) ]) Ncg.Game.Max
+       & info [ "variant" ] ~doc:"max or sum.")
 
 let telemetry =
   Arg.(value & opt (some string) None & info [ "telemetry" ] ~docv:"FILE"

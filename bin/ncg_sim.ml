@@ -14,17 +14,6 @@ let run graph_class n p alpha k seed variant solver max_rounds quiet =
     | "star" -> Ncg.Strategy.of_buys ~n (Ncg_gen.Classic.star_buys n)
     | _ -> Ncg.Sweep_spec.make_initial { Ncg.Sweep_spec.default with graph_class; n; p } ~seed
   in
-  let variant = match variant with "max" -> Ncg.Game.Max | "sum" -> Ncg.Game.Sum | v -> failwith ("unknown variant " ^ v) in
-  let solver =
-    match solver with
-    | "exact" -> `Exact
-    | "greedy" -> `Greedy
-    | s -> begin
-        match int_of_string_opt s with
-        | Some budget -> `Budgeted budget
-        | None -> failwith "solver must be exact, greedy, or a node budget"
-      end
-  in
   let config =
     {
       (Ncg.Dynamics.default_config ~alpha ~k) with
@@ -69,11 +58,32 @@ let p = Arg.(value & opt float 0.1 & info [ "p" ] ~docv:"P" ~doc:"Edge probabili
 let alpha = Arg.(value & opt float 2.0 & info [ "alpha"; "a" ] ~docv:"ALPHA" ~doc:"Edge price.")
 let k = Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc:"View radius (1000 = full knowledge).")
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-let variant = Arg.(value & opt string "max" & info [ "variant" ] ~docv:"V" ~doc:"Game variant: max or sum.")
+
+let variant =
+  Arg.(value & opt (enum [ ("max", Ncg.Game.Max); ("sum", Ncg.Game.Sum) ]) Ncg.Game.Max
+       & info [ "variant" ] ~docv:"V" ~doc:"Game variant: max or sum.")
+
+let solver_conv =
+  let parse = function
+    | "exact" -> Ok `Exact
+    | "greedy" -> Ok `Greedy
+    | s -> (
+        match int_of_string_opt s with
+        | Some budget when budget > 0 -> Ok (`Budgeted budget)
+        | _ ->
+            Error
+              (Printf.sprintf "%S: expected exact, greedy or a positive node budget" s))
+  in
+  let print ppf = function
+    | `Exact -> Format.pp_print_string ppf "exact"
+    | `Greedy -> Format.pp_print_string ppf "greedy"
+    | `Budgeted budget -> Format.pp_print_int ppf budget
+  in
+  Arg.conv' (parse, print)
 
 let solver =
-  Arg.(value & opt string "exact" & info [ "solver" ] ~docv:"S"
-         ~doc:"Best-response solver: exact, greedy, or an integer node budget.")
+  Arg.(value & opt solver_conv `Exact & info [ "solver" ] ~docv:"S"
+         ~doc:"Best-response solver: exact, greedy, or a positive integer node budget.")
 
 let max_rounds = Arg.(value & opt int 200 & info [ "max-rounds" ] ~doc:"Round cap.")
 let quiet = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress the per-round CSV.")

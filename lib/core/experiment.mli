@@ -294,7 +294,7 @@ val csv_row :
     seconds and domain, the converged fraction and the rounds and
     quality means ([ncg_report --telemetry] reads these three), then the
     cell's counters, histograms, GC delta, probe series and span tree.
-    [ncg_experiment --telemetry] and the bench's [BENCH_*.json] files
-    write every cell through this function. *)
+    [ncg_experiment --telemetry] writes every cell through this
+    function. *)
 val cell_json :
   graph_class:string -> n:int -> p:float -> trials:int -> cell_result -> Ncg_obs.Json.t

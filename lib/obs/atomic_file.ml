@@ -1,7 +1,7 @@
 (* Blessed atomic text-file writer: same-directory temp + fsync + rename,
    so a crash at any point leaves either the old file or the new one —
    never a torn artifact. The only one in the tree: Json.to_file renders
-   and calls it, and markdown reports and trace files use it directly. *)
+   and calls it, and markdown reports use it directly. *)
 
 let write path contents =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
@@ -17,22 +17,3 @@ let write path contents =
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e);
   Sys.rename tmp path
-
-(* Appends are not atomic in the temp+rename sense — a crash can leave a
-   torn final line — but JSONL readers skip unparseable lines, so the
-   history file degrades gracefully. O_APPEND keeps concurrent appenders
-   from interleaving within a line on POSIX. *)
-let append_line path line =
-  let oc =
-    (open_out_gen [@lint.allow "A1" "append-only JSONL sink; torn tails are tolerated by readers"])
-      [ Open_append; Open_creat ] 0o644 path
-  in
-  (match
-     output_string oc line;
-     output_char oc '\n';
-     flush oc
-   with
-  | () -> close_out oc
-  | exception e ->
-      close_out_noerr oc;
-      raise e)

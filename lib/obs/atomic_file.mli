@@ -7,9 +7,3 @@
     through here. *)
 
 val write : string -> string -> unit
-
-(** [append_line path line] appends [line] plus a newline to [path]
-    (creating it if missing). Not atomic — a crash can tear the final
-    line — but JSONL consumers skip unparseable lines, so an append-only
-    history degrades gracefully rather than corrupting. *)
-val append_line : string -> string -> unit

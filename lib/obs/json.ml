@@ -97,10 +97,10 @@ let to_file path t = Atomic_file.write path (to_string_pretty t)
 (* --- Parsing --------------------------------------------------------------- *)
 
 (* Recursive-descent parser for the full JSON grammar (RFC 8259). Used by
-   tests to validate everything the emitters above produce (escaping
-   round-trips, Chrome traces, JSONL events) without an external JSON
-   dependency. Numbers with '.', 'e' or 'E' parse as Float, others as Int
-   (falling back to Float on overflow). *)
+   the store, ncg_report and ncg_bench_diff to read back what the
+   emitters above produce, and by tests to validate it, without an
+   external JSON dependency. Numbers with '.', 'e' or 'E' parse as
+   Float, others as Int (falling back to Float on overflow). *)
 
 exception Parse_failure of string
 

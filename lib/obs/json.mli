@@ -1,9 +1,9 @@
 (** Minimal JSON tree, serializer, parser and decoding accessors.
 
-    Just enough for telemetry export ({!Metrics}, {!Span},
-    [BENCH_experiment.json]) and for reading back what the repo writes
-    (store cells, telemetry, bench reports) without pulling in a JSON
-    dependency.
+    Just enough for telemetry export ({!Metrics}, {!Span}, the
+    [ncg_experiment --telemetry] document) and for reading back what the
+    repo writes (store cells, telemetry, the bench baseline) without
+    pulling in a JSON dependency.
     Numbers follow OCaml float formatting; NaN and infinities serialize
     as [null] so the output stays standard-compliant. *)
 
@@ -33,7 +33,7 @@ val to_file : string -> t -> unit
     containing ['.'], ['e'] or ['E'] parse as [Float], others as [Int]
     (falling back to [Float] on overflow). Used by the test suite to
     validate everything the emitters produce — escaping round-trips,
-    Chrome traces, JSONL events — without an external JSON dependency.
+    store cells, telemetry — without an external JSON dependency.
     [Error msg] carries the failure offset. Never raises, whatever the
     input bytes (fuzz-tested on arbitrary and truncated strings). *)
 val of_string : string -> (t, string) result

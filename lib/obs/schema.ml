@@ -23,11 +23,8 @@ let experiment_telemetry = "ncg.experiment.telemetry/6"
 (* lib/lint *)
 let lint_report = "ncg.lint.report/3"
 
-(* bench + bin/ncg_bench_diff *)
-let bench_experiment = "ncg.bench.experiment/6"
-let bench_fullgrid = "ncg.bench.fullgrid/2"
+(* bin/ncg_bench_diff *)
 let bench_baseline = "ncg.bench.baseline/1"
-let bench_history = "ncg.bench.history/1"
 
 let all =
   [
@@ -36,10 +33,7 @@ let all =
     store_cell;
     experiment_telemetry;
     lint_report;
-    bench_experiment;
-    bench_fullgrid;
     bench_baseline;
-    bench_history;
   ]
 
 (* A tag is "schema-shaped" when it is exactly ncg.<seg>(.<seg>)*/<digits>

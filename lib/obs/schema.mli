@@ -1,7 +1,7 @@
 (** Central registry of the repo's [ncg.*/N] schema tags.
 
-    Every versioned artifact (telemetry, store records, bench reports,
-    lint reports) names its schema through this module
+    Every versioned artifact (telemetry, store records, the bench
+    baseline, lint reports) names its schema through this module
     — never as a local string literal — so an emit site and its parse
     site cannot skew across a version bump. The lint rule [R1]
     (docs/LINTING.md) enforces this mechanically: an exact schema-shaped
@@ -15,10 +15,7 @@ val obs_probes : string
 val store_cell : string
 val experiment_telemetry : string
 val lint_report : string
-val bench_experiment : string
-val bench_fullgrid : string
 val bench_baseline : string
-val bench_history : string
 
 (** Every registered tag. *)
 val all : string list

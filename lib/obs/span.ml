@@ -86,8 +86,8 @@ let rec to_json span =
   | [] -> Json.Obj base
   | children -> Json.Obj (base @ [ ("children", Json.List (List.map to_json children)) ])
 
-(* Lossless variant of to_json: also carries started_ns (needed to
-   rebuild Chrome-trace timelines from cached cells) and round-trips
+(* Lossless variant of to_json: also carries started_ns, so a cached
+   cell's span tree is the one it was stored with, and round-trips
    through of_json_exact. *)
 let rec to_json_exact span =
   let base =

@@ -42,8 +42,7 @@ val to_json : t -> Json.t
 
 (** Lossless codec: like {!to_json} but also carrying [started_ns], with
     [of_json_exact (to_json_exact t) = Ok t]. Used by {!Ncg_store} cell
-    records so cached cells keep their span trees (and Chrome-trace
-    timelines) intact. *)
+    records so cached cells keep their span trees intact. *)
 val to_json_exact : t -> Json.t
 
 val of_json_exact : Json.t -> (t, string) result

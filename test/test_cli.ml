@@ -2,7 +2,9 @@
    on a 9-cell tree grid: a stored sweep killed mid-run resumes to the
    uninterrupted CSV, sweeps under seeded fault plans quarantine exactly
    the reported cells, ncg_report's telemetry report reads every cell of
-   the telemetry, and retired flags are usage errors. *)
+   the telemetry, the bench gate passes the smoke grid's telemetry against
+   bench/BASELINE.json and fails a lowered counter, and retired flags and
+   bad option values are usage errors. *)
 
 module Json = Ncg_obs.Json
 
@@ -284,7 +286,77 @@ let test_report_reads_every_cell () =
         (run ~prog:(built "ncg_report") ~out:(path "bad.md") ~err:(path "bad.err")
            [ "--telemetry"; path "sweep.csv" ]))
 
-(* --- Retired flags -------------------------------------------------------- *)
+(* --- Bench gate ----------------------------------------------------------- *)
+
+(* The committed baseline, which dune copies next to the build tree (see
+   the test's deps). *)
+let baseline =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name "bench/BASELINE.json")
+
+(* [j] with the value at [path] replaced by [f] of it; "0" steps into
+   the head of a list. *)
+let rec edit path f j =
+  match (path, j) with
+  | [], v -> f v
+  | "0" :: rest, Json.List (x :: xs) -> Json.List (edit rest f x :: xs)
+  | key :: rest, Json.Obj fields ->
+      if not (List.mem_assoc key fields) then Alcotest.failf "no field %S" key;
+      Json.Obj (List.map (fun (k, v) -> (k, if k = key then edit rest f v else v)) fields)
+  | key :: _, _ -> Alcotest.failf "cannot step into %S" key
+
+let test_bench_gate () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir in
+      let telemetry = path "experiment.json" in
+      (* The smoke grid behind the baseline's "experiment" section. *)
+      run_ok ~out:(path "smoke.csv") ~err:(path "smoke.err")
+        [
+          "-n"; "20"; "--trials"; "2"; "--alphas"; "0.5,2"; "--ks"; "2,1000";
+          "--quiet"; "--telemetry"; telemetry;
+        ];
+      let gate ~tag args =
+        run ~prog:(built "ncg_bench_diff") ~out:(path (tag ^ ".out"))
+          ~err:(path (tag ^ ".err")) args
+      in
+      let fail_lines tag =
+        List.filter
+          (String.starts_with ~prefix:"FAIL")
+          (lines (read_file (path (tag ^ ".out"))))
+      in
+      check_int "committed baseline: exit 0" 0
+        (gate ~tag:"clean" [ "--baseline"; baseline; "experiment=" ^ telemetry ]);
+      Alcotest.(check (list string))
+        "committed baseline: no FAIL" [] (fail_lines "clean");
+      check_bool "every baseline cell checked" true
+        (List.mem "section experiment: 4 baseline cells checked"
+           (lines (read_file (path "clean.out"))));
+      (* One counter of one cell lowered by 1 reads as a regression. *)
+      let lowered = path "lowered.json" in
+      (match Json.of_file baseline with
+      | Error e -> Alcotest.failf "%s: %s" baseline e
+      | Ok j ->
+          Json.to_file lowered
+            (edit
+               [ "sections"; "experiment"; "cells"; "0"; "counters"; "bfs.calls" ]
+               (function
+                 | Json.Float v -> Json.Float (v -. 1.)
+                 | Json.Int v -> Json.Int (v - 1)
+                 | _ -> Alcotest.fail "bfs.calls is not a number")
+               j));
+      check_int "lowered counter: exit 1" 1
+        (gate ~tag:"lowered" [ "--baseline"; lowered; "experiment=" ^ telemetry ]);
+      (match fail_lines "lowered" with
+      | [ line ] ->
+          check_bool ("the FAIL names the cell: " ^ line) true
+            (String.starts_with
+               ~prefix:"FAIL [experiment] alpha=0.5 k=2: counter bfs.calls" line)
+      | ls -> Alcotest.failf "expected one FAIL line, got %d" (List.length ls));
+      check_int "--history is a usage error" 124
+        (gate ~tag:"history" [ "--history"; "x" ]))
+
+(* --- Retired flags and bad option values ------------------------------------ *)
 
 let test_retired_flags () =
   with_temp_dir (fun dir ->
@@ -300,6 +372,23 @@ let test_retired_flags () =
           [ "--no-cache" ];
           [ "--events"; "x" ];
           [ "--no-progress" ];
+          [ "--trace-out"; "x" ];
+        ])
+
+(* Values that once died of an uncaught exception (exit 125) now fail to
+   parse. *)
+let test_bad_values () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir in
+      List.iter
+        (fun (prog, args) ->
+          let code = run ~prog:(built prog) ~out:(path "out") ~err:(path "err") args in
+          check_int (String.concat " " (prog :: args) ^ " is a usage error") 124 code)
+        [
+          ("ncg_report", [ "--variant"; "foo" ]);
+          ("ncg_sim", [ "--variant"; "foo" ]);
+          ("ncg_sim", [ "--solver"; "foo" ]);
+          ("ncg_sim", [ "--solver"; "0" ]);
         ])
 
 let () =
@@ -318,6 +407,11 @@ let () =
           Alcotest.test_case "post-hoc report reads every cell" `Quick
             test_report_reads_every_cell;
         ] );
+      ( "gate",
+        [ Alcotest.test_case "bench gate on the smoke grid" `Quick test_bench_gate ] );
       ( "flags",
-        [ Alcotest.test_case "retired flags rejected" `Quick test_retired_flags ] );
+        [
+          Alcotest.test_case "retired flags rejected" `Quick test_retired_flags;
+          Alcotest.test_case "bad option values rejected" `Quick test_bad_values;
+        ] );
     ]

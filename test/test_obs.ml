@@ -1,12 +1,11 @@
 (* Tests for the observability library: JSON emitter/parser, counters,
-   spans, latency histograms, GC deltas, Chrome traces, progress line. *)
+   spans, latency histograms, GC deltas, progress line. *)
 
 module Json = Ncg_obs.Json
 module Metrics = Ncg_obs.Metrics
 module Span = Ncg_obs.Span
 module Histogram = Ncg_obs.Histogram
 module Gc_stats = Ncg_obs.Gc_stats
-module Chrome_trace = Ncg_obs.Chrome_trace
 module Progress = Ncg_obs.Progress
 
 let check_string = Alcotest.(check string)
@@ -586,108 +585,6 @@ let test_gc_arithmetic () =
   check_bool "non-object rejected" true
     (match Gc_stats.of_json Json.Null with Error _ -> true | Ok _ -> false)
 
-(* --- Chrome_trace -------------------------------------------------------- *)
-
-(* B/E events must balance like brackets per track, with matching names. *)
-let check_be_nesting events =
-  let stacks : (int, string list) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Json.Obj fields -> (
-          let str k = match List.assoc_opt k fields with
-            | Some (Json.String s) -> s
-            | _ -> ""
-          in
-          let tid =
-            match List.assoc_opt "tid" fields with
-            | Some (Json.Int t) -> t
-            | _ -> -1
-          in
-          let stack = Option.value (Hashtbl.find_opt stacks tid) ~default:[] in
-          match str "ph" with
-          | "B" -> Hashtbl.replace stacks tid (str "name" :: stack)
-          | "E" -> (
-              match stack with
-              | top :: rest ->
-                  check_string "E matches innermost B" top (str "name");
-                  Hashtbl.replace stacks tid rest
-              | [] -> Alcotest.fail "E without matching B")
-          | _ -> ())
-      | _ -> Alcotest.fail "event is not an object")
-    events;
-  (Hashtbl.iter [@lint.allow "D3" "order-independent check: fails iff any stack is non-empty"])
-    (fun tid stack ->
-      if stack <> [] then Alcotest.failf "unclosed B events on tid %d" tid)
-    stacks
-
-let test_chrome_trace () =
-  let (), root =
-    Span.trace "cell" (fun () ->
-        Span.with_span "trial 0" (fun () ->
-            Span.with_span "dynamics.run" (fun () -> ()));
-        Span.with_span "trial 1" (fun () -> ()))
-  in
-  let trace = Chrome_trace.create ~process_name:"test" () in
-  Chrome_trace.set_thread_name trace ~tid:7 "worker";
-  Chrome_trace.add_span_tree trace ~tid:7 root;
-  Chrome_trace.add_span_tree trace ~tid:3 root;
-  Chrome_trace.add_counter trace ~tid:7 ~ts_ns:123_000L ~name:"gc"
-    [ ("words", 42.0) ];
-  Chrome_trace.add_complete trace ~tid:7 ~name:"flat" ~start_ns:1_000L
-    ~dur_ns:2_000L ();
-  (* Serialized form parses back and is structurally sound. *)
-  let json = Chrome_trace.to_json trace in
-  check_bool "serialization parses" true
-    (Json.of_string (Json.to_string json) = Ok json);
-  let events =
-    match json with
-    | Json.Obj fields -> (
-        match List.assoc "traceEvents" fields with
-        | Json.List evs -> evs
-        | _ -> Alcotest.fail "traceEvents is not a list")
-    | _ -> Alcotest.fail "trace is not an object"
-  in
-  check_int "event_count matches serialization" (List.length events)
-    (Chrome_trace.event_count trace);
-  check_be_nesting events;
-  let has ph =
-    List.exists
-      (function
-        | Json.Obj fields -> List.assoc_opt "ph" fields = Some (Json.String ph)
-        | _ -> false)
-      events
-  in
-  check_bool "has metadata" true (has "M");
-  check_bool "has begin" true (has "B");
-  check_bool "has counter" true (has "C");
-  check_bool "has complete" true (has "X");
-  (* 4 spans x 2 tracks = 8 B and 8 E events. *)
-  let count ph =
-    List.length
-      (List.filter
-         (function
-           | Json.Obj fields -> List.assoc_opt "ph" fields = Some (Json.String ph)
-           | _ -> false)
-         events)
-  in
-  check_int "8 begins" 8 (count "B");
-  check_int "8 ends" 8 (count "E");
-  (* tid 7 was named explicitly, tid 3 auto-named. *)
-  let thread_names =
-    List.filter_map
-      (function
-        | Json.Obj fields
-          when List.assoc_opt "name" fields = Some (Json.String "thread_name") -> (
-            match List.assoc_opt "args" fields with
-            | Some (Json.Obj [ ("name", Json.String n) ]) -> Some n
-            | _ -> None)
-        | _ -> None)
-      events
-  in
-  check_bool "explicit name kept" true (List.mem "worker" thread_names);
-  check_bool "auto name for other tid" true (List.mem "domain 3" thread_names)
-
 (* --- Progress line -------------------------------------------------------- *)
 
 let test_progress_auto_suppression () =
@@ -981,8 +878,6 @@ let () =
           Alcotest.test_case "measure" `Quick test_gc_measure;
           Alcotest.test_case "arithmetic and export" `Quick test_gc_arithmetic;
         ] );
-      ( "chrome_trace",
-        [ Alcotest.test_case "structure and nesting" `Quick test_chrome_trace ] );
       (* The group keeps its old name so the test ids stay stable. *)
       ( "events",
         [
