@@ -196,6 +196,45 @@ let test_span_exact_codec () =
     | Error _ -> true
     | Ok _ -> false)
 
+(* The timeline a telemetry document draws from a span tree: every child
+   interval lies inside its parent's, and siblings run in start order
+   without overlapping. *)
+let rec check_timeline_nesting (s : Span.t) =
+  let stop (x : Span.t) = Int64.add x.Span.started_ns x.Span.elapsed_ns in
+  ignore
+    (List.fold_left
+       (fun prev_stop (c : Span.t) ->
+         check_bool
+           (Printf.sprintf "%s starts inside %s" c.Span.span_name s.Span.span_name)
+           true
+           (c.Span.started_ns >= s.Span.started_ns);
+         check_bool
+           (Printf.sprintf "%s ends inside %s" c.Span.span_name s.Span.span_name)
+           true
+           (stop c <= stop s);
+         check_bool
+           (Printf.sprintf "%s starts after its previous sibling" c.Span.span_name)
+           true
+           (c.Span.started_ns >= prev_stop);
+         check_timeline_nesting c;
+         stop c)
+       s.Span.started_ns s.Span.children)
+
+let test_span_timeline_nesting () =
+  let (), root =
+    Span.trace "cell" (fun () ->
+        Span.with_span "trial 0" (fun () ->
+            Span.with_span "dynamics.run" (fun () -> ()));
+        Span.with_span "trial 1" (fun () ->
+            Span.with_span "dynamics.run" (fun () -> ())))
+  in
+  check_int "cell, 2 trials, 2 runs" 5 (Span.count root);
+  check_timeline_nesting root;
+  (* The exact codec keeps the absolute starts the timeline is drawn from. *)
+  match Span.of_json_exact (Span.to_json_exact root) with
+  | Ok back -> check_timeline_nesting back
+  | Error e -> Alcotest.fail e
+
 (* --- Json.of_string ------------------------------------------------------ *)
 
 let parse_ok s =
@@ -845,6 +884,14 @@ let () =
           Alcotest.test_case "exception safety" `Quick test_trace_exception_restores;
           Alcotest.test_case "export" `Quick test_span_export;
           Alcotest.test_case "exact codec round-trip" `Quick test_span_exact_codec;
+        ] );
+      (* The group name is 12 characters, as wide as the retired
+         chrome_trace group's, so alcotest truncates long test names in
+         this file at the same column and their ids stay stable. *)
+      ( "span nesting",
+        [
+          Alcotest.test_case "cell > trial > run timeline" `Quick
+            test_span_timeline_nesting;
         ] );
       ( "json parser",
         [
