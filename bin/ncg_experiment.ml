@@ -15,11 +15,11 @@
    already in the store are returned without recomputation, fresh cells
    are appended (fsync'd) the moment they finish, so a killed sweep
    resumes from where it died. --resume is --store plus a guard that DIR
-   already exists. A cell's seeds and fault scope depend on (--seed,
-   alpha, k) alone, so a stored cell never needs recomputing (to re-time
-   a grid, run it without --store or on a fresh store), and --only-cell
-   ALPHA:K runs that one cell and prints the row (or the quarantine) any
-   sweep containing it would.
+   already exists. A cell's seeds depend on (--seed, alpha, k) alone,
+   so a stored cell never needs recomputing (to re-time a grid, run it
+   without --store or on a fresh store), and --only-cell ALPHA:K runs
+   that one cell and prints the row (or the quarantine) any sweep
+   containing it would.
 
    Sweeps run under a supervised executor (see docs/ROBUSTNESS.md): each
    cell gets one attempt, and a failing cell is quarantined while every
@@ -29,11 +29,11 @@
    fail the same way; rerun with --resume once the cause is gone.
    --cell-deadline-ms bounds each cell (watchdog + cooperative
    cancellation); --move-budget bounds a single player move's search
-   steps so a pathological cell times out instead of hanging.
-   --fault-plan SPEC (with --fault-seed) injects deterministic faults —
-   raises, delays, short store writes — for testing that machinery;
-   see docs/ROBUSTNESS.md for the plan syntax. SIGINT/SIGTERM flush the
-   store and telemetry before exiting 128+signal.
+   steps so a pathological cell times out instead of hanging. Step
+   counts are deterministic, so a small --move-budget quarantines the
+   same cells on any --domains: the way to exercise that machinery.
+   SIGINT/SIGTERM flush the store and telemetry before exiting
+   128+signal.
 
    Examples:
      # Figure 5 series (view sizes) on 50-vertex trees, 5 seeds per cell
@@ -88,22 +88,9 @@ let install_signal_handlers () =
     [ Sys.sigint; Sys.sigterm ]
 
 let run graph_class n p alphas ks trials seed budget domains store_dir resume
-    only_cell telemetry quiet no_probes fault_plan_spec fault_seed
-    cell_deadline_ms move_budget =
+    only_cell telemetry quiet no_probes cell_deadline_ms move_budget =
   if quiet then Ncg_obs.Progress.set_enabled false;
   let probes = not no_probes in
-  let fault_plan =
-    match fault_plan_spec with
-    | None -> None
-    | Some spec -> (
-        match Ncg_fault.Inject.parse_plan ~seed:fault_seed spec with
-        | Ok plan ->
-            Ncg_fault.Inject.install plan;
-            Some plan
-        | Error msg ->
-            Printf.eprintf "ncg_experiment: --fault-plan: %s\n%!" msg;
-            exit 2)
-  in
   let cell_deadline_ns =
     if cell_deadline_ms <= 0. then None
     else Some (Int64.of_float (cell_deadline_ms *. 1e6))
@@ -188,17 +175,11 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
       let doc =
         Json.Obj
           ([
-             (* /6: each cell record is Experiment.cell_json, which adds
-                converged_frac, rounds_mean and quality_mean. *)
+             (* /7: no fault-injection plan key (fault injection is gone). *)
              ("schema", Json.String Ncg_obs.Schema.experiment_telemetry);
              ("seed", Json.Int seed);
              ("domains", Json.Int domains);
              ("probes", Json.Bool probes);
-             ( "fault_plan",
-               match fault_plan with
-               | None -> Json.Null
-               | Some plan ->
-                   Json.String (Ncg_fault.Inject.plan_to_string plan) );
              ("interrupted", Json.Bool (interrupted <> None));
              ("failed_cells", Json.Int (List.length failures));
              ( "sweep.failures",
@@ -208,7 +189,7 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
                       match Experiment.cell_failure_to_json f with
                       | Json.Obj fields ->
                           (* The exact CSV row prefix of the quarantined
-                             cell, so tooling (test_cli's fault smoke) can
+                             cell, so tooling (test_cli's fault cases) can
                              filter it from a clean run's CSV without
                              re-deriving float formatting. *)
                           Json.Obj
@@ -346,16 +327,6 @@ let no_probes =
                exemplar trial. The CSV is byte-identical either way; only \
                the telemetry/store payloads shrink.")
 
-let fault_plan_spec =
-  Arg.(value & opt (some string) None & info [ "fault-plan" ] ~docv:"SPEC"
-         ~doc:"Deterministic fault-injection plan, e.g. \
-               'sweep.cell=raise@p:0.3,record_log.append=short:8@nth:2' \
-               (see docs/ROBUSTNESS.md).")
-
-let fault_seed =
-  Arg.(value & opt int 0 & info [ "fault-seed" ] ~docv:"N"
-         ~doc:"Seed of the fault plan's probability draws.")
-
 let cell_deadline_ms =
   Arg.(value & opt float 0. & info [ "cell-deadline-ms" ] ~docv:"MS"
          ~doc:"Wall-clock deadline per cell (0 = none).")
@@ -372,7 +343,6 @@ let cmd =
     (Cmd.info "ncg_experiment" ~doc)
     Term.(const run $ graph_class $ n $ p $ alphas $ ks $ trials $ seed $ budget
           $ domains $ store_dir $ resume $ only_cell $ telemetry
-          $ quiet $ no_probes
-          $ fault_plan_spec $ fault_seed $ cell_deadline_ms $ move_budget)
+          $ quiet $ no_probes $ cell_deadline_ms $ move_budget)
 
 let () = exit (Cmd.eval cmd)

@@ -8,7 +8,7 @@
 
    With --telemetry FILE it instead reports on a finished sweep: any
    telemetry document with a per-cell "cells" list
-   (ncg.experiment.telemetry/6 and older versions). The report holds, in
+   (ncg.experiment.telemetry/7 and older versions). The report holds, in
    order:
 
    - a summary table, one row per cell;
@@ -263,25 +263,29 @@ let report_telemetry path compare_with out =
 (* --- One dynamics run ------------------------------------------------------ *)
 
 let report_run graph_class n p alpha k seed variant out =
-  let strategy =
-    Ncg.Sweep_spec.make_initial { Ncg.Sweep_spec.default with graph_class; n; p } ~seed
-  in
-  let config =
-    {
-      (Ncg.Dynamics.default_config ~alpha ~k) with
-      Ncg.Dynamics.variant;
-      solver = `Budgeted 50_000;
-      sum_mode = `Branch_and_bound 34;
-    }
-  in
-  let result = Ncg.Dynamics.run config strategy in
-  let title =
-    Printf.sprintf "%sNCG dynamics on %s (n=%d, alpha=%g, k=%d, seed=%d)"
-      (Ncg.Game.variant_to_string variant)
-      graph_class n alpha k seed
-  in
-  write_report out (Ncg_reporting.Run_report.of_run ~title config strategy result);
-  0
+  let spec = { Ncg.Sweep_spec.default with graph_class; n; p } in
+  match Ncg.Sweep_spec.validate spec with
+  | Error msg ->
+      Printf.eprintf "ncg_report: %s\n%!" msg;
+      2
+  | Ok () ->
+      let strategy = Ncg.Sweep_spec.make_initial spec ~seed in
+      let config =
+        {
+          (Ncg.Dynamics.default_config ~alpha ~k) with
+          Ncg.Dynamics.variant;
+          solver = `Budgeted 50_000;
+          sum_mode = `Branch_and_bound 34;
+        }
+      in
+      let result = Ncg.Dynamics.run config strategy in
+      let title =
+        Printf.sprintf "%sNCG dynamics on %s (n=%d, alpha=%g, k=%d, seed=%d)"
+          (Ncg.Game.variant_to_string variant)
+          graph_class n alpha k seed
+      in
+      write_report out (Ncg_reporting.Run_report.of_run ~title config strategy result);
+      0
 
 let run graph_class n p alpha k seed variant telemetry compare_with out =
   match (telemetry, compare_with) with

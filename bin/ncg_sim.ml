@@ -1,13 +1,31 @@
 (* ncg_sim: run one round-robin best-response dynamics and print per-round
    features as CSV.
 
+   The final profile is certified with the exact solver (Max variant) or
+   the single-move check (Sum variant), whatever --solver the run used.
+   Bad -n/-p values exit 2. A player move that exhausts the engine's
+   move budget (Dynamics.default_config's move_budget checkpoints)
+   prints the timeout on stderr and exits 3.
+
    Example:
      dune exec bin/ncg_sim.exe -- --class tree -n 50 --alpha 2 -k 3 --seed 7
      dune exec bin/ncg_sim.exe -- --class gnp -n 100 -p 0.1 --alpha 0.5 -k 5 *)
 
 open Cmdliner
 
+(* cycle and star starts are not Sweep_spec classes: check only their n. *)
+let validate graph_class n p =
+  match graph_class with
+  | "cycle" -> if n < 3 then Error "n must be at least 3 for a cycle" else Ok ()
+  | "star" -> if n < 2 then Error "n must be at least 2" else Ok ()
+  | _ -> Ncg.Sweep_spec.validate { Ncg.Sweep_spec.default with graph_class; n; p }
+
 let run graph_class n p alpha k seed variant solver max_rounds quiet =
+  (match validate graph_class n p with
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "ncg_sim: %s\n%!" msg;
+      exit 2);
   let strategy =
     match graph_class with
     | "cycle" -> Ncg.Strategy.of_buys ~n (Ncg_gen.Classic.cycle_buys n)
@@ -22,7 +40,12 @@ let run graph_class n p alpha k seed variant solver max_rounds quiet =
       max_rounds;
     }
   in
-  let result = Ncg.Dynamics.run config strategy in
+  let result =
+    try Ncg.Dynamics.run config strategy
+    with Ncg_fault.Cancel.Timed_out what ->
+      Printf.eprintf "ncg_sim: a player move timed out (%s)\n%!" what;
+      exit 3
+  in
   if not quiet then begin
     print_endline Ncg.Features.csv_header;
     List.iter
@@ -41,7 +64,7 @@ let run graph_class n p alpha k seed variant solver max_rounds quiet =
   | None -> Printf.printf "# final configuration disconnected\n");
   let lke =
     match variant with
-    | Ncg.Game.Max -> Ncg.Lke.is_lke_max ~solver ~alpha ~k result.Ncg.Dynamics.final
+    | Ncg.Game.Max -> Ncg.Lke.is_lke_max ~alpha ~k result.Ncg.Dynamics.final
     | Ncg.Game.Sum -> Ncg.Lke.is_single_move_stable_sum ~alpha ~k result.Ncg.Dynamics.final
   in
   Printf.printf "# certified stable: %b\n" lke

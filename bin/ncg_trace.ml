@@ -1,8 +1,11 @@
 (* ncg_trace: record and audit dynamics traces.
 
-   record : run a dynamics, save the initial profile and the move trace
+   record : run a dynamics, save the initial profile and the move trace;
+            bad -n/-p values exit 2, and a player move that exhausts the
+            engine's move budget prints the timeout and exits 3
    verify : reload both, replay the trace, check the replay invariant and
-            certify the replayed profile as an LKE
+            certify the replayed profile as an LKE with the exact solver,
+            whatever solver recorded it; exits 2 when it is not one
 
    Example:
      dune exec bin/ncg_trace.exe -- record --class tree -n 30 --alpha 2 \
@@ -24,13 +27,22 @@ let initial_path prefix = prefix ^ ".initial"
 let trace_path prefix = prefix ^ ".trace"
 
 let record graph_class n p alpha k seed prefix =
-  let strategy =
-    Ncg.Sweep_spec.make_initial { Ncg.Sweep_spec.default with graph_class; n; p } ~seed
-  in
+  let spec = { Ncg.Sweep_spec.default with graph_class; n; p } in
+  (match Ncg.Sweep_spec.validate spec with
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "ncg_trace: %s\n%!" msg;
+      exit 2);
+  let strategy = Ncg.Sweep_spec.make_initial spec ~seed in
   let config =
     { (Ncg.Dynamics.default_config ~alpha ~k) with Ncg.Dynamics.solver = `Budgeted 50_000 }
   in
-  let result = Ncg.Dynamics.run config strategy in
+  let result =
+    try Ncg.Dynamics.run config strategy
+    with Ncg_fault.Cancel.Timed_out what ->
+      Printf.eprintf "ncg_trace: a player move timed out (%s)\n%!" what;
+      exit 3
+  in
   write_file (initial_path prefix) (Ncg.Strategy.to_string strategy);
   write_file (trace_path prefix) (Ncg.Trace.to_string result.Ncg.Dynamics.trace);
   Printf.printf "recorded %d move(s) to %s{.initial,.trace}\n"
@@ -46,7 +58,7 @@ let verify prefix alpha k =
   let trace = Ncg.Trace.of_string (read_file (trace_path prefix)) in
   let final = Ncg.Trace.replay initial trace in
   Printf.printf "replayed %d move(s) cleanly\n" (Ncg.Trace.length trace);
-  let lke = Ncg.Lke.is_lke_max ~solver:(`Budgeted 50_000) ~alpha ~k final in
+  let lke = Ncg.Lke.is_lke_max ~alpha ~k final in
   Printf.printf "replayed profile is an LKE at (alpha=%g, k=%d): %b\n" alpha k lke;
   (match Ncg.Game.quality Ncg.Game.Max ~alpha final with
   | Some q -> Printf.printf "quality: %.4f\n" q

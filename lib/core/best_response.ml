@@ -13,7 +13,6 @@ let current_cost ~alpha (v : View.t) =
 let compute ?ws ?(solver = `Exact) ?max_edges ?allowed ~alpha (v : View.t) =
   Ncg_obs.Histogram.(time best_response) @@ fun () ->
   Ncg_obs.Metrics.(incr best_response_calls);
-  Ncg_fault.Inject.(hit best_response);
   let h_graph = v.View.graph in
   let nv = Graph.order h_graph in
   (match max_edges with

@@ -184,7 +184,6 @@ let run_untraced config strategy0 =
   while !outcome = None && !round < config.max_rounds do
     incr round;
     Ncg_fault.Cancel.checkpoint ();
-    Ncg_fault.Inject.(hit dynamics_round);
     Ncg_obs.Histogram.(time dynamics_round) (fun () ->
         (match sweep_rng with
         | Some rng -> Ncg_prng.Rng.shuffle rng player_order

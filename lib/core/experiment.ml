@@ -408,9 +408,7 @@ let sweep_supervised ?(domains = 1) ?cell_deadline_ns ?store ?(store_context = [
   in
   (* Cached cells are resolved up front on the calling domain, before the
      fan-out: domains then only ever run cells that truly need computing,
-     and hit/miss metrics land in the caller's collector. The fault plane
-     is only armed inside executor tasks, so cached resolution never
-     faults. *)
+     and hit/miss metrics land in the caller's collector. *)
   let cached =
     match store with
     | None -> [||]
@@ -423,16 +421,15 @@ let sweep_supervised ?(domains = 1) ?cell_deadline_ns ?store ?(store_context = [
       match if i < Array.length cached then cached.(i) else None with
       | Some r -> r
       | None ->
-          Ncg_fault.Inject.(hit sweep_cell);
           let r =
             run_cell ~probes ~make_initial ~make_config ~trials:count
               ~cell_seed:cell_seeds.(i) cells.(i)
           in
           (* Persist as soon as the cell finishes, on the domain that ran
              it: a SIGKILL later in the sweep loses only in-flight cells.
-             An insert that fails (e.g. an injected short write) fails the
-             cell — durability is part of the cell — so it is quarantined
-             and a later resume recomputes and re-appends it. *)
+             An insert that fails (e.g. a write error) fails the cell —
+             durability is part of the cell — so it is quarantined and a
+             later resume recomputes and re-appends it. *)
           (match store with Some s -> store_insert s keys.(i) r | None -> ());
           r
     in
@@ -448,12 +445,6 @@ let sweep_supervised ?(domains = 1) ?cell_deadline_ns ?store ?(store_context = [
   in
   let outcomes =
     Ncg_fault.Executor.map ~domains ?deadline_ns:cell_deadline_ns
-      ~scope:
-        ((fun i -> cell_seeds.(i))
-        [@lint.allow
-          "P2"
-            "cell_seeds is fully built before the fan-out and only read by \
-             the workers; no domain writes it"])
       ~on_quarantine task total
   in
   Ncg_obs.Progress.clear ();

@@ -136,7 +136,7 @@ type cell_failure = {
   cell : cell;
   cell_seed : int;
       (** the seed the cell ran with ({!cell_seed_of_cell} unless the
-          caller passed [cell_seeds]); also its fault-injection scope *)
+          caller passed [cell_seeds]) *)
   kind : Ncg_fault.Executor.kind;
   exn_text : string;
   exn : exn;  (** the cell's exception, for re-raising *)
@@ -156,20 +156,17 @@ val cell_failure_to_json : cell_failure -> Ncg_obs.Json.t
     would fail the same way; there is none.
 
     A cell runs under [cell_deadline_ns] (watchdog domain + cooperative
-    {!Ncg_fault.Cancel.checkpoint} polls in the dynamics loop). Each
-    cell's task is armed for fault injection with its cell seed as scope
-    (see {!Ncg_fault.Inject}), and passes through the ["sweep.cell"]
-    fault site — so a cell meets the same faults in a one-cell sweep as
-    in any grid that contains it. Quarantines emit
-    ["sweep.cell.quarantined"] (error) structured events.
+    {!Ncg_fault.Cancel.checkpoint} polls in the dynamics loop), and each
+    player move under [make_config]'s [move_budget] (a checkpoint count,
+    so the cells it fails are the same on any [domains] and in any grid
+    that contains them).
 
     With [?store], each cell is looked up by its {!cell_cache_key}
-    before the fan-out; hits are returned without recomputation
-    (their ["sweep.cell"] event carries ["cached": true]) and misses are
-    appended to the store as soon as they finish, on the domain that ran
-    them — killing the process mid-sweep loses at most the in-flight
+    before the fan-out; hits are returned without recomputation and
+    misses are appended to the store as soon as they finish, on the
+    domain that ran them — killing the process mid-sweep loses at most the in-flight
     cells, and a quarantined cell simply stays missing, so a later
-    [--resume] run (with the fault gone) computes exactly the
+    [--resume] run (with the cause gone) computes exactly the
     quarantined cells. [store_context] must fingerprint everything
     outside [(seed, cells, trials)] that determines a cell's output:
     graph class and parameters, solver budget, dynamics settings. Store
@@ -178,15 +175,14 @@ val cell_failure_to_json : cell_failure -> Ncg_obs.Json.t
     or restored.
 
     Determinism under failure: successful cells are identical (the
-    section's determinism contract) to a sequential no-fault run, for any
-    [domains] or fault plan; and for a fixed plan (and
-    deterministic faults — raises, not wall-clock deadlines) each cell's
-    outcome is identical too, whatever grid it is swept in.
+    section's determinism contract) to a sequential run without
+    failures, for any [domains]; and under deterministic triggers (a
+    move budget, not a wall-clock deadline) each cell's outcome is
+    identical too, whatever grid it is swept in.
 
     By default cell [c] runs with seed [cell_seed_of_cell ~seed c].
     [cell_seeds] overrides the per-cell seed array (one entry per cell,
-    raising [Invalid_argument] on a length mismatch); the seeds are also
-    the cells' fault scopes. *)
+    raising [Invalid_argument] on a length mismatch). *)
 val sweep_supervised :
   ?domains:int ->
   ?cell_deadline_ns:int64 ->

@@ -33,6 +33,9 @@ let validate spec =
   if not (List.mem spec.graph_class graph_classes) then
     Error (Printf.sprintf "unknown graph class %S" spec.graph_class)
   else if spec.n < 2 then Error "n must be at least 2"
+  else if not (spec.p >= 0. && spec.p <= 1.) then Error "p must be in [0, 1]"
+  else if spec.graph_class = "gnp" && spec.p = 0. then
+    Error "p must be positive for gnp (G(n, 0) is never connected)"
   else if spec.trials < 1 then Error "trials must be at least 1"
   else if spec.alphas = [] then Error "empty alpha grid"
   else if spec.ks = [] then Error "empty k grid"

@@ -35,7 +35,8 @@ val default : t
 
 val graph_classes : string list
 
-(** Structural sanity: known class, n ≥ 2, non-empty finite grids,
+(** Structural sanity: known class, n ≥ 2, p in \[0, 1\] (and p > 0 for
+    ["gnp"]: no G(n ≥ 2, 0) is connected), non-empty finite grids,
     positive trials/ks. *)
 val validate : t -> (unit, string) result
 
@@ -56,8 +57,7 @@ val context : t -> (string * Ncg_obs.Json.t) list
 val cells : t -> Experiment.cell list
 
 (** The cell's seed ({!Experiment.cell_seed_of_cell}): what
-    {!Experiment.sweep_supervised} runs the cell with by default, and
-    the scope every sweep path arms fault injection with. *)
+    {!Experiment.sweep_supervised} runs the cell with by default. *)
 val cell_seed : t -> Experiment.cell -> int
 
 (** Full content-addressed key for one cell of this spec. *)

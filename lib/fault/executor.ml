@@ -15,7 +15,7 @@ let classify = function
   | _ -> Crashed
 
 let map ?(domains = 1) ?deadline_ns ?(on_quarantine = fun (_ : failure) -> ())
-    ~scope f n =
+    f n =
   if n = 0 then [||]
   else begin
     let domains = max 1 (min domains n) in
@@ -49,7 +49,6 @@ let map ?(domains = 1) ?deadline_ns ?(on_quarantine = fun (_ : failure) -> ())
                  done))
     in
     let run_task w i =
-      Inject.arm ~scope:(scope i);
       Atomic.set cancels.(w) false;
       Atomic.set busy_since.(w) (Clock.now_ns ());
       let outcome =
@@ -61,7 +60,6 @@ let map ?(domains = 1) ?deadline_ns ?(on_quarantine = fun (_ : failure) -> ())
         | exception e -> Error e
       in
       Atomic.set busy_since.(w) 0L;
-      Inject.disarm ();
       results.(i) <-
         Some
           (Result.map_error

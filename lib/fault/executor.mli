@@ -13,35 +13,31 @@
     a task overruns the deadline the watchdog sets the flag and the
     task's next {!Cancel.checkpoint} raises — cancellation is
     cooperative, so a task that never checkpoints can only be cut off at
-    its own deadline polls. Fault injection composes: each task is armed
-    with [Inject.arm ~scope:(scope index)] before it runs and disarmed
-    after (see {!Inject}).
+    its own deadline polls.
 
     Results are written into a per-index array, so the output order —
-    and, given a deterministic task function and fault plan, the full
-    outcome vector including failures — is independent of [domains] and
-    scheduling. *)
+    and, given a deterministic task function, the full outcome vector
+    including failures — is independent of [domains] and scheduling. A
+    step budget ({!Cancel.with_step_budget}) counts checkpoints, not
+    time, so the failures it causes are deterministic too. *)
 
 type kind =
   | Timeout  (** {!Cancel.Timed_out}: watchdog, deadline or step budget *)
   | Interrupted
       (** {!Cancel.Interrupted}: process shutdown, or never started
           because of it *)
-  | Crashed  (** any other exception, including {!Inject.Fault} *)
+  | Crashed  (** any other exception *)
 
 val kind_to_string : kind -> string
 
 type failure = { index : int; kind : kind; exn_text : string; exn : exn }
 
-(** [map ~domains ~scope f n] runs [f ~index] for every [index < n] over
+(** [map ~domains f n] runs [f ~index] for every [index < n] over
     [domains] worker domains (the calling domain is worker 0) and
     returns the outcome vector in index order.
 
     - [deadline_ns]: per-task budget; enables the watchdog domain and
       the task-local {!Cancel} deadline.
-    - [scope index]: the fault-injection scope task [index] is armed
-      with. A sweep passes each cell's seed, so a cell's faults do not
-      depend on its position in this particular map.
     - [on_quarantine]: called from worker domains as each failure is
       recorded (the caller must be thread-safe; {!Ncg_obs.Progress} is).
 
@@ -51,7 +47,6 @@ val map :
   ?domains:int ->
   ?deadline_ns:int64 ->
   ?on_quarantine:(failure -> unit) ->
-  scope:(int -> int) ->
   (index:int -> 'a) ->
   int ->
   ('a, failure) result array

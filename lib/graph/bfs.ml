@@ -21,7 +21,6 @@ let visit_order s = s.queue
 
 let run s g src ~radius =
   Ncg_obs.Metrics.(incr bfs_calls);
-  Ncg_fault.Inject.(hit bfs);
   let n = Graph.order g in
   if src < 0 || src >= n then invalid_arg "Bfs.run: source out of range";
   ensure s n;

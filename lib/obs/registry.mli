@@ -1,7 +1,7 @@
 (** A closed namespace of registered names, each mapped to a dense slot
-    index. {!Metrics} counters, {!Histogram}s, {!Probe}s and
-    [Ncg_fault.Inject] fault sites are each one registry; their hot
-    paths index collector arrays by the slot, never by name.
+    index. {!Metrics} counters, {!Histogram}s and {!Probe}s are each one
+    registry; their hot paths index collector arrays by the slot, never
+    by name.
 
     {b Init-time-only contract.} A registry is plain unsynchronized
     state. {!register} is the only function that writes it, and it

@@ -18,7 +18,7 @@ let obs_probes = "ncg.obs.probes/1"
 let store_cell = "ncg.store.cell/5"
 
 (* lib/core *)
-let experiment_telemetry = "ncg.experiment.telemetry/6"
+let experiment_telemetry = "ncg.experiment.telemetry/7"
 
 (* lib/lint *)
 let lint_report = "ncg.lint.report/3"

@@ -121,7 +121,7 @@ let openfile ?(sync = true) log_path ~replay =
       Unix.close fd;
       raise e
 
-let append t payload =
+let append ?torn_at t payload =
   if t.closed then invalid_arg "Record_log.append: closed";
   if t.poisoned then
     invalid_arg
@@ -130,16 +130,15 @@ let append t payload =
   if String.length payload > max_payload then
     invalid_arg "Record_log.append: payload exceeds max_payload";
   let buf = frame payload in
-  match Ncg_fault.Inject.(short_write record_log_append ~len:(Bytes.length buf))
-  with
+  match torn_at with
   | Some cut ->
-      (* Injected short write: leave a real torn frame on disk — the same
-         state a crash mid-write leaves — and poison the handle so later
-         appends cannot land after the torn tail. *)
+      (* Test hook: leave a real torn frame on disk — the same state a
+         crash mid-write leaves — and poison the handle so later appends
+         cannot land after the torn tail. *)
       t.poisoned <- true;
-      write_all t.fd (Bytes.sub buf 0 cut);
+      write_all t.fd (Bytes.sub buf 0 (max 0 (min cut (Bytes.length buf - 1))));
       if t.sync_on_append then Unix.fsync t.fd;
-      raise Ncg_fault.Inject.(short_write_fault record_log_append)
+      failwith "Record_log.append: torn write (test hook)"
   | None -> (
       match write_all t.fd buf with
       | () ->

@@ -46,19 +46,20 @@ val openfile : ?sync:bool -> string -> replay:(string -> unit) -> t * recovery
 
 (** [append t payload] writes one framed record and (if [sync]) fsyncs.
 
-    The write passes through the ["record_log.append"] fault site
-    ({!Ncg_fault.Inject.record_log_append}): an armed short-write rule
-    makes [append] write only a prefix of the frame — a genuine torn
-    tail on disk, byte-for-byte what a crash mid-write leaves — and
-    raise [Ncg_fault.Inject.Fault]. After any failed append (injected or
-    real) the handle is {e poisoned}: further appends raise, because the
-    on-disk tail is unknown and writing after it would corrupt the log.
-    Reopening the file recovers (truncates the torn tail) as usual;
-    {!Store} does this automatically.
+    After a failed append the handle is {e poisoned}: further appends
+    raise, because the on-disk tail is unknown and writing after it
+    would corrupt the log. Reopening the file recovers (truncates the
+    torn tail) as usual; {!Store} does this automatically.
+
+    [torn_at] is a test hook, for the recovery tests only: write just
+    the first [torn_at] bytes of the frame (clamped to [0 .. len - 1])
+    — a genuine torn tail on disk, byte-for-byte what a crash mid-write
+    leaves — poison the handle and raise [Failure], as a failed write
+    would.
 
     @raise Invalid_argument on a payload larger than {!max_payload} or
     on a poisoned handle. *)
-val append : t -> string -> unit
+val append : ?torn_at:int -> t -> string -> unit
 
 (** True once an append has failed on this handle. *)
 val poisoned : t -> bool

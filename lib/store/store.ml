@@ -203,7 +203,7 @@ let mem t key =
       check_open t;
       Hashtbl.mem t.index (Cache_key.to_string key))
 
-(* A failed append (injected short write or a real write error) leaves a
+(* A failed append (a write error, or the [torn_at] test hook) leaves a
    torn frame on disk and a poisoned log handle. Reopen the log in place:
    recovery truncates the tail back to the last complete record, and the
    in-memory index is still exact because it is only updated after a
@@ -219,11 +219,11 @@ let heal_log t =
   t.heals <- t.heals + 1;
   Metrics.incr m_heals
 
-let insert t key payload =
+let insert ?torn_at t key payload =
   Mutex.protect t.mutex (fun () ->
       check_open t;
       let key = Cache_key.to_string key in
-      (match Record_log.append t.log (encode_record key payload) with
+      (match Record_log.append ?torn_at t.log (encode_record key payload) with
       | () -> ()
       | exception e ->
           heal_log t;

@@ -72,13 +72,14 @@ val lookup : t -> Cache_key.t -> string option
     {!lookup} immediately, and to future opens as soon as the append
     completed.
 
-    If the append fails partway (an injected short write through the
-    ["record_log.append"] fault site, or a real write error), the store
-    {e heals} before re-raising: the log is reopened in place, which
-    truncates the torn frame, so the failure costs exactly the record
-    being written and subsequent inserts proceed normally. Heals are
-    counted in {!stats} and the [store.heals] metric. *)
-val insert : t -> Cache_key.t -> string -> unit
+    If the append fails partway (a write error), the store {e heals}
+    before re-raising: the log is reopened in place, which truncates the
+    torn frame, so the failure costs exactly the record being written
+    and subsequent inserts proceed normally. Heals are counted in
+    {!stats} and the [store.heals] metric. [torn_at] is
+    {!Record_log.append}'s test hook, passed through so the tests can
+    tear one insert. *)
+val insert : ?torn_at:int -> t -> Cache_key.t -> string -> unit
 
 val mem : t -> Cache_key.t -> bool
 

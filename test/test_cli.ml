@@ -1,10 +1,11 @@
 (* End-to-end checks of the ncg_experiment binary, run as a child process
    on a 9-cell tree grid: a stored sweep killed mid-run resumes to the
-   uninterrupted CSV, sweeps under seeded fault plans quarantine exactly
-   the reported cells, ncg_report's telemetry report reads every cell of
-   the telemetry, the bench gate passes the smoke grid's telemetry against
-   bench/BASELINE.json and fails a lowered counter, and retired flags and
-   bad option values are usage errors. *)
+   uninterrupted CSV, sweeps under a small --move-budget quarantine
+   exactly the reported cells and resume to the same outcome, ncg_sim
+   reports a move timeout with exit 3, ncg_report's telemetry report
+   reads every cell of the telemetry, the bench gate passes the smoke
+   grid's telemetry against bench/BASELINE.json and fails a lowered
+   counter, and retired flags and bad option values are usage errors. *)
 
 module Json = Ncg_obs.Json
 
@@ -21,11 +22,13 @@ let built name =
 
 let exe = built "ncg_experiment"
 
-let grid =
+let grid_of ~n =
   [
-    "--class"; "tree"; "-n"; "30"; "--alphas"; "0.5,1,2"; "--ks"; "2,3,1000";
-    "--trials"; "4"; "--seed"; "2014"; "--quiet";
+    "--class"; "tree"; "-n"; string_of_int n; "--alphas"; "0.5,1,2"; "--ks";
+    "2,3,1000"; "--trials"; "4"; "--seed"; "2014"; "--quiet";
   ]
+
+let grid = grid_of ~n:30
 
 let cells = 9
 
@@ -67,8 +70,9 @@ let run_ok ?prog ~out ~err args =
   if code <> 0 then
     Alcotest.failf "child exited %d; stderr:\n%s" code (read_file err)
 
-(* The uninterrupted, fault-free CSV every other run is held to. *)
-let clean_csv dir =
+(* The uninterrupted CSV under default limits, which every other run is
+   held to. *)
+let clean_csv ?(grid = grid) dir =
   let out = Filename.concat dir "clean.csv" in
   run_ok ~out ~err:(Filename.concat dir "clean.err") (grid @ [ "--domains"; "2" ]);
   read_file out
@@ -94,19 +98,17 @@ let lines s = List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
 (* --- Kill mid-run, resume ------------------------------------------------ *)
 
 let test_kill_resume () =
+  (* At n = 60 the grid takes about half a second on one domain (n = 30
+     takes 0.08 s), so the sweep is still running when the first record
+     lands. *)
+  let grid = grid_of ~n:60 in
   with_temp_dir (fun dir ->
       let path = Filename.concat dir in
-      let clean = clean_csv dir in
+      let clean = clean_csv ~grid dir in
       let store = path "store" in
-      (* Every computed cell first sleeps 200 ms, so the sweep is still
-         running when the first record lands. *)
       let pid =
         spawn ~out:(path "partial.csv") ~err:(path "partial.err")
-          (grid
-          @ [
-              "--domains"; "1"; "--store"; store; "--fault-plan";
-              "sweep.cell=delay:200";
-            ])
+          (grid @ [ "--domains"; "1"; "--store"; store ])
       in
       let log = Filename.concat store "records.log" in
       let size () = try (Unix.stat log).st_size with Unix.Unix_error _ -> 0 in
@@ -139,20 +141,21 @@ let test_kill_resume () =
       check_bool "9 hits, 0 misses" true
         (store_counts (path "cached.err") = (cells, 0)))
 
-(* --- Sweeps under fault plans ------------------------------------------- *)
+(* --- Sweeps under a small move budget ----------------------------------- *)
 
 (* (index, csv_row_prefix) of every quarantined cell in a telemetry file,
    after checking the report agrees with itself. *)
 let failures telemetry =
   match
     Result.bind (Json.of_file telemetry)
-      (Json.decode ~what:"fault telemetry" (fun j ->
+      (Json.decode ~what:"budget telemetry" (fun j ->
            Json.schema Ncg_obs.Schema.experiment_telemetry j;
            let failed = Json.field "failed_cells" Json.int j in
            let list =
              Json.field "sweep.failures"
                (Json.list (fun f ->
-                    ignore (Json.field "kind" Json.string f);
+                    let kind = Json.field "kind" Json.string f in
+                    if kind <> "timeout" then Json.fail "kind %S, not timeout" kind;
                     ignore (Json.field "error" Json.string f);
                     ( Json.field "index" Json.int f,
                       Json.field "csv_row_prefix" Json.string f )))
@@ -169,29 +172,33 @@ let quarantined_lines err =
   List.length
     (List.filter (String.starts_with ~prefix:"QUARANTINED") (lines (read_file err)))
 
-let test_fault_plan (plan, fault_seed) () =
+(* A move budget counts search checkpoints, not time, so the cells it
+   times out are the same on every run and every --domains. The
+   expected counts follow the engine's checkpoint counts
+   (dynamics.move_steps), which the bench gate pins too. *)
+let test_move_budget (budget, expected) () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir in
       let clean = clean_csv dir in
-      let faulted ~domains ~store ~tag =
+      let budgeted ~domains ~store ~resume ~tag =
         let code =
           run ~out:(path (tag ^ ".csv")) ~err:(path (tag ^ ".err"))
             (grid
             @ [
                 "--domains"; string_of_int domains; "--store"; path store;
-                "--fault-plan"; plan; "--fault-seed"; string_of_int fault_seed;
+                "--move-budget"; string_of_int budget;
                 "--telemetry"; path (tag ^ ".json");
-              ])
+              ]
+            @ if resume then [ "--resume" ] else [])
         in
-        check_int (tag ^ ": exit code 3 (cells quarantined)") 3 code;
+        check_int (tag ^ ": exit code") (if expected > 0 then 3 else 0) code;
         let fs = failures (path (tag ^ ".json")) in
         check_int (tag ^ ": one QUARANTINED line per failure") (List.length fs)
           (quarantined_lines (path (tag ^ ".err")));
         fs
       in
-      let fs = faulted ~domains:2 ~store:"store" ~tag:"faulted" in
-      check_bool "some cells quarantined" true (fs <> []);
-      check_bool "some cells survived" true (List.length fs < cells);
+      let fs = budgeted ~domains:1 ~store:"store" ~resume:false ~tag:"budget1" in
+      check_int "quarantined cells" expected (List.length fs);
       (* The surviving rows are the clean run's rows, byte for byte. *)
       let survivors =
         List.filter
@@ -200,29 +207,50 @@ let test_fault_plan (plan, fault_seed) () =
           (lines clean)
       in
       Alcotest.(check (list string))
-        "clean CSV minus quarantined rows = faulted CSV" survivors
-        (lines (read_file (path "faulted.csv")));
-      (* Same plan, other fan-out, fresh store: same failure vector. *)
-      let fs4 = faulted ~domains:4 ~store:"store4" ~tag:"faulted4" in
+        "clean CSV minus quarantined rows = budgeted CSV" survivors
+        (lines (read_file (path "budget1.csv")));
+      (* Same budget, other fan-out, fresh store: same failure vector. *)
+      let fs4 = budgeted ~domains:4 ~store:"store4" ~resume:false ~tag:"budget4" in
       Alcotest.(check (list int))
-        "failure indices at --domains 2 and 4" (List.map fst fs) (List.map fst fs4);
-      check_string "faulted CSVs agree"
-        (read_file (path "faulted.csv"))
-        (read_file (path "faulted4.csv"));
-      (* A fault-free resume recomputes exactly the quarantined cells. *)
-      run_ok ~out:(path "resumed.csv") ~err:(path "resumed.err")
-        (grid @ [ "--domains"; "2"; "--store"; path "store"; "--resume" ]);
-      check_string "resumed CSV = clean" clean (read_file (path "resumed.csv"));
+        "failure indices at --domains 1 and 4" (List.map fst fs) (List.map fst fs4);
+      check_string "budgeted CSVs agree"
+        (read_file (path "budget1.csv"))
+        (read_file (path "budget4.csv"));
+      (* The move budget is part of the store's cache key, so a resume
+         under the same budget serves the survivors and recomputes the
+         quarantined cells, which time out again. *)
+      let fs_resumed =
+        budgeted ~domains:2 ~store:"store" ~resume:true ~tag:"resumed"
+      in
+      Alcotest.(check (list int))
+        "resume quarantines the same cells" (List.map fst fs) (List.map fst fs_resumed);
+      check_string "resumed CSV = budgeted CSV"
+        (read_file (path "budget1.csv"))
+        (read_file (path "resumed.csv"));
       check_bool "resume hits the survivors, misses the quarantined" true
-        (store_counts (path "resumed.err")
-        = (cells - List.length fs, List.length fs)))
+        (store_counts (path "resumed.err") = (cells - expected, expected)))
 
-let plans =
-  [
-    ("sweep.cell=raise@p:0.35,best_response.compute=delay:2@p:0.001", 7);
-    ("sweep.cell=raise@p:0.2,bfs.traverse=delay:1@p:0.0001", 11);
-    ("sweep.cell=raise@p:0.5,dynamics.round=delay:1@p:0.005", 23);
-  ]
+(* (move budget, cells of the 9-cell grid it quarantines) *)
+let budgets = [ (20, 7); (30, 3); (50, 3); (80, 0) ]
+
+(* The exact solver's first best responses on a G(100, 0.1) start need
+   more checkpoints than the default move budget allows: ncg_sim reports
+   the timeout and exits 3 instead of dying of an uncaught exception. *)
+let test_sim_move_timeout () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir in
+      let code =
+        run ~prog:(built "ncg_sim") ~out:(path "sim.out") ~err:(path "sim.err")
+          [
+            "--class"; "gnp"; "-p"; "0.1"; "-n"; "100"; "-a"; "0.2"; "-k"; "5";
+            "--seed"; "1"; "--solver"; "exact";
+          ]
+      in
+      check_int "exit code 3" 3 code;
+      check_bool "the timeout is reported" true
+        (List.exists
+           (String.starts_with ~prefix:"ncg_sim: a player move timed out")
+           (lines (read_file (path "sim.err")))))
 
 (* --- Report of the sweep telemetry ------------------------------------------ *)
 
@@ -373,22 +401,36 @@ let test_retired_flags () =
           [ "--events"; "x" ];
           [ "--no-progress" ];
           [ "--trace-out"; "x" ];
+          [ "--fault-plan"; "x" ];
+          [ "--fault-seed"; "1" ];
         ])
 
-(* Values that once died of an uncaught exception (exit 125) now fail to
-   parse. *)
+(* Bad values are usage errors, never an uncaught exception (exit 125)
+   or a sweep that quarantines every cell (exit 3): cmdliner's parse
+   errors exit 124, Sweep_spec.validate's exit 2. *)
 let test_bad_values () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir in
       List.iter
-        (fun (prog, args) ->
+        (fun (prog, args, expected) ->
           let code = run ~prog:(built prog) ~out:(path "out") ~err:(path "err") args in
-          check_int (String.concat " " (prog :: args) ^ " is a usage error") 124 code)
+          check_int (String.concat " " (prog :: args) ^ " is a usage error") expected code)
         [
-          ("ncg_report", [ "--variant"; "foo" ]);
-          ("ncg_sim", [ "--variant"; "foo" ]);
-          ("ncg_sim", [ "--solver"; "foo" ]);
-          ("ncg_sim", [ "--solver"; "0" ]);
+          ("ncg_report", [ "--variant"; "foo" ], 124);
+          ("ncg_sim", [ "--variant"; "foo" ], 124);
+          ("ncg_sim", [ "--solver"; "foo" ], 124);
+          ("ncg_sim", [ "--solver"; "0" ], 124);
+          ( "ncg_experiment",
+            [ "--class"; "gnp"; "-p"; "2"; "-n"; "10"; "--alphas"; "1"; "--ks"; "2" ],
+            2 );
+          ( "ncg_experiment",
+            [ "--class"; "gnp"; "-p"; "0"; "-n"; "10"; "--alphas"; "1"; "--ks"; "2" ],
+            2 );
+          ("ncg_sim", [ "-n"; "0" ], 2);
+          ("ncg_sim", [ "--class"; "gnp"; "-p"; "0"; "-n"; "10" ], 2);
+          ("ncg_sim", [ "--class"; "cycle"; "-n"; "2" ], 2);
+          ("ncg_report", [ "-n"; "0" ], 2);
+          ("ncg_trace", [ "record"; "-n"; "0"; "--prefix"; path "t" ], 2);
         ])
 
 let () =
@@ -397,11 +439,15 @@ let () =
       ("store", [ Alcotest.test_case "kill mid-run, resume" `Quick test_kill_resume ]);
       ( "fault",
         List.map
-          (fun ((plan, seed) as p) ->
+          (fun ((budget, _) as b) ->
             Alcotest.test_case
-              (Printf.sprintf "seed %d: %s" seed plan)
-              `Quick (test_fault_plan p))
-          plans );
+              (Printf.sprintf "--move-budget %d" budget)
+              `Quick (test_move_budget b))
+          budgets
+        @ [
+            Alcotest.test_case "ncg_sim move timeout exits 3" `Quick
+              test_sim_move_timeout;
+          ] );
       ( "top",
         [
           Alcotest.test_case "post-hoc report reads every cell" `Quick

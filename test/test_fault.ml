@@ -1,9 +1,8 @@
-(* Tests for the fault plane (Ncg_fault): plan parsing, deterministic
-   trigger semantics under arming, cooperative cancellation, the
-   supervised executor, and the supervised sweep's
-   quarantine-and-resume behaviour. *)
+(* Tests for the robustness layer (Ncg_fault): cooperative cancellation,
+   the supervised executor, and the supervised sweep's
+   quarantine-and-resume behaviour, driven by a real trigger: a move
+   budget small enough to time some cells out. *)
 
-module Inject = Ncg_fault.Inject
 module Cancel = Ncg_fault.Cancel
 module Executor = Ncg_fault.Executor
 module Experiment = Ncg.Experiment
@@ -14,15 +13,8 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-(* Every test must leave the process clean: no plan installed, calling
-   domain disarmed, shutdown flag clear. *)
-let hermetic f =
-  Fun.protect
-    ~finally:(fun () ->
-      Inject.clear ();
-      Inject.disarm ();
-      Cancel.reset_shutdown ())
-    f
+(* Every test must leave the process clean: shutdown flag clear. *)
+let hermetic f = Fun.protect ~finally:Cancel.reset_shutdown f
 
 let with_temp_dir f =
   let dir = Filename.temp_file "ncg_fault_test" "" in
@@ -36,151 +28,6 @@ let with_temp_dir f =
     else Sys.remove p
   in
   Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm dir) (fun () -> f dir)
-
-(* --- Plan parsing --------------------------------------------------------- *)
-
-let test_parse_plan () =
-  (match Inject.parse_plan ~seed:3 "sweep.cell=raise" with
-  | Ok
-      {
-        seed;
-        rules =
-          [
-            { site; action = Inject.Raise; trigger = Inject.Always };
-          ];
-      } ->
-      check_int "seed" 3 seed;
-      check_string "site" "sweep.cell" site
-  | Ok _ -> Alcotest.fail "unexpected parse"
-  | Error e -> Alcotest.fail e);
-  (match
-     Inject.parse_plan ~seed:0
-       "bfs.traverse=delay:2.5@every:10,record_log.append=short:8@nth:2,\
-        best_response.compute=raise@p:0.25"
-   with
-  | Ok { rules = [ r1; r2; r3 ]; _ } ->
-      check_bool "delay" true (r1.Inject.action = Inject.Delay_ns 2_500_000L);
-      check_bool "every" true (r1.Inject.trigger = Inject.Every 10);
-      check_bool "short" true (r2.Inject.action = Inject.Short_write 8);
-      check_bool "nth" true (r2.Inject.trigger = Inject.Nth 2);
-      check_bool "prob" true (r3.Inject.trigger = Inject.Prob 0.25)
-  | Ok _ -> Alcotest.fail "unexpected parse"
-  | Error e -> Alcotest.fail e);
-  let bad spec =
-    match Inject.parse_plan ~seed:0 spec with
-    | Ok _ -> Alcotest.failf "accepted %S" spec
-    | Error _ -> ()
-  in
-  bad "no.such.site=raise";
-  (* Sites of the retired sweep daemon: an old daemon fault plan must be
-     rejected, not silently arm nothing. *)
-  List.iter
-    (fun spec ->
-      match Inject.parse_plan ~seed:0 spec with
-      | Ok _ -> Alcotest.failf "accepted %S" spec
-      | Error e ->
-          check_bool (spec ^ ": unknown fault site") true
-            (String.starts_with
-               ~prefix:(Printf.sprintf "%S: unknown fault site" spec)
-               e))
-    [ "queue.lease=raise"; "service.accept=raise@p:0.5" ];
-  bad "sweep.cell=explode";
-  bad "sweep.cell=raise@sometimes";
-  bad "sweep.cell=delay:x";
-  bad "sweep.cell=short:-1";
-  bad "sweep.cell=raise@p:1.5";
-  bad "sweep.cell=raise@nth:0";
-  bad "sweep.cell=raise@nth:1@every:2";
-  (* The retired budget qualifier (it capped fires so that retries
-     would pass; cells get one attempt now) must be rejected, not
-     silently read as an unlimited rule. *)
-  bad "sweep.cell=raise@budget:2";
-  bad "sweep.cell=raise@p:0.5@budget:1";
-  bad "sweep.cell";
-  bad ""
-
-let test_plan_to_string_roundtrip () =
-  List.iter
-    (fun spec ->
-      match Inject.parse_plan ~seed:11 spec with
-      | Error e -> Alcotest.fail e
-      | Ok plan -> (
-          check_string "round-trip" spec (Inject.plan_to_string plan);
-          match Inject.parse_plan ~seed:11 (Inject.plan_to_string plan) with
-          | Ok plan' -> check_bool "reparse" true (plan = plan')
-          | Error e -> Alcotest.fail e))
-    [
-      "sweep.cell=raise";
-      "bfs.traverse=delay:5@every:3";
-      "record_log.append=short:4@nth:2";
-      "best_response.compute=raise@p:0.5";
-      "sweep.cell=raise,bfs.traverse=delay:1@nth:7";
-    ]
-
-(* --- Trigger semantics under arm/disarm ----------------------------------- *)
-
-let install spec =
-  match Inject.parse_plan ~seed:99 spec with
-  | Ok plan -> Inject.install plan
-  | Error e -> Alcotest.fail e
-
-(* Hit [site] [n] times; return the (1-based) hit numbers that raised. *)
-let firing_pattern site n =
-  List.filter_map
-    (fun i ->
-      match Inject.hit site with
-      | () -> None
-      | exception Inject.Fault _ -> Some i)
-    (List.init n (fun i -> i + 1))
-
-let test_unarmed_never_fires () =
-  hermetic (fun () ->
-      install "sweep.cell=raise";
-      (* Plan installed but this domain not armed: all no-ops. *)
-      check_bool "not armed" false (Inject.armed ());
-      check_int "no fires" 0 (List.length (firing_pattern Inject.sweep_cell 10)))
-
-let test_trigger_always_nth_every () =
-  hermetic (fun () ->
-      install "sweep.cell=raise";
-      Inject.arm ~scope:0;
-      check_bool "armed" true (Inject.armed ());
-      check_bool "always" true
-        (firing_pattern Inject.sweep_cell 4 = [ 1; 2; 3; 4 ]);
-      install "sweep.cell=raise@nth:3";
-      Inject.arm ~scope:0;
-      check_bool "nth:3" true (firing_pattern Inject.sweep_cell 8 = [ 3 ]);
-      install "sweep.cell=raise@every:3";
-      Inject.arm ~scope:0;
-      check_bool "every:3" true (firing_pattern Inject.sweep_cell 9 = [ 3; 6; 9 ]))
-
-let test_prob_deterministic_per_scope () =
-  hermetic (fun () ->
-      install "sweep.cell=raise@p:0.4";
-      let pattern scope =
-        Inject.arm ~scope;
-        firing_pattern Inject.sweep_cell 64
-      in
-      let p0 = pattern 0 in
-      check_bool "some fired" true (p0 <> []);
-      check_bool "some passed" true (List.length p0 < 64);
-      (* Re-arming the same scope resets the stream: same pattern. *)
-      check_bool "rearm reproduces" true (pattern 0 = p0);
-      (* A different scope draws an independent stream. *)
-      check_bool "scopes independent" true (pattern 1 <> p0);
-      check_bool "scope reproducible" true (pattern 1 = pattern 1))
-
-let test_clear_keeps_armed_disarm_clears () =
-  hermetic (fun () ->
-      install "sweep.cell=raise";
-      Inject.arm ~scope:5;
-      Inject.clear ();
-      (* Documented: already-armed domains stay armed until disarm/re-arm. *)
-      check_bool "still fires" true (firing_pattern Inject.sweep_cell 1 = [ 1 ]);
-      Inject.arm ~scope:5;
-      (* Re-arm with no plan installed disarms. *)
-      check_bool "disarmed by re-arm" false (Inject.armed ());
-      check_int "no fires" 0 (List.length (firing_pattern Inject.sweep_cell 5)))
 
 (* --- Cancel --------------------------------------------------------------- *)
 
@@ -242,7 +89,7 @@ let test_executor_clean () =
       List.iter
         (fun domains ->
           let out =
-            Executor.map ~scope:Fun.id ~domains
+            Executor.map ~domains
               (fun ~index -> index * index)
               10
           in
@@ -268,7 +115,7 @@ let test_executor_retry_and_quarantine () =
       in
       let quarantined = ref [] in
       let out =
-        Executor.map ~scope:Fun.id ~domains:2
+        Executor.map ~domains:2
           ~on_quarantine:(fun fl ->
             quarantined := fl.Executor.index :: !quarantined)
           f 10
@@ -290,7 +137,6 @@ let test_executor_retry_and_quarantine () =
       let failed = [ 3; 7 ] in
       let again =
         Executor.map
-          ~scope:(List.nth failed)
           (fun ~index -> f ~index:(List.nth failed index))
           (List.length failed)
       in
@@ -306,7 +152,7 @@ let test_executor_no_retry_by_default () =
         Atomic.incr attempts;
         failwith "boom"
       in
-      let out = Executor.map ~scope:Fun.id f 1 in
+      let out = Executor.map f 1 in
       (match out.(0) with
       | Ok _ -> Alcotest.fail "should fail"
       | Error f -> check_bool "kind" true (f.Executor.kind = Executor.Crashed));
@@ -323,7 +169,7 @@ let test_executor_deadline () =
           spin ());
         index
       in
-      let out = Executor.map ~scope:Fun.id ~deadline_ns:5_000_000L ~domains:2 f 4 in
+      let out = Executor.map ~deadline_ns:5_000_000L ~domains:2 f 4 in
       (match out.(1) with
       | Ok _ -> Alcotest.fail "spinner should time out"
       | Error f -> check_bool "kind" true (f.Executor.kind = Executor.Timeout));
@@ -340,7 +186,7 @@ let test_executor_shutdown_marks_unstarted () =
         Cancel.checkpoint ();
         index
       in
-      let out = Executor.map ~scope:Fun.id f 6 in
+      let out = Executor.map f 6 in
       check_int "task 0 done" 0 (ok_exn out.(0));
       check_int "task 1 done" 1 (ok_exn out.(1));
       (match out.(2) with
@@ -357,29 +203,6 @@ let test_executor_shutdown_marks_unstarted () =
                 f.Executor.exn_text)
         [ 3; 4; 5 ])
 
-let test_executor_fault_plan_deterministic () =
-  hermetic (fun () ->
-      install "sweep.cell=raise@p:0.45";
-      let f ~index:_ =
-        Inject.hit Inject.sweep_cell;
-        ()
-      in
-      let failures domains =
-        let out = Executor.map ~scope:Fun.id ~domains f 32 in
-        Array.to_list out
-        |> List.filteri (fun _ o -> Result.is_error o)
-        |> List.length
-      in
-      let outcome domains =
-        Executor.map ~scope:Fun.id ~domains f 32
-        |> Array.map Result.is_ok |> Array.to_list
-      in
-      let base = outcome 1 in
-      check_bool "some quarantined" true (failures 1 > 0);
-      check_bool "some survived" true (failures 1 < 32);
-      check_bool "domains=2 identical" true (outcome 2 = base);
-      check_bool "domains=4 identical" true (outcome 4 = base))
-
 (* --- Supervised sweep ----------------------------------------------------- *)
 
 let n_nodes = 12
@@ -388,16 +211,26 @@ let sweep_seed = 2014
 let cells = Experiment.grid ~alphas:[ 0.5; 1.0 ] ~ks:[ 2; 1000 ]
 let make_initial ~seed = Experiment.initial_tree ~seed ~n:n_nodes
 
-let make_config (c : Experiment.cell) =
+(* A move budget (search checkpoints per player move) that times out
+   some cells of both grids below and not others (today 2 of the 4
+   cells of [cells] and 6 of the 9 of the one-cell test's grid). Step
+   counts do not depend on scheduling, so neither does which cells
+   fail. *)
+let tight_budget = 15
+
+let make_config ?move_budget (c : Experiment.cell) =
+  let config = Dynamics.default_config ~alpha:c.Experiment.alpha ~k:c.Experiment.k in
   {
-    (Dynamics.default_config ~alpha:c.Experiment.alpha ~k:c.Experiment.k) with
+    config with
     Dynamics.solver = `Budgeted 2_000;
     collect_features = false;
+    move_budget = Option.value move_budget ~default:config.Dynamics.move_budget;
   }
 
-let run_supervised ?store ?store_context ?(cells = cells) ~domains () =
+let run_supervised ?move_budget ?store ?store_context ?(cells = cells) ~domains () =
   Experiment.sweep_supervised ~domains ?store ?store_context
-    ~make_initial ~make_config ~cells ~trials ~seed:sweep_seed ()
+    ~make_initial ~make_config:(make_config ?move_budget) ~cells ~trials
+    ~seed:sweep_seed ()
 
 let clean_results () =
   List.map
@@ -416,7 +249,6 @@ let same_cell (a : Experiment.cell_result) (b : Experiment.cell_result) =
 let test_sweep_quarantine_is_deterministic () =
   hermetic (fun () ->
       let clean = clean_results () in
-      install "sweep.cell=raise@p:0.5";
       let failure_indices outcomes =
         List.filter_map
           (fun o ->
@@ -425,16 +257,17 @@ let test_sweep_quarantine_is_deterministic () =
             | Error (f : Experiment.cell_failure) -> Some f.Experiment.index)
           outcomes
       in
-      let base = run_supervised ~domains:1 () in
+      let base = run_supervised ~move_budget:tight_budget ~domains:1 () in
       let failed = failure_indices base in
       check_bool "some quarantined" true (failed <> []);
       check_bool "some survived" true
         (List.length failed < List.length cells);
-      (* Same plan, any domain count: identical failure vector, and every
-         surviving cell identical to the clean run. *)
+      (* Same budget, any domain count: identical failure vector, every
+         failure a timeout, and every surviving cell identical to the
+         clean run. *)
       List.iter
         (fun domains ->
-          let out = run_supervised ~domains () in
+          let out = run_supervised ~move_budget:tight_budget ~domains () in
           check_bool "failure vector stable" true
             (failure_indices out = failed);
           List.iteri
@@ -443,7 +276,9 @@ let test_sweep_quarantine_is_deterministic () =
               | Ok r ->
                   check_bool "survivor matches clean" true
                     (same_cell (List.nth clean i) r)
-              | Error _ -> check_bool "expected failure" true (List.mem i failed))
+              | Error (f : Experiment.cell_failure) ->
+                  check_bool "expected failure" true (List.mem i failed);
+                  check_bool "a timeout" true (f.Experiment.kind = Executor.Timeout))
             out)
         [ 1; 2; 4 ])
 
@@ -452,18 +287,21 @@ let test_sweep_quarantine_then_resume () =
       with_temp_dir (fun dir ->
           let clean = clean_results () in
           let context = [ ("test", Ncg_obs.Json.String "fault-resume") ] in
-          install "sweep.cell=raise@p:0.5";
+          (* The test's own store context leaves the move budget out of
+             the cache key, so the resume below can lift the budget and
+             still hit the survivors. *)
           let failed =
             Store.with_dir dir (fun store ->
-                run_supervised ~domains:2 ~store ~store_context:context ()
+                run_supervised ~move_budget:tight_budget ~domains:2 ~store
+                  ~store_context:context ()
                 |> Experiment.sweep_failures
                 |> List.map (fun (f : Experiment.cell_failure) ->
                        f.Experiment.index))
           in
           check_bool "some quarantined" true (failed <> []);
-          (* The fault is gone; a resume against the same store computes
-             exactly the quarantined cells and returns the full grid. *)
-          Inject.clear ();
+          (* The budget is lifted; a resume against the same store
+             computes exactly the quarantined cells and returns the full
+             grid. *)
           Store.with_dir dir (fun store ->
               let out =
                 run_supervised ~domains:1 ~store ~store_context:context ()
@@ -485,13 +323,14 @@ let test_sweep_quarantine_then_resume () =
 
 let test_one_cell_sweep_reproduces_full_sweep () =
   hermetic (fun () ->
-      (* Seeds and fault scopes are keyed on the cell, so a cell's outcome
-         under a plan does not depend on the grid it is swept in: a
-         one-cell sweep (what ncg_experiment --only-cell runs) either
-         prints the full sweep's row or quarantines with the same
-         error. *)
+      (* Seeds are keyed on the cell, so a cell's outcome under a move
+         budget does not depend on the grid it is swept in: a one-cell
+         sweep (what ncg_experiment --only-cell runs) either prints the
+         full sweep's row or quarantines with the same error. *)
       let grid = Experiment.grid ~alphas:[ 0.5; 1.0; 2.0 ] ~ks:[ 2; 3; 1000 ] in
-      install "sweep.cell=raise@p:0.5";
+      let run ~cells ~domains =
+        run_supervised ~move_budget:tight_budget ~cells ~domains ()
+      in
       let outcome = function
         | Ok r ->
             Ok (Experiment.csv_row ~graph_class:"tree" ~n:n_nodes ~p:0. ~trials r)
@@ -499,13 +338,13 @@ let test_one_cell_sweep_reproduces_full_sweep () =
             Error (f.Experiment.kind, f.Experiment.exn_text)
       in
       let full =
-        List.map outcome (run_supervised ~cells:grid ~domains:2 ())
+        List.map outcome (run ~cells:grid ~domains:2)
       in
       check_bool "some quarantined" true (List.exists Result.is_error full);
       check_bool "some survived" true (List.exists Result.is_ok full);
       List.iter2
         (fun (cell : Experiment.cell) expected ->
-          match run_supervised ~cells:[ cell ] ~domains:1 () with
+          match run ~cells:[ cell ] ~domains:1 with
           | [ one ] ->
               check_bool
                 (Printf.sprintf "cell (%g,%d) reproduces" cell.Experiment.alpha
@@ -538,7 +377,7 @@ let test_solver_cancel () =
           pre_covered = None;
         }
       in
-      (* Feasible and solvable when nothing is armed... *)
+      (* Feasible and solvable without limits... *)
       (match Set_cover.solve inst with
       | Some _ -> ()
       | None -> Alcotest.fail "instance should be feasible");
@@ -557,24 +396,8 @@ let test_solver_cancel () =
 let () =
   Alcotest.run "ncg_fault"
     [
-      ( "plan",
-        [
-          Alcotest.test_case "parse" `Quick test_parse_plan;
-          Alcotest.test_case "to_string round-trip" `Quick
-            test_plan_to_string_roundtrip;
-        ] );
       ( "solver",
         [ Alcotest.test_case "cancellation" `Quick test_solver_cancel ] );
-      ( "triggers",
-        [
-          Alcotest.test_case "unarmed never fires" `Quick test_unarmed_never_fires;
-          Alcotest.test_case "always/nth/every" `Quick
-            test_trigger_always_nth_every;
-          Alcotest.test_case "prob deterministic per scope" `Quick
-            test_prob_deterministic_per_scope;
-          Alcotest.test_case "clear vs disarm" `Quick
-            test_clear_keeps_armed_disarm_clears;
-        ] );
       ( "cancel",
         [
           Alcotest.test_case "step budget" `Quick test_step_budget;
@@ -591,8 +414,6 @@ let () =
           Alcotest.test_case "deadline" `Quick test_executor_deadline;
           Alcotest.test_case "shutdown marks unstarted" `Quick
             test_executor_shutdown_marks_unstarted;
-          Alcotest.test_case "fault plan deterministic" `Quick
-            test_executor_fault_plan_deterministic;
         ] );
       ( "sweep",
         [

@@ -292,25 +292,25 @@ let test_p2 () =
   typed_rejects ~with_ncg:true Rules.P2
     "let bad n =\n\
     \  let acc = ref 0 in\n\
-    \  Ncg_fault.Executor.map ~scope:Fun.id\n\
+    \  Ncg_fault.Executor.map\n\
     \    (fun ~index -> acc := !acc + index; index) n";
   typed_rejects ~with_ncg:true Rules.P2
     "let bad2 (a : int array) n =\n\
-    \  Ncg_fault.Executor.map ~scope:Fun.id (fun ~index -> a.(index)) n";
+    \  Ncg_fault.Executor.map (fun ~index -> a.(index)) n";
   typed_rejects Rules.P2 "let bad3 (r : int ref) = Domain.spawn (fun () -> r := 1)";
   (* Atomics are the sanctioned cross-domain channel. *)
   typed_accepts ~with_ncg:true
     "let ok n =\n\
     \  let c = Atomic.make 0 in\n\
-    \  Ncg_fault.Executor.map ~scope:Fun.id\n\
+    \  Ncg_fault.Executor.map\n\
     \    (fun ~index -> Atomic.incr c; index) n";
   (* Capturing immutable data is what the fan-out is for. *)
   typed_accepts ~with_ncg:true
-    "let ok2 k n = Ncg_fault.Executor.map ~scope:Fun.id (fun ~index -> index + k) n";
+    "let ok2 k n = Ncg_fault.Executor.map (fun ~index -> index + k) n";
   (* A justified allow works at the fan-out site. *)
   typed_accepts ~with_ncg:true
     "let ok3 (a : int array) n =\n\
-    \  (Ncg_fault.Executor.map ~scope:Fun.id (fun ~index -> a.(index)) n\n\
+    \  (Ncg_fault.Executor.map (fun ~index -> a.(index)) n\n\
     \  [@lint.allow \"P2\" \"read-only in this fixture\"])"
 
 (* --- R1: schema literals live in the registry ------------------------------ *)

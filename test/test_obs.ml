@@ -821,9 +821,7 @@ let test_register_main_domain_only () =
   check_bool "Histogram.register" true
     (off_main (fun () -> Histogram.register "set_cover.solve.latency"));
   check_bool "Probe.register" true
-    (off_main (fun () -> Probe.register "dynamics.social_cost"));
-  check_bool "Inject.site" true
-    (off_main (fun () -> Ncg_fault.Inject.site "bfs.traverse"))
+    (off_main (fun () -> Probe.register "dynamics.social_cost"))
 
 let test_registry_slots () =
   let r = Registry.create "test" ~capacity:2 in

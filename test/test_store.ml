@@ -464,26 +464,12 @@ let test_overlapping_stored_sweeps () =
         (sorted (spec_rows { base with ks = [ 2; 3; 1000 ] }))
         (sorted (rows_first @ rows_second)))
 
-(* --- Fault-injected short writes and healing ------------------------------ *)
+(* --- Torn writes and healing ------------------------------------------------ *)
 
-module Inject = Ncg_fault.Inject
-
-(* Run [f] with [spec] installed and armed in this domain; always leave
-   the process disarmed and plan-free. *)
-let with_fault_plan spec f =
-  (match Inject.parse_plan ~seed:42 spec with
-  | Ok plan -> Inject.install plan
-  | Error e -> Alcotest.fail e);
-  Inject.arm ~scope:0;
-  Fun.protect
-    ~finally:(fun () ->
-      Inject.clear ();
-      Inject.disarm ())
-    f
-
-(* A short write injected into the [i]-th of [n] appends must poison the
-   handle, leave a genuinely torn frame on disk, and cost exactly that
-   one record on reopen — for every victim index and any cut length. *)
+(* A short write (Record_log.append's [torn_at] test hook) into the
+   [i]-th of [n] appends must poison the handle, leave a genuinely torn
+   frame on disk, and cost exactly that one record on reopen — for every
+   victim index. *)
 let prop_log_short_write_recovers =
   QCheck.Test.make ~name:"short write loses exactly the torn record" ~count:100
     QCheck.(
@@ -499,25 +485,23 @@ let prop_log_short_write_recovers =
       with_temp_dir (fun dir ->
           let path = Filename.concat dir "log" in
           let log, _, _ = open_collecting path in
-          let spec = Printf.sprintf "record_log.append=short:3@nth:%d" (victim_ix + 1) in
           let survivors = ref [] in
           let faulted = ref false in
-          with_fault_plan spec (fun () ->
-              List.iteri
-                (fun i p ->
-                  if not !faulted then
-                    match Record_log.append log p with
-                    | () -> survivors := p :: !survivors
-                    | exception Inject.Fault { site; _ } ->
-                        faulted := true;
-                        check_string "site" "record_log.append" site;
-                        check_int "victim" victim_ix i;
-                        check_bool "poisoned" true (Record_log.poisoned log);
-                        (* Poisoned handles refuse further appends. *)
-                        (match Record_log.append log "after" with
-                        | () -> Alcotest.fail "append on poisoned handle"
-                        | exception Invalid_argument _ -> ()))
-                payloads);
+          List.iteri
+            (fun i p ->
+              if not !faulted then
+                let torn_at = if i = victim_ix then Some 3 else None in
+                match Record_log.append ?torn_at log p with
+                | () -> survivors := p :: !survivors
+                | exception Failure _ ->
+                    faulted := true;
+                    check_int "victim" victim_ix i;
+                    check_bool "poisoned" true (Record_log.poisoned log);
+                    (* Poisoned handles refuse further appends. *)
+                    (match Record_log.append log "after" with
+                    | () -> Alcotest.fail "append on poisoned handle"
+                    | exception Invalid_argument _ -> ()))
+            payloads;
           Record_log.close log;
           (* Reopen: the torn frame is truncated, every append that
              returned cleanly is replayed, and the handle works again. *)
@@ -538,14 +522,13 @@ let test_store_heals_after_failed_insert () =
   with_temp_dir (fun dir ->
       let key tag = Cache_key.make [ ("t", Json.String tag) ] in
       Store.with_dir dir (fun store ->
-          (* Insert a (clean), b (short write), c (clean): the store heals
-             in place, so only b is lost. *)
-          with_fault_plan "record_log.append=short:6@nth:2" (fun () ->
-              Store.insert store (key "a") "payload-a";
-              (match Store.insert store (key "b") "payload-b" with
-              | () -> Alcotest.fail "insert should fail"
-              | exception Inject.Fault _ -> ());
-              Store.insert store (key "c") "payload-c");
+          (* Insert a (clean), b (torn after 6 bytes), c (clean): the
+             store heals in place, so only b is lost. *)
+          Store.insert store (key "a") "payload-a";
+          (match Store.insert ~torn_at:6 store (key "b") "payload-b" with
+          | () -> Alcotest.fail "insert should fail"
+          | exception Failure _ -> ());
+          Store.insert store (key "c") "payload-c";
           check_bool "a" true (Store.lookup store (key "a") = Some "payload-a");
           check_bool "b lost" true (Store.lookup store (key "b") = None);
           check_bool "c" true (Store.lookup store (key "c") = Some "payload-c");
