@@ -1,5 +1,4 @@
 module Graph = Ncg_graph.Graph
-module Subgraph = Ncg_graph.Subgraph
 module Dominating_set = Ncg_solver.Dominating_set
 
 type outcome = { targets : int list; usage : int; cost : float }
@@ -10,11 +9,13 @@ let current_cost ~alpha (v : View.t) =
   (alpha *. float_of_int (List.length v.View.owned))
   +. float_of_int (current_usage v)
 
+let current ~alpha (v : View.t) =
+  { targets = v.View.owned; usage = current_usage v; cost = current_cost ~alpha v }
+
 let compute ?ws ?(solver = `Exact) ?max_edges ?allowed ~alpha (v : View.t) =
   Ncg_obs.Histogram.(time best_response) @@ fun () ->
   Ncg_obs.Metrics.(incr best_response_calls);
-  let h_graph = v.View.graph in
-  let nv = Graph.order h_graph in
+  let nv = Graph.order v.View.graph in
   (match max_edges with
   | Some cap when List.length v.View.owned > cap ->
       invalid_arg "Best_response.compute: current strategy exceeds max_edges"
@@ -24,48 +25,27 @@ let compute ?ws ?(solver = `Exact) ?max_edges ?allowed ~alpha (v : View.t) =
     when not (List.for_all (fun t -> List.mem t whitelist) v.View.owned) ->
       invalid_arg "Best_response.compute: current strategy outside allowed targets"
   | _ -> ());
-  let current =
-    {
-      targets = v.View.owned;
-      usage = current_usage v;
-      cost = current_cost ~alpha v;
-    }
-  in
-  if nv <= 1 then current
+  if nv <= 1 then current ~alpha v
   else begin
-    (* H0 = H minus the player; everything below lives in H0 coordinates
-       and is translated back through the mapping at the end. *)
-    let others =
-      List.filter (fun x -> x <> v.View.player) (List.init nv Fun.id)
-    in
-    let h0, mapping = Subgraph.induced h_graph others in
-    let to_h0 x = mapping.Subgraph.to_sub.(x) in
-    let of_h0 x = mapping.Subgraph.to_host.(x) in
-    let free_dominators = List.map to_h0 v.View.in_buyers in
+    (* One context serves the whole radius loop: it masks the player out
+       of the view's graph (H minus the player, in view ids) and grows
+       its balls by one radius as h rises. *)
     let forbidden =
       match allowed with
       | None -> []
       | Some whitelist ->
-          let ok = List.map to_h0 whitelist in
-          List.filter
-            (fun x -> not (List.mem x ok))
-            (List.init (Graph.order h0) Fun.id)
+          let ok = Ncg_util.Bitset.of_list nv whitelist in
+          List.filter (fun x -> not (Ncg_util.Bitset.mem ok x)) (List.init nv Fun.id)
     in
-    (* One context for the whole radius loop: distance rows are computed
-       once and the covering balls grow incrementally with h, instead of n
-       BFS runs per radius. The optional workspace lends BFS scratch to the
-       context build and a bitset pool to every branch-and-bound solve. *)
-    let scratch = Option.map (fun w -> w.Workspace.bfs) ws in
     let cover_ws = Option.map (fun w -> w.Workspace.cover) ws in
     let dom_ws = Option.map (fun w -> w.Workspace.dom) ws in
     let ctx =
-      Dominating_set.context ?scratch ?ws:dom_ws ~graph:h0 ~free_dominators
-        ~forbidden ()
+      Dominating_set.context ?ws:dom_ws ~exclude:v.View.player ~graph:v.View.graph
+        ~free_dominators:v.View.in_buyers ~forbidden ()
     in
-    let best = ref current in
+    let best = ref (current ~alpha v) in
     let h = ref 1 in
-    let continue_ = ref true in
-    while !continue_ && float_of_int !h < !best.cost -. 1e-9 do
+    while !h <= nv && float_of_int !h < !best.cost -. 1e-9 do
       Ncg_fault.Cancel.checkpoint ();
       Ncg_obs.Metrics.(incr best_response_radii);
       (* Cardinality cap: a solution only helps if α·|S| + h < best. *)
@@ -98,15 +78,9 @@ let compute ?ws ?(solver = `Exact) ?max_edges ?allowed ~alpha (v : View.t) =
             (alpha *. float_of_int (List.length chosen)) +. float_of_int !h
           in
           if cost < !best.cost -. 1e-12 then
-            best :=
-              {
-                targets = List.map of_h0 chosen;
-                usage = !h;
-                cost;
-              }
+            best := { targets = chosen; usage = !h; cost }
       | None -> ());
-      incr h;
-      if !h > nv then continue_ := false
+      incr h
     done;
     !best
   end
@@ -123,13 +97,6 @@ let evaluate_targets ~alpha (v : View.t) targets =
     (Ncg_graph.Bfs.eccentricity h' v.View.player)
 
 let local_search ~alpha (v : View.t) =
-  let current =
-    {
-      targets = v.View.owned;
-      usage = current_usage v;
-      cost = current_cost ~alpha v;
-    }
-  in
   let rec descend best =
     Ncg_fault.Cancel.checkpoint ();
     let improved =
@@ -143,7 +110,7 @@ let local_search ~alpha (v : View.t) =
     in
     if improved.cost < best.cost -. 1e-12 then descend improved else best
   in
-  descend current
+  descend (current ~alpha v)
 
 let improving ?ws ?solver ?(epsilon = 1e-9) ~alpha v =
   let best = compute ?ws ?solver ~alpha v in

@@ -33,7 +33,7 @@ val current_usage : View.t -> int
     outcome; its cost is at most [current_cost]. If no strict improvement
     exists, the current strategy is returned unchanged.
 
-    [ws] lends reusable scratch buffers (BFS + set-cover pool) to the
+    [ws] lends reusable scratch buffers (ball buffers + set-cover pool) to the
     radius loop; results never alias them. Pass one {!Workspace.t} per
     logical run, as {!Dynamics.run} does.
     [max_edges] caps the number of bought edges — the bounded-budget

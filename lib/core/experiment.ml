@@ -263,7 +263,10 @@ module Json = Ncg_obs.Json
    series of the exemplar trial, new branch-and-bound cutoff counters
    registered (shape change), and probing's per-round social-cost BFS
    shifts bfs.calls — /4 records would disagree with a recompute on all
-   three. *)
+   three. /6: the best-response context grows its balls by a bitset
+   recurrence instead of one BFS per view vertex, so bfs.calls (and the
+   allocated words) differ from /5 while the CSVs do not — a cached /5
+   cell would serve stale counter snapshots to a resumed sweep. *)
 let cell_payload_schema = Ncg_obs.Schema.store_cell
 
 let run_stats_to_json (r : run_stats) =

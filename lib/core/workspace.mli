@@ -1,9 +1,11 @@
 (** Scratch buffers for the oracle hot path.
 
     One workspace bundles the reusable BFS buffers ({!Ncg_graph.Bfs.scratch})
-    and the set-cover branch-and-bound pool
-    ({!Ncg_solver.Set_cover.workspace}) that {!View.extract} and
-    {!Best_response.compute} accept. Create one per logical run — e.g.
+    that {!View.extract} and {!Dynamics} use, and the two pools
+    {!Best_response.compute} uses: the dominating-set ball buffers
+    ({!Ncg_solver.Dominating_set.workspace}) and the set-cover
+    branch-and-bound pool ({!Ncg_solver.Set_cover.workspace}). Create one
+    per logical run — e.g.
     {!Dynamics.run} creates one per trajectory and threads it through every
     player step — never share one between domains, and never retain
     references into it across calls (see docs/PERFORMANCE.md).

@@ -15,7 +15,7 @@ let obs_timeseries = "ncg.obs.timeseries/1"
 let obs_probes = "ncg.obs.probes/1"
 
 (* lib/store *)
-let store_cell = "ncg.store.cell/5"
+let store_cell = "ncg.store.cell/6"
 
 (* lib/core *)
 let experiment_telemetry = "ncg.experiment.telemetry/7"

@@ -1,7 +1,7 @@
 type t = {
   capacity : int;
-  xs : float array;
-  ys : float array;
+  mutable xs : float array;
+  mutable ys : float array;
   mutable len : int;
   mutable stride : int;
   mutable pushed : int;
@@ -11,18 +11,29 @@ type t = {
    [i * stride]. Decimation keeps the even-indexed stored samples (push
    indices 0, 2*stride, 4*stride, …) and doubles the stride, so the
    invariant is preserved and the retained subsequence stays evenly
-   spaced and in push order. *)
+   spaced and in push order. The backing arrays are sized by [resize]
+   from [capacity] and [len] alone, zero past [len], so equal logical
+   states are structurally equal and an unfired series holds no floats. *)
+
+(* Fresh arrays for [len] samples, keeping the stored ones: empty while
+   [len] is 0, else doubling from 8 slots up to [capacity]. *)
+let resize t len =
+  let rec grow n = if n >= len then n else grow (2 * n) in
+  let n = if len = 0 then 0 else min t.capacity (grow 8) in
+  let copy a = Array.init n (fun i -> if i < t.len then a.(i) else 0.) in
+  t.xs <- copy t.xs;
+  t.ys <- copy t.ys
 
 let create ?(capacity = 64) () =
   if capacity < 2 then invalid_arg "Timeseries.create: capacity must be >= 2";
-  {
-    capacity;
-    xs = Array.make capacity 0.;
-    ys = Array.make capacity 0.;
-    len = 0;
-    stride = 1;
-    pushed = 0;
-  }
+  { capacity; xs = [||]; ys = [||]; len = 0; stride = 1; pushed = 0 }
+
+(* Stores one sample, growing the arrays when they are full. *)
+let append t x y =
+  if t.len = Array.length t.xs then resize t (t.len + 1);
+  t.xs.(t.len) <- x;
+  t.ys.(t.len) <- y;
+  t.len <- t.len + 1
 
 let capacity t = t.capacity
 let length t = t.len
@@ -41,6 +52,7 @@ let decimate t =
     t.ys.(i) <- t.ys.(2 * i)
   done;
   t.len <- m;
+  resize t m;
   t.stride <- 2 * t.stride
 
 let push_lazy t ~x f =
@@ -48,11 +60,7 @@ let push_lazy t ~x f =
      if t.len = t.capacity then decimate t;
      (* After a decimation the current push index may no longer sit on
         the doubled stride (odd capacities); re-check before storing. *)
-     if t.pushed mod t.stride = 0 then begin
-       t.xs.(t.len) <- x;
-       t.ys.(t.len) <- f ();
-       t.len <- t.len + 1
-     end
+     if t.pushed mod t.stride = 0 then append t x (f ())
    end);
   t.pushed <- t.pushed + 1
 
@@ -119,10 +127,5 @@ let of_json =
       if List.length xs <> List.length ys then
         Json.fail "xs and ys must have the same length";
       if List.length xs > cap then Json.fail "more samples than capacity";
-      List.iter2
-        (fun x y ->
-          t.xs.(t.len) <- x;
-          t.ys.(t.len) <- y;
-          t.len <- t.len + 1)
-        xs ys;
+      List.iter2 (append t) xs ys;
       t)

@@ -11,8 +11,9 @@
     that push the same samples produce bit-identical series (the
     per-cell determinism contract of {!Ncg_core.Experiment}).
 
-    Pushes are allocation-free: the backing arrays are allocated once at
-    {!create}. *)
+    Storage grows on demand, from none up to [capacity] samples, and
+    depends on [capacity] and {!length} alone: a series and its {!of_json}
+    decoding are structurally equal ([compare] = 0). *)
 
 type t
 

@@ -1,6 +1,5 @@
 module Bitset = Ncg_util.Bitset
 module Graph = Ncg_graph.Graph
-module Bfs = Ncg_graph.Bfs
 
 type problem = {
   graph : Graph.t;
@@ -9,80 +8,92 @@ type problem = {
   forbidden : int list;
 }
 
-(* Growable row-major n×n distance-matrix buffer. A workspace may back at
-   most one live context at a time (the next [context] call with the same
-   workspace overwrites the matrix). *)
-type workspace = { mutable matrix : int array }
+(* Buffers of one graph order, borrowed by the live context. [sets] holds
+   each vertex's live ball, or an empty set when it is forbidden. *)
+type workspace = {
+  mutable balls : Bitset.t array;
+  mutable next : Bitset.t array;
+  mutable sets : Bitset.t array;
+  mutable pre : Bitset.t;
+}
 
-let create_workspace () = { matrix = [||] }
+let create_workspace () = { balls = [||]; next = [||]; sets = [||]; pre = Bitset.create 0 }
 
-(* A context amortises the expensive part of the best-response radius loop:
-   the all-pairs distance matrix is computed once (n BFS runs, instead of n
-   per radius), and the ball
-   bitsets grow *incrementally* — advancing from radius r to r+1 only adds
-   the vertices at exactly distance r+1 to each ball. The covering-set
-   array is shared across radii: forbidden vertices point at one shared
-   empty set, everything else at its live ball. *)
+(* A context grows the closed balls by ball_{r+1}(v) = ball_r(v) ∪
+   ⋃_{u ∈ N(v)} ball_r(u) on the graph with [exclude] masked out: its ball
+   stays empty in both buffers and it is never a neighbour. *)
 type context = {
+  ws : workspace;
   graph : Graph.t;
-  n : int;
-  matrix : int array;  (* matrix.(v * n + w) = d(v, w), -1 if unreachable *)
-  balls : Bitset.t array;  (* closed balls at [built_radius] *)
+  exclude : int;  (* -1 when no vertex is masked *)
   mutable built_radius : int;
-  sets : Bitset.t array;  (* balls, with forbidden vertices masked empty *)
+  mutable stable : bool;  (* the last step changed no ball *)
   free_dominators : int list;
 }
 
-let context ?scratch ?ws ~graph ~free_dominators ~forbidden () =
+let context ?scratch:_ ?(ws = create_workspace ()) ?(exclude = -1) ~graph
+    ~free_dominators ~forbidden () =
   let n = Graph.order graph in
-  let s =
-    match scratch with Some s -> s | None -> Bfs.create_scratch ~capacity:n ()
-  in
-  let matrix =
-    match ws with
-    | Some (w : workspace) ->
-        if Array.length w.matrix < n * n then w.matrix <- Array.make (n * n) 0;
-        w.matrix
-    | None -> Array.make (n * n) 0
-  in
-  for v = 0 to n - 1 do
-    ignore (Bfs.run s graph v ~radius:max_int);
-    Array.blit (Bfs.dist_array s) 0 matrix (v * n) n
-  done;
-  let balls =
-    Array.init n (fun v ->
-        let b = Bitset.create n in
-        Bitset.add b v;
-        b)
-  in
-  let forbidden_set = Bitset.of_list n forbidden in
+  if exclude >= n then invalid_arg "Dominating_set.context: excluded vertex out of range";
+  if Bitset.capacity ws.pre <> n then begin
+    let fresh () = Array.init n (fun _ -> Bitset.create n) in
+    ws.balls <- fresh ();
+    ws.next <- fresh ();
+    ws.sets <- Array.copy ws.balls;
+    ws.pre <- Bitset.create n
+  end;
   let empty = Bitset.create n in
-  let sets =
-    Array.init n (fun v -> if Bitset.mem forbidden_set v then empty else balls.(v))
-  in
-  { graph; n; matrix; balls; built_radius = 0; sets; free_dominators }
+  for v = 0 to n - 1 do
+    Bitset.clear ws.balls.(v);
+    if v = exclude then Bitset.clear ws.next.(v) else Bitset.add ws.balls.(v) v;
+    ws.sets.(v) <- ws.balls.(v)
+  done;
+  List.iter (fun v -> ws.sets.(v) <- empty) forbidden;
+  { ws; graph; exclude; built_radius = 0; stable = false; free_dominators }
+
+(* One radius of the recurrence into [next]; the buffers swap when some
+   ball grew. A forbidden vertex's empty set lacks the vertex its ball
+   holds, so that membership picks the covering sets to repoint. *)
+let step ctx =
+  let { balls; next; sets; _ } = ctx.ws in
+  let offsets = Graph.csr_offsets ctx.graph and packed = Graph.csr_packed ctx.graph in
+  let changed = ref false in
+  for v = 0 to Array.length balls - 1 do
+    if v <> ctx.exclude then begin
+      let b = next.(v) in
+      Bitset.copy_into ~into:b balls.(v);
+      for i = offsets.(v) to offsets.(v + 1) - 1 do
+        if packed.(i) <> ctx.exclude then Bitset.union_into ~into:b balls.(packed.(i))
+      done;
+      changed := !changed || not (Bitset.equal b balls.(v))
+    end
+  done;
+  if !changed then begin
+    ctx.ws.balls <- next;
+    ctx.ws.next <- balls;
+    for v = 0 to Array.length sets - 1 do
+      if Bitset.mem sets.(v) v then sets.(v) <- next.(v)
+    done
+  end
+  else ctx.stable <- true
 
 let advance_to ctx radius =
-  if radius < 0 then invalid_arg "Dominating_set.advance_to: negative radius";
-  while ctx.built_radius < radius do
-    let r = ctx.built_radius + 1 in
-    for v = 0 to ctx.n - 1 do
-      let base = v * ctx.n in
-      let ball = ctx.balls.(v) in
-      for w = 0 to ctx.n - 1 do
-        if ctx.matrix.(base + w) = r then Bitset.add ball w
-      done
-    done;
-    ctx.built_radius <- r
-  done
+  if radius < ctx.built_radius then
+    invalid_arg "Dominating_set: radius below the context's built radius";
+  (* Once a step changes no ball, every later radius has the same balls. *)
+  while ctx.built_radius < radius && not ctx.stable do
+    step ctx;
+    ctx.built_radius <- ctx.built_radius + 1
+  done;
+  ctx.built_radius <- radius
 
 let instance_at ctx ~radius =
   advance_to ctx radius;
-  let pre = Bitset.create ctx.n in
-  List.iter
-    (fun v -> Bitset.union_into ~into:pre ctx.balls.(v))
-    ctx.free_dominators;
-  { Set_cover.universe = ctx.n; sets = ctx.sets; pre_covered = Some pre }
+  let { balls; sets; pre; _ } = ctx.ws in
+  Bitset.clear pre;
+  if ctx.exclude >= 0 then Bitset.add pre ctx.exclude;
+  List.iter (fun v -> Bitset.union_into ~into:pre balls.(v)) ctx.free_dominators;
+  { Set_cover.universe = Array.length sets; sets; pre_covered = Some pre }
 
 let of_solution (s : Set_cover.solution) = s.Set_cover.chosen
 

@@ -6,7 +6,10 @@
     minus the player, where the vertices that already bought an edge
     towards the player dominate for free ("constrained to be included"
     in the paper's phrasing — equivalently their domination is free since
-    the player keeps those edges either way). *)
+    the player keeps those edges either way). The covering sets are the
+    closed balls of radius h − 1 in the view with the player masked out
+    (see {!context}); neither the power graph nor the view minus the
+    player is ever built. *)
 
 type problem = {
   graph : Ncg_graph.Graph.t;
@@ -20,38 +23,45 @@ type problem = {
 
 (** {1 Amortised radius loop}
 
-    The best-response oracle solves the same graph at radii 0, 1, 2, ... —
-    a {!context} computes the all-pairs distance rows once and grows each
-    covering ball incrementally as the radius advances, instead of
-    re-running n BFS per radius. *)
+    The best-response oracle solves the same graph at radii 0, 1, 2, ... A
+    {!context} starts from the balls [{v}] and grows them one radius at a
+    time by the recurrence [ball_{r+1}(v) = ball_r(v) ∪ ⋃_{u ∈ N(v)}
+    ball_r(u)], one pass over the graph's CSR arrays, with no BFS and no
+    distance matrix. Once a step changes no ball, later radii cost
+    nothing. *)
 
 type context
 
-(** A growable distance-matrix buffer reused across contexts. At most one
-    context built from a given workspace may be live at a time — creating
-    the next one overwrites the matrix. Not domain-safe. *)
+(** The buffers of one graph order (balls, their double buffer, covering
+    sets, pre-covered set), reallocated only when the order changes. A
+    context borrows them until the next {!context} call on the same
+    workspace: at most one such context is live. Not domain-safe. *)
 type workspace
 
 val create_workspace : unit -> workspace
 
 (** [context ~graph ~free_dominators ~forbidden ()] prepares the radius
-    loop: n BFS runs (borrowing [?scratch] when given — the context does
-    not alias it afterwards) plus one n-bit set per vertex at radius 0.
-    [?ws] lends the distance-matrix buffer; the context borrows it until
-    the next [context] call on the same workspace. *)
+    loop at radius 0, on [?ws]'s buffers or fresh ones. [?scratch] is
+    ignored (no BFS runs); it goes with the traced replica that passes it.
+    [?exclude] masks one vertex out: its ball is empty, it is never a
+    neighbour, never chosen and pre-covered, so the balls are those of the
+    graph minus that vertex, in the graph's own ids.
+    @raise Invalid_argument when [exclude] is not below the graph's order. *)
 val context :
   ?scratch:Ncg_graph.Bfs.scratch ->
   ?ws:workspace ->
+  ?exclude:int ->
   graph:Ncg_graph.Graph.t ->
   free_dominators:int list ->
   forbidden:int list ->
   unit ->
   context
 
-(** [solve_at ?ws ctx ~radius] is {!solve} of the corresponding problem,
-    reusing the context's distance rows and ball sets. Radii may be visited
-    in any order; advancing is monotone internally. [?ws] threads a
-    {!Set_cover.workspace} through the underlying branch and bound. *)
+(** [solve_at ?ws ctx ~radius] is {!solve} of the corresponding problem.
+    Radii must not decrease from call to call, since the balls only grow.
+    [?ws] threads a {!Set_cover.workspace} through the branch and bound.
+    @raise Invalid_argument when [radius] is below one this context has
+    already reached (a negative radius included). *)
 val solve_at :
   ?ws:Set_cover.workspace ->
   ?max_size:int ->
@@ -60,7 +70,7 @@ val solve_at :
   radius:int ->
   int list option
 
-(** Greedy variant of {!solve_at}. *)
+(** Greedy variant of {!solve_at}, with the same radius order. *)
 val greedy_at : ?ws:Set_cover.workspace -> context -> radius:int -> int list option
 
 (** {1 One-shot problems}

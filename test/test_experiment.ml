@@ -237,7 +237,7 @@ let test_probes_toggle_and_series () =
       { Experiment.alpha = 0.5; k = 2 }
   in
   check_bool "cache key depends on the probes flag" false (key true = key false);
-  (* Cell payload codec (ncg.store.cell/5) round-trips the series. *)
+  (* Cell payload codec (ncg.store.cell/6) round-trips the series. *)
   match Experiment.cell_result_of_json (Experiment.cell_result_to_json first) with
   | Ok rt ->
       check_bool "payload round-trips probe series" true
@@ -352,7 +352,7 @@ let test_cache_key_golden () =
      in a store are found only while these bytes stay exactly put. *)
   Alcotest.(check string)
     "default spec, cell (0.5, 2)"
-    "{\"store_schema\":1,\"class\":\"tree\",\"n\":50,\"p\":0.1,\"variant\":\"max\",\"solver\":\"budgeted:50000\",\"response\":\"best\",\"sum_mode\":\"local_search\",\"order\":\"round_robin\",\"max_rounds\":200,\"epsilon\":1e-09,\"move_budget\":1000000,\"payload_schema\":\"ncg.store.cell/5\",\"probes\":true,\"seed\":2014,\"alpha\":0.5,\"k\":2,\"trials\":5,\"cell_seed\":-1661576433619697885}"
+    "{\"store_schema\":1,\"class\":\"tree\",\"n\":50,\"p\":0.1,\"variant\":\"max\",\"solver\":\"budgeted:50000\",\"response\":\"best\",\"sum_mode\":\"local_search\",\"order\":\"round_robin\",\"max_rounds\":200,\"epsilon\":1e-09,\"move_budget\":1000000,\"payload_schema\":\"ncg.store.cell/6\",\"probes\":true,\"seed\":2014,\"alpha\":0.5,\"k\":2,\"trials\":5,\"cell_seed\":-1661576433619697885}"
     (Ncg_store.Cache_key.to_string
        (Sweep_spec.cache_key Sweep_spec.default { Experiment.alpha = 0.5; k = 2 }))
 

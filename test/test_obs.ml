@@ -739,6 +739,21 @@ let prop_ts_codec_roundtrip =
       | Ok t' -> Timeseries.equal t t'
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
 
+(* Past its capacity a series decimates; its JSON decoding must still be
+   structurally equal, backing arrays included, because cell records
+   holding probe series are compared with [compare] after a store round
+   trip. Capacity 64 and 5 (odd) both decimate several times here. *)
+let test_ts_decimated_codec_compare () =
+  List.iter
+    (fun capacity ->
+      let ys = List.init 300 (fun i -> if i = 7 then nan else float_of_int (i * i)) in
+      let t = ts_of ~capacity ys in
+      check_bool "decimated" true (Timeseries.stride t > 1);
+      match Timeseries.of_json (Timeseries.to_json t) with
+      | Ok t' -> check_bool "compare = 0" true (compare t t' = 0)
+      | Error e -> Alcotest.failf "decode failed: %s" e)
+    [ 64; 5 ]
+
 (* --- Probe ---------------------------------------------------------------- *)
 
 let test_probe_registry () =
@@ -937,6 +952,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_ts_deterministic;
           QCheck_alcotest.to_alcotest prop_ts_order_preserving;
           QCheck_alcotest.to_alcotest prop_ts_codec_roundtrip;
+          Alcotest.test_case "decimated series: codec round trip, compare = 0" `Quick
+            test_ts_decimated_codec_compare;
         ] );
       ( "probe",
         [

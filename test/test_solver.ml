@@ -385,6 +385,185 @@ let prop_context_solve_matches_dp =
           List.length chosen = dp.Set_cover.cardinality && Set_cover.is_cover inst chosen
       | _ -> false)
 
+(* --- The masked, recurrence-grown context against the reference path ----- *)
+
+module Subgraph = Ncg_graph.Subgraph
+module Reference = Ncg_graph.Reference
+module View = Ncg.View
+module Best_response = Ncg.Best_response
+
+(* The set-cover instance of the dominating-set problem on [g] at
+   [radius], from the naive reference balls. *)
+let reference_instance g ~radius ~free_dominators ~forbidden =
+  let n = Graph.order g in
+  let r = Reference.of_edges ~n (Graph.edges g) in
+  let ball v = Bitset.of_list n (Reference.ball r v ~radius) in
+  let pre = Bitset.create n in
+  List.iter (fun v -> Bitset.union_into ~into:pre (ball v)) free_dominators;
+  {
+    Set_cover.universe = n;
+    sets = Array.init n (fun v -> if List.mem v forbidden then Bitset.create n else ball v);
+    pre_covered = Some pre;
+  }
+
+(* [g] minus [x] as an induced subgraph H0, with the two renamings. *)
+let without g x =
+  let n = Graph.order g in
+  let h0, m = Subgraph.induced g (List.filter (( <> ) x) (List.init n Fun.id)) in
+  (h0, (fun v -> m.Subgraph.to_sub.(v)), fun v -> m.Subgraph.to_host.(v))
+
+let random_edges rng n p =
+  List.concat (List.init n (fun u -> List.init (n - u - 1) (fun i -> (u, u + i + 1))))
+  |> List.filter (fun _ -> Rng.bernoulli rng p)
+
+let test_solve_at_below_built_radius () =
+  let ctx =
+    Dominating_set.context ~graph:(Classic.path 8) ~free_dominators:[] ~forbidden:[] ()
+  in
+  check_bool "radius 3" true (Dominating_set.solve_at ctx ~radius:3 <> None);
+  check_bool "radius 3 again" true (Dominating_set.solve_at ctx ~radius:3 <> None);
+  Alcotest.check_raises "radius 1 after 3"
+    (Invalid_argument "Dominating_set: radius below the context's built radius")
+    (fun () -> ignore (Dominating_set.solve_at ctx ~radius:1));
+  Alcotest.check_raises "negative radius"
+    (Invalid_argument "Dominating_set: radius below the context's built radius")
+    (fun () ->
+      ignore
+        (Dominating_set.solve
+           { graph = Classic.path 3; radius = -1; free_dominators = []; forbidden = [] }))
+
+(* One context with a masked vertex, walked over radii 0..n, returns at
+   every radius exactly the list the reference path does: H0 = the graph
+   minus the masked vertex, reference balls of H0, the same solver call,
+   the answer mapped back to host ids. One workspace serves every
+   context, so reuse across orders is exercised too. *)
+let prop_masked_context_matches_reference =
+  let ws = Dominating_set.create_workspace () in
+  let cover_ws = Set_cover.create_workspace () in
+  QCheck.Test.make ~name:"masked context = induced H0 on reference balls" ~count:300
+    QCheck.(pair (int_range 1 12) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let g = Graph.of_edges ~n (random_edges rng n (Rng.float rng *. 0.5)) in
+      let x = Rng.int rng n in
+      let others = List.filter (( <> ) x) (List.init n Fun.id) in
+      let free_dominators = List.filter (fun _ -> Rng.bernoulli rng 0.15) others in
+      let forbidden = List.filter (fun _ -> Rng.bernoulli rng 0.2) (List.init n Fun.id) in
+      let ctx =
+        Dominating_set.context ~ws ~exclude:x ~graph:g ~free_dominators ~forbidden ()
+      in
+      let h0, to_h0, of_h0 = without g x in
+      let map = Option.map (fun (s : Set_cover.solution) -> List.map of_h0 s.chosen) in
+      List.for_all
+        (fun radius ->
+          let inst =
+            reference_instance h0 ~radius
+              ~free_dominators:(List.map to_h0 free_dominators)
+              ~forbidden:(List.filter_map
+                            (fun v -> if v = x then None else Some (to_h0 v))
+                            forbidden)
+          in
+          let max_size = if Rng.bool rng then None else Some (Rng.int rng (n + 1)) in
+          let greedy = Dominating_set.greedy_at ~ws:cover_ws ctx ~radius in
+          Dominating_set.solve_at ~ws:cover_ws ?max_size ctx ~radius
+          = map (Set_cover.solve ?max_size inst)
+          && greedy = map (Set_cover.greedy inst))
+        (List.init (n + 1) Fun.id))
+
+(* [Best_response.compute] as it was before the masked context: the view
+   minus the player copied into H0, the radius loop on H0's reference
+   balls, the targets mapped back to view ids. *)
+let h0_best_response ?(solver = `Exact) ?allowed ~alpha (v : View.t) =
+  let nv = Graph.order v.View.graph in
+  let current =
+    {
+      Best_response.targets = v.View.owned;
+      usage = Best_response.current_usage v;
+      cost = Best_response.current_cost ~alpha v;
+    }
+  in
+  if nv <= 1 then current
+  else begin
+    let h0, to_h0, of_h0 = without v.View.graph v.View.player in
+    let free_dominators = List.map to_h0 v.View.in_buyers in
+    let forbidden =
+      match allowed with
+      | None -> []
+      | Some whitelist ->
+          let ok = List.map to_h0 whitelist in
+          List.filter (fun x -> not (List.mem x ok)) (List.init (Graph.order h0) Fun.id)
+    in
+    let best = ref current in
+    let h = ref 1 in
+    while !h <= nv && float_of_int !h < !best.cost -. 1e-9 do
+      let max_size =
+        if alpha <= 0.0 then nv
+        else begin
+          let cap = (!best.cost -. float_of_int !h) /. alpha in
+          if cap >= float_of_int nv then nv else int_of_float (ceil (cap -. 1e-9))
+        end
+      in
+      let inst = reference_instance h0 ~radius:(!h - 1) ~free_dominators ~forbidden in
+      let solution =
+        match solver with
+        | `Exact -> Set_cover.solve ~max_size inst
+        | `Budgeted node_budget -> Set_cover.solve ~max_size ~node_budget inst
+        | `Greedy -> (
+            match Set_cover.greedy inst with
+            | Some s when s.Set_cover.cardinality <= max_size -> Some s
+            | Some _ | None -> None)
+      in
+      (match solution with
+      | Some s ->
+          let cost =
+            (alpha *. float_of_int (List.length s.Set_cover.chosen)) +. float_of_int !h
+          in
+          if cost < !best.cost -. 1e-12 then
+            best :=
+              { Best_response.targets = List.map of_h0 s.Set_cover.chosen; usage = !h; cost }
+      | None -> ());
+      incr h
+    done;
+    !best
+  end
+
+(* Every player's best response in a random profile equals the H0-based
+   one, with and without an [allowed] whitelist, for each solver. One
+   workspace is threaded through all the views, whose orders differ. *)
+let prop_best_response_matches_h0 =
+  QCheck.Test.make ~name:"Best_response.compute = H0-based compute" ~count:150
+    QCheck.(pair (int_range 1 12) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let tree = Ncg_gen.Random_tree.generate rng n in
+      let g = Graph.add_edges tree (random_edges rng n 0.1) in
+      let s = Ncg.Strategy.random_orientation rng g in
+      let g = Ncg.Strategy.graph s in
+      let ws = Ncg.Workspace.create () in
+      let alpha = Rng.choose rng [| 0.05; 0.3; 1.; 2.5; 7. |] in
+      let k = 1 + Rng.int rng 4 in
+      List.for_all
+        (fun u ->
+          let v = View.extract s g ~k u in
+          let nv = Graph.order v.View.graph in
+          let allowed =
+            List.sort_uniq compare
+              (v.View.owned
+              @ List.filter (fun _ -> Rng.bernoulli rng 0.5) (List.init nv Fun.id))
+          in
+          List.for_all
+            (fun solver ->
+              compare
+                (Best_response.compute ~ws ~solver ~alpha v)
+                (h0_best_response ~solver ~alpha v)
+              = 0
+              && compare
+                   (Best_response.compute ~ws ~solver ~allowed ~alpha v)
+                   (h0_best_response ~solver ~allowed ~alpha v)
+                 = 0)
+            [ `Exact; `Budgeted 3; `Greedy ])
+        (List.init n Fun.id))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "ncg_solver"
@@ -420,5 +599,9 @@ let () =
           Alcotest.test_case "disconnected" `Quick test_mds_disconnected;
           qt prop_mds_on_random_graphs;
           qt prop_context_solve_matches_dp;
+          Alcotest.test_case "solve_at below the built radius" `Quick
+            test_solve_at_below_built_radius;
+          qt prop_masked_context_matches_reference;
+          qt prop_best_response_matches_h0;
         ] );
     ]
