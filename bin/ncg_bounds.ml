@@ -14,16 +14,17 @@ let run n game alphas ks =
   let alphas = if alphas = [] then default_alphas else alphas in
   let ks = if ks = [] then default_ks else ks in
   match game with
-  | "max" -> print_string (Ncg.Bounds.max_table ~n ~alphas ~ks)
-  | "sum" -> print_string (Ncg.Bounds.sum_table ~n ~alphas ~ks)
-  | "both" ->
+  | `Max -> print_string (Ncg.Bounds.max_table ~n ~alphas ~ks)
+  | `Sum -> print_string (Ncg.Bounds.sum_table ~n ~alphas ~ks)
+  | `Both ->
       print_string (Ncg.Bounds.max_table ~n ~alphas ~ks);
       print_newline ();
       print_string (Ncg.Bounds.sum_table ~n ~alphas ~ks)
-  | other -> failwith (Printf.sprintf "unknown game %S (max, sum or both)" other)
 
 let n = Arg.(value & opt int 100_000 & info [ "n" ] ~docv:"N" ~doc:"Number of players.")
-let game = Arg.(value & opt string "both" & info [ "game" ] ~docv:"G" ~doc:"max, sum or both.")
+let game =
+  Arg.(value & opt (enum [ ("max", `Max); ("sum", `Sum); ("both", `Both) ]) `Both
+       & info [ "game" ] ~docv:"G" ~doc:"max, sum or both.")
 
 let alphas =
   Arg.(value & opt (list float) [] & info [ "alphas" ] ~docv:"LIST" ~doc:"Comma-separated alpha values.")

@@ -1,5 +1,7 @@
 (* ncg_certify: certify that one of the paper's lower-bound constructions
    is a Local Knowledge Equilibrium, using the exact best-response engines.
+   Exits 2 when the construction is not an LKE, and on a bad option value
+   (checked before any graph is built).
 
    Examples:
      dune exec bin/ncg_certify.exe -- cycle -n 24 -k 3 --alpha 2.5
@@ -24,7 +26,19 @@ let report ~name ~n ~alpha ~k ~lke ~quality ~theory =
   | None -> ());
   if not lke then exit 2
 
+let check checks =
+  List.iter
+    (fun (ok, msg) -> if not ok then Spec_cli.exit_usage ~tool:"ncg_certify" "%s" msg)
+    checks
+
+let positive_alpha alpha =
+  (Float.is_finite alpha && alpha > 0., "alpha must be positive and finite")
+
+let positive_k k = (k >= 1, "k must be at least 1")
+
 let certify_cycle n k alpha =
+  check
+    [ (n >= 3, "n must be at least 3 for a cycle"); positive_k k; positive_alpha alpha ];
   let s = Ncg.Strategy.of_buys ~n (Ncg_gen.Classic.cycle_buys n) in
   report ~name:"cycle (Lemma 3.1)" ~n ~alpha ~k
     ~lke:(Ncg.Lke.is_lke_max ~alpha ~k s)
@@ -32,6 +46,7 @@ let certify_cycle n k alpha =
     ~theory:(Some ("Omega(n/(1+alpha))", Ncg.Bounds.lb_cycle ~n ~alpha))
 
 let certify_pg q alpha =
+  check [ (Ncg_gen.Gf.is_prime q, "q must be prime"); positive_alpha alpha ];
   let g = Ncg_gen.Projective_plane.incidence q in
   let np = Ncg_gen.Projective_plane.plane_size q in
   let buys =
@@ -54,6 +69,7 @@ let torus ~alpha ~k ~delta =
   (Ncg.Strategy.of_buys ~n t.Ncg_gen.Torus_grid.buys, n)
 
 let certify_torus_max k alpha delta =
+  check [ positive_k k; positive_alpha alpha ];
   let s, n = torus ~alpha ~k ~delta in
   report ~name:"stretched torus (Theorem 3.12)" ~n ~alpha ~k
     ~lke:(Ncg.Lke.is_lke_max ~alpha ~k s)
@@ -61,8 +77,12 @@ let certify_torus_max k alpha delta =
     ~theory:(Some ("Theorem 3.12 LB", Ncg.Bounds.lb_torus ~n ~alpha ~k))
 
 let certify_torus_sum k alpha delta =
-  if k > 2 then
-    failwith "torus-sum: only k = 2 is certifiable exactly (larger views explode)";
+  check
+    [
+      ( k = 1 || k = 2,
+        "torus-sum: k must be 1 or 2 (larger views are too big to certify exactly)" );
+      positive_alpha alpha;
+    ];
   let t = Ncg_gen.Torus_grid.closed ~d:2 ~ell:2 ~deltas:[| 2; max delta 2 |] in
   let n = Graph.order t.Ncg_gen.Torus_grid.graph in
   let s = Ncg.Strategy.of_buys ~n t.Ncg_gen.Torus_grid.buys in

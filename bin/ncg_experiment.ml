@@ -57,23 +57,6 @@ module Store = Ncg_store.Store
 module Metrics = Ncg_obs.Metrics
 module Json = Ncg_obs.Json
 
-let default_alphas = [ 0.5; 1.0; 2.0; 5.0 ]
-let default_ks = [ 2; 3; 4; 5; 1000 ]
-
-let parse_only_cell s =
-  match String.index_opt s ':' with
-  | Some i -> (
-      let a = String.sub s 0 i in
-      let k = String.sub s (i + 1) (String.length s - i - 1) in
-      match (float_of_string_opt a, int_of_string_opt k) with
-      | Some alpha, Some k -> { Experiment.alpha; k }
-      | _ ->
-          Printf.eprintf "ncg_experiment: --only-cell: cannot parse %S as ALPHA:K\n%!" s;
-          exit 2)
-  | None ->
-      Printf.eprintf "ncg_experiment: --only-cell expects ALPHA:K, got %S\n%!" s;
-      exit 2
-
 (* Sys.sigint / Sys.sigterm are OCaml-internal numbers; exit codes and
    logs want the POSIX ones. *)
 let posix_signal s =
@@ -87,8 +70,8 @@ let install_signal_handlers () =
       with Invalid_argument _ | Sys_error _ -> ())
     [ Sys.sigint; Sys.sigterm ]
 
-let run graph_class n p alphas ks trials seed budget domains store_dir resume
-    only_cell telemetry quiet no_probes cell_deadline_ms move_budget =
+let run spec alphas ks trials domains store_dir resume only_cell telemetry quiet
+    no_probes cell_deadline_ms =
   if quiet then Ncg_obs.Progress.set_enabled false;
   let probes = not no_probes in
   let cell_deadline_ns =
@@ -99,34 +82,18 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
   let alphas, ks =
     match only_cell with
     | Some s ->
-        let c = parse_only_cell s in
+        let c = Spec_cli.parse_only_cell ~tool:"ncg_experiment" s in
         ([ c.Experiment.alpha ], [ c.Experiment.k ])
     | None ->
-        ( (if alphas = [] then default_alphas else alphas),
-          if ks = [] then default_ks else ks )
+        ( (if alphas = [] then spec.Ncg.Sweep_spec.alphas else alphas),
+          if ks = [] then spec.ks else ks )
   in
   (* One spec record drives everything downstream — the same compiler
      perfbench and the tests use, so every path builds a cell from
      identical constructors. *)
-  let spec =
-    {
-      Ncg.Sweep_spec.graph_class;
-      n;
-      p;
-      alphas;
-      ks;
-      trials;
-      seed;
-      budget;
-      move_budget;
-      probes;
-    }
-  in
-  (match Ncg.Sweep_spec.validate spec with
-  | Ok () -> ()
-  | Error msg ->
-      Printf.eprintf "ncg_experiment: %s\n%!" msg;
-      exit 2);
+  let spec = { spec with Ncg.Sweep_spec.alphas; ks; trials; probes } in
+  Spec_cli.validate ~tool:"ncg_experiment" spec;
+  let { Ncg.Sweep_spec.graph_class; n; p; seed; _ } = spec in
   (if resume && store_dir = None then begin
      Printf.eprintf "ncg_experiment: --resume requires --store DIR\n%!";
      exit 2
@@ -272,23 +239,11 @@ let run graph_class n p alphas ks trials seed budget domains store_dir resume
         exit 3
       end
 
-let graph_class =
-  Arg.(value & opt string "tree" & info [ "class" ] ~docv:"CLASS"
-         ~doc:"tree, gnp, ba (Barabasi-Albert) or ws (Watts-Strogatz).")
-
-let n = Arg.(value & opt int 50 & info [ "n" ] ~docv:"N" ~doc:"Players.")
-let p = Arg.(value & opt float 0.1 & info [ "p" ] ~docv:"P" ~doc:"Edge probability (gnp).")
-
 let alphas =
   Arg.(value & opt (list float) [] & info [ "alphas" ] ~docv:"LIST" ~doc:"Alpha grid.")
 
 let ks = Arg.(value & opt (list int) [] & info [ "ks" ] ~docv:"LIST" ~doc:"View radius grid.")
 let trials = Arg.(value & opt int 5 & info [ "trials" ] ~docv:"T" ~doc:"Seeds per cell.")
-let seed = Arg.(value & opt int 2014 & info [ "seed" ] ~doc:"Base seed.")
-
-let budget =
-  Arg.(value & opt int 50_000 & info [ "budget" ] ~doc:"Branch-and-bound node budget per best response.")
-
 let domains =
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"D"
          ~doc:"Domains to fan sweep cells over; output is identical for any value.")
@@ -331,18 +286,11 @@ let cell_deadline_ms =
   Arg.(value & opt float 0. & info [ "cell-deadline-ms" ] ~docv:"MS"
          ~doc:"Wall-clock deadline per cell (0 = none).")
 
-let move_budget =
-  Arg.(value & opt int 1_000_000 & info [ "move-budget" ] ~docv:"N"
-         ~doc:"Cooperative checkpoint polls allowed per player move \
-               (0 = unlimited); an exhausted budget fails the move's \
-               cell with a timeout.")
-
 let cmd =
   let doc = "grid experiments over (alpha, k) printing CSV series" in
   Cmd.v
     (Cmd.info "ncg_experiment" ~doc)
-    Term.(const run $ graph_class $ n $ p $ alphas $ ks $ trials $ seed $ budget
-          $ domains $ store_dir $ resume $ only_cell $ telemetry
-          $ quiet $ no_probes $ cell_deadline_ms $ move_budget)
+    Term.(const run $ Spec_cli.spec $ alphas $ ks $ trials $ domains $ store_dir
+          $ resume $ only_cell $ telemetry $ quiet $ no_probes $ cell_deadline_ms)
 
 let () = exit (Cmd.eval cmd)

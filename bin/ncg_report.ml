@@ -1,12 +1,4 @@
-(* ncg_report: run one dynamics and write a self-contained markdown report
-   (configuration, outcome, per-round features, social-cost chart, trace
-   summary).
-
-   Example:
-     dune exec bin/ncg_report.exe -- --class tree -n 40 --alpha 2 -k 3 \
-         --out report.md
-
-   With --telemetry FILE it instead reports on a finished sweep: any
+(* ncg_report: the one reader of a sweep's telemetry. It reports on any
    telemetry document with a per-cell "cells" list
    (ncg.experiment.telemetry/7 and older versions). The report holds, in
    order:
@@ -19,10 +11,13 @@
    - the convergence series of up to three cells' trial-0 exemplars;
    - with --compare OTHER, a cross-run table matched on (alpha, k).
 
+   Example:
      dune exec bin/ncg_report.exe -- --telemetry telemetry.json \
        [--compare other.json] [--out report.md]
 
-   A document that does not decode is fatal (exit 1). *)
+   --telemetry is required (exit 124 without it). A document that does
+   not decode is fatal (exit 1). One trajectory of a sweep cell is
+   ncg_trace record's to run. *)
 
 open Cmdliner
 module Json = Ncg_obs.Json
@@ -36,8 +31,6 @@ let write_report out report =
   | Some path ->
       Ncg_obs.Atomic_file.write path report;
       Printf.printf "wrote %s (%d bytes)\n" path (String.length report)
-
-(* --- Telemetry report ----------------------------------------------------- *)
 
 type cell = {
   alpha : float;
@@ -260,75 +253,23 @@ let report_telemetry path compare_with out =
       Printf.eprintf "ncg_report: %s\n" msg;
       1
 
-(* --- One dynamics run ------------------------------------------------------ *)
-
-let report_run graph_class n p alpha k seed variant out =
-  let spec = { Ncg.Sweep_spec.default with graph_class; n; p } in
-  match Ncg.Sweep_spec.validate spec with
-  | Error msg ->
-      Printf.eprintf "ncg_report: %s\n%!" msg;
-      2
-  | Ok () ->
-      let strategy = Ncg.Sweep_spec.make_initial spec ~seed in
-      let config =
-        {
-          (Ncg.Dynamics.default_config ~alpha ~k) with
-          Ncg.Dynamics.variant;
-          solver = `Budgeted 50_000;
-          sum_mode = `Branch_and_bound 34;
-        }
-      in
-      let result = Ncg.Dynamics.run config strategy in
-      let title =
-        Printf.sprintf "%sNCG dynamics on %s (n=%d, alpha=%g, k=%d, seed=%d)"
-          (Ncg.Game.variant_to_string variant)
-          graph_class n alpha k seed
-      in
-      write_report out (Ncg_reporting.Run_report.of_run ~title config strategy result);
-      0
-
-let run graph_class n p alpha k seed variant telemetry compare_with out =
-  match (telemetry, compare_with) with
-  | Some path, _ -> report_telemetry path compare_with out
-  | None, Some _ ->
-      prerr_endline "ncg_report: --compare requires --telemetry FILE";
-      2
-  | None, None -> report_run graph_class n p alpha k seed variant out
-
-let graph_class =
-  let classes = List.map (fun c -> (c, c)) Ncg.Sweep_spec.graph_classes in
-  Arg.(value & opt (enum classes) "tree" & info [ "class" ] ~docv:"CLASS"
-         ~doc:("Initial graph class: " ^ doc_alts_enum classes ^ "."))
-
-let n = Arg.(value & opt int 40 & info [ "n" ] ~doc:"Players.")
-let p = Arg.(value & opt float 0.1 & info [ "p" ] ~doc:"Edge probability (gnp).")
-let alpha = Arg.(value & opt float 2.0 & info [ "alpha"; "a" ] ~doc:"Edge price.")
-let k = Arg.(value & opt int 3 & info [ "k" ] ~doc:"View radius.")
-let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.")
-let variant =
-  Arg.(value & opt (enum [ ("max", Ncg.Game.Max); ("sum", Ncg.Game.Sum) ]) Ncg.Game.Max
-       & info [ "variant" ] ~doc:"max or sum.")
-
 let telemetry =
-  Arg.(value & opt (some string) None & info [ "telemetry" ] ~docv:"FILE"
+  Arg.(required & opt (some string) None & info [ "telemetry" ] ~docv:"FILE"
          ~doc:"Report on this telemetry document (any schema with a per-cell \
-               \"cells\" list) instead of running a dynamics. Decode errors \
-               are fatal (exit 1).")
+               \"cells\" list). Decode errors are fatal (exit 1).")
 
 let compare_with =
   Arg.(value & opt (some string) None & info [ "compare" ] ~docv:"FILE"
          ~doc:"Second telemetry document; adds a cross-run comparison table \
-               matched on (alpha, k). Needs $(b,--telemetry).")
+               matched on (alpha, k).")
 
 let out =
   Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"
          ~doc:"Write the report here (atomically) instead of stdout.")
 
 let cmd =
-  let doc = "write a markdown report of one dynamics run or of a sweep's telemetry" in
+  let doc = "write a markdown report of a sweep's telemetry" in
   Cmd.v (Cmd.info "ncg_report" ~doc)
-    Term.(
-      const run $ graph_class $ n $ p $ alpha $ k $ seed $ variant $ telemetry
-      $ compare_with $ out)
+    Term.(const report_telemetry $ telemetry $ compare_with $ out)
 
 let () = exit (Cmd.eval' cmd)

@@ -104,6 +104,10 @@ let context spec =
 let cells spec = Experiment.grid ~alphas:spec.alphas ~ks:spec.ks
 let cell_seed spec cell = Experiment.cell_seed_of_cell ~seed:spec.seed cell
 
+let trial_seed spec cell ~trial =
+  if trial < 0 then invalid_arg "Sweep_spec.trial_seed: negative trial";
+  (Experiment.derive_seeds ~seed:(cell_seed spec cell) ~count:(trial + 1)).(trial)
+
 let cache_key spec cell =
   Experiment.cell_cache_key ~probes:spec.probes ~context:(context spec)
     ~seed:spec.seed ~trials:spec.trials ~cell_seed:(cell_seed spec cell) cell

@@ -60,6 +60,14 @@ val cells : t -> Experiment.cell list
     {!Experiment.sweep_supervised} runs the cell with by default. *)
 val cell_seed : t -> Experiment.cell -> int
 
+(** [trial_seed spec cell ~trial] is the seed trial [trial] of the cell
+    starts from: entry [trial] of
+    [Experiment.derive_seeds ~seed:(cell_seed spec cell)], the same for
+    any [trials ≥ trial + 1]. [make_initial spec ~seed:(trial_seed …)]
+    under [make_config spec cell] is that trial's trajectory.
+    @raise Invalid_argument if [trial < 0]. *)
+val trial_seed : t -> Experiment.cell -> trial:int -> int
+
 (** Full content-addressed key for one cell of this spec. *)
 val cache_key : t -> Experiment.cell -> Ncg_store.Cache_key.t
 

@@ -60,7 +60,14 @@ let popcount w =
   !acc
 
 let cardinal s = Array.fold_left (fun acc w -> acc + popcount w) 0 s.words
-let is_empty s = Array.for_all (fun w -> w = 0) s.words
+(* A plain loop: [Array.for_all] allocates its closure on every call. *)
+let is_empty s =
+  let words = s.words in
+  let i = ref 0 in
+  while !i < Array.length words && words.(!i) = 0 do
+    incr i
+  done;
+  !i = Array.length words
 let clear s = Array.fill s.words 0 (Array.length s.words) 0
 
 let fill s =

@@ -1,8 +1,10 @@
-(* End-to-end checks of the ncg_experiment binary, run as a child process
-   on a 9-cell tree grid: a stored sweep killed mid-run resumes to the
-   uninterrupted CSV, sweeps under a small --move-budget quarantine
-   exactly the reported cells and resume to the same outcome, ncg_sim
-   reports a move timeout with exit 3, ncg_report's telemetry report
+(* End-to-end checks of the built binaries, run as child processes on a
+   9-cell tree grid: a stored ncg_experiment sweep killed mid-run resumes
+   to the uninterrupted CSV, sweeps under a small --move-budget quarantine
+   exactly the reported cells and resume to the same outcome, ncg_trace
+   record runs trial 0 of a cell as the one-trial sweep does (same row
+   figures, a timeout exactly when the sweep quarantines) and verify
+   certifies it and rejects bad files, ncg_report's telemetry report
    reads every cell of the telemetry, the bench gate passes the smoke
    grid's telemetry against bench/BASELINE.json and fails a lowered
    counter, and retired flags and bad option values are usage errors. *)
@@ -233,24 +235,176 @@ let test_move_budget (budget, expected) () =
 (* (move budget, cells of the 9-cell grid it quarantines) *)
 let budgets = [ (20, 7); (30, 3); (50, 3); (80, 0) ]
 
-(* The exact solver's first best responses on a G(100, 0.1) start need
-   more checkpoints than the default move budget allows: ncg_sim reports
-   the timeout and exits 3 instead of dying of an uncaught exception. *)
+(* --- One trajectory: ncg_trace --------------------------------------------- *)
+
+let trace = built "ncg_trace"
+
+(* The spec flags of [grid], which ncg_trace record shares with
+   ncg_experiment. *)
+let spec_flags = [ "--class"; "tree"; "-n"; "30"; "--seed"; "2014" ]
+
+let grid_cells =
+  [ "0.5:2"; "0.5:3"; "0.5:1000"; "1:2"; "1:3"; "1:1000"; "2:2"; "2:3"; "2:1000" ]
+
+(* The one-trial sweep of [cell] (its CSV in [dir]/cell.csv) and
+   record --trial 0 of it (its stdout in [dir]/record.out, its files
+   under [dir]/t): their exit codes. *)
+let sweep_and_record dir ?(extra = []) cell =
+  let path = Filename.concat dir in
+  let swept =
+    run ~out:(path "cell.csv") ~err:(path "cell.err")
+      (spec_flags @ extra @ [ "--trials"; "1"; "--only-cell"; cell; "--quiet" ])
+  in
+  let recorded =
+    run ~prog:trace ~out:(path "record.out") ~err:(path "record.err")
+      ([ "record" ] @ spec_flags @ extra
+      @ [ "--only-cell"; cell; "--trial"; "0"; "--prefix"; path "t" ])
+  in
+  (swept, recorded)
+
+(* Under one small move budget, record --trial 0 times out (exit 3)
+   exactly when the one-trial --only-cell sweep quarantines the cell:
+   both count the same checkpoints of the same trajectory. *)
+let test_record_timeout_iff_quarantine () =
+  with_temp_dir (fun dir ->
+      let codes =
+        List.map
+          (fun cell ->
+            let swept, recorded =
+              sweep_and_record dir ~extra:[ "--move-budget"; "20" ] cell
+            in
+            check_int (cell ^ ": record exits as the sweep does") swept recorded;
+            if recorded = 3 then
+              check_bool (cell ^ ": the timeout is reported") true
+                (List.exists
+                   (String.starts_with ~prefix:"ncg_trace: a player move timed out")
+                   (lines (read_file (Filename.concat dir "record.err"))));
+            swept)
+          grid_cells
+      in
+      check_bool "some cells time out" true (List.mem 3 codes);
+      check_bool "some cells finish" true (List.mem 0 codes))
+
+(* The G(100, 0.1) start that ncg_sim, the single-trajectory tool
+   ncg_trace record replaced, ran into its move budget with (the case
+   keeps that name): under --move-budget 100 record reports the timed-out
+   move and exits 3 instead of dying of an uncaught exception. *)
 let test_sim_move_timeout () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir in
       let code =
-        run ~prog:(built "ncg_sim") ~out:(path "sim.out") ~err:(path "sim.err")
+        run ~prog:trace ~out:(path "record.out") ~err:(path "record.err")
           [
-            "--class"; "gnp"; "-p"; "0.1"; "-n"; "100"; "-a"; "0.2"; "-k"; "5";
-            "--seed"; "1"; "--solver"; "exact";
+            "record"; "--class"; "gnp"; "-p"; "0.1"; "-n"; "100"; "--seed"; "1";
+            "--move-budget"; "100"; "--only-cell"; "0.2:5"; "--prefix"; path "t";
           ]
       in
       check_int "exit code 3" 3 code;
       check_bool "the timeout is reported" true
         (List.exists
-           (String.starts_with ~prefix:"ncg_sim: a player move timed out")
-           (lines (read_file (path "sim.err")))))
+           (String.starts_with ~prefix:"ncg_trace: a player move timed out")
+           (lines (read_file (path "record.err")))))
+
+(* The value in column [name] of the first row under a CSV header. *)
+let column name = function
+  | header :: row :: _ -> (
+      let fields =
+        List.combine (String.split_on_char ',' header) (String.split_on_char ',' row)
+      in
+      match List.assoc_opt name fields with
+      | Some v -> float_of_string v
+      | None -> Alcotest.failf "no column %S" name)
+  | _ -> Alcotest.fail "no CSV row"
+
+(* record --trial 0 of a cell is the trajectory behind the one-trial
+   sweep's row: same rounds, final diameter, social cost and quality;
+   verify then replays it and certifies it. *)
+let test_record_is_sweep_trial () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir in
+      List.iter
+        (fun cell ->
+          check_bool (cell ^ ": both exit 0") true
+            (sweep_and_record dir cell = (0, 0));
+          let row = lines (read_file (path "cell.csv")) in
+          let comments, features =
+            List.partition
+              (String.starts_with ~prefix:"#")
+              (lines (read_file (path "record.out")))
+          in
+          let comment tag =
+            let prefix = "# " ^ tag ^ ": " in
+            match List.find_opt (String.starts_with ~prefix) comments with
+            | Some l ->
+                let cut = String.length prefix in
+                String.sub l cut (String.length l - cut)
+            | None -> Alcotest.failf "%s: no # %s line" cell tag
+          in
+          (* The header and the last round, whose features are the final
+             profile's. *)
+          let final = [ List.hd features; List.hd (List.rev features) ] in
+          let close ~tol what a b =
+            check_bool
+              (Printf.sprintf "%s: %s %g = %g" cell what a b)
+              true
+              (abs_float (a -. b) <= tol)
+          in
+          close ~tol:0. "rounds"
+            (Scanf.sscanf (comment "outcome") "converged after %d" float_of_int)
+            (column "rounds_mean" row);
+          close ~tol:0. "final diameter" (column "diameter" final)
+            (column "diameter_mean" row);
+          close ~tol:0.0051 "social cost" (column "social_cost" final)
+            (column "social_cost_mean" row);
+          close ~tol:0.00051 "quality"
+            (float_of_string (comment "quality"))
+            (column "quality_mean" row);
+          run_ok ~prog:trace ~out:(path "verify.out") ~err:(path "verify.err")
+            [ "verify"; "--prefix"; path "t"; "--only-cell"; cell ])
+        [ "2:3"; "0.5:1000" ])
+
+(* A missing, truncated or edited file is reported as
+   "ncg_trace: PATH: REASON" with exit 1, not an uncaught exception. *)
+let test_verify_bad_files () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir in
+      check_bool "recorded" true (sweep_and_record dir "2:3" = (0, 0));
+      let header, moves =
+        match lines (read_file (path "t.trace")) with
+        | header :: (_ :: _ as moves) -> (header, moves)
+        | _ -> Alcotest.fail "the recorded trace has no moves"
+      in
+      let first = List.hd moves in
+      let with_trace name move_lines =
+        Ncg_obs.Atomic_file.write
+          (path (name ^ ".initial"))
+          (read_file (path "t.initial"));
+        Ncg_obs.Atomic_file.write (path (name ^ ".trace"))
+          (String.concat "\n" (header :: move_lines) ^ "\n")
+      in
+      (* Cut inside the first move's "after" list. *)
+      with_trace "truncated" [ String.sub first 0 (String.rindex first '|') ];
+      (* The first move's "before" list replaced by its "after" list. *)
+      (match String.split_on_char '|' first with
+      | [ head; _; after ] ->
+          with_trace "edited" (String.concat "|" [ head; after; after ] :: List.tl moves)
+      | _ -> Alcotest.failf "unexpected move line %S" first);
+      List.iter
+        (fun (name, file) ->
+          let code =
+            run ~prog:trace ~out:(path "verify.out") ~err:(path "verify.err")
+              [ "verify"; "--prefix"; path name; "--only-cell"; "2:3" ]
+          in
+          check_int (name ^ ": exit 1") 1 code;
+          check_bool (name ^ ": the error names " ^ file) true
+            (List.exists
+               (String.starts_with ~prefix:(Printf.sprintf "ncg_trace: %s: " (path file)))
+               (lines (read_file (path "verify.err")))))
+        [
+          ("missing", "missing.initial");
+          ("truncated", "truncated.trace");
+          ("edited", "edited.trace");
+        ])
 
 (* --- Report of the sweep telemetry ------------------------------------------ *)
 
@@ -389,48 +543,71 @@ let test_bench_gate () =
 let test_retired_flags () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir in
+      let record = [ "record"; "--only-cell"; "2:3"; "--prefix"; path "t" ] in
+      let report = [ "--telemetry"; path "telemetry.json" ] in
       List.iter
-        (fun args ->
-          let code = run ~out:(path "out.csv") ~err:(path "err.txt") (grid @ args) in
+        (fun (prog, args) ->
+          let code =
+            run ~prog:(built prog) ~out:(path "out.csv") ~err:(path "err.txt") args
+          in
           (* cmdliner's exit code for a command-line parse error. *)
-          check_int (String.concat " " args ^ " is a usage error") 124 code)
-        [
-          [ "--max-retries"; "1" ];
-          [ "--retry-backoff-ms"; "5" ];
-          [ "--no-cache" ];
-          [ "--events"; "x" ];
-          [ "--no-progress" ];
-          [ "--trace-out"; "x" ];
-          [ "--fault-plan"; "x" ];
-          [ "--fault-seed"; "1" ];
-        ])
+          check_int (String.concat " " (prog :: args) ^ " is a usage error") 124 code)
+        (List.map
+           (fun args -> ("ncg_experiment", grid @ args))
+           [
+             [ "--max-retries"; "1" ];
+             [ "--retry-backoff-ms"; "5" ];
+             [ "--no-cache" ];
+             [ "--events"; "x" ];
+             [ "--no-progress" ];
+             [ "--trace-out"; "x" ];
+             [ "--fault-plan"; "x" ];
+             [ "--fault-seed"; "1" ];
+           ]
+        @ List.map
+            (fun args -> ("ncg_trace", record @ args))
+            [
+              [ "--alpha"; "2" ]; [ "-k"; "3" ]; [ "--variant"; "max" ];
+              [ "--solver"; "exact" ];
+            ]
+        @ List.map
+            (fun args -> ("ncg_report", report @ args))
+            [ [ "--class"; "tree" ]; [ "-n"; "40" ]; [ "--variant"; "max" ] ]))
 
 (* Bad values are usage errors, never an uncaught exception (exit 125)
    or a sweep that quarantines every cell (exit 3): cmdliner's parse
-   errors exit 124, Sweep_spec.validate's exit 2. *)
+   errors exit 124, values the tool itself rejects (Sweep_spec.validate,
+   --only-cell, ncg_certify's checks) exit 2. *)
 let test_bad_values () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir in
+      let record args =
+        [ "record"; "--only-cell"; "2:3"; "--prefix"; path "t" ] @ args
+      in
       List.iter
         (fun (prog, args, expected) ->
           let code = run ~prog:(built prog) ~out:(path "out") ~err:(path "err") args in
           check_int (String.concat " " (prog :: args) ^ " is a usage error") expected code)
         [
-          ("ncg_report", [ "--variant"; "foo" ], 124);
-          ("ncg_sim", [ "--variant"; "foo" ], 124);
-          ("ncg_sim", [ "--solver"; "foo" ], 124);
-          ("ncg_sim", [ "--solver"; "0" ], 124);
           ( "ncg_experiment",
             [ "--class"; "gnp"; "-p"; "2"; "-n"; "10"; "--alphas"; "1"; "--ks"; "2" ],
             2 );
           ( "ncg_experiment",
             [ "--class"; "gnp"; "-p"; "0"; "-n"; "10"; "--alphas"; "1"; "--ks"; "2" ],
             2 );
-          ("ncg_sim", [ "-n"; "0" ], 2);
-          ("ncg_sim", [ "--class"; "gnp"; "-p"; "0"; "-n"; "10" ], 2);
-          ("ncg_sim", [ "--class"; "cycle"; "-n"; "2" ], 2);
-          ("ncg_report", [ "-n"; "0" ], 2);
-          ("ncg_trace", [ "record"; "-n"; "0"; "--prefix"; path "t" ], 2);
+          ("ncg_trace", record [ "-n"; "0" ], 2);
+          ("ncg_trace", record [ "--class"; "gnp"; "-p"; "0"; "-n"; "10" ], 2);
+          ("ncg_trace", record [ "--class"; "cycle"; "-n"; "10" ], 2);
+          ("ncg_trace", record [ "--trial=-1" ], 2);
+          ("ncg_trace", [ "record"; "--only-cell"; "2"; "--prefix"; path "t" ], 2);
+          ("ncg_trace", [ "record"; "--only-cell"; "2:0"; "--prefix"; path "t" ], 2);
+          ("ncg_trace", [ "verify"; "--only-cell"; "x:3"; "--prefix"; path "t" ], 2);
+          ("ncg_report", [], 124);
+          ("ncg_bounds", [ "--game"; "foo" ], 124);
+          ("ncg_certify", [ "torus-sum"; "-k"; "3" ], 2);
+          ("ncg_certify", [ "cycle"; "-n"; "2" ], 2);
+          ("ncg_certify", [ "cycle"; "-k"; "0" ], 2);
+          ("ncg_certify", [ "pg"; "-q"; "4" ], 2);
         ])
 
 let () =
@@ -447,7 +624,15 @@ let () =
         @ [
             Alcotest.test_case "ncg_sim move timeout exits 3" `Quick
               test_sim_move_timeout;
+            Alcotest.test_case "record exits 3 iff the sweep quarantines" `Quick
+              test_record_timeout_iff_quarantine;
           ] );
+      ( "trace",
+        [
+          Alcotest.test_case "record = trial 0 of the sweep, verified" `Quick
+            test_record_is_sweep_trial;
+          Alcotest.test_case "verify rejects bad files" `Quick test_verify_bad_files;
+        ] );
       ( "top",
         [
           Alcotest.test_case "post-hoc report reads every cell" `Quick

@@ -123,6 +123,49 @@ let test_derive_seeds_golden () =
   check_bool "seed 0 stream frozen" true
     (Experiment.derive_seeds ~seed:0 ~count:4 = golden_0)
 
+(* Sweep_spec.trial_seed names trial j's start: entry j of the cell's
+   derived seeds, whatever the trial count. *)
+let test_trial_seed () =
+  let spec = Sweep_spec.default in
+  List.iter
+    (fun (cell : Experiment.cell) ->
+      List.iter
+        (fun trials ->
+          Array.iteri
+            (fun j seed ->
+              check_int
+                (Printf.sprintf "cell (%g,%d), %d trials, trial %d" cell.Experiment.alpha
+                   cell.Experiment.k trials j)
+                seed
+                (Sweep_spec.trial_seed spec cell ~trial:j))
+            (Experiment.derive_seeds
+               ~seed:(Sweep_spec.cell_seed spec cell)
+               ~count:trials))
+        [ 1; 2; 5; 20 ])
+    (Sweep_spec.cells spec);
+  Alcotest.check_raises "negative trial"
+    (Invalid_argument "Sweep_spec.trial_seed: negative trial") (fun () ->
+      ignore (Sweep_spec.trial_seed spec { Experiment.alpha = 1.; k = 2 } ~trial:(-1)))
+
+(* One trajectory from trial j's seed under the cell's config, with
+   features on, is run j of the cell. *)
+let test_trial_is_run () =
+  let spec = { Sweep_spec.default with n = 12; trials = 3 } in
+  let cell = { Experiment.alpha = 1.0; k = 2 } in
+  let config =
+    { (Sweep_spec.make_config spec cell) with Dynamics.collect_features = true }
+  in
+  List.iteri
+    (fun trial run ->
+      let start =
+        Sweep_spec.make_initial spec ~seed:(Sweep_spec.trial_seed spec cell ~trial)
+      in
+      check_bool
+        (Printf.sprintf "trial %d" trial)
+        true
+        (Experiment.run_one config start = run))
+    (Sweep_spec.run_cell spec cell).Experiment.runs
+
 (* Every result of a spec's sweep, in cell order; a quarantine fails the
    test. *)
 let ok_results outcomes =
@@ -434,5 +477,7 @@ let () =
             test_overlapping_grids_agree;
           Alcotest.test_case "cache key golden bytes" `Quick
             test_cache_key_golden;
+          Alcotest.test_case "trial seed = derived seed j" `Quick test_trial_seed;
+          Alcotest.test_case "trial j = run j of the cell" `Quick test_trial_is_run;
         ] );
     ]

@@ -1,9 +1,6 @@
-(* Tests for the markdown builder and run reports. *)
+(* Tests for the markdown builder. *)
 
 module Markdown = Ncg_reporting.Markdown
-module Run_report = Ncg_reporting.Run_report
-module Dynamics = Ncg.Dynamics
-module Strategy = Ncg.Strategy
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -59,66 +56,6 @@ let test_bullets_and_paragraphs () =
   check_bool "paragraph" true (contains s "Intro.");
   check_bool "bullets" true (contains s "- one" && contains s "- two")
 
-(* --- Run reports ------------------------------------------------------------- *)
-
-let run_small () =
-  let s = Ncg.Experiment.initial_tree ~seed:4 ~n:15 in
-  let config = Dynamics.default_config ~alpha:1.0 ~k:3 in
-  (config, s, Dynamics.run config s)
-
-let test_of_run_sections () =
-  let config, s, result = run_small () in
-  let report = Run_report.of_run ~title:"Test run" config s result in
-  List.iter
-    (fun needle -> check_bool needle true (contains report needle))
-    [
-      "# Test run";
-      "## Configuration";
-      "## Outcome";
-      "## Per-round features";
-      "## Trace";
-      "alpha = 1, k = 3";
-      "players: 15";
-    ]
-
-let test_of_run_feature_rows () =
-  let config, s, result = run_small () in
-  let report = Run_report.of_run ~title:"t" config s result in
-  (* One table row per executed round (rows start with "| <round>"). *)
-  let feature_rows =
-    count_lines_matching
-      (fun l -> String.length l > 2 && l.[0] = '|' && l.[2] >= '0' && l.[2] <= '9')
-      report
-  in
-  check_bool "at least as many rows as rounds" true
-    (feature_rows >= result.Dynamics.rounds)
-
-let test_of_run_stable_start () =
-  (* A star at alpha >= 1 doesn't move: the trace section must say so. *)
-  let s = Strategy.of_buys ~n:6 (Ncg_gen.Classic.star_buys 6) in
-  let config = Dynamics.default_config ~alpha:2.0 ~k:2 in
-  let result = Dynamics.run config s in
-  let report = Run_report.of_run ~title:"stable" config s result in
-  check_bool "no moves note" true (contains report "(no moves — already stable)")
-
-let test_of_grid () =
-  let report =
-    Run_report.of_grid ~title:"Grid" ~header:[ "alpha"; "quality" ]
-      ~rows:[ [ "1"; "2.5" ]; [ "2"; "1.9" ] ]
-  in
-  check_bool "title" true (contains report "# Grid");
-  check_bool "row" true (contains report "| 2 | 1.9 |")
-
-let prop_reports_total =
-  QCheck.Test.make ~name:"report generation never fails on random runs" ~count:15
-    QCheck.(triple (int_range 4 14) (int_range 0 10_000) (float_range 0.3 3.0))
-    (fun (n, seed, alpha) ->
-      let s = Ncg.Experiment.initial_tree ~seed ~n in
-      let config = Dynamics.default_config ~alpha ~k:2 in
-      let result = Dynamics.run config s in
-      let report = Run_report.of_run ~title:"q" config s result in
-      String.length report > 100)
-
 let () =
   Alcotest.run "reporting"
     [
@@ -129,13 +66,5 @@ let () =
           Alcotest.test_case "pipe escaping" `Quick test_table_escapes_pipes;
           Alcotest.test_case "code fences" `Quick test_code_block_fencing;
           Alcotest.test_case "bullets/paragraphs" `Quick test_bullets_and_paragraphs;
-        ] );
-      ( "run_report",
-        [
-          Alcotest.test_case "sections" `Quick test_of_run_sections;
-          Alcotest.test_case "feature rows" `Quick test_of_run_feature_rows;
-          Alcotest.test_case "stable start" `Quick test_of_run_stable_start;
-          Alcotest.test_case "grid" `Quick test_of_grid;
-          QCheck_alcotest.to_alcotest prop_reports_total;
         ] );
     ]

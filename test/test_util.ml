@@ -102,6 +102,26 @@ let bitset_model_prop =
       && Bitset.cardinal a = S.cardinal sa
       && Bitset.subset a b = S.subset sa sb)
 
+(* Property: is_empty agrees with cardinal, on capacities that are and
+   are not whole words, including sets whose one bit is in the last
+   word. *)
+let bitset_is_empty_prop =
+  QCheck.Test.make ~name:"is_empty = (cardinal = 0)" ~count:300
+    QCheck.(
+      quad (int_range 0 4) (int_range (-1) 1) (int_range 0 2) (small_list small_nat))
+    (fun (words, offset, shape, xs) ->
+      let bits = Sys.int_size in
+      let capacity = max 0 ((words * bits) + offset) in
+      let s = Bitset.create capacity in
+      (if capacity > 0 then
+         match shape with
+         | 0 -> ()
+         | 1 ->
+             let last_word = (capacity - 1) / bits * bits in
+             Bitset.add s (last_word + (List.length xs mod (capacity - last_word)))
+         | _ -> List.iter (fun x -> Bitset.add s (x mod capacity)) xs);
+      Bitset.is_empty s = (Bitset.cardinal s = 0))
+
 (* --- Int_queue ---------------------------------------------------------- *)
 
 let test_queue_fifo () =
@@ -202,6 +222,7 @@ let () =
           Alcotest.test_case "iter in order" `Quick test_bitset_iter_order;
           Alcotest.test_case "copy independent" `Quick test_bitset_copy_independent;
           qt bitset_model_prop;
+          qt bitset_is_empty_prop;
         ] );
       ( "int_queue",
         [
