@@ -3,7 +3,9 @@
 
    Example:
      dune exec bin/ncg_bounds.exe -- -n 100000
-     dune exec bin/ncg_bounds.exe -- -n 1000 --game sum *)
+     dune exec bin/ncg_bounds.exe -- -n 1000 --game sum
+
+   A bad -n or k exits 2, before any table is printed. *)
 
 open Cmdliner
 
@@ -13,6 +15,12 @@ let default_ks = [ 1; 2; 3; 5; 10; 30; 100 ]
 let run n game alphas ks =
   let alphas = if alphas = [] then default_alphas else alphas in
   let ks = if ks = [] then default_ks else ks in
+  if n < 2 then Spec_cli.exit_usage ~tool:"ncg_bounds" "N must be at least 2";
+  List.iter
+    (fun k ->
+      if k < 1 then
+        Spec_cli.exit_usage ~tool:"ncg_bounds" "k must be at least 1, got %d" k)
+    ks;
   match game with
   | `Max -> print_string (Ncg.Bounds.max_table ~n ~alphas ~ks)
   | `Sum -> print_string (Ncg.Bounds.sum_table ~n ~alphas ~ks)

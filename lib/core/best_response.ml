@@ -12,38 +12,48 @@ let current_cost ~alpha (v : View.t) =
 let current ~alpha (v : View.t) =
   { targets = v.View.owned; usage = current_usage v; cost = current_cost ~alpha v }
 
-let compute ?ws ?(solver = `Exact) ?max_edges ?allowed ~alpha (v : View.t) =
+let ball_cost ~alpha (b : Ball_view.t) =
+  (alpha *. float_of_int (List.length b.Ball_view.owned))
+  +. float_of_int b.Ball_view.usage
+
+let compute_ball ?ws ?(solver = `Exact) ?max_edges ?allowed ~alpha (b : Ball_view.t) =
   Ncg_obs.Histogram.(time best_response) @@ fun () ->
   Ncg_obs.Metrics.(incr best_response_calls);
-  let nv = Graph.order v.View.graph in
+  let nv = b.Ball_view.size in
   (match max_edges with
-  | Some cap when List.length v.View.owned > cap ->
+  | Some cap when List.length b.Ball_view.owned > cap ->
       invalid_arg "Best_response.compute: current strategy exceeds max_edges"
   | _ -> ());
   (match allowed with
   | Some whitelist
-    when not (List.for_all (fun t -> List.mem t whitelist) v.View.owned) ->
+    when not (List.for_all (fun t -> List.mem t whitelist) b.Ball_view.owned) ->
       invalid_arg "Best_response.compute: current strategy outside allowed targets"
   | _ -> ());
-  if nv <= 1 then current ~alpha v
+  let current =
+    { targets = b.Ball_view.owned; usage = b.Ball_view.usage; cost = ball_cost ~alpha b }
+  in
+  if nv <= 1 then current
   else begin
     (* One context serves the whole radius loop: it masks the player out
-       of the view's graph (H minus the player, in view ids) and grows
-       its balls by one radius as h rises. *)
+       of the ball (in the graph's own ids) and grows its balls by one
+       radius as h rises. *)
     let forbidden =
       match allowed with
       | None -> []
       | Some whitelist ->
-          let ok = Ncg_util.Bitset.of_list nv whitelist in
-          List.filter (fun x -> not (Ncg_util.Bitset.mem ok x)) (List.init nv Fun.id)
+          let ok = Ncg_util.Bitset.of_list (Graph.order b.Ball_view.graph) whitelist in
+          List.filter
+            (fun x -> not (Ncg_util.Bitset.mem ok x))
+            (Ncg_util.Bitset.to_list b.Ball_view.ball)
     in
     let cover_ws = Option.map (fun w -> w.Workspace.cover) ws in
     let dom_ws = Option.map (fun w -> w.Workspace.dom) ws in
     let ctx =
-      Dominating_set.context ?ws:dom_ws ~exclude:v.View.player ~graph:v.View.graph
-        ~free_dominators:v.View.in_buyers ~forbidden ()
+      Dominating_set.context ?ws:dom_ws ~within:b.Ball_view.ball
+        ~exclude:b.Ball_view.player ~graph:b.Ball_view.graph
+        ~free_dominators:b.Ball_view.in_buyers ~forbidden ()
     in
-    let best = ref (current ~alpha v) in
+    let best = ref current in
     let h = ref 1 in
     while !h <= nv && float_of_int !h < !best.cost -. 1e-9 do
       Ncg_fault.Cancel.checkpoint ();
@@ -85,6 +95,9 @@ let compute ?ws ?(solver = `Exact) ?max_edges ?allowed ~alpha (v : View.t) =
     !best
   end
 
+let compute ?ws ?solver ?max_edges ?allowed ~alpha v =
+  compute_ball ?ws ?solver ?max_edges ?allowed ~alpha (Ball_view.of_view v)
+
 let evaluate_targets ~alpha (v : View.t) targets =
   let h' = View.with_strategy v targets in
   Option.map
@@ -112,6 +125,9 @@ let local_search ~alpha (v : View.t) =
   in
   descend (current ~alpha v)
 
-let improving ?ws ?solver ?(epsilon = 1e-9) ~alpha v =
-  let best = compute ?ws ?solver ~alpha v in
-  if best.cost < current_cost ~alpha v -. epsilon then Some best else None
+let improving_ball ?ws ?solver ?(epsilon = 1e-9) ~alpha b =
+  let best = compute_ball ?ws ?solver ~alpha b in
+  if best.cost < ball_cost ~alpha b -. epsilon then Some best else None
+
+let improving ?ws ?solver ?epsilon ~alpha v =
+  improving_ball ?ws ?solver ?epsilon ~alpha (Ball_view.of_view v)

@@ -16,7 +16,9 @@
     optimality for speed on very large views. *)
 
 type outcome = {
-  targets : int list;  (** the new σ′ in view coordinates *)
+  targets : int list;
+      (** the new σ′, in the view's ids: view coordinates for a {!View.t},
+          the graph's own ids for a {!Ball_view.t} *)
   usage : int;  (** eccentricity of the player in H′ *)
   cost : float;  (** α·|targets| + usage *)
 }
@@ -50,6 +52,37 @@ val compute :
   alpha:float ->
   View.t ->
   outcome
+
+(** {1 On a ball view}
+
+    The same best response, read on a {!Ball_view.t}: {!compute} is
+    [compute_ball] of {!Ball_view.of_view}. On a view borrowed from the
+    host graph the solver works in host ids over the ball (see
+    {!Ncg_solver.Dominating_set.context}'s [?within]), so the chosen
+    targets are host ids, and no view copy is built. The candidates keep
+    the view's order, so both forms choose the same targets. *)
+
+(** α·|σ_u| + the player's eccentricity within the ball. *)
+val ball_cost : alpha:float -> Ball_view.t -> float
+
+(** {!compute} on a ball view; [allowed] is in the view's ids. *)
+val compute_ball :
+  ?ws:Workspace.t ->
+  ?solver:[ `Exact | `Budgeted of int | `Greedy ] ->
+  ?max_edges:int ->
+  ?allowed:int list ->
+  alpha:float ->
+  Ball_view.t ->
+  outcome
+
+(** {!improving} on a ball view. *)
+val improving_ball :
+  ?ws:Workspace.t ->
+  ?solver:[ `Exact | `Budgeted of int | `Greedy ] ->
+  ?epsilon:float ->
+  alpha:float ->
+  Ball_view.t ->
+  outcome option
 
 (** [local_search ~alpha view] is a *better-response* engine: steepest
     descent over single-edge additions, deletions and swaps starting from

@@ -44,65 +44,66 @@ type result = {
 (* How far an accepted move reaches, measured inside the view where
    distances from the player are already known: the symmetric-difference
    size of the target sets, and the largest view distance of any newly
-   bought edge — the per-round locality signals the probe layer records. *)
+   bought edge — the per-round locality signals the probe layer records.
+   [before], [targets] and [dist] share the view's ids. *)
 type move_stats = { edit_distance : int; radius : int }
 
-let move_stats_of (view : View.t) ~targets =
-  let before = view.View.owned in
+let move_stats ~before ~dist targets =
   let added = List.filter (fun t -> not (List.mem t before)) targets in
   let removed = List.filter (fun t -> not (List.mem t targets)) before in
-  let radius =
-    List.fold_left (fun acc t -> max acc view.View.dist.(t)) 0 added
-  in
+  let radius = List.fold_left (fun acc t -> max acc dist.(t)) 0 added in
   { edit_distance = List.length added + List.length removed; radius }
 
-(* On an accepted move, also returns the player's view-local cost before
-   and after — already computed by the oracles, and what the round probes
-   sum into best-response gaps — plus the move's locality stats. *)
-let best_response_step_stats ?ws config strategy g u =
-  let ws = match ws with Some w -> w | None -> Workspace.create () in
-  let view = View.extract ~scratch:ws.Workspace.bfs strategy g ~k:config.k u in
-  let improvement =
-    match config.variant with
-    | Game.Max -> begin
-        match config.response with
-        | `Best ->
-            Option.map
-              (fun (o : Best_response.outcome) ->
-                ( o.Best_response.targets,
-                  Best_response.current_cost ~alpha:config.alpha view,
-                  o.Best_response.cost ))
-              (Best_response.improving ~ws ~solver:config.solver
-                 ~epsilon:config.epsilon ~alpha:config.alpha view)
-        | `Local_moves ->
-            let o = Best_response.local_search ~alpha:config.alpha view in
-            let current = Best_response.current_cost ~alpha:config.alpha view in
-            if o.Best_response.cost < current -. config.epsilon then
-              Some (o.Best_response.targets, current, o.Best_response.cost)
-            else None
-      end
-    | Game.Sum ->
-        Option.map
-          (fun (o : Sum_best_response.outcome) ->
-            ( o.Sum_best_response.targets,
-              Sum_best_response.current_cost ~alpha:config.alpha view,
-              o.Sum_best_response.cost ))
-          (Sum_best_response.improving ~epsilon:config.epsilon
-             ~alpha:config.alpha ~mode:config.sum_mode view)
+(* On an accepted move, returns the player's new targets in host ids, her
+   view-local cost before and after — already computed by the oracles,
+   and what the round probes sum into best-response gaps — and the move's
+   locality stats. The MaxNCG best response reads the view in place on
+   [g]; the other engines search a {!View.t} copy. *)
+let improving_move ~ws config strategy g u =
+  let alpha = config.alpha and epsilon = config.epsilon in
+  let on_copy engine =
+    let view = View.extract ~scratch:ws.Workspace.bfs strategy g ~k:config.k u in
+    Option.map
+      (fun (targets, old_cost, new_cost) ->
+        ( View.to_host view targets,
+          old_cost,
+          new_cost,
+          move_stats ~before:view.View.owned ~dist:view.View.dist targets ))
+      (engine view)
   in
-  Option.map
-    (fun (targets, old_cost, new_cost) ->
-      ( Strategy.with_owned strategy u (View.to_host view targets),
-        old_cost,
-        new_cost,
-        move_stats_of view ~targets ))
-    improvement
+  match (config.variant, config.response) with
+  | Game.Max, `Best ->
+      let view = Ball_view.borrow ~scratch:ws.Workspace.bfs strategy g ~k:config.k u in
+      Option.map
+        (fun (o : Best_response.outcome) ->
+          let targets = o.Best_response.targets in
+          ( targets,
+            Best_response.ball_cost ~alpha view,
+            o.Best_response.cost,
+            move_stats ~before:view.Ball_view.owned ~dist:view.Ball_view.dist targets ))
+        (Best_response.improving_ball ~ws ~solver:config.solver ~epsilon ~alpha view)
+  | Game.Max, `Local_moves ->
+      on_copy (fun view ->
+          let o = Best_response.local_search ~alpha view in
+          let current = Best_response.current_cost ~alpha view in
+          if o.Best_response.cost < current -. epsilon then
+            Some (o.Best_response.targets, current, o.Best_response.cost)
+          else None)
+  | Game.Sum, _ ->
+      on_copy (fun view ->
+          Option.map
+            (fun (o : Sum_best_response.outcome) ->
+              ( o.Sum_best_response.targets,
+                Sum_best_response.current_cost ~alpha view,
+                o.Sum_best_response.cost ))
+            (Sum_best_response.improving ~epsilon ~alpha ~mode:config.sum_mode view))
 
 let best_response_step ?ws config strategy g u =
+  let ws = match ws with Some w -> w | None -> Workspace.create () in
   Option.map
-    (fun (strategy', old_cost, new_cost, _stats) ->
-      (strategy', old_cost, new_cost))
-    (best_response_step_stats ?ws config strategy g u)
+    (fun (targets, old_cost, new_cost, _stats) ->
+      (Strategy.with_owned strategy u targets, old_cost, new_cost))
+    (improving_move ~ws config strategy g u)
 
 let run_untraced config strategy0 =
   let n = Strategy.n_players strategy0 in
@@ -123,25 +124,32 @@ let run_untraced config strategy0 =
   let seen : (string, int) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.replace seen (Strategy.to_key strategy0) 0;
   let strategy = ref strategy0 in
-  let g = ref g0 in
+  (* The trajectory's host graph, re-centred in place after each move;
+     [Graph.borrow adj] is the current network. *)
+  let adj = Graph.adjacency g0 in
   (* The awake set: players whose k-view may have changed since their
      last best response. A move by [v] changes only edges at [v], so it
      can change only the views of players within distance k + 1 of [v],
      in the graph before or after the move. When k + 1 >= n - 1 that is
      everyone, and no search is needed. *)
   let awake = Array.make n true in
-  let wake_within g v =
-    let reached = Bfs.run ws.Workspace.bfs g v ~radius:(config.k + 1) in
+  let wake_within v =
+    let reached = Bfs.run ws.Workspace.bfs (Graph.borrow adj) v ~radius:(config.k + 1) in
     let order = Bfs.visit_order ws.Workspace.bfs in
     for i = 0 to reached - 1 do
       awake.(order.(i)) <- true
     done
   in
-  let wake ~before ~after v =
-    if config.k >= n - 2 then Array.fill awake 0 n true
+  (* Wake on the graph before the move, patch it, wake on the graph after. *)
+  let apply_move strategy' v =
+    if config.k >= n - 2 then begin
+      Strategy.recentre strategy' adj v;
+      Array.fill awake 0 n true
+    end
     else begin
-      wake_within before v;
-      wake_within after v
+      wake_within v;
+      Strategy.recentre strategy' adj v;
+      wake_within v
     end
   in
   let features = ref [] in
@@ -154,7 +162,7 @@ let run_untraced config strategy0 =
      GC contract. NaN if the network disconnected (mirrors
      [Game.social_cost] returning [None]). *)
   let social_cost_now () =
-    let g = !g in
+    let g = Graph.borrow adj in
     let sum_use = ref 0 in
     let connected = ref true in
     let u = ref 0 in
@@ -210,9 +218,10 @@ let run_untraced config strategy0 =
               incr solved;
               match
                 Ncg_fault.Cancel.with_step_budget config.move_budget (fun () ->
-                    best_response_step_stats ~ws config !strategy !g u)
+                    improving_move ~ws config !strategy (Graph.borrow adj) u)
               with
-              | Some (strategy', old_cost, new_cost, stats) ->
+              | Some (targets, old_cost, new_cost, stats) ->
+                  let strategy' = Strategy.with_owned !strategy u targets in
                   let before = Strategy.owned !strategy u in
                   let after = Strategy.owned strategy' u in
                   moves :=
@@ -224,10 +233,8 @@ let run_untraced config strategy0 =
                     edits := !edits + stats.edit_distance;
                     if stats.radius > !reach then reach := stats.radius
                   end;
-                  let g' = Strategy.update_graph strategy' !g u in
-                  wake ~before:!g ~after:g' u;
+                  apply_move strategy' u;
                   strategy := strategy';
-                  g := g';
                   incr changes;
                   incr total_moves
               | None -> ()
@@ -252,7 +259,7 @@ let run_untraced config strategy0 =
         if config.collect_features then
           features :=
             Features.collect config.variant ~alpha:config.alpha ~k:config.k
-              ~round:!round ~changes:!changes !strategy !g
+              ~round:!round ~changes:!changes !strategy (Graph.borrow adj)
             :: !features;
         if !changes = 0 then outcome := Some (Converged !round)
         else if detect_cycles then begin

@@ -59,13 +59,16 @@ type result = {
 
 (** [run config strategy] executes the dynamics from the initial profile.
 
-    The run is incremental. It keeps the host graph as state and carries
-    it across each accepted move with {!Strategy.update_graph}, and it
-    solves only {e awake} players. Every player starts awake; computing
-    a player's best response puts her to sleep; an accepted move by [v]
-    wakes every player within distance k + 1 of [v] in the graph before
-    or after the move, [v] herself included (everyone at once, without a
-    search, when k + 1 ≥ n − 1). A best response is a pure function of
+    The run is incremental. It keeps the host graph as state, one
+    {!Ncg_graph.Graph.adjacency} it patches in place after each accepted
+    move with {!Strategy.recentre}, and it solves only {e awake} players.
+    A MaxNCG best response ([response = `Best]) reads the player's view
+    in place on that graph ({!Ball_view.borrow}, no view copy); the other
+    engines search a {!View.extract} copy. Every player starts awake;
+    computing a player's best response puts her to sleep; an accepted
+    move by [v] wakes every player within distance k + 1 of [v] in the
+    graph before the patch or after it, [v] herself included (everyone at
+    once, without a search, when k + 1 ≥ n − 1). A best response is a pure function of
     the player's k-view, and a move by [v] changes only the views within
     that radius, so a sleeping player would again find no improving
     move. Skipping her draws no randomness and leaves rounds and cycle
@@ -86,7 +89,8 @@ type result = {
     paper assumes players start on a connected network). *)
 val run : config -> Strategy.t -> result
 
-(** [best_response_step ?ws config strategy g u] is
+(** [best_response_step ?ws config strategy g u] — [g] must be
+    [Strategy.graph strategy] — is
     [Some (profile', old_cost, new_cost)] if player [u] has an improving
     deviation — the updated profile with [u]'s view-local cost before and
     after the move (what the [dynamics.move] event reports) — [None]

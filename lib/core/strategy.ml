@@ -59,9 +59,10 @@ let graph t =
     t.owned;
   Graph.of_edges ~n:t.n !edges
 
-let update_graph t g u =
+let recentre t adj u =
+  let g = Graph.borrow adj in
   let star = List.sort_uniq compare (List.rev_append (owned t u) (in_buyers t g u)) in
-  Graph.with_star g u (Array.of_list star)
+  Graph.set_star adj u (Array.of_list star)
 
 let random_orientation rng g =
   let buys =

@@ -7,8 +7,8 @@
 
     Profiles are immutable; {!with_owned} copies. The profile — not the
     graph — is the source of truth in a game: the graph is derived from
-    it with {!graph}, or carried across a one-player change with
-    {!update_graph}. *)
+    it with {!graph}, or carried across a one-player change in place with
+    {!recentre}. *)
 
 type t
 
@@ -49,11 +49,12 @@ val in_buyers : t -> Ncg_graph.Graph.t -> int -> int list
 (** The network G(σ). *)
 val graph : t -> Ncg_graph.Graph.t
 
-(** [update_graph t g u] is [graph t], given that [g] is the network of a
-    profile that differs from [t] at most in [u]'s strategy. One
-    {!Ncg_graph.Graph.with_star} pass re-centres [u]'s star, in place of a
-    rebuild from every edge. *)
-val update_graph : t -> Ncg_graph.Graph.t -> int -> Ncg_graph.Graph.t
+(** [recentre t adj u] makes [adj]'s graph equal to [graph t], given that
+    it is the network of a profile that differs from [t] at most in [u]'s
+    strategy. One {!Ncg_graph.Graph.set_star} re-centres [u]'s star in
+    place: only the rows of [u] and of the players that gain or lose an
+    edge to her are rewritten. *)
+val recentre : t -> Ncg_graph.Graph.adjacency -> int -> unit
 
 (** [random_orientation rng g] gives each edge of [g] to a uniformly random
     endpoint — the paper's protocol for initial trees and G(n,p) graphs. *)

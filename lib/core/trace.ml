@@ -3,7 +3,6 @@ type t = { n : int; moves : move list }
 
 let empty n = { n; moves = [] }
 let length t = List.length t.moves
-let by_player t u = List.filter (fun m -> m.player = u) t.moves
 
 let replay initial t =
   if Strategy.n_players initial <> t.n then

@@ -29,9 +29,6 @@ val replay : Strategy.t -> t -> Strategy.t
 (** Number of moves. *)
 val length : t -> int
 
-(** Moves of one player, chronological. *)
-val by_player : t -> int -> move list
-
 (** Text serialization, one move per line:
     ["round player | before... | after..."]; round-trips with
     {!of_string}. *)

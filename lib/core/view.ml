@@ -15,19 +15,21 @@ type t = {
 let extract ?scratch strategy g ~k u =
   if k < 1 then invalid_arg "View.extract: need k >= 1";
   Ncg_obs.Metrics.(incr view_extracts);
-  let graph, mapping = Subgraph.ball_induced ?scratch g u ~radius:k in
+  let scratch =
+    match scratch with
+    | Some s -> s
+    | None -> Bfs.create_scratch ~capacity:(Graph.order g) ()
+  in
+  let graph, mapping = Subgraph.ball_induced ~scratch g u ~radius:k in
   let player = mapping.Subgraph.to_sub.(u) in
   let map_host v = mapping.Subgraph.to_sub.(v) in
   (* Neighbours of u are at distance 1, hence always inside the ball. *)
   let owned = List.map map_host (Strategy.owned strategy u) in
   let in_buyers = List.map map_host (Strategy.in_buyers strategy g u) in
-  let dist =
-    match scratch with
-    | None -> Bfs.distances graph player
-    | Some s ->
-        ignore (Bfs.run s graph player ~radius:max_int);
-        Array.sub (Bfs.dist_array s) 0 (Graph.order graph)
-  in
+  (* The ball search's distances: a shortest path to a vertex of the ball
+     stays inside it, so they are the distances within H too. *)
+  let host_dist = Bfs.dist_array scratch in
+  let dist = Array.map (fun h -> host_dist.(h)) mapping.Subgraph.to_host in
   { player; k; graph; mapping; owned; in_buyers; dist }
 
 let size v = Graph.order v.graph

@@ -17,8 +17,8 @@ type t = {
 }
 
 (** [extract strategy g ~k u] — [g] must be [Strategy.graph strategy].
-    [?scratch] lends reusable BFS buffers for the ball search and the
-    distance pass (the view does not alias them afterwards).
+    One radius-[k] BFS finds the ball and its distances. [?scratch] lends
+    it reusable buffers (the view does not alias them afterwards).
     @raise Invalid_argument if [k < 1]. *)
 val extract :
   ?scratch:Ncg_graph.Bfs.scratch -> Strategy.t -> Ncg_graph.Graph.t -> k:int -> int -> t

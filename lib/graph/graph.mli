@@ -7,10 +7,12 @@
     algorithms in this project want — and makes structural equality a plain
     array comparison. Self loops are rejected and parallel edges collapse.
 
-    Mutation is not supported on purpose: in the network creation game the
-    source of truth is the strategy profile, and after a move the graph is
-    re-derived from it or re-centred with {!with_star} (see
-    {!Ncg.Strategy}). *)
+    A [t] never changes, with one exception: the graph {!borrow}ed from an
+    {!adjacency}, the host graph a dynamics trajectory owns and re-centres
+    in place after each move (see {!Ncg.Strategy.recentre}). In the
+    network creation game the source of truth is the strategy profile;
+    every other graph is derived from it, or re-centred into a fresh
+    graph with {!with_star}. *)
 
 type t
 
@@ -63,8 +65,10 @@ val fold_neighbors : (int -> 'a -> 'a) -> t -> int -> 'a -> 'a
     returned array is the graph's own storage — treat it as read-only. *)
 val csr_offsets : t -> int array
 
-(** The packed neighbour array (length [2 * size g]), segments sorted
-    ascending. The graph's own storage — treat it as read-only. *)
+(** The packed neighbour array, segments sorted ascending. Its first
+    [2 * size g] entries are used; a graph borrowed from an {!adjacency}
+    has spare room after them. The graph's own storage — treat it as
+    read-only. *)
 val csr_packed : t -> int array
 
 (** [mem_edge g u v] tests adjacency in O(log degree). *)
@@ -91,9 +95,34 @@ val remove_vertex_edges : t -> int -> t
 (** [with_star g u star] replaces every edge incident to [u] with edges from
     [u] to exactly the members of [star], in one O(n + m) pass. [star] must
     be sorted strictly ascending and must not contain [u]; the array is not
-    retained. This is the hot primitive behind {!Ncg.View.with_strategy}.
+    retained. Only the rows of [u] and of the vertices that gain or lose
+    [u] are rewritten; the spans between them are blitted. This is the
+    primitive behind {!Ncg.View.with_strategy}.
     @raise Invalid_argument on an unsorted star or an endpoint violation. *)
 val with_star : t -> int -> int array -> t
+
+(** {1 In-place re-centring} *)
+
+(** A host graph one owner re-centres in place, one vertex's star at a
+    time: two CSR buffer pairs with spare arc room, written alternately.
+    Not domain-safe. *)
+type adjacency
+
+(** [adjacency g] copies [g] into fresh buffers. *)
+val adjacency : t -> adjacency
+
+(** The adjacency's current graph. It shares the adjacency's buffers: it
+    is valid only until the next {!set_star}, and must not be kept past
+    it (lint rule S1 flags a borrow that escapes). *)
+val borrow : adjacency -> t
+
+(** [set_star a u star] is {!with_star} in place: the current graph
+    becomes [with_star (borrow a) u star]. It rewrites only the rows of
+    [u] and of the vertices that gain or lose [u], blits the rest, and
+    allocates nothing beyond the new graph record unless the arc count
+    outgrows the buffers.
+    @raise Invalid_argument as {!with_star}. *)
+val set_star : adjacency -> int -> int array -> unit
 
 (** Structural equality (same order, same edge set). *)
 val equal : t -> t -> bool

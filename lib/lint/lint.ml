@@ -30,7 +30,9 @@ let ctx_for_path ~known_schemas path =
     clock_exempt = in_dir "lib/obs";
     global_state = in_dir "lib";
     parallel_impl = is_file "lib/fault/executor.ml";
-    scratch_lender = is_file "lib/graph/bfs.ml" || is_file "lib/core/workspace.ml";
+    scratch_lender =
+      is_file "lib/graph/bfs.ml" || is_file "lib/core/workspace.ml"
+      || is_file "lib/core/ball_view.ml";
     schema_registry = is_file "lib/obs/schema.ml";
     known_schemas;
   }

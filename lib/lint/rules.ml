@@ -75,8 +75,9 @@ let contract = function
        lib/obs and lib/store; a bare open_out can leave a torn file behind on \
        crash, breaking the crash/resume byte-identity contract."
   | S1 ->
-      "Bfs.dist_array / Bfs.visit_order and the Ncg.Workspace pools lend \
-       views into scratch buffers that the next run overwrites \
+      "Bfs.dist_array / Bfs.visit_order, Ball_view.borrow, Graph.borrow and \
+       the Ncg.Workspace pools lend views into buffers that the next run or \
+       move overwrites \
        (docs/PERFORMANCE.md): a view stored into a ref/field/container, \
        packed into a returned value, captured by an escaping closure, or \
        bound at module level outlives its loan and will be read after it is \

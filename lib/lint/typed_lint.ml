@@ -201,9 +201,11 @@ let run_checks ~(ctx : Lint.ctx) ~filename (str : structure) =
       (fun (i, w) -> if Ident.same i id then Some w else None)
       !local_shapes
   in
-  (* Two strengths of borrow. A [`View] (Bfs.dist_array / visit_order
-     result) is invalidated by the very next run, so even returning it
-     upward is a bug. A [`Pool] (a Workspace field) is a scratch handle:
+  (* Two strengths of borrow. A [`View] (a Bfs.dist_array / visit_order
+     result, a Ball_view.borrow view of the host graph, or the graph
+     Graph.borrow lends from an adjacency) is invalidated by the very
+     next run or move, so even returning it upward is a bug. A [`Pool]
+     (a Workspace field) is a scratch handle:
      projecting it and passing it along within the run is the normal
      plumbing idiom, so pools are only flagged when they reach a store,
      a data structure, or a module-level binding. *)
@@ -214,6 +216,10 @@ let run_checks ~(ctx : Lint.ctx) ~filename (str : structure) =
         | Some ("Ncg_graph__Bfs", (("dist_array" | "visit_order") as n), spelled)
           ->
             Some (`View, Printf.sprintf "the view %s (origin Bfs.%s)" spelled n)
+        | Some ("Ncg__Ball_view", "borrow", spelled) ->
+            Some (`View, Printf.sprintf "the view %s (origin Ball_view.borrow)" spelled)
+        | Some ("Ncg_graph__Graph", "borrow", spelled) ->
+            Some (`View, Printf.sprintf "the graph %s (origin Graph.borrow)" spelled)
         | _ -> None)
     | Texp_field (_, _, lbl) -> (
         match uid_comp_unit lbl.Types.lbl_uid with

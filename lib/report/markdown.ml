@@ -20,15 +20,6 @@ let paragraph t text =
   Buffer.add_string t text;
   Buffer.add_char t '\n'
 
-let bullet_list t items =
-  blank_line t;
-  List.iter
-    (fun item ->
-      Buffer.add_string t "- ";
-      Buffer.add_string t item;
-      Buffer.add_char t '\n')
-    items
-
 let escape_cell cell =
   String.concat "\\|" (String.split_on_char '|' cell)
 

@@ -13,8 +13,6 @@ val heading : t -> int -> string -> unit
 
 val paragraph : t -> string -> unit
 
-val bullet_list : t -> string list -> unit
-
 (** [table t ~header rows] renders a pipe table; every row is padded or
     truncated to the header width. Cell text has [|] escaped. *)
 val table : t -> header:string list -> string list list -> unit

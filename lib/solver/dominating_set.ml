@@ -9,69 +9,104 @@ type problem = {
 }
 
 (* Buffers of one graph order, borrowed by the live context. [sets] holds
-   each vertex's live ball, or an empty set when it is forbidden. *)
+   each member's live ball, or [empty] for a forbidden vertex and every
+   vertex outside the context. [inside] is the context's members:
+   [?within] minus the excluded vertex, listed in [members]. *)
 type workspace = {
   mutable balls : Bitset.t array;
   mutable next : Bitset.t array;
   mutable sets : Bitset.t array;
   mutable pre : Bitset.t;
+  mutable inside : Bitset.t;
+  mutable empty : Bitset.t;
+  mutable members : int array;
 }
 
-let create_workspace () = { balls = [||]; next = [||]; sets = [||]; pre = Bitset.create 0 }
+let create_workspace () =
+  {
+    balls = [||];
+    next = [||];
+    sets = [||];
+    pre = Bitset.create 0;
+    inside = Bitset.create 0;
+    empty = Bitset.create 0;
+    members = [||];
+  }
 
-(* A context grows the closed balls by ball_{r+1}(v) = ball_r(v) ∪
-   ⋃_{u ∈ N(v)} ball_r(u) on the graph with [exclude] masked out: its ball
-   stays empty in both buffers and it is never a neighbour. *)
+(* A context grows the closed balls of its members by ball_{r+1}(v) =
+   ball_r(v) ∪ ⋃_{u ∈ N(v)} ball_r(u). A vertex outside it keeps an empty
+   ball in both buffers, so it adds nothing as a neighbour: the balls are
+   those of the graph induced on [inside]. *)
 type context = {
   ws : workspace;
   graph : Graph.t;
-  exclude : int;  (* -1 when no vertex is masked *)
+  count : int;  (* members.(0 .. count - 1) *)
   mutable built_radius : int;
   mutable stable : bool;  (* the last step changed no ball *)
   free_dominators : int list;
 }
 
-let context ?scratch:_ ?(ws = create_workspace ()) ?(exclude = -1) ~graph
+let context ?scratch:_ ?(ws = create_workspace ()) ?within ?(exclude = -1) ~graph
     ~free_dominators ~forbidden () =
   let n = Graph.order graph in
   if exclude >= n then invalid_arg "Dominating_set.context: excluded vertex out of range";
+  (match within with
+  | Some w when Bitset.capacity w <> n ->
+      invalid_arg "Dominating_set.context: within is not over the graph's vertices"
+  | _ -> ());
   if Bitset.capacity ws.pre <> n then begin
     let fresh () = Array.init n (fun _ -> Bitset.create n) in
     ws.balls <- fresh ();
     ws.next <- fresh ();
     ws.sets <- Array.copy ws.balls;
-    ws.pre <- Bitset.create n
+    ws.pre <- Bitset.create n;
+    ws.inside <- Bitset.create n;
+    ws.empty <- Bitset.create n;
+    ws.members <- Array.make n 0
   end;
-  let empty = Bitset.create n in
+  let { balls; next; sets; inside; empty; members; _ } = ws in
+  (match within with
+  | Some w -> Bitset.copy_into ~into:inside w
+  | None -> Bitset.fill inside);
+  if exclude >= 0 then Bitset.remove inside exclude;
+  let count = ref 0 in
   for v = 0 to n - 1 do
-    Bitset.clear ws.balls.(v);
-    if v = exclude then Bitset.clear ws.next.(v) else Bitset.add ws.balls.(v) v;
-    ws.sets.(v) <- ws.balls.(v)
+    Bitset.clear balls.(v);
+    if Bitset.mem inside v then begin
+      Bitset.add balls.(v) v;
+      sets.(v) <- balls.(v);
+      members.(!count) <- v;
+      incr count
+    end
+    else begin
+      Bitset.clear next.(v);
+      sets.(v) <- empty
+    end
   done;
-  List.iter (fun v -> ws.sets.(v) <- empty) forbidden;
-  { ws; graph; exclude; built_radius = 0; stable = false; free_dominators }
+  List.iter (fun v -> sets.(v) <- empty) forbidden;
+  { ws; graph; count = !count; built_radius = 0; stable = false; free_dominators }
 
 (* One radius of the recurrence into [next]; the buffers swap when some
-   ball grew. A forbidden vertex's empty set lacks the vertex its ball
+   ball grew. A forbidden member's empty set lacks the vertex its ball
    holds, so that membership picks the covering sets to repoint. *)
 let step ctx =
-  let { balls; next; sets; _ } = ctx.ws in
+  let { balls; next; sets; members; _ } = ctx.ws in
   let offsets = Graph.csr_offsets ctx.graph and packed = Graph.csr_packed ctx.graph in
   let changed = ref false in
-  for v = 0 to Array.length balls - 1 do
-    if v <> ctx.exclude then begin
-      let b = next.(v) in
-      Bitset.copy_into ~into:b balls.(v);
-      for i = offsets.(v) to offsets.(v + 1) - 1 do
-        if packed.(i) <> ctx.exclude then Bitset.union_into ~into:b balls.(packed.(i))
-      done;
-      changed := !changed || not (Bitset.equal b balls.(v))
-    end
+  for i = 0 to ctx.count - 1 do
+    let v = members.(i) in
+    let b = next.(v) in
+    Bitset.copy_into ~into:b balls.(v);
+    for p = offsets.(v) to offsets.(v + 1) - 1 do
+      Bitset.union_into ~into:b balls.(packed.(p))
+    done;
+    changed := !changed || not (Bitset.equal b balls.(v))
   done;
   if !changed then begin
     ctx.ws.balls <- next;
     ctx.ws.next <- balls;
-    for v = 0 to Array.length sets - 1 do
+    for i = 0 to ctx.count - 1 do
+      let v = members.(i) in
       if Bitset.mem sets.(v) v then sets.(v) <- next.(v)
     done
   end
@@ -89,9 +124,9 @@ let advance_to ctx radius =
 
 let instance_at ctx ~radius =
   advance_to ctx radius;
-  let { balls; sets; pre; _ } = ctx.ws in
-  Bitset.clear pre;
-  if ctx.exclude >= 0 then Bitset.add pre ctx.exclude;
+  let { balls; sets; pre; inside; _ } = ctx.ws in
+  Bitset.fill pre;
+  Bitset.diff_into ~into:pre inside;
   List.iter (fun v -> Bitset.union_into ~into:pre balls.(v)) ctx.free_dominators;
   { Set_cover.universe = Array.length sets; sets; pre_covered = Some pre }
 

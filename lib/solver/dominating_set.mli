@@ -33,9 +33,10 @@ type problem = {
 type context
 
 (** The buffers of one graph order (balls, their double buffer, covering
-    sets, pre-covered set), reallocated only when the order changes. A
-    context borrows them until the next {!context} call on the same
-    workspace: at most one such context is live. Not domain-safe. *)
+    sets, pre-covered set, the context's members), reallocated only when
+    the order changes. A context borrows them until the next {!context}
+    call on the same workspace: at most one such context is live. Not
+    domain-safe. *)
 type workspace
 
 val create_workspace : unit -> workspace
@@ -43,13 +44,28 @@ val create_workspace : unit -> workspace
 (** [context ~graph ~free_dominators ~forbidden ()] prepares the radius
     loop at radius 0, on [?ws]'s buffers or fresh ones. [?scratch] is
     ignored (no BFS runs); it goes with the traced replica that passes it.
-    [?exclude] masks one vertex out: its ball is empty, it is never a
-    neighbour, never chosen and pre-covered, so the balls are those of the
-    graph minus that vertex, in the graph's own ids.
-    @raise Invalid_argument when [exclude] is not below the graph's order. *)
+
+    [?within] (a set over the graph's vertices, default all of them)
+    restricts the problem to the subgraph it induces, in the graph's own
+    ids: the recurrence steps only its members, a vertex outside it keeps
+    an empty ball (so it adds nothing as a neighbour) and an empty
+    covering set, and it is pre-covered. A best response passes the
+    player's ball β_k(u) here, so it runs on the host graph with no
+    induced copy. The candidates keep increasing vertex order, so
+    {!Set_cover} sees the members in the order an induced copy would
+    number them.
+
+    [?exclude] masks one more vertex out the same way: the balls are
+    those of the (induced) graph minus that vertex.
+
+    The workspace's buffers are sized by the graph's order, so contexts
+    on one host graph reuse them whatever [?within] holds.
+    @raise Invalid_argument when [exclude] is not below the graph's order,
+    or [within]'s capacity is not the graph's order. *)
 val context :
   ?scratch:Ncg_graph.Bfs.scratch ->
   ?ws:workspace ->
+  ?within:Ncg_util.Bitset.t ->
   ?exclude:int ->
   graph:Ncg_graph.Graph.t ->
   free_dominators:int list ->

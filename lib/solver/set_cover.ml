@@ -66,11 +66,12 @@ let reduced_candidates ws inst uncovered =
   let useful = ref [] in
   Array.iteri
     (fun i s ->
-      let cut = acquire ws inst.universe in
-      Bitset.copy_into ~into:cut s;
-      Bitset.inter_into ~into:cut uncovered;
-      if Bitset.is_empty cut then release ws cut
-      else useful := (i, cut) :: !useful)
+      if not (Bitset.disjoint s uncovered) then begin
+        let cut = acquire ws inst.universe in
+        Bitset.copy_into ~into:cut s;
+        Bitset.inter_into ~into:cut uncovered;
+        useful := (i, cut) :: !useful
+      end)
     inst.sets;
   let arr = Array.of_list (List.rev !useful) in
   let n = Array.length arr in

@@ -15,10 +15,15 @@ let create n =
 let capacity s = s.capacity
 let copy s = { capacity = s.capacity; words = Array.copy s.words }
 
+(* Word loops rather than [Array.blit]/[Array.fill]: the sets here are a
+   few words long, shorter than the cost of the C call. *)
 let copy_into ~into s =
   if into.capacity <> s.capacity then
     invalid_arg "Bitset.copy_into: operands have different capacities";
-  Array.blit s.words 0 into.words 0 (Array.length s.words)
+  let src = s.words and dst = into.words in
+  for i = 0 to Array.length src - 1 do
+    dst.(i) <- src.(i)
+  done
 
 let check s i =
   if i < 0 || i >= s.capacity then invalid_arg "Bitset: index out of bounds"
@@ -68,7 +73,11 @@ let is_empty s =
     incr i
   done;
   !i = Array.length words
-let clear s = Array.fill s.words 0 (Array.length s.words) 0
+let clear s =
+  let words = s.words in
+  for i = 0 to Array.length words - 1 do
+    words.(i) <- 0
+  done
 
 let fill s =
   Array.fill s.words 0 (Array.length s.words) (-1);

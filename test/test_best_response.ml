@@ -256,6 +256,80 @@ let prop_never_worse_than_current =
       let o = Best_response.compute ~alpha v in
       o.Best_response.cost <= Best_response.current_cost ~alpha v +. 1e-9)
 
+(* --- Ball views on the host graph ------------------------------------------ *)
+
+(* A connected graph: a random tree plus a few random chords. *)
+let random_connected rng n =
+  let tree = Ncg_gen.Random_tree.generate rng n in
+  let chords =
+    List.init (Rng.int rng (n + 1)) (fun _ -> (Rng.int rng n, Rng.int rng n))
+    |> List.filter (fun (a, b) -> a <> b)
+  in
+  Ncg_graph.Graph.add_edges tree chords
+
+(* The borrowed-view best response runs in host ids over the ball of the
+   host graph; the reference extracts the renamed view. Same targets (as
+   host ids, in the same order), cost and usage, for every player, with
+   and without restrictions, under the exact and the budgeted solver,
+   each form threading one workspace through all of its calls. *)
+let prop_ball_view_equals_extract =
+  QCheck.Test.make ~name:"borrowed-view best response = View.extract best response"
+    ~count:60
+    QCheck.(triple (int_range 2 14) (int_range 0 10_000) (float_range 0.1 3.0))
+    (fun (n, seed, alpha) ->
+      let rng = Rng.create seed in
+      let s = Strategy.random_orientation rng (random_connected rng n) in
+      let g = Strategy.graph s in
+      let ws_view = Ncg.Workspace.create () in
+      let ws_ball = Ncg.Workspace.create ~capacity:n () in
+      let agree ~k ~solver ~restrict u =
+        let v = View.extract s g ~k u in
+        let owned = Strategy.owned s u in
+        let allowed =
+          if restrict then
+            Some
+              (List.filter
+                 (fun x -> List.mem x owned || Rng.bernoulli rng 0.6)
+                 (List.init n Fun.id))
+          else None
+        in
+        let max_edges =
+          if restrict then Some (List.length owned + Rng.int rng 3) else None
+        in
+        let visible =
+          Option.map
+            (List.filter (fun h -> v.View.mapping.Ncg_graph.Subgraph.to_sub.(h) >= 0))
+            allowed
+        in
+        let reference =
+          Best_response.compute ~ws:ws_view ~solver ?max_edges
+            ?allowed:(Option.map (View.of_host v) visible) ~alpha v
+        in
+        let b = Ncg.Ball_view.borrow ~scratch:ws_ball.Ncg.Workspace.bfs s g ~k u in
+        let borrowed =
+          Best_response.compute_ball ~ws:ws_ball ~solver ?max_edges ?allowed ~alpha b
+        in
+        View.to_host v reference.Best_response.targets = borrowed.Best_response.targets
+        && reference.Best_response.cost = borrowed.Best_response.cost
+        && reference.Best_response.usage = borrowed.Best_response.usage
+        && Best_response.current_cost ~alpha v = Best_response.ball_cost ~alpha b
+      in
+      List.for_all
+        (fun u ->
+          List.for_all
+            (fun k ->
+              List.for_all
+                (fun (solver, restrict) -> agree ~k ~solver ~restrict u)
+                [
+                  (`Exact, false);
+                  (`Exact, true);
+                  (`Budgeted 3, false);
+                  (`Budgeted 3, true);
+                  (`Budgeted 50_000, true);
+                ])
+            [ 1; 2; 3; n ])
+        (List.init n Fun.id))
+
 let () =
   Alcotest.run "best_response"
     [
@@ -290,5 +364,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_cost_consistent;
           QCheck_alcotest.to_alcotest prop_never_worse_than_current;
+          QCheck_alcotest.to_alcotest prop_ball_view_equals_extract;
         ] );
     ]

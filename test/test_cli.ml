@@ -604,6 +604,8 @@ let test_bad_values () =
           ("ncg_trace", [ "verify"; "--only-cell"; "x:3"; "--prefix"; path "t" ], 2);
           ("ncg_report", [], 124);
           ("ncg_bounds", [ "--game"; "foo" ], 124);
+          ("ncg_bounds", [ "-n"; "0"; "--game"; "max" ], 2);
+          ("ncg_bounds", [ "-n"; "100"; "--ks"; "0" ], 2);
           ("ncg_certify", [ "torus-sum"; "-k"; "3" ], 2);
           ("ncg_certify", [ "cycle"; "-n"; "2" ], 2);
           ("ncg_certify", [ "cycle"; "-k"; "0" ], 2);

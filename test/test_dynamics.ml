@@ -263,9 +263,8 @@ let prop_social_cost_finite_throughout =
 
 (* The loop [Dynamics.run] replaced, as the reference: every player is
    solved in every round and the host graph is rebuilt from the profile
-   for every step. [on_move g s' u] sees each accepted move's old graph,
-   new profile and mover. *)
-let full_rescan ~on_move (config : Dynamics.config) s0 =
+   for every step. *)
+let full_rescan (config : Dynamics.config) s0 =
   let n = Strategy.n_players s0 in
   let rng =
     match config.Dynamics.order with
@@ -289,7 +288,6 @@ let full_rescan ~on_move (config : Dynamics.config) s0 =
           | Some (s', _, _) ->
               let before = Strategy.owned !s u and after = Strategy.owned s' u in
               moves := { Trace.round; player = u; before; after } :: !moves;
-              on_move g s' u;
               s := s';
               incr changes
           | None -> ())
@@ -330,10 +328,9 @@ let shadow_case =
       oneofl [ 0.1; 0.4; 1.0; 2.5 ] >>= fun alpha ->
       int_bound 100_000 >>= fun seed -> return (variant, sweep, gnp, n, k, alpha, seed))
 
-(* The fence behind the awake set and the maintained host graph: same
-   outcome, rounds, trace, final profile and features as the full
-   rescan, and [Strategy.update_graph] equal to a rebuild after every
-   move of the trajectory. *)
+(* The fence behind the awake set: same outcome, rounds, trace, final
+   profile and features as the full rescan. The features of [run] are
+   computed on its in-place host graph, the reference's on a rebuild. *)
 let shadow_agrees (variant, sweep, gnp, n, k, alpha, seed) =
   let s0 =
     if gnp then Experiment.initial_gnp ~seed ~n ~p:0.3
@@ -345,15 +342,9 @@ let shadow_agrees (variant, sweep, gnp, n, k, alpha, seed) =
       Dynamics.order = (if sweep then `Random_sweep seed else `Round_robin);
     }
   in
-  let graphs_ok = ref true in
-  let outcome, rounds, final, moves, features =
-    full_rescan cfg s0 ~on_move:(fun g s' u ->
-        if not (Graph.equal (Strategy.update_graph s' g u) (Strategy.graph s')) then
-          graphs_ok := false)
-  in
+  let outcome, rounds, final, moves, features = full_rescan cfg s0 in
   let r = Dynamics.run cfg s0 in
-  !graphs_ok
-  && r.Dynamics.outcome = outcome
+  r.Dynamics.outcome = outcome
   && r.Dynamics.rounds = rounds
   && r.Dynamics.trace.Trace.moves = moves
   && Strategy.equal r.Dynamics.final final
@@ -362,6 +353,38 @@ let shadow_agrees (variant, sweep, gnp, n, k, alpha, seed) =
 let prop_shadow_full_rescan =
   QCheck.Test.make ~name:"awake-set dynamics = full-rescan reference" ~count:500
     shadow_case shadow_agrees
+
+(* The in-place host graph: replaying the accepted moves of a run through
+   [Strategy.recentre], the step [Dynamics.run] applies to its adjacency,
+   gives [Strategy.graph] of the new profile after every move. *)
+let prop_adjacency_tracks_profile =
+  QCheck.Test.make ~name:"in-place adjacency = graph after every move" ~count:300
+    shadow_case (fun (variant, sweep, gnp, n, k, alpha, seed) ->
+      let s0 =
+        if gnp then Experiment.initial_gnp ~seed ~n ~p:0.3
+        else Experiment.initial_tree ~seed ~n
+      in
+      let cfg =
+        {
+          (config ~variant ~max_rounds:40 ~alpha ~k ()) with
+          Dynamics.order = (if sweep then `Random_sweep seed else `Round_robin);
+        }
+      in
+      let r = Dynamics.run cfg s0 in
+      let adj = Graph.adjacency (Strategy.graph s0) in
+      let final =
+        List.fold_left
+          (fun s (m : Trace.move) ->
+            let s' = Strategy.with_owned s m.Trace.player m.Trace.after in
+            Strategy.recentre s' adj m.Trace.player;
+            if not (Graph.equal (Graph.borrow adj) (Strategy.graph s')) then
+              QCheck.Test.fail_reportf
+                "adjacency differs after player %d's move in round %d" m.Trace.player
+                m.Trace.round;
+            s')
+          s0 r.Dynamics.trace.Trace.moves
+      in
+      Strategy.equal final r.Dynamics.final)
 
 (* Counterexamples the property found against a wake radius of k - 1 and
    against a mover who stays asleep, kept so those mutations fail on
@@ -413,5 +436,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_equilibria_satisfy_ball_growth;
           QCheck_alcotest.to_alcotest prop_social_cost_finite_throughout;
           QCheck_alcotest.to_alcotest prop_shadow_full_rescan;
+          QCheck_alcotest.to_alcotest prop_adjacency_tracks_profile;
         ] );
     ]

@@ -130,19 +130,27 @@ let prop_in_buyers_scan =
       in
       walk s0 steps)
 
-(* [update_graph] carries the old network across a one-player change. *)
-let prop_update_graph =
-  QCheck.Test.make ~name:"update_graph = graph after a one-player change" ~count:200
+(* [recentre] carries one adjacency across a sequence of one-player
+   changes, through buffer swaps and arc-buffer growth. *)
+let prop_recentre =
+  QCheck.Test.make ~name:"recentre = graph after one-player changes" ~count:200
     QCheck.(pair (int_range 2 20) (int_range 0 10_000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
-      let s = Strategy.random_orientation rng (Ncg_gen.Random_tree.generate rng n) in
-      let u = Rng.int rng n in
-      let targets =
-        List.filter (fun v -> v <> u && Rng.bernoulli rng 0.3) (List.init n Fun.id)
+      let s0 = Strategy.random_orientation rng (Ncg_gen.Random_tree.generate rng n) in
+      let adj = Graph.adjacency (Strategy.graph s0) in
+      let rec walk s i =
+        i = 0
+        ||
+        let u = Rng.int rng n in
+        let targets =
+          List.filter (fun v -> v <> u && Rng.bernoulli rng 0.3) (List.init n Fun.id)
+        in
+        let s' = Strategy.with_owned s u targets in
+        Strategy.recentre s' adj u;
+        Graph.equal (Graph.borrow adj) (Strategy.graph s') && walk s' (i - 1)
       in
-      let s' = Strategy.with_owned s u targets in
-      Graph.equal (Strategy.update_graph s' (Strategy.graph s) u) (Strategy.graph s'))
+      walk s0 8)
 
 let test_key_and_equal () =
   let a = Strategy.of_buys ~n:3 [ (0, 1); (1, 2) ] in
@@ -270,7 +278,7 @@ let () =
           Alcotest.test_case "serialization errors" `Quick test_serialization_errors;
           QCheck_alcotest.to_alcotest prop_serialization_roundtrip;
           QCheck_alcotest.to_alcotest prop_in_buyers_scan;
-          QCheck_alcotest.to_alcotest prop_update_graph;
+          QCheck_alcotest.to_alcotest prop_recentre;
         ] );
       ( "costs",
         [

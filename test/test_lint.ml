@@ -284,7 +284,21 @@ let test_s1 () =
     "let ok2 s v = (Ncg_graph.Bfs.dist_array s).(v)";
   (* Threading a pool through a call is in-run plumbing, not an escape. *)
   typed_accepts ~with_ncg:true
-    "let ok3 (w : Ncg.Workspace.t) f = f w.Ncg.Workspace.bfs"
+    "let ok3 (w : Ncg.Workspace.t) f = f w.Ncg.Workspace.bfs";
+  (* A ball view borrowed from the host graph, stored into a ref, outlives
+     the step; reading it in place does not. *)
+  typed_rejects ~with_ncg:true Rules.S1
+    "let stash_view scratch st g (r : Ncg.Ball_view.t option ref) =\n\
+    \  let v = Ncg.Ball_view.borrow ~scratch st g ~k:2 0 in\n\
+    \  r := Some v";
+  typed_accepts ~with_ncg:true
+    "let size scratch st g =\n\
+    \  (Ncg.Ball_view.borrow ~scratch st g ~k:2 0).Ncg.Ball_view.size";
+  (* The graph an adjacency lends changes with the next move. *)
+  typed_rejects ~with_ncg:true Rules.S1
+    "let stash_graph a (r : Ncg_graph.Graph.t ref) = r := Ncg_graph.Graph.borrow a";
+  typed_accepts ~with_ncg:true
+    "let order a = Ncg_graph.Graph.order (Ncg_graph.Graph.borrow a)"
 
 (* --- P2: no cross-domain capture of unsynchronized mutable state ----------- *)
 

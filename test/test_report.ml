@@ -48,13 +48,11 @@ let test_code_block_fencing () =
   let s2 = Markdown.to_string md2 in
   check_int "longer fences" 2 (count_lines_matching (fun l -> l = "````") s2)
 
-let test_bullets_and_paragraphs () =
+let test_paragraphs () =
   let md = Markdown.create () in
   Markdown.paragraph md "Intro.";
-  Markdown.bullet_list md [ "one"; "two" ];
   let s = Markdown.to_string md in
-  check_bool "paragraph" true (contains s "Intro.");
-  check_bool "bullets" true (contains s "- one" && contains s "- two")
+  check_bool "paragraph" true (contains s "Intro.")
 
 let () =
   Alcotest.run "reporting"
@@ -65,6 +63,6 @@ let () =
           Alcotest.test_case "table shape" `Quick test_table_shape;
           Alcotest.test_case "pipe escaping" `Quick test_table_escapes_pipes;
           Alcotest.test_case "code fences" `Quick test_code_block_fencing;
-          Alcotest.test_case "bullets/paragraphs" `Quick test_bullets_and_paragraphs;
+          Alcotest.test_case "paragraphs" `Quick test_paragraphs;
         ] );
     ]

@@ -45,21 +45,6 @@ let test_replay_rejects_mismatch () =
     (Invalid_argument "Trace.replay: player count mismatch") (fun () ->
       ignore (Trace.replay (Strategy.create ~n:5) bad))
 
-let test_by_player () =
-  let t =
-    {
-      Trace.n = 4;
-      moves =
-        [
-          { Trace.round = 1; player = 2; before = []; after = [ 1 ] };
-          { Trace.round = 1; player = 0; before = []; after = [ 3 ] };
-          { Trace.round = 2; player = 2; before = [ 1 ]; after = [] };
-        ];
-    }
-  in
-  check_int "player 2 moves" 2 (List.length (Trace.by_player t 2));
-  check_int "player 1 moves" 0 (List.length (Trace.by_player t 1))
-
 let test_serialization_roundtrip () =
   let t =
     {
@@ -116,7 +101,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_empty_replay;
           Alcotest.test_case "manual" `Quick test_manual_replay;
           Alcotest.test_case "mismatch rejected" `Quick test_replay_rejects_mismatch;
-          Alcotest.test_case "by player" `Quick test_by_player;
         ] );
       ( "serialization",
         [

@@ -136,6 +136,27 @@ let prop_view_distances_match_host =
         v.View.mapping.Ncg_graph.Subgraph.to_host;
       !ok)
 
+(* One BFS: the ball search's distances are those within the view's
+   own graph, on a random connected graph, with and without a scratch. *)
+let prop_view_distances_are_bfs =
+  QCheck.Test.make ~name:"view dist = BFS distances on the view graph" ~count:100
+    QCheck.(triple (int_range 2 30) (int_range 1 4) (int_range 0 1000))
+    (fun (n, k, seed) ->
+      let rng = Rng.create seed in
+      let tree = Ncg_gen.Random_tree.generate rng n in
+      let chords = List.init n (fun _ -> (Rng.int rng n, Rng.int rng n)) in
+      let g0 = Graph.add_edges tree (List.filter (fun (a, b) -> a <> b) chords) in
+      let s = Strategy.random_orientation rng g0 in
+      let g = Strategy.graph s in
+      let scratch = Ncg_graph.Bfs.create_scratch () in
+      List.for_all
+        (fun u ->
+          let v = View.extract s g ~k u in
+          let w = View.extract ~scratch s g ~k u in
+          let expect = Ncg_graph.Bfs.distances v.View.graph v.View.player in
+          v.View.dist = expect && w.View.dist = expect)
+        (List.init n Fun.id))
+
 let prop_owned_always_visible =
   QCheck.Test.make ~name:"owned targets and in-buyers are always in view" ~count:100
     QCheck.(triple (int_range 2 30) (int_range 1 4) (int_range 0 1000))
@@ -171,6 +192,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_view_size_matches_ball;
           QCheck_alcotest.to_alcotest prop_view_distances_match_host;
+          QCheck_alcotest.to_alcotest prop_view_distances_are_bfs;
           QCheck_alcotest.to_alcotest prop_owned_always_visible;
         ] );
     ]
