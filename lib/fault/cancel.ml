@@ -16,7 +16,8 @@ let step_budget_hits = Metrics.register "dynamics.step_budget_hits"
 type control = {
   deadline_ns : int64; (* absolute Clock.now_ns deadline; 0 = none *)
   cancel : bool Atomic.t option;
-  mutable steps_left : int; (* -1 = unlimited *)
+  mutable limit : int; (* checkpoints allowed; 0 = unlimited *)
+  mutable used : int; (* checkpoints made under [limit], trips included *)
 }
 
 let key : control option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
@@ -40,13 +41,12 @@ let checkpoint () =
       (match c.cancel with
       | Some flag when Atomic.get flag -> raise (Timed_out "watchdog")
       | _ -> ());
-      if c.steps_left >= 0 then begin
-        Metrics.incr move_steps;
-        if c.steps_left = 0 then begin
+      if c.limit > 0 then begin
+        c.used <- c.used + 1;
+        if c.used > c.limit then begin
           Metrics.incr step_budget_hits;
           raise (Timed_out "step budget exhausted")
-        end;
-        c.steps_left <- c.steps_left - 1
+        end
       end;
       if c.deadline_ns <> 0L && Int64.compare (Clock.now_ns ()) c.deadline_ns > 0
       then raise (Timed_out "deadline")
@@ -58,7 +58,7 @@ let with_control ?timeout_ns ?cancel f =
     | Some ns -> Int64.add (Clock.now_ns ()) ns
   in
   let prev = Domain.DLS.get key in
-  Domain.DLS.set key (Some { deadline_ns; cancel; steps_left = -1 });
+  Domain.DLS.set key (Some { deadline_ns; cancel; limit = 0; used = 0 });
   Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) f
 
 let rec with_step_budget n f =
@@ -66,9 +66,17 @@ let rec with_step_budget n f =
   else
     match Domain.DLS.get key with
     | Some c ->
-        let saved = c.steps_left in
-        c.steps_left <- n;
-        Fun.protect ~finally:(fun () -> c.steps_left <- saved) f
+        (* The budget's steps reach [dynamics.move_steps] once, on exit,
+           rather than one counter write per checkpoint. *)
+        let limit = c.limit and used = c.used in
+        c.limit <- n;
+        c.used <- 0;
+        Fun.protect
+          ~finally:(fun () ->
+            Metrics.add move_steps c.used;
+            c.limit <- limit;
+            c.used <- used)
+          f
     | None ->
         (* No enclosing task control: install a bare one so the budget
            has somewhere to live (e.g. direct Dynamics runs). *)

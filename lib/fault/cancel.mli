@@ -38,12 +38,20 @@ val with_control :
     the [n+1]-th raises [Timed_out "step budget exhausted"] and
     increments the ["dynamics.step_budget_hits"] counter. [n <= 0] means
     unlimited. Nests inside {!with_control} (shares its control) and
-    restores the enclosing budget on exit. *)
+    restores the enclosing budget on exit.
+
+    On exit, normal or not, it adds the checkpoints made under the
+    budget to ["dynamics.move_steps"]: n checkpoints that pass count n,
+    a trip counts one more, and so does a deadline raise. A watchdog
+    raise is not counted. In nested budgets each checkpoint counts
+    once, into the innermost budget; the enclosing one neither counts
+    nor spends it. An unlimited budget installs nothing, so it counts
+    0 and its checkpoints spend the enclosing budget, if any. *)
 val with_step_budget : int -> (unit -> 'a) -> 'a
 
 (** Poll every installed limit; raise {!Timed_out} / {!Interrupted} when
     one has tripped, return unit otherwise. While a step budget is
-    active, each call counts one step into ["dynamics.move_steps"]. *)
+    active, each call spends one of its steps. *)
 val checkpoint : unit -> unit
 
 (** {1 Process shutdown}
@@ -65,7 +73,8 @@ val reset_shutdown : unit -> unit
     Registered in {!Ncg_obs.Metrics} at init time. *)
 
 val move_steps : Ncg_obs.Metrics.counter
-(** ["dynamics.move_steps"] — checkpoints counted under a step budget *)
+(** ["dynamics.move_steps"] — checkpoints counted under a step budget,
+    added when the budget exits *)
 
 val step_budget_hits : Ncg_obs.Metrics.counter
 (** ["dynamics.step_budget_hits"] — budgets that ran out *)

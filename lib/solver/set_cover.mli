@@ -15,14 +15,24 @@
     - [max_size] is below 1, or the fewest sets whose largest [r_i] add
       up to [|U|] exceed [max_size] (a valid lower bound): [None].
 
-    Every other instance goes to a branch-and-bound search branching on
-    the element with the fewest remaining candidates, with
+    Every other instance goes to a branch-and-bound search with
 
     - candidate dominance elimination at the root,
     - a greedy warm start for the incumbent, stopped after [max_size]
       picks, and
     - a lower bound from a greedily-built family of pairwise "independent"
       elements (no candidate covers two of them).
+
+    A node branches on the uncovered element with the fewest candidates
+    (lowest index first) and tries the candidates covering it, largest
+    residual coverage first (lowest index first). The node is cheap and
+    allocates nothing: an element's candidate count is fixed for the
+    solve, so the elements are sorted by it once, at the first node
+    that branches, and the branch is the first one still uncovered; the
+    bound drops one co-cover mask (the union of the candidates covering
+    an element, built the first time the bound picks it) per element it
+    takes, and stops once it prunes; the options, uncovered sets and
+    current path live in per-depth workspace buffers.
 
     The triage returns exactly what the search would, so it changes no
     answer, only the work: most best-response solves (one of the sets is
@@ -43,10 +53,11 @@ type instance = {
 (** Result of a solve: indices into [sets]. *)
 type solution = { chosen : int list; cardinality : int }
 
-(** A reusable pool of branch-and-bound scratch bitsets. Threading one
-    workspace through repeated solves (every radius of a best-response
-    call, every call of a dynamics run) removes the per-node allocations;
-    without one, each solve creates its own. A workspace adapts to the
+(** The reusable buffers of a solve: candidate cuts, co-cover masks and
+    the search's per-depth bitsets and arrays. Threading one workspace
+    through repeated solves (every radius of a best-response call, every
+    call of a dynamics run) removes the per-solve allocations; without
+    one, each solve creates its own. A workspace adapts to the
     instance's universe size automatically but must not be shared between
     domains. Solutions never alias workspace memory. *)
 type workspace

@@ -181,31 +181,24 @@ let of_list n xs =
   List.iter (fun i -> add s i) xs;
   s
 
-(* Flat loop for the same reason as [subset]: one closure per call adds up
-   in the solver's lower-bound scan. *)
-let choose_from s i0 =
+(* Flat loop for the same reason as [subset], and an int result rather
+   than an option: the solver asks for the next member on every step of
+   its lower bound. *)
+let next_member s i0 =
   let i0 = if i0 < 0 then 0 else i0 in
-  let nw = Array.length s.words in
-  let found = ref (-1) in
-  if i0 < s.capacity then begin
+  if i0 >= s.capacity then -1
+  else begin
+    let words = s.words in
+    let last = Array.length words - 1 in
     let wi = ref (i0 / bits) in
     (* First word: mask off the bits below [i0]. *)
-    let w = ref (s.words.(!wi) land ((-1) lsl (i0 mod bits))) in
-    while !found < 0 && !wi < nw do
-      if !w <> 0 then begin
-        let low = !w land - !w in
-        found := (!wi * bits) + popcount (low - 1)
-      end
-      else begin
-        incr wi;
-        if !wi < nw then w := s.words.(!wi)
-      end
-    done
-  end;
-  if !found < 0 then None else Some !found
-
-let min_elt s =
-  match choose_from s 0 with Some i -> i | None -> raise Not_found
+    let w = ref (words.(!wi) land (-1 lsl (i0 mod bits))) in
+    while !w = 0 && !wi < last do
+      incr wi;
+      w := words.(!wi)
+    done;
+    if !w = 0 then -1 else (!wi * bits) + popcount ((!w land - !w) - 1)
+  end
 
 let pp ppf s =
   Format.fprintf ppf "{@[%a@]}"

@@ -86,11 +86,9 @@ val to_list : t -> int list
 (** [of_list n xs] is the set holding the elements of [xs], capacity [n]. *)
 val of_list : int -> int list -> t
 
-(** First member ≥ [i], or [None]. [choose_from s 0] is the minimum. *)
-val choose_from : t -> int -> int option
-
-(** Minimum member. @raise Not_found if empty. *)
-val min_elt : t -> int
+(** [next_member s i] is the least member ≥ [i], or [-1] when there is
+    none. [next_member s 0] is the minimum. Allocates nothing. *)
+val next_member : t -> int -> int
 
 (** Pretty-printer: [{1, 5, 7}]. *)
 val pp : Format.formatter -> t -> unit

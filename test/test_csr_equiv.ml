@@ -266,7 +266,7 @@ let prop_bitset_binary_ops =
       && Bitset.disjoint a b = (count (fun i -> ma.(i) && mb.(i)) = 0))
 
 let prop_bitset_scan =
-  QCheck.Test.make ~name:"iter/fold/choose_from agree with the model" ~count:200
+  QCheck.Test.make ~name:"iter/fold/next_member agree with the model" ~count:200
     QCheck.(
       make
         ~print:(fun (n, xs) -> Printf.sprintf "n=%d |xs|=%d" n (List.length xs))
@@ -283,8 +283,8 @@ let prop_bitset_scan =
       && Bitset.fold (fun i acc -> acc + i) s 0 = List.fold_left ( + ) 0 sorted
       && List.for_all
            (fun from ->
-             Bitset.choose_from s from
-             = List.find_opt (fun i -> i >= from) sorted)
+             Bitset.next_member s from
+             = Option.value ~default:(-1) (List.find_opt (fun i -> i >= from) sorted))
            (List.init (n + 1) Fun.id))
 
 let () =

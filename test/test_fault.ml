@@ -54,7 +54,54 @@ let test_step_budget () =
       (* Budgets restore on exit: the enclosing scope is unlimited again. *)
       for _ = 1 to 50 do
         Cancel.checkpoint ()
-      done)
+      done;
+      (* dynamics.move_steps, which a budget adds once on exit. *)
+      let steps f =
+        snd (Ncg_obs.Metrics.collect (fun () -> try f () with Cancel.Timed_out _ -> ()))
+        |> List.assoc "dynamics.move_steps"
+      in
+      let checkpoints n () =
+        for _ = 1 to n do
+          Cancel.checkpoint ()
+        done
+      in
+      check_int "n checkpoints, no trip" 7
+        (steps (fun () -> Cancel.with_step_budget 10 (checkpoints 7)));
+      check_int "the whole budget" 10
+        (steps (fun () -> Cancel.with_step_budget 10 (checkpoints 10)));
+      check_int "a trip counts one more" 6
+        (steps (fun () -> Cancel.with_step_budget 5 (checkpoints 100)));
+      check_int "unlimited counts nothing" 0
+        (steps (fun () -> Cancel.with_step_budget 0 (checkpoints 100)));
+      let flag = Atomic.make false in
+      check_int "a watchdog raise counts nothing" 3
+        (steps (fun () ->
+             Cancel.with_control ~cancel:flag (fun () ->
+                 Cancel.with_step_budget 10 (fun () ->
+                     checkpoints 3 ();
+                     Atomic.set flag true;
+                     checkpoints 1 ()))));
+      check_int "a deadline raise counts" 1
+        (steps (fun () ->
+             Cancel.with_control ~timeout_ns:0L (fun () ->
+                 Unix.sleepf 0.001;
+                 Cancel.with_step_budget 10 (checkpoints 3))));
+      check_int "nested budgets count each checkpoint once" (2 + 4 + 3 + 1 + 5)
+        (steps (fun () ->
+             Cancel.with_step_budget 100 (fun () ->
+                 checkpoints 2 ();
+                 Cancel.with_step_budget 10 (checkpoints 4);
+                 checkpoints 3 ();
+                 Cancel.with_step_budget 0 (checkpoints 1);
+                 Cancel.with_step_budget 4 (checkpoints 20))));
+      (* An inner budget spends nothing of the outer one: the outer's 6
+         steps go to 2 + 4 of its own checkpoints, and its 7th trips. *)
+      check_int "an outer budget is not spent by inner ones" (4 + 7)
+        (steps (fun () ->
+             Cancel.with_step_budget 6 (fun () ->
+                 checkpoints 2 ();
+                 Cancel.with_step_budget 10 (checkpoints 4);
+                 checkpoints 5 ()))))
 
 let test_deadline_and_shutdown () =
   hermetic (fun () ->

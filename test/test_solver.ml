@@ -235,6 +235,412 @@ let prop_greedy_feasible =
       | None, None -> true
       | _ -> false)
 
+(* --- The search before its node was made cheap ------------------------------
+
+   The branch and bound as it was before co-cover masks, count-ordered
+   branching and per-depth buffers, kept as the reference that the
+   equivalence fence below compares [Set_cover.solve] with. It is
+   [Set_cover]'s code of that time with pooled scratch bitsets, per-node
+   option lists and a per-candidate lower bound; only [choose_from],
+   since deleted from [Bitset], became [next_member]. *)
+
+module Reference_cover = struct
+  type workspace = {
+    mutable cap : int;
+    mutable pool : Bitset.t list;
+    (* Flat element → covering-candidate index, CSR-style, rebuilt per solve:
+       [cov_idx] slots [cov_start e .. cov_off.(e) - 1] hold the candidate
+       indices covering element e, ascending. One growable pair instead of a
+       fresh [int list array] per solve. *)
+    mutable cov_off : int array;
+    mutable cov_idx : int array;
+    (* Root triage's bucket counts: [by_coverage.(r)] sets cover exactly r
+       elements of the initial uncovered set. *)
+    mutable by_coverage : int array;
+  }
+
+  let create_workspace () =
+    { cap = -1; pool = []; cov_off = [||]; cov_idx = [||]; by_coverage = [||] }
+
+  let acquire ws n =
+    if ws.cap <> n then begin
+      ws.cap <- n;
+      ws.pool <- []
+    end;
+    match ws.pool with
+    | b :: rest ->
+        ws.pool <- rest;
+        b
+    | [] -> Bitset.create n
+
+  let release ws b = if Bitset.capacity b = ws.cap then ws.pool <- b :: ws.pool
+
+  let initial_uncovered inst =
+    let u = Bitset.create inst.Set_cover.universe in
+    Bitset.fill u;
+    (match inst.Set_cover.pre_covered with
+    | Some pre -> Bitset.diff_into ~into:u pre
+    | None -> ());
+    u
+
+  (* Candidates that actually help (non-empty intersection with the initial
+     uncovered set), with dominated candidates removed: c is dominated by c'
+     when c ∩ U ⊆ c' ∩ U. Returns the useful part of each candidate plus its
+     original index. *)
+  let reduced_candidates ws inst uncovered =
+    let useful = ref [] in
+    Array.iteri
+      (fun i s ->
+        if not (Bitset.disjoint s uncovered) then begin
+          let cut = acquire ws inst.Set_cover.universe in
+          Bitset.copy_into ~into:cut s;
+          Bitset.inter_into ~into:cut uncovered;
+          useful := (i, cut) :: !useful
+        end)
+      inst.Set_cover.sets;
+    let arr = Array.of_list (List.rev !useful) in
+    let n = Array.length arr in
+    let keep = Array.make n true in
+    for i = 0 to n - 1 do
+      if keep.(i) then
+        for j = 0 to n - 1 do
+          if j <> i && keep.(j) then begin
+            let _, si = arr.(i) and _, sj = arr.(j) in
+            (* Drop j if it is contained in i; ties broken by index so that
+               exactly one of two equal sets survives. *)
+            if Bitset.subset sj si && (not (Bitset.equal si sj) || i < j) then
+              keep.(j) <- false
+          end
+        done
+    done;
+    let out = ref [] in
+    for i = n - 1 downto 0 do
+      if keep.(i) then out := arr.(i) :: !out
+      else release ws (snd arr.(i))
+    done;
+    Array.of_list !out
+
+  (* Hand every candidate cut back to the pool once a solve is done. *)
+  let release_candidates ws candidates =
+    Array.iter (fun (_, cut) -> release ws cut) candidates
+
+  let feasible candidates uncovered =
+    (* Every uncovered element must appear in some candidate. *)
+    let coverable = Bitset.create (Bitset.capacity uncovered) in
+    Array.iter (fun (_, s) -> Bitset.union_into ~into:coverable s) candidates;
+    Bitset.subset uncovered coverable
+
+  (* Greedy over [candidates], giving up (as uncovered) after [limit] picks. *)
+  let greedy_on ?(limit = max_int) ws candidates uncovered0 =
+    Ncg_obs.Metrics.(incr set_cover_greedy);
+    let uncovered = acquire ws (Bitset.capacity uncovered0) in
+    Bitset.copy_into ~into:uncovered uncovered0;
+    let chosen = ref [] and picks = ref 0 in
+    let continue_ = ref true in
+    while (not (Bitset.is_empty uncovered)) && !continue_ && !picks < limit do
+      Ncg_fault.Cancel.checkpoint ();
+      let best = ref (-1) and best_gain = ref 0 in
+      Array.iteri
+        (fun i (_, s) ->
+          let gain = Bitset.inter_cardinal s uncovered in
+          if gain > !best_gain then begin
+            best := i;
+            best_gain := gain
+          end)
+        candidates;
+      if !best < 0 then continue_ := false
+      else begin
+        let orig, s = candidates.(!best) in
+        chosen := orig :: !chosen;
+        incr picks;
+        Bitset.diff_into ~into:uncovered s
+      end
+    done;
+    let covered = Bitset.is_empty uncovered in
+    release ws uncovered;
+    if covered then Some (List.rev !chosen) else None
+
+  let greedy ?ws inst =
+    let ws = match ws with Some w -> w | None -> create_workspace () in
+    let uncovered = initial_uncovered inst in
+    if Bitset.is_empty uncovered then Some { Set_cover.chosen = []; cardinality = 0 }
+    else begin
+      let candidates = reduced_candidates ws inst uncovered in
+      let result =
+        match greedy_on ws candidates uncovered with
+        | Some chosen -> Some { Set_cover.chosen; cardinality = List.length chosen }
+        | None -> None
+      in
+      release_candidates ws candidates;
+      result
+    end
+
+  (* Lower bound: a greedy family of elements no two of which share a
+     candidate; each requires its own set. [covers_elt.(e)] lists candidate
+     indices covering e. *)
+  let lower_bound ws candidates uncovered =
+    let cov_off = ws.cov_off and cov_idx = ws.cov_idx in
+    let rest = acquire ws (Bitset.capacity uncovered) in
+    Bitset.copy_into ~into:rest uncovered;
+    let lb = ref 0 in
+    let continue_ = ref true in
+    while !continue_ do
+      match Bitset.next_member rest 0 with
+      | -1 -> continue_ := false
+      | e ->
+          incr lb;
+          (* Remove every element co-coverable with e. *)
+          for i = (if e = 0 then 0 else cov_off.(e - 1)) to cov_off.(e) - 1 do
+            let _, s = candidates.(cov_idx.(i)) in
+            Bitset.diff_into ~into:rest s
+          done
+    done;
+    release ws rest;
+    !lb
+
+  (* Root triage: decide a solve from the coverages r_i = |sets_i ∩ U| of
+     the initial uncovered set U alone, before any candidate cut exists.
+     [Some answer] is exactly what [search] would return:
+
+     - cap < 1: U is non-empty, so no cover of size <= cap exists;
+     - [i], the first set with r_i = |U|: it survives the dominance filter
+       (only a lower-index equal cut could drop it), greedy takes it as the
+       first maximum gain, and the search never beats cardinality 1;
+     - the fewest sets whose largest coverages add up to |U| exceed cap
+       (or even all of them fall short): no cover of size <= cap exists, so
+       neither greedy nor the search, budgeted or not, finds one. With
+       cap = 1 and no superset of U this always fires.
+
+     The coverage-sum bound is applied at the root only; the per-node bound
+     stays the independent-element packing, so the search's visit order and
+     its budgeted answers are unchanged. *)
+  let triage ws inst uncovered ~cap =
+    if cap < 1 then Some None
+    else begin
+      let u = Bitset.cardinal uncovered in
+      if Array.length ws.by_coverage <= u then ws.by_coverage <- Array.make (u + 1) 0;
+      let count = ws.by_coverage in
+      Array.fill count 0 (u + 1) 0;
+      let n = Array.length inst.Set_cover.sets in
+      let rec superset i =
+        if i = n then None
+        else begin
+          let r = Bitset.inter_cardinal inst.Set_cover.sets.(i) uncovered in
+          if r = u then Some i
+          else begin
+            count.(r) <- count.(r) + 1;
+            superset (i + 1)
+          end
+        end
+      in
+      match superset 0 with
+      | Some i -> Some (Some [ i ])
+      | None ->
+          (* [need] sets of coverage > r add up to [sum] < u. *)
+          let rec fewest r ~sum ~need =
+            if r = 0 then max_int
+            else begin
+              let c = count.(r) in
+              let take = (u - sum + r - 1) / r in
+              if take <= c then need + take
+              else fewest (r - 1) ~sum:(sum + (c * r)) ~need:(need + c)
+            end
+          in
+          if fewest (u - 1) ~sum:0 ~need:0 > cap then Some None else None
+    end
+
+  (* Branch and bound below the root: candidate cuts, dominance filter,
+     cover index, greedy incumbent, then the search. *)
+  let search ws inst uncovered0 ~cap ~node_budget =
+    let candidates = reduced_candidates ws inst uncovered0 in
+    if not (feasible candidates uncovered0) then begin
+      release_candidates ws candidates;
+      None
+    end
+    else begin
+      let ncand = Array.length candidates in
+      let u_cap = inst.Set_cover.universe in
+      (* Flat covers index into the workspace arrays: counts at [e + 1],
+         prefix-summed to starts, then a cursor pass that leaves
+         [cov_off.(e)] at the *end* of element e's slice (so the start is
+         [cov_off.(e - 1)], or 0 for e = 0). Candidate order inside a slice
+         is ascending, exactly as the former per-element lists. *)
+      if Array.length ws.cov_off < u_cap + 1 then
+        ws.cov_off <- Array.make (u_cap + 1) 0;
+      let cov_off = ws.cov_off in
+      Array.fill cov_off 0 (u_cap + 1) 0;
+      Array.iter
+        (fun (_, s) -> Bitset.iter (fun e -> cov_off.(e + 1) <- cov_off.(e + 1) + 1) s)
+        candidates;
+      for e = 1 to u_cap do
+        cov_off.(e) <- cov_off.(e) + cov_off.(e - 1)
+      done;
+      let total = cov_off.(u_cap) in
+      if Array.length ws.cov_idx < total then ws.cov_idx <- Array.make total 0;
+      let cov_idx = ws.cov_idx in
+      for ci = 0 to ncand - 1 do
+        let _, s = candidates.(ci) in
+        Bitset.iter
+          (fun e ->
+            cov_idx.(cov_off.(e)) <- ci;
+            cov_off.(e) <- cov_off.(e) + 1)
+          s
+      done;
+      let cov_start e = if e = 0 then 0 else cov_off.(e - 1) in
+      (* Incumbent from greedy, which gives up beyond the cap. *)
+      let best_card = ref (cap + 1) in
+      let best_sol = ref None in
+      (match greedy_on ~limit:cap ws candidates uncovered0 with
+      | Some chosen ->
+          best_card := List.length chosen;
+          best_sol := Some chosen
+      | None -> ());
+      let nodes = ref 0 in
+      let rec branch uncovered depth acc =
+        (* Cooperative cancellation per B&B node: an executor deadline
+           (--cell-deadline-ms) or step budget can cut off one oversized
+           solve instead of waiting for the node budget. One atomic read
+           when nothing is armed. *)
+        Ncg_fault.Cancel.checkpoint ();
+        incr nodes;
+        if !nodes > node_budget then ()
+        else if Bitset.is_empty uncovered then begin
+          if depth < !best_card then begin
+            best_card := depth;
+            best_sol := Some (List.rev acc)
+          end
+        end
+        else if depth + 1 < !best_card then begin
+          let lb = lower_bound ws candidates uncovered in
+          if depth + lb >= !best_card then
+            Ncg_obs.Metrics.(incr set_cover_cutoffs)
+          else begin
+            (* Branch on the uncovered element with fewest live candidates. *)
+            let pick = ref (-1) and pick_count = ref max_int in
+            Bitset.iter
+              (fun e ->
+                let c = cov_off.(e) - cov_start e in
+                if c < !pick_count then begin
+                  pick := e;
+                  pick_count := c
+                end)
+              uncovered;
+            let e = !pick in
+            (* Try candidates covering e, largest residual coverage first. *)
+            let opts = ref [] in
+            for i = cov_off.(e) - 1 downto cov_start e do
+              let ci = cov_idx.(i) in
+              let _, s = candidates.(ci) in
+              opts := (ci, Bitset.inter_cardinal s uncovered) :: !opts
+            done;
+            let opts = !opts in
+            let opts = List.sort (fun (_, a) (_, b) -> compare b a) opts in
+            List.iter
+              (fun (ci, _) ->
+                if depth + 1 < !best_card then begin
+                  let orig, s = candidates.(ci) in
+                  let uncovered' = acquire ws inst.Set_cover.universe in
+                  Bitset.copy_into ~into:uncovered' uncovered;
+                  Bitset.diff_into ~into:uncovered' s;
+                  branch uncovered' (depth + 1) (orig :: acc);
+                  release ws uncovered'
+                end)
+              opts
+          end
+        end
+      in
+      branch uncovered0 0 [];
+      release_candidates ws candidates;
+      Ncg_obs.Metrics.(add set_cover_nodes !nodes);
+      if !nodes > node_budget then Ncg_obs.Metrics.(incr set_cover_budget_exhausted);
+      Option.map (fun chosen -> { Set_cover.chosen; cardinality = !best_card }) !best_sol
+    end
+
+  let solve ?ws ?max_size ?(node_budget = max_int) inst =
+    Ncg_obs.Metrics.(incr set_cover_solves);
+    let ws = match ws with Some w -> w | None -> create_workspace () in
+    let uncovered0 = initial_uncovered inst in
+    let cap = match max_size with Some m -> m | None -> inst.Set_cover.universe + 1 in
+    if Bitset.is_empty uncovered0 then
+      if cap < 0 then None else Some { Set_cover.chosen = []; cardinality = 0 }
+    else
+      match triage ws inst uncovered0 ~cap with
+      | Some decided ->
+          Ncg_obs.Metrics.(incr set_cover_root_decided);
+          Option.map
+            (fun chosen -> { Set_cover.chosen; cardinality = List.length chosen })
+            decided
+      | None -> search ws inst uncovered0 ~cap ~node_budget
+end
+
+let cover_counters =
+  [
+    "set_cover.solves";
+    "set_cover.bb_nodes";
+    "set_cover.bb_cutoffs";
+    "set_cover.budget_exhausted";
+    "set_cover.greedy_runs";
+    "set_cover.root_decided";
+  ]
+
+(* Instances with the shapes the searches see: universes up to 140, so
+   across the 63-bit word boundaries, sparse to dense sets, some pre-covered
+   elements and a random cap and node budget. *)
+let gen_search_case =
+  QCheck.Gen.(
+    int_range 1 140 >>= fun universe ->
+    int_range 1 40 >>= fun nsets ->
+    oneofl [ 0.03; 0.08; 0.15; 0.3 ] >>= fun density ->
+    list_repeat nsets (list_repeat universe (float_bound_exclusive 1.)) >>= fun draws ->
+    (* Mostly feasible: an element no set drew joins set [e mod nsets]. *)
+    frequencyl [ (4, true); (1, false) ] >>= fun patch ->
+    bool >>= fun with_pre ->
+    list_repeat universe (float_bound_exclusive 1.) >>= fun pre_draws ->
+    opt (int_bound 20) >>= fun max_size ->
+    oneof [ int_range 1 500; return max_int ] >>= fun node_budget ->
+    let picked p xs = Array.of_list (List.map (fun x -> x < p) xs) in
+    let member = Array.of_list (List.map (picked density) draws) in
+    let drawn e = Array.exists (fun m -> m.(e)) member in
+    if patch then
+      for e = 0 to universe - 1 do
+        if not (drawn e) then member.(e mod nsets).(e) <- true
+      done;
+    let elements m = List.filter (fun e -> m.(e)) (List.init universe Fun.id) in
+    let sets = Array.to_list (Array.map elements member) in
+    let pre_covered = if with_pre then Some (elements (picked 0.2 pre_draws)) else None in
+    return (instance ?pre_covered universe sets, max_size, node_budget))
+
+let print_search_case (inst, max_size, node_budget) =
+  Printf.sprintf "%s, max_size %s, node_budget %s" (print_instance inst)
+    (match max_size with Some m -> string_of_int m | None -> "none")
+    (if node_budget = max_int then "unbounded" else string_of_int node_budget)
+
+(* One workspace each, threaded through every case of every universe, so
+   the stamps and the resizing of the banks are exercised too. *)
+let fence_ws = Set_cover.create_workspace ()
+let reference_ws = Reference_cover.create_workspace ()
+
+let prop_search_matches_reference =
+  QCheck.Test.make ~name:"B&B = the reference search, counters included" ~count:1000
+    (QCheck.make ~print:print_search_case gen_search_case)
+    (fun (inst, max_size, node_budget) ->
+      let run solve = Ncg_obs.Metrics.collect solve in
+      let got, got_snap =
+        run (fun () -> Set_cover.solve ~ws:fence_ws ?max_size ~node_budget inst)
+      in
+      let want, want_snap =
+        run (fun () -> Reference_cover.solve ~ws:reference_ws ?max_size ~node_budget inst)
+      in
+      let counters snap = List.map (count snap) cover_counters in
+      let greedy = Set_cover.greedy ~ws:fence_ws inst in
+      let greedy_want = Reference_cover.greedy ~ws:reference_ws inst in
+      if got <> want then QCheck.Test.fail_report "solutions differ";
+      if counters got_snap <> counters want_snap then
+        QCheck.Test.fail_reportf "counters differ: %s vs reference %s"
+          (String.concat " " (List.map string_of_int (counters got_snap)))
+          (String.concat " " (List.map string_of_int (counters want_snap)));
+      greedy = greedy_want)
+
 (* --- Dominating set ------------------------------------------------------- *)
 
 let test_mds_star () =
@@ -584,6 +990,7 @@ let () =
           qt prop_matches_brute_force;
           qt prop_dp_matches_branch_and_bound;
           qt prop_greedy_feasible;
+          qt prop_search_matches_reference;
         ] );
       ( "dominating_set",
         [

@@ -69,13 +69,14 @@ let test_bitset_set_ops () =
   check_bool "disjoint yes" true
     (Bitset.disjoint (Bitset.of_list 100 [ 1 ]) (Bitset.of_list 100 [ 2 ]))
 
-let test_bitset_choose_from () =
+let test_bitset_next_member () =
   let s = Bitset.of_list 300 [ 5; 64; 250 ] in
-  Alcotest.(check (option int)) "from 0" (Some 5) (Bitset.choose_from s 0);
-  Alcotest.(check (option int)) "from 6" (Some 64) (Bitset.choose_from s 6);
-  Alcotest.(check (option int)) "from 65" (Some 250) (Bitset.choose_from s 65);
-  Alcotest.(check (option int)) "from 251" None (Bitset.choose_from s 251);
-  check_int "min_elt" 5 (Bitset.min_elt s)
+  check_int "from 0" 5 (Bitset.next_member s 0);
+  check_int "from 6" 64 (Bitset.next_member s 6);
+  check_int "from 65" 250 (Bitset.next_member s 65);
+  check_int "from 251" (-1) (Bitset.next_member s 251);
+  check_int "past the capacity" (-1) (Bitset.next_member s 300);
+  check_int "empty" (-1) (Bitset.next_member (Bitset.create 0) 0)
 
 let test_bitset_iter_order () =
   let s = Bitset.of_list 500 [ 400; 3; 77; 78; 0 ] in
@@ -218,7 +219,7 @@ let () =
           Alcotest.test_case "fill masks tail word" `Quick test_bitset_fill;
           Alcotest.test_case "bounds checked" `Quick test_bitset_bounds;
           Alcotest.test_case "set operations" `Quick test_bitset_set_ops;
-          Alcotest.test_case "choose_from" `Quick test_bitset_choose_from;
+          Alcotest.test_case "next_member" `Quick test_bitset_next_member;
           Alcotest.test_case "iter in order" `Quick test_bitset_iter_order;
           Alcotest.test_case "copy independent" `Quick test_bitset_copy_independent;
           qt bitset_model_prop;
